@@ -378,8 +378,11 @@ def verify_key_lemma(
         )
     n = im.n
     k = im.k_claimed
-    rank = numeric_rank(im.matrix, tol_rank)
     spectrum = eigen_multiplicities(im.matrix, cluster_tol)
+    # im.matrix is exactly symmetric, so its singular values are the
+    # |eigenvalues| and the numeric_rank threshold applies to them as is.
+    magnitudes = np.abs(np.asarray(spectrum.eigenvalues))
+    rank = int(np.count_nonzero(magnitudes > tol_rank * n * np.max(magnitudes)))
     zero_applicable = n >= 2 * im.n_cap
     zero_ok = (spectrum.zero_multiplicity >= im.n_cap) if zero_applicable else True
 

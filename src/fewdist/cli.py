@@ -54,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json-pretty", action="store_true", default=argparse.SUPPRESS, help="indent JSON output"
     )
-    common.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed for randomized suites"
-    )
     parser = argparse.ArgumentParser(
         prog="fewdist",
         description="Certify ratio integrality of few-distance sets, invert ratio "
@@ -297,7 +294,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-GLOBAL_DEFAULTS = {"tol_int": 1e-6, "tol_rank": 1e-8, "json_pretty": False, "seed": 0}
+GLOBAL_DEFAULTS = {"tol_int": 1e-6, "tol_rank": 1e-8, "json_pretty": False}
 
 
 def run(argv=None) -> int:

@@ -1,0 +1,298 @@
+"""The vectorised pair classification against the per-pair reference code.
+
+The reference functions below are the earlier implementations: a Python
+loop over adjacent sorted values for grouping, and n x n x d difference or
+sum arrays for the duplicate-point and antipodal checks. The library's
+versions must return identical results: the same class ids and count, the
+same error messages, the same duplicate pair and the same partner array.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fewdist.pointset as pointset
+from fewdist import PointSet, construct_johnson, construct_named
+from fewdist.certificate import (
+    applicable_certificate_settings,
+    class_index_range,
+    indicator_matrix,
+    numeric_rank,
+    verify_key_lemma,
+)
+from fewdist.errors import AmbiguousGroupingError, DuplicatePointError
+from fewdist.pointset import (
+    _cluster_sorted,
+    _group_pairs,
+    distance_profile,
+    inner_product_profile,
+    is_antipodal,
+    squared_distance_matrix,
+)
+
+
+def reference_cluster_sorted(values, tol, relative):
+    def gap(a, b):
+        if relative:
+            return (b - a) / max(abs(a), abs(b))
+        return (b - a) / max(1.0, abs(a), abs(b))
+
+    boundaries = [0]
+    for idx in range(1, len(values)):
+        if gap(values[idx - 1], values[idx]) > tol:
+            boundaries.append(idx)
+    boundaries.append(len(values))
+    for pos in range(1, len(boundaries) - 1):
+        left = values[boundaries[pos] - 1]
+        right = values[boundaries[pos]]
+        if gap(left, right) <= 10.0 * tol:
+            raise AmbiguousGroupingError(
+                f"values {float(left)!r} and {float(right)!r} are separated by less "
+                "than 10x tol; no stable class split exists at this tolerance"
+            )
+    ids = np.empty(len(values), dtype=int)
+    for cid in range(len(boundaries) - 1):
+        ids[boundaries[cid]:boundaries[cid + 1]] = cid
+    return ids, len(boundaries) - 1
+
+
+def reference_group_pairs(matrix, tol, relative):
+    n = matrix.shape[0]
+    iu = np.triu_indices(n, 1)
+    vals = matrix[iu]
+    order = np.argsort(vals, kind="stable")
+    ids_sorted, num = reference_cluster_sorted(vals[order], tol, relative)
+    ids = np.empty(len(vals), dtype=int)
+    ids[order] = ids_sorted
+    reps, counts, adjacency = [], [], []
+    for cid in range(num):
+        mask = ids == cid
+        reps.append(float(np.mean(vals[mask])))
+        counts.append(int(np.count_nonzero(mask)))
+        adj = np.zeros((n, n), dtype=np.int8)
+        adj[iu[0][mask], iu[1][mask]] = 1
+        adj[iu[1][mask], iu[0][mask]] = 1
+        adjacency.append(adj)
+    return reps, counts, adjacency
+
+
+def reference_duplicate_message(pts):
+    """The DuplicatePointError message PointSet raises, or None."""
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    diffs = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    np.fill_diagonal(diffs, np.inf)
+    if np.min(diffs) <= 1e-9 * scale:
+        i, j = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
+        return f"points {i} and {j} coincide within tolerance"
+    return None
+
+
+def reference_is_antipodal(pts, tol):
+    n = pts.shape[0]
+    scale = max(1.0, float(np.max(np.abs(pts))))
+    atol = max(tol, 1e-12) * scale
+    sums = np.max(np.abs(pts[:, None, :] + pts[None, :, :]), axis=2)
+    partner = np.argmin(sums, axis=1)
+    best = sums[np.arange(n), partner]
+    if np.any(best > atol):
+        return False, None
+    if np.any(partner == np.arange(n)) or np.any(partner[partner] != np.arange(n)):
+        return False, None
+    return True, partner
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the grouping or duplicate error it raises."""
+    try:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return fn(*args)
+    except (AmbiguousGroupingError, DuplicatePointError) as exc:
+        return type(exc), str(exc)
+
+
+def duplicate_message(pts):
+    try:
+        PointSet(dimension=pts.shape[1], points=pts)
+    except DuplicatePointError as exc:
+        return str(exc)
+    return None
+
+
+# Gaps between neighbouring values in units of tol, chosen to straddle both
+# thresholds: tol (chain or split) and 10*tol (stable or ambiguous).
+GAP_UNITS = st.sampled_from([0.0, 0.2, 0.999, 1.0, 1.001, 3.0, 9.999, 10.0, 10.001, 50.0, 1e4, 1e8])
+
+
+@st.composite
+def sorted_values(draw):
+    tol = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    start = draw(st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+    units = draw(st.lists(GAP_UNITS, min_size=0, max_size=30))
+    values = [start]
+    for unit in units:
+        values.append(values[-1] + unit * tol * max(1.0, abs(values[-1])))
+    return np.sort(np.asarray(values)), tol
+
+
+class TestClusterSortedMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(sorted_values(), st.booleans())
+    def test_same_ids_count_and_errors(self, drawn, relative):
+        values, tol = drawn
+        if relative:
+            values = np.abs(values)
+            values.sort()
+        got = outcome(_cluster_sorted, values, tol, relative)
+        want = outcome(reference_cluster_sorted, values, tol, relative)
+        if isinstance(want[0], type):
+            assert got == want
+        else:
+            assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+            assert got[1] == want[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed):
+        # Small integer coordinates give few distinct squared distances,
+        # so classes hold many pairs and their means exercise summation order.
+        rng = np.random.default_rng(seed)
+        pts = np.unique(rng.integers(-3, 4, size=(n, d)), axis=0) * rng.choice([1.0, 0.1, 1e3])
+        assume(len(pts) >= 2)
+        matrix = squared_distance_matrix(PointSet(dimension=d, points=pts))
+        for relative, tol in ((True, 1e-9), (False, 1e-9), (True, 0.05)):
+            got = outcome(_group_pairs, matrix, tol, relative)
+            want = outcome(reference_group_pairs, matrix, tol, relative)
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got[2], want[2]))
+
+
+@st.composite
+def near_duplicate_sets(draw):
+    n = draw(st.integers(2, 25))
+    d = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e-3, 1e150]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-scale, scale, size=(n, d))
+    atol = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.integers(0, n, size=2)
+        offset = draw(st.sampled_from([0.0, 1e-12, 0.5 * atol, atol, 1.000001 * atol, 3.0 * atol]))
+        pts[j] = pts[i] + offset * rng.choice([-1.0, 0.0, 1.0], size=d)
+    return pts
+
+
+@st.composite
+def near_antipodal_sets(draw):
+    half = draw(st.integers(1, 15))
+    d = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e-3]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-scale, scale, size=(half, d))
+    pts = np.vstack([x, -x])
+    if draw(st.booleans()):
+        pts = pts[rng.permutation(len(pts))]
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6]))
+    atol = max(tol, 1e-12) * max(1.0, float(np.max(np.abs(pts))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = rng.integers(0, len(pts))
+        offset = draw(st.sampled_from([1e-12, 0.5 * atol, atol, 2.0 * atol, 0.1 * scale]))
+        pts[i] = pts[i] + offset * rng.choice([-1.0, 1.0], size=d)
+    if draw(st.booleans()):
+        pts = np.vstack([pts, rng.uniform(-scale, scale, size=(1, d))])
+    return pts, tol
+
+
+class TestPairChecksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(near_duplicate_sets())
+    def test_duplicate_pair_and_message(self, pts):
+        assert duplicate_message(pts) == reference_duplicate_message(pts)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_antipodal_sets())
+    def test_antipodal_flag_and_partner(self, drawn):
+        pts, tol = drawn
+        assume(reference_duplicate_message(pts) is None)
+        ps = PointSet(dimension=pts.shape[1], points=pts)
+        flag, partner = is_antipodal(ps, tol)
+        want_flag, want_partner = reference_is_antipodal(pts, tol)
+        assert flag == want_flag
+        if want_flag:
+            assert np.array_equal(partner, want_partner) and partner.dtype == want_partner.dtype
+        else:
+            assert partner is None
+
+    def test_small_blocks_give_the_same_answers(self, monkeypatch, e8):
+        # One row per block: the row-major order across blocks must hold.
+        monkeypatch.setattr(pointset, "_BLOCK_ENTRIES", 1)
+        pts = np.array(e8.points)
+        pts[200] = pts[17] + 1e-13
+        pts[100] = pts[3]
+        assert duplicate_message(pts) == reference_duplicate_message(pts)
+        ok, partner = is_antipodal(PointSet(dimension=8, points=e8.points))
+        assert ok and np.array_equal(partner, reference_is_antipodal(np.array(e8.points), 1e-9)[1])
+
+
+class TestClassifiedOnce:
+    def test_profiles_are_shared_and_read_only(self, e8):
+        ps = PointSet(dimension=8, points=e8.points)
+        dp = distance_profile(ps)
+        assert distance_profile(ps) is dp
+        assert inner_product_profile(ps) is inner_product_profile(ps)
+        assert distance_profile(ps, 1e-6) is not dp
+        assert squared_distance_matrix(ps) is squared_distance_matrix(ps)
+        with pytest.raises(ValueError):
+            dp.adjacency[0][0, 1] = 0
+        with pytest.raises(ValueError):
+            is_antipodal(ps)[1][0] = 0
+        with pytest.raises(ValueError):
+            squared_distance_matrix(ps)[0, 1] = 0.0
+
+    def test_certify_every_setting_groups_each_kind_once(self, monkeypatch):
+        calls = []
+        real = pointset._group_pairs
+
+        def counting(matrix, tol, relative):
+            calls.append(relative)
+            return real(matrix, tol, relative)
+
+        monkeypatch.setattr(pointset, "_group_pairs", counting)
+        ps = construct_named("hypercube", d=5)
+        for setting in applicable_certificate_settings(ps):
+            for index in class_index_range(ps, setting):
+                verify_key_lemma(indicator_matrix(ps, index, setting))
+        assert sorted(calls) == [False, True]
+
+
+@pytest.mark.parametrize(
+    "name", ["e8", "johnson_10_3", "hypercube_4", "cross_polytope_4", "icosahedron", "unit_square"]
+)
+def test_key_lemma_rank_matches_numeric_rank(request, name):
+    ps = request.getfixturevalue(name)
+    for setting in applicable_certificate_settings(ps):
+        for index in class_index_range(ps, setting):
+            im = indicator_matrix(ps, index, setting)
+            assert verify_key_lemma(im).rank == numeric_rank(im.matrix)
+
+
+def test_validation_memory_stays_below_one_dense_matrix():
+    # The n x n x d difference array took about d times 8n^2 bytes.
+    pts = np.array(construct_johnson(14, 4).points)
+    n = pts.shape[0]
+    assert (n, pts.shape[1]) == (1365, 15)
+    tracemalloc.start()
+    try:
+        PointSet(dimension=15, points=pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n

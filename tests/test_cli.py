@@ -9,6 +9,7 @@ the cardinality hypothesis met, 2 usage or input error, 3 numerical failure.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ GOLDEN_INVERT = (
     '{"success":true,"t":[0.5,0.75],"residual":0,"iterations":0,'
     '"start_index":-1,"method":"closed_form","branches":["+","-"]}'
 )
+# Full stdout of `ratios --all` and `certify --setting all` on two bundled
+# sets, frozen the same way; one file per command under tests/golden/.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_VERDICTS = [
+    (name, command, argv)
+    for name in ("e8_roots", "johnson_10_3")
+    for command, argv in (("ratios_all", ["ratios", "--all"]), ("certify_all", ["certify", "--setting", "all"]))
+]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +65,24 @@ def e8_gram_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def golden_point_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden")
+    sets = {"e8_roots": construct_named("e8_roots"), "johnson_10_3": construct_johnson(10, 3)}
+    paths = {}
+    for name, ps in sets.items():
+        paths[name] = folder / f"{name}.json"
+        paths[name].write_text(json.dumps(ps.to_dict()))
+    return paths
+
+
 class TestGoldenOutput:
+    @pytest.mark.parametrize("name,command,argv", GOLDEN_VERDICTS)
+    def test_verdict_exact_bytes(self, golden_point_files, capsys, name, command, argv):
+        assert run([argv[0], str(golden_point_files[name]), *argv[1:]]) == 0
+        golden = (GOLDEN_DIR / f"{name}_{command}.txt").read_text()
+        assert capsys.readouterr().out == golden
+
     def test_bounds_exact_bytes(self, capsys):
         assert run(["bounds", "--setting", "euclidean", "-d", "10", "-s", "3"]) == 0
         assert capsys.readouterr().out == GOLDEN_BOUNDS + "\n"
