@@ -8,19 +8,12 @@ error would flip the answer.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import comb, isqrt
+from types import MappingProxyType
 
 from .errors import ParameterError
-
-SETTINGS = (
-    "euclidean",
-    "spherical",
-    "antipodal_odd_v1",
-    "antipodal_odd_v2",
-    "antipodal_even_v1",
-    "antipodal_even_v2",
-)
 
 POLY_SPACE_KINDS = ("P_full", "P_sphere", "P_star_sphere", "W_space")
 
@@ -106,40 +99,81 @@ class TheoremContext:
         }
 
 
+@dataclass(frozen=True)
+class Setting:
+    """One ratio-integrality setting as data.
+
+    Its ratios are the Lagrange basis values L_i(at) on its nodes, divided by
+    beta_i when signed. Class i's indicator polynomial is L_i on the mapped
+    pair values (times the pair value over beta_i when signed), in the space
+    `space` of degree s - degree_offset; its dimension N gives the
+    cardinality threshold multiplier * N + addend and the ratio bound bound(N).
+    """
+
+    name: str
+    family: str  # "euclidean", "spherical" or "antipodal"
+    parity: str | None  # the parity of s an antipodal row needs
+    min_s: int
+    space: str
+    degree_offset: int
+    threshold: tuple[int, int]  # (multiplier, addend)
+    bound: Callable[[int], int]
+    first_index: int  # the 1-based class index of the first node
+    at: float
+    signed: bool
+
+    def indices(self, values) -> range:
+        """The 1-based class indices with a ratio, for the family's class values."""
+        return range(self.first_index, len(values) + 1)
+
+    def node_map(self, x):
+        """Squares |beta| (or a pair inner product) in the antipodal family."""
+        return x * x if self.family == "antipodal" else x
+
+    def nodes(self, values) -> list[float]:
+        """The mapped class values from first_index on (the even variant 2
+        drops the zero class)."""
+        return [self.node_map(float(v)) for v in values[self.first_index - 1 :]]
+
+
+_U, _A = ratio_bound_U, antipodal_ratio_bound
+
+SETTING_TABLE = MappingProxyType({
+    row.name: row
+    for row in (
+        # name, family, parity, min_s, space, degree_offset, threshold, bound,
+        # first_index, at, signed
+        Setting("euclidean", "euclidean", None, 2, "W_space", 1, (2, 0), _U, 1, 0.0, False),
+        Setting("spherical", "spherical", None, 2, "P_sphere", 1, (2, 0), _U, 1, 1.0, False),
+        Setting("antipodal_odd_v1", "antipodal", "odd", 5, "P_star_sphere", 3, (4, 0), _U, 1, 1.0, False),
+        Setting("antipodal_odd_v2", "antipodal", "odd", 5, "P_star_sphere", 2, (4, 2), _A, 1, 1.0, True),
+        Setting("antipodal_even_v1", "antipodal", "even", 4, "P_star_sphere", 2, (4, 0), _U, 1, 1.0, False),
+        Setting("antipodal_even_v2", "antipodal", "even", 4, "P_star_sphere", 3, (4, 2), _A, 2, 1.0, True),
+    )
+})
+
+SETTINGS = tuple(SETTING_TABLE)
+
+FAMILIES = tuple(dict.fromkeys(row.family for row in SETTING_TABLE.values()))
+
+
+def setting_row(setting: str) -> Setting:
+    if setting not in SETTING_TABLE:
+        raise ParameterError(f"unknown setting {setting!r}")
+    return SETTING_TABLE[setting]
+
+
 def theorem_context(setting: str, d: int, s: int) -> TheoremContext:
     """Space dimension N, cardinality threshold, and ratio bound per setting."""
-    if setting not in SETTINGS:
-        raise ParameterError(f"unknown setting {setting!r}")
+    row = setting_row(setting)
     if d < 1:
         raise ParameterError(f"d must be >= 1, got {d}")
-    if setting in ("euclidean", "spherical"):
-        if s < 2:
-            raise ParameterError(f"{setting} setting needs s >= 2, got {s}")
-    elif setting.startswith("antipodal_odd"):
-        if s % 2 == 0 or s < 5:
-            raise ParameterError(f"{setting} needs odd s >= 5, got {s}")
-    else:
-        if s % 2 == 1 or s < 4:
-            raise ParameterError(f"{setting} needs even s >= 4, got {s}")
-
-    if setting == "euclidean":
-        N = dim_poly_space("W_space", d, s - 1)
-        return TheoremContext(setting, d, s, N, 2 * N, ratio_bound_U(N))
-    if setting == "spherical":
-        N = dim_poly_space("P_sphere", d, s - 1)
-        return TheoremContext(setting, d, s, N, 2 * N, ratio_bound_U(N))
-    if setting == "antipodal_odd_v1":
-        N = dim_poly_space("P_star_sphere", d, s - 3)
-        return TheoremContext(setting, d, s, N, 4 * N, ratio_bound_U(N))
-    if setting == "antipodal_odd_v2":
-        N = dim_poly_space("P_star_sphere", d, s - 2)
-        return TheoremContext(setting, d, s, N, 4 * N + 2, antipodal_ratio_bound(N))
-    if setting == "antipodal_even_v1":
-        N = dim_poly_space("P_star_sphere", d, s - 2)
-        return TheoremContext(setting, d, s, N, 4 * N, ratio_bound_U(N))
-    # antipodal_even_v2
-    N = dim_poly_space("P_star_sphere", d, s - 3)
-    return TheoremContext(setting, d, s, N, 4 * N + 2, antipodal_ratio_bound(N))
+    if s < row.min_s or (row.parity and (s % 2 == 1) != (row.parity == "odd")):
+        need = f"needs {row.parity} s" if row.parity else "setting needs s"
+        raise ParameterError(f"{setting} {need} >= {row.min_s}, got {s}")
+    N = dim_poly_space(row.space, d, s - row.degree_offset)
+    multiplier, addend = row.threshold
+    return TheoremContext(setting, d, s, N, multiplier * N + addend, row.bound(N))
 
 
 def cardinality_bound(kind: str, d: int, s: int) -> int:

@@ -1,11 +1,12 @@
 """Indicator matrices and the spectral certificate for ratio integrality.
 
-For a class value with index i, the indicator polynomial evaluates to the
-ratio k_i on the diagonal and to the class-i adjacency off it, so the matrix
-M = (F_x(y)) decomposes as k*I + A. Because the polynomials span a space of
-dimension at most N_cap, rank(M) <= N_cap, which pins the spectrum of A and
-forces k to be a bounded integer once the set is large enough. These checks
-are verified here numerically, with measured slacks.
+For a class value with index i, the indicator polynomial is the setting's
+Lagrange basis polynomial L_i (times x / beta_i in the signed rows; see
+bounds.Setting). It evaluates to the ratio k_i on the diagonal and to the
+class-i adjacency off it, so M = (F_x(y)) decomposes as k*I + A. Because
+the polynomials span a space of dimension at most N_cap, rank(M) <= N_cap,
+which pins the spectrum of A and forces k to be a bounded integer once the
+set is large enough. The checks here are numerical, with measured slacks.
 """
 
 from __future__ import annotations
@@ -14,30 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import TheoremContext, dim_poly_space, theorem_context
+from .bounds import SETTING_TABLE, TheoremContext, dim_poly_space, setting_row, theorem_context
 from .errors import InputError, NumericalError, ParameterError
+from .lagrange import lagrange_basis
 from .pointset import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
-    affine_dimension,
     antipodal_structure,
     distance_profile,
     inner_product_profile,
-    linear_dimension,
-    on_unit_sphere,
     squared_distance_matrix,
 )
-from .ratios import (
-    antipodal_even_ratios,
-    antipodal_odd_ratios,
-    euclidean_ratios,
-    spherical_ratios,
-)
+from .ratios import applicable_settings, class_ratios, effective_dimension
 
 DEFAULT_CLUSTER_TOL = 1e-6
 
-SIGNED_SETTINGS = ("antipodal_odd_v2", "antipodal_even_v2")
+SIGNED_SETTINGS = tuple(name for name, row in SETTING_TABLE.items() if row.signed)
 
 
 @dataclass(frozen=True)
@@ -60,27 +54,19 @@ class IndicatorMatrix:
         return self.matrix.shape[0]
 
 
-def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.T) / 2.0
-
-
-def _finish(matrix, setting, class_index, k, adjacency, n_cap, x_size, d_eff, s):
-    n = matrix.shape[0]
-    expected = adjacency.astype(float)
-    expected[np.arange(n), np.arange(n)] += k
-    dev = float(np.max(np.abs(matrix - expected)))
-    return IndicatorMatrix(
-        matrix=matrix,
-        setting=setting,
-        class_index=class_index,
-        k_claimed=float(k),
-        adjacency=adjacency,
-        max_decomposition_dev=dev,
-        n_cap=n_cap,
-        x_size=x_size,
-        d_eff=d_eff,
-        s=s,
-    )
+def _pair_classes(ps: PointSet, family: str, values, i0: int, tol: float):
+    """The pair values the family's indicator is read on; class i0's adjacency."""
+    if family == "euclidean":
+        return squared_distance_matrix(ps), distance_profile(ps, tol).adjacency[i0].astype(np.int8)
+    if family == "spherical":
+        return ps.points @ ps.points.T, inner_product_profile(ps, tol).adjacency[i0].astype(np.int8)
+    half = antipodal_structure(ps, tol).half.points
+    gram = half @ half.T
+    # Class adjacency on the half set: nearest |beta| class per pair.
+    dist_to_class = np.abs(np.abs(gram)[:, :, None] - np.asarray(values)[None, None, :])
+    adjacency = (np.argmin(dist_to_class, axis=2) == i0).astype(np.int8)
+    np.fill_diagonal(adjacency, 0)
+    return gram, adjacency
 
 
 def indicator_matrix(
@@ -90,114 +76,44 @@ def indicator_matrix(
     tol: float = DEFAULT_TOL,
     tol_rank: float = DEFAULT_TOL_RANK,
 ) -> IndicatorMatrix:
-    """Evaluate the class indicator polynomial at all point pairs.
+    """Evaluate the class indicator polynomial (bounds.Setting) at all point pairs.
 
-    class_index is 1-based within the family's own index range: 1..s for
-    euclidean/spherical, 1..(s-1)/2 for the odd antipodal variants, 1..s/2
-    for the even variant 1 and 2..s/2 for the even variant 2 (the zero class
-    has no variant-2 ratio).
+    The antipodal matrices run over the half set. class_index is 1-based
+    within the setting's own index range: 1..s for euclidean/spherical,
+    1..(s-1)/2 for the odd antipodal variants, 1..s/2 for the even variant 1
+    and 2..s/2 for the even variant 2 (the zero class has no variant-2 ratio).
     """
-    if setting == "euclidean":
-        return _euclidean_indicator(ps, class_index, tol, tol_rank)
-    if setting == "spherical":
-        return _spherical_indicator(ps, class_index, tol, tol_rank)
-    if setting in (
-        "antipodal_odd_v1",
-        "antipodal_odd_v2",
-        "antipodal_even_v1",
-        "antipodal_even_v2",
-    ):
-        return _antipodal_indicator(ps, class_index, setting, tol, tol_rank)
-    raise ParameterError(f"unknown setting {setting!r}")
-
-
-def _check_index(class_index: int, low: int, high: int, setting: str) -> None:
-    if not (low <= class_index <= high):
+    row = setting_row(setting)
+    values, s, ratios = class_ratios(ps, setting, tol)
+    ids = row.indices(values)
+    if class_index not in ids:
         raise ParameterError(
-            f"class index {class_index} out of range [{low}, {high}] for {setting}"
+            f"class index {class_index} out of range [{ids.start}, {ids.stop - 1}] for {setting}"
         )
-
-
-def _euclidean_indicator(ps, class_index, tol, tol_rank):
-    dp = distance_profile(ps, tol)
-    _check_index(class_index, 1, dp.s, "euclidean")
     i0 = class_index - 1
-    vals = dp.squared_distances
-    d2 = squared_distance_matrix(ps)
-    matrix = np.ones_like(d2)
-    for j, aj in enumerate(vals):
-        if j != i0:
-            matrix *= (aj - d2) / (aj - vals[i0])
-    k = euclidean_ratios(vals)[i0]
-    d_eff = affine_dimension(ps, tol_rank)
-    n_cap = dim_poly_space("W_space", d_eff, dp.s - 1)
-    adjacency = dp.adjacency[i0].astype(np.int8)
-    return _finish(matrix, "euclidean", class_index, k, adjacency, n_cap, ps.n, d_eff, dp.s)
-
-
-def _spherical_indicator(ps, class_index, tol, tol_rank):
-    ipp = inner_product_profile(ps, tol)
-    _check_index(class_index, 1, ipp.s, "spherical")
-    i0 = class_index - 1
-    vals = ipp.inner_products
-    gram = _symmetrize(ps.points @ ps.points.T)
-    matrix = np.ones_like(gram)
-    for j, bj in enumerate(vals):
-        if j != i0:
-            matrix *= (gram - bj) / (vals[i0] - bj)
-    k = spherical_ratios(vals)[i0]
-    d_eff = linear_dimension(ps, tol_rank)
-    n_cap = dim_poly_space("P_sphere", d_eff, ipp.s - 1)
-    adjacency = ipp.adjacency[i0].astype(np.int8)
-    return _finish(matrix, "spherical", class_index, k, adjacency, n_cap, ps.n, d_eff, ipp.s)
-
-
-def _antipodal_indicator(ps, class_index, setting, tol, tol_rank):
-    structure = antipodal_structure(ps, tol)
-    s = structure.s
-    parity = "odd" if setting.startswith("antipodal_odd") else "even"
-    if parity != structure.parity:
-        raise ParameterError(f"set has {structure.parity} parity, requested {setting}")
-    variant = 2 if setting.endswith("v2") else 1
-    beta = structure.beta_abs
-    if parity == "odd":
-        _check_index(class_index, 1, (s - 1) // 2, setting)
-        degree = s - 3 if variant == 1 else s - 2
-        k = antipodal_odd_ratios(beta, variant)[class_index - 1]
-        skip_zero = False
-    else:
-        low = 1 if variant == 1 else 2
-        _check_index(class_index, low, s // 2, setting)
-        degree = s - 2 if variant == 1 else s - 3
-        ratios = antipodal_even_ratios(beta, variant)
-        k = ratios[class_index - 1] if variant == 1 else ratios[class_index - 2]
-        skip_zero = variant == 2
-
-    i0 = class_index - 1
-    half = structure.half
-    gram = _symmetrize(half.points @ half.points.T)
-    gram2 = gram * gram
-    bi = beta[i0]
-    matrix = np.ones_like(gram)
-    for j, bj in enumerate(beta):
-        if j == i0 or (skip_zero and j == 0):
-            continue
-        matrix *= (gram2 - bj * bj) / (bi * bi - bj * bj)
-    if variant == 2:
-        matrix *= gram / bi
-
-    # Class adjacency on the half set: nearest |beta| class per pair, signed
-    # by the inner product's sign for the variant-2 matrices.
-    dist_to_class = np.abs(np.abs(gram)[:, :, None] - np.asarray(beta)[None, None, :])
-    nearest = np.argmin(dist_to_class, axis=2)
-    adjacency = (nearest == i0).astype(np.int8)
-    np.fill_diagonal(adjacency, 0)
-    if variant == 2:
-        adjacency = adjacency * np.sign(gram).astype(np.int8)
-
-    d_eff = linear_dimension(ps, tol_rank)
-    n_cap = dim_poly_space("P_star_sphere", d_eff, degree)
-    return _finish(matrix, setting, class_index, k, adjacency, n_cap, ps.n, d_eff, s)
+    pairs, adjacency = _pair_classes(ps, row.family, values, i0, tol)
+    i = class_index - row.first_index
+    matrix = lagrange_basis(row.nodes(values), i, row.node_map(pairs))
+    k = ratios[i]
+    if row.signed:
+        matrix *= pairs / values[i0]
+        adjacency = adjacency * np.sign(pairs).astype(np.int8)
+    d_eff = effective_dimension(ps, setting, tol_rank)
+    n = matrix.shape[0]
+    expected = adjacency.astype(float)
+    expected[np.arange(n), np.arange(n)] += k
+    return IndicatorMatrix(
+        matrix=matrix,
+        setting=setting,
+        class_index=class_index,
+        k_claimed=float(k),
+        adjacency=adjacency,
+        max_decomposition_dev=float(np.max(np.abs(matrix - expected))),
+        n_cap=dim_poly_space(row.space, d_eff, s - row.degree_offset),
+        x_size=ps.n,
+        d_eff=d_eff,
+        s=s,
+    )
 
 
 def numeric_rank(matrix, tol_rank: float = DEFAULT_TOL_RANK) -> int:
@@ -241,7 +157,8 @@ def eigen_multiplicities(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sp
     """Cluster the spectrum by gaps above cluster_tol * max|eigenvalue|."""
     arr = matrix.matrix if isinstance(matrix, IndicatorMatrix) else np.asarray(matrix, float)
     try:
-        eig = np.linalg.eigvalsh(_symmetrize(arr))
+        # Asymmetric input is allowed: the spectrum is that of the symmetric part.
+        eig = np.linalg.eigvalsh((arr + arr.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     scale = float(np.max(np.abs(eig))) if eig.size else 0.0
@@ -391,19 +308,15 @@ def verify_key_lemma(
     integral_ok = integrality_dev <= tol_int
     bound_ok = abs(k_rounded) <= context.ratio_bound
 
+    # M - kI for the signed rows, else the Seidel matrix 2M - J - (2k-1)I,
+    # built in place without dense J and I.
     signed = im.setting in SIGNED_SETTINGS
-    if signed:
-        companion_matrix = im.matrix - k * np.eye(n)
-        expected_e = -k
-        required_mult = n - im.n_cap
-        kind = "shifted_adjacency"
-    else:
-        companion_matrix = (
-            2.0 * im.matrix - np.ones((n, n)) - (2.0 * k - 1.0) * np.eye(n)
-        )
-        expected_e = -(2.0 * k - 1.0)
-        required_mult = n - im.n_cap - 1
-        kind = "seidel"
+    scale, shift = (1.0, 0.0) if signed else (2.0, 1.0)
+    expected_e = -(scale * k - shift)
+    companion_matrix = scale * im.matrix
+    companion_matrix -= shift
+    companion_matrix.flat[:: n + 1] += expected_e
+    required_mult = n - im.n_cap - int(shift)
     comp_spectrum = eigen_multiplicities(companion_matrix, cluster_tol)
     eig = np.asarray(comp_spectrum.eigenvalues)
     atol = cluster_tol * max(1.0, float(np.max(np.abs(eig))) if eig.size else 0.0)
@@ -412,7 +325,7 @@ def verify_key_lemma(
     mult_ok = (measured_mult >= required_mult) if mult_applicable else True
 
     companion = {
-        "kind": kind,
+        "kind": "shifted_adjacency" if signed else "seidel",
         "expected_eigenvalue": float(expected_e),
         "required_multiplicity": int(max(required_mult, 0)),
         "measured_multiplicity": measured_mult,
@@ -459,33 +372,13 @@ def verify_key_lemma(
     )
 
 
-def applicable_certificate_settings(ps: PointSet, tol: float = DEFAULT_TOL) -> list[str]:
-    """Certificate settings this set supports, most generic first."""
-    settings = ["euclidean"]
-    if on_unit_sphere(ps, tol):
-        settings.append("spherical")
-        try:
-            structure = antipodal_structure(ps, tol)
-            prefix = f"antipodal_{structure.parity}"
-            theorem_context(f"{prefix}_v1", linear_dimension(ps), structure.s)
-            settings.extend([f"{prefix}_v1", f"{prefix}_v2"])
-        except (InputError, ParameterError):
-            pass
-    return settings
+def applicable_certificate_settings(
+    ps: PointSet, tol: float = DEFAULT_TOL, tol_rank: float = DEFAULT_TOL_RANK
+) -> list[str]:
+    """Certificate settings this set supports: ratios.applicable_settings."""
+    return applicable_settings(ps, tol, tol_rank)
 
 
 def class_index_range(ps: PointSet, setting: str, tol: float = DEFAULT_TOL) -> range:
     """Valid 1-based class indices for a setting on this point set."""
-    if setting == "euclidean":
-        return range(1, distance_profile(ps, tol).s + 1)
-    if setting == "spherical":
-        return range(1, inner_product_profile(ps, tol).s + 1)
-    structure = antipodal_structure(ps, tol)
-    s = structure.s
-    if setting.startswith("antipodal_odd"):
-        return range(1, (s - 1) // 2 + 1)
-    if setting == "antipodal_even_v1":
-        return range(1, s // 2 + 1)
-    if setting == "antipodal_even_v2":
-        return range(2, s // 2 + 1)
-    raise ParameterError(f"unknown setting {setting!r}")
+    return setting_row(setting).indices(class_ratios(ps, setting, tol)[0])

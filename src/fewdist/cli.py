@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bounds import SETTINGS, theorem_context
+from .bounds import FAMILIES, SETTINGS, theorem_context
 from .certificate import (
     applicable_certificate_settings,
     class_index_range,
@@ -33,7 +33,7 @@ from .pointset import (
     load_points,
     on_unit_sphere,
 )
-from .ratios import analyze
+from .ratios import analyze, choose_settings
 from .search import DEFAULT_BOX_CAP, catalog_report, enumerate_tuples, realize_catalog
 
 
@@ -78,9 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratios", parents=[common], help="ratio integrality report")
     p.add_argument("pointfile")
-    p.add_argument(
-        "--setting", choices=("auto", "euclidean", "spherical", "antipodal"), default="auto"
-    )
+    p.add_argument("--setting", choices=("auto", *FAMILIES), default="auto")
     p.add_argument("--all", action="store_true", help="report every applicable setting")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument(
@@ -91,11 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", parents=[common], help="spectral certificate per distance class")
     p.add_argument("pointfile")
-    p.add_argument(
-        "--setting",
-        choices=("auto", "all", "euclidean", "spherical", "antipodal"),
-        default="auto",
-    )
+    p.add_argument("--setting", choices=("auto", "all", *FAMILIES), default="auto")
     p.add_argument("--class", dest="class_index", default="all", help="1-based index or 'all'")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("-o", "--output", default=None)
@@ -186,51 +180,21 @@ def _cmd_ratios(args) -> int:
     return 1 if failed else 0
 
 
-def _certify_settings(ps, requested: str, tol: float) -> list[str]:
-    applicable = applicable_certificate_settings(ps, tol)
-    if requested == "all":
-        return applicable
-    if requested == "euclidean":
-        return ["euclidean"]
-    if requested == "spherical":
-        if "spherical" not in applicable:
-            raise InputError("points are not unit-norm; spherical setting unavailable")
-        return ["spherical"]
-    if requested == "antipodal":
-        chosen = [s for s in applicable if s.startswith("antipodal")]
-        if not chosen:
-            raise InputError("set lacks the antipodal class structure (or s is too small)")
-        return chosen
-    # auto: most specific family
-    antipodal = [s for s in applicable if s.startswith("antipodal")]
-    if antipodal:
-        return antipodal
-    return [applicable[-1]]
-
-
 def _cmd_certify(args) -> int:
     ps = load_points(args.pointfile)
-    settings = _certify_settings(ps, args.setting, args.tol)
+    applicable = applicable_certificate_settings(ps, args.tol, args.tol_rank)
+    settings = choose_settings(applicable, args.setting)
+    if args.class_index != "all":
+        try:
+            chosen = [int(args.class_index)]
+        except ValueError as exc:
+            raise InputError(f"--class must be an integer or 'all': {exc}") from exc
     verdicts = []
     for setting in settings:
-        valid = class_index_range(ps, setting, args.tol)
-        if args.class_index == "all":
-            indices = list(valid)
-        else:
-            try:
-                index = int(args.class_index)
-            except ValueError as exc:
-                raise InputError(f"--class must be an integer or 'all': {exc}") from exc
-            if index not in valid:
-                raise ParameterError(
-                    f"class {index} out of range [{valid.start}, {valid.stop - 1}] for {setting}"
-                )
-            indices = [index]
+        indices = class_index_range(ps, setting, args.tol) if args.class_index == "all" else chosen
         for index in indices:
             im = indicator_matrix(ps, index, setting, args.tol, tol_rank=args.tol_rank)
-            verdicts.append(
-                verify_key_lemma(im, tol_int=args.tol_int, tol_rank=args.tol_rank)
-            )
+            verdicts.append(verify_key_lemma(im, tol_int=args.tol_int, tol_rank=args.tol_rank))
     payload = {
         "n": ps.n,
         "settings": settings,

@@ -6,8 +6,10 @@ D = { 0 < t_1 < ... < t_{s-1} < 1 }. With t_s = 1 fixed, the forward map is
 
     K_i(t) = prod_{j != i} t_j / (t_j - t_i),   i = 1..s-1,
 
-whose values alternate in sign, K_1 > 0, and sum with K_s to 1. The Jacobian
-has closed-form entries and determinant
+the Lagrange basis values L_i(0) on the nodes (t_1, ..., t_{s-1}, 1), as
+are the euclidean ratios of fewdist.ratios. They alternate in sign,
+K_1 > 0, and sum with K_s to 1. The Jacobian has closed-form entries and
+determinant
 
     det J = (s-1)! * prod_i K_i / (1 - t_i),
 
@@ -27,6 +29,7 @@ from .errors import (
     ParameterError,
     SingularTupleError,
 )
+from .lagrange import lagrange_weights
 
 DOMAIN_EPS = 1e-12
 PROJECT_GAP = 1e-9
@@ -46,27 +49,18 @@ def _check_domain(t) -> np.ndarray:
     return arr
 
 
-def _ratio_matrix(full: np.ndarray) -> np.ndarray:
-    # R[j, i] = v_j / (v_j - v_i) with a unit diagonal so products skip j = i.
-    diff = full[:, None] - full[None, :]
-    np.fill_diagonal(diff, 1.0)
-    ratios = full[:, None] / diff
-    np.fill_diagonal(ratios, 1.0)
-    return ratios
+def _weights(arr: np.ndarray) -> np.ndarray:
+    return np.array(lagrange_weights(arr.tolist() + [1.0], 0.0))
 
 
 def forward_K(t) -> np.ndarray:
     """K_1..K_{s-1} at t; the sign of K_i is (-1)**(i-1)."""
-    arr = _check_domain(t)
-    full = np.append(arr, 1.0)
-    return _ratio_matrix(full).prod(axis=0)[:-1]
+    return _weights(_check_domain(t))[:-1]
 
 
 def forward_K_full(t) -> np.ndarray:
     """All s values including K_s; they sum to exactly 1 analytically."""
-    arr = _check_domain(t)
-    full = np.append(arr, 1.0)
-    return _ratio_matrix(full).prod(axis=0)
+    return _weights(_check_domain(t))
 
 
 def jacobian(t) -> np.ndarray:
@@ -79,7 +73,7 @@ def jacobian(t) -> np.ndarray:
     arr = _check_domain(t)
     s1 = arr.size
     full = np.append(arr, 1.0)
-    K = _ratio_matrix(full).prod(axis=0)[:-1]
+    K = _weights(arr)[:-1]
     diff = full[:, None] - full[None, :]
     np.fill_diagonal(diff, np.inf)
     inv = 1.0 / diff  # inv[i, j] = m_ij

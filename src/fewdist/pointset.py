@@ -441,10 +441,6 @@ class AntipodalStructure:
     parity: str
     beta_abs: tuple[float, ...]
 
-    @property
-    def class_count(self) -> int:
-        return len(self.beta_abs)
-
 
 def antipodal_structure(ps: PointSet, tol: float = DEFAULT_TOL) -> AntipodalStructure:
     """Validate antipodal class structure and extract the |beta| values."""

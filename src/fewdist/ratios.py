@@ -1,9 +1,18 @@
 """Ratio invariants of distance and inner-product class systems.
 
-Each family maps the class values of an s-distance structure to a tuple of
-real numbers that the integrality theorems force to be bounded integers once
-the point set is large enough. The analyze entry point profiles a point set,
-picks the applicable settings, and reports integrality per family.
+Each setting, one row of bounds.SETTING_TABLE, maps the class values of an
+s-distance structure to ratios k_i that the integrality theorems force to be
+bounded integers once the point set is large enough. Every ratio is one
+Lagrange basis value L_i(x) = prod_{j != i} (x - v_j) / (v_i - v_j) on the
+class values (fewdist.lagrange):
+
+- euclidean: k_i = L_i(0) on the squared distances;
+- spherical: k_i = L_i(1) on the inner products;
+- antipodal: k_i = L_i(1) on the squared |beta| values, divided by beta_i
+  for variant 2, whose even case skips the zero class.
+
+The analyze entry point profiles a point set, picks the applicable settings,
+and reports integrality per setting.
 """
 
 from __future__ import annotations
@@ -12,9 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
-from .bounds import TheoremContext, theorem_context
+from .bounds import FAMILIES, SETTING_TABLE, TheoremContext, setting_row, theorem_context
 from .errors import (
     DegenerateValuesError,
     InputError,
@@ -22,10 +29,10 @@ from .errors import (
     NotOnSphereError,
     ParameterError,
 )
+from .lagrange import lagrange_weights
 from .pointset import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
-    AntipodalStructure,
     PointSet,
     affine_dimension,
     antipodal_structure,
@@ -48,19 +55,20 @@ def _check_strictly_increasing(values, what: str) -> list[float]:
     return vals
 
 
+def _lagrange_ratios(setting: str, vals: list[float]) -> list[float]:
+    row = SETTING_TABLE[setting]
+    k = lagrange_weights(row.nodes(vals), row.at)
+    if row.signed:
+        return [w / b for w, b in zip(k, vals[row.first_index - 1 :])]
+    return k
+
+
 def euclidean_ratios(squared_distances) -> list[float]:
     """k_i = prod_{j != i} a_j / (a_j - a_i) over squared distances a_1 < ... < a_s."""
     vals = _check_strictly_increasing(squared_distances, "squared distances")
     if vals[0] <= 0.0:
         raise ParameterError("squared distances must be positive")
-    out = []
-    for i, ai in enumerate(vals):
-        k = 1.0
-        for j, aj in enumerate(vals):
-            if j != i:
-                k *= aj / (aj - ai)
-        out.append(k)
-    return out
+    return _lagrange_ratios("euclidean", vals)
 
 
 def spherical_ratios(inner_products) -> list[float]:
@@ -68,14 +76,7 @@ def spherical_ratios(inner_products) -> list[float]:
     vals = _check_strictly_increasing(inner_products, "inner products")
     if vals[-1] >= 1.0:
         raise ParameterError("inner products must be below 1")
-    out = []
-    for i, bi in enumerate(vals):
-        k = 1.0
-        for j, bj in enumerate(vals):
-            if j != i:
-                k *= (1.0 - bj) / (bi - bj)
-        out.append(k)
-    return out
+    return _lagrange_ratios("spherical", vals)
 
 
 def antipodal_odd_ratios(beta_abs, variant: int) -> list[float]:
@@ -89,16 +90,7 @@ def antipodal_odd_ratios(beta_abs, variant: int) -> list[float]:
     vals = _check_strictly_increasing(beta_abs, "|beta| values")
     if vals[0] <= 0.0 or vals[-1] >= 1.0:
         raise ParameterError("odd-case |beta| values must lie strictly in (0, 1)")
-    out = []
-    for i, bi in enumerate(vals):
-        k = 1.0
-        for j, bj in enumerate(vals):
-            if j != i:
-                k *= (1.0 - bj * bj) / (bi * bi - bj * bj)
-        if variant == 2:
-            k /= bi
-        out.append(k)
-    return out
+    return _lagrange_ratios(f"antipodal_odd_v{int(variant)}", vals)
 
 
 def antipodal_even_ratios(beta_abs, variant: int) -> list[float]:
@@ -113,27 +105,70 @@ def antipodal_even_ratios(beta_abs, variant: int) -> list[float]:
     vals = [float(v) for v in beta_abs]
     if not vals or vals[0] != 0.0:
         raise ParameterError("even-case |beta| values must start with the zero class (0.0)")
-    if len(vals) > 1:
-        _check_strictly_increasing(vals, "|beta| values")
-        if vals[-1] >= 1.0:
-            raise ParameterError("|beta| values must lie below 1")
-    if variant == 1:
-        out = []
-        for i, bi in enumerate(vals):
-            k = 1.0
-            for j, bj in enumerate(vals):
-                if j != i:
-                    k *= (1.0 - bj * bj) / (bi * bi - bj * bj)
-            out.append(k)
-        return out
-    out = []
-    for i, bi in enumerate(vals[1:], start=1):
-        k = 1.0
-        for j, bj in enumerate(vals[1:], start=1):
-            if j != i:
-                k *= (1.0 - bj * bj) / (bi * bi - bj * bj)
-        out.append(k / bi)
-    return out
+    _check_strictly_increasing(vals, "|beta| values")
+    if vals[-1] >= 1.0:
+        raise ParameterError("|beta| values must lie below 1")
+    return _lagrange_ratios(f"antipodal_even_v{int(variant)}", vals)
+
+
+def class_ratios(ps: PointSet, setting: str, tol: float = DEFAULT_TOL):
+    """(class values, s, ratios k) of ps in the setting's family. The
+    antipodal rows read |beta| and refuse a set of the other parity."""
+    row = setting_row(setting)
+    if row.family == "euclidean":
+        dp = distance_profile(ps, tol)
+        return dp.squared_distances, dp.s, euclidean_ratios(dp.squared_distances)
+    if row.family == "spherical":
+        ipp = inner_product_profile(ps, tol)
+        return ipp.inner_products, ipp.s, spherical_ratios(ipp.inner_products)
+    structure = antipodal_structure(ps, tol)
+    if structure.parity != row.parity:
+        raise ParameterError(f"set has {structure.parity} parity, requested {setting}")
+    ratios = antipodal_odd_ratios if row.parity == "odd" else antipodal_even_ratios
+    return structure.beta_abs, structure.s, ratios(structure.beta_abs, 2 if row.signed else 1)
+
+
+def effective_dimension(ps: PointSet, setting: str, tol_rank: float = DEFAULT_TOL_RANK) -> int:
+    """The affine dimension for the euclidean family, the linear one otherwise."""
+    euclidean = setting_row(setting).family == "euclidean"
+    return (affine_dimension if euclidean else linear_dimension)(ps, tol_rank)
+
+
+def applicable_settings(
+    ps: PointSet, tol: float = DEFAULT_TOL, tol_rank: float = DEFAULT_TOL_RANK, d_override=None
+) -> list[str]:
+    """The settings ps supports, most generic first: euclidean always,
+    spherical for unit norms, and both antipodal rows of the set's parity when
+    it has the antipodal class structure and s is in range. Other
+    classification errors, such as several inner product classes at 0, raise.
+    """
+    settings = ["euclidean"]
+    if not on_unit_sphere(ps, tol):
+        return settings
+    settings.append("spherical")
+    try:
+        structure = antipodal_structure(ps, tol)
+        rows = [r.name for r in SETTING_TABLE.values() if r.parity == structure.parity]
+        d = d_override if d_override is not None else linear_dimension(ps, tol_rank)
+        theorem_context(rows[0], d, structure.s)
+        settings.extend(rows)
+    except (NotAntipodalError, ParameterError):
+        pass
+    return settings
+
+
+def choose_settings(applicable: list[str], requested: str = "auto") -> list[str]:
+    """The applicable settings of the requested family: "auto" picks the most
+    specific family, "all" keeps every setting."""
+    if requested == "all":
+        return applicable
+    families = [SETTING_TABLE[name].family for name in applicable]
+    family = families[-1] if requested == "auto" else requested
+    if family not in families:
+        if family == "spherical":
+            raise NotOnSphereError("points are not unit-norm; spherical setting unavailable")
+        raise NotAntipodalError("set lacks the antipodal class structure (or s is too small)")
+    return [name for name, f in zip(applicable, families) if f == family]
 
 
 def rational_inner_products(
@@ -268,40 +303,6 @@ class AnalysisReport:
         return out
 
 
-def _euclidean_report(ps, dp, d_eff, tol_int) -> RatioReport:
-    context = theorem_context("euclidean", d_eff, dp.s)
-    k = euclidean_ratios(dp.squared_distances)
-    return _make_report(
-        "euclidean", context, ps.n, range(1, dp.s + 1), k, tol_int, with_sum=True
-    )
-
-
-def _spherical_report(ps, ipp, d_eff, tol_int) -> RatioReport:
-    context = theorem_context("spherical", d_eff, ipp.s)
-    k = spherical_ratios(ipp.inner_products)
-    return _make_report(
-        "spherical", context, ps.n, range(1, ipp.s + 1), k, tol_int, with_sum=True
-    )
-
-
-def _antipodal_reports(ps, structure: AntipodalStructure, d_eff, tol_int):
-    s = structure.s
-    if structure.parity == "odd":
-        v1 = antipodal_odd_ratios(structure.beta_abs, 1)
-        v2 = antipodal_odd_ratios(structure.beta_abs, 2)
-        idx1 = idx2 = range(1, (s - 1) // 2 + 1)
-        names = ("antipodal_odd_v1", "antipodal_odd_v2")
-    else:
-        v1 = antipodal_even_ratios(structure.beta_abs, 1)
-        v2 = antipodal_even_ratios(structure.beta_abs, 2)
-        idx1 = range(1, s // 2 + 1)
-        idx2 = range(2, s // 2 + 1)
-        names = ("antipodal_even_v1", "antipodal_even_v2")
-    rep1 = _make_report(names[0], theorem_context(names[0], d_eff, s), ps.n, idx1, v1, tol_int)
-    rep2 = _make_report(names[1], theorem_context(names[1], d_eff, s), ps.n, idx2, v2, tol_int)
-    return rep1, rep2
-
-
 def _rational_block(rep1: RatioReport, rep2: RatioReport, parity: str, d_eff: int, s: int, tol_int):
     applicable = (
         rep1.hypothesis_met and rep2.hypothesis_met and rep1.all_integral and rep2.all_integral
@@ -333,67 +334,34 @@ def analyze(
 ) -> AnalysisReport:
     """Profile a point set and report ratio integrality for applicable settings.
 
-    Settings are tried most-specific first: antipodal (antipodal set with -1
-    among the inner products, matching parity), then spherical (unit norms),
-    then euclidean (always applicable). `setting` forces one family;
-    `all_settings` reports every applicable family.
+    `setting` picks one family, "auto" the most specific applicable one
+    (applicable_settings, choose_settings); `all_settings` reports every
+    applicable setting.
     """
-    if setting not in ("auto", "euclidean", "spherical", "antipodal"):
+    if setting not in ("auto", *FAMILIES):
         raise ParameterError(f"unknown setting {setting!r}")
     dp = distance_profile(ps, tol)
-    d_aff = d_override if d_override is not None else affine_dimension(ps, tol_rank)
-
-    spherical_ok = on_unit_sphere(ps, tol)
-    ipp = inner_product_profile(ps, tol) if spherical_ok else None
-    d_lin = None
-    if spherical_ok:
-        d_lin = d_override if d_override is not None else linear_dimension(ps, tol_rank)
-
-    structure = None
-    antipodal_ok = False
-    if spherical_ok and ipp.antipodal and ipp.contains_minus_one:
-        try:
-            structure = antipodal_structure(ps, tol)
-            variant = "antipodal_odd_v1" if structure.parity == "odd" else "antipodal_even_v1"
-            theorem_context(variant, d_lin, structure.s)
-            antipodal_ok = True
-        except (NotAntipodalError, ParameterError):
-            structure = None
-
-    applicable = ["euclidean"]
-    if spherical_ok:
-        applicable.append("spherical")
-    if antipodal_ok:
-        applicable.append("antipodal")
-
-    if setting == "auto":
-        chosen = applicable[-1]
-    elif setting in applicable:
-        chosen = setting
-    elif setting == "spherical":
-        raise NotOnSphereError("points are not unit-norm; spherical setting unavailable")
-    else:
-        raise NotAntipodalError("set lacks the antipodal class structure (or s is too small)")
-
-    wanted = applicable if all_settings else [chosen]
+    applicable = applicable_settings(ps, tol, tol_rank, d_override)
+    selected = choose_settings(applicable, setting)
     reports: list[RatioReport] = []
     rational = None
-    if "euclidean" in wanted:
-        reports.append(_euclidean_report(ps, dp, d_aff, tol_int))
-    if "spherical" in wanted:
-        reports.append(_spherical_report(ps, ipp, d_lin, tol_int))
-    if "antipodal" in wanted:
-        rep1, rep2 = _antipodal_reports(ps, structure, d_lin, tol_int)
-        reports.extend([rep1, rep2])
-        rational = _rational_block(rep1, rep2, structure.parity, d_lin, structure.s, tol_int)
+    for name in applicable if all_settings else selected:
+        row = SETTING_TABLE[name]
+        values, s, k = class_ratios(ps, name, tol)
+        d = d_override if d_override is not None else effective_dimension(ps, name, tol_rank)
+        context = theorem_context(name, d, s)
+        with_sum = row.family != "antipodal"
+        reports.append(_make_report(name, context, ps.n, row.indices(values), k, tol_int, with_sum))
+        if row.signed:
+            rational = _rational_block(reports[-2], reports[-1], row.parity, d, s, tol_int)
 
     return AnalysisReport(
         n=ps.n,
         ambient_dimension=ps.dimension,
         s=dp.s,
         squared_distances=dp.squared_distances,
-        settings_applicable=tuple(applicable),
-        selected=chosen,
+        settings_applicable=tuple(dict.fromkeys(SETTING_TABLE[n].family for n in applicable)),
+        selected=SETTING_TABLE[selected[0]].family,
         reports=tuple(reports),
         rational=rational,
     )

@@ -25,12 +25,20 @@ GOLDEN_INVERT = (
     '{"success":true,"t":[0.5,0.75],"residual":0,"iterations":0,'
     '"start_index":-1,"method":"closed_form","branches":["+","-"]}'
 )
-# Full stdout of `ratios --all` and `certify --setting all` on two bundled
+# Full stdout of `ratios --all` and `certify --setting all` on four bundled
 # sets, frozen the same way; one file per command under tests/golden/.
+# hypercube(5) is the one set that runs the odd antipodal settings, and the
+# icosahedron is spherical without an antipodal setting.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_SETS = {
+    "e8_roots": lambda: construct_named("e8_roots"),
+    "johnson_10_3": lambda: construct_johnson(10, 3),
+    "hypercube_5": lambda: construct_named("hypercube", d=5),
+    "icosahedron": lambda: construct_named("icosahedron"),
+}
 GOLDEN_VERDICTS = [
     (name, command, argv)
-    for name in ("e8_roots", "johnson_10_3")
+    for name in GOLDEN_SETS
     for command, argv in (("ratios_all", ["ratios", "--all"]), ("certify_all", ["certify", "--setting", "all"]))
 ]
 
@@ -68,12 +76,22 @@ def e8_gram_file(tmp_path_factory):
 @pytest.fixture(scope="module")
 def golden_point_files(tmp_path_factory):
     folder = tmp_path_factory.mktemp("golden")
-    sets = {"e8_roots": construct_named("e8_roots"), "johnson_10_3": construct_johnson(10, 3)}
     paths = {}
-    for name, ps in sets.items():
+    for name, construct in GOLDEN_SETS.items():
         paths[name] = folder / f"{name}.json"
-        paths[name].write_text(json.dumps(ps.to_dict()))
+        paths[name].write_text(json.dumps(construct().to_dict()))
     return paths
+
+
+@pytest.fixture(scope="module")
+def ambiguous_zero_class_file(tmp_path_factory):
+    # An antipodal set whose inner products 0 and 6e-9 are two classes at
+    # the default tolerance, both within the zero-class window.
+    y = float(np.sqrt(1.0 - 3.6e-17))
+    pts = [[1.0, 0.0], [-1.0, 0.0], [6e-9, y], [-6e-9, -y]]
+    path = tmp_path_factory.mktemp("cli") / "ambiguous.json"
+    path.write_text(json.dumps({"dimension": 2, "points": pts}))
+    return str(path)
 
 
 class TestGoldenOutput:
@@ -81,6 +99,12 @@ class TestGoldenOutput:
     def test_verdict_exact_bytes(self, golden_point_files, capsys, name, command, argv):
         assert run([argv[0], str(golden_point_files[name]), *argv[1:]]) == 0
         golden = (GOLDEN_DIR / f"{name}_{command}.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_enumerate_realize_exact_bytes(self, capsys):
+        # Pins the forward map's bytes through Newton and the closed form.
+        assert run(["enumerate", "-d", "10", "-s", "3", "--realize"]) == 0
+        golden = (GOLDEN_DIR / "enumerate_10_3_realize.txt").read_text()
         assert capsys.readouterr().out == golden
 
     def test_bounds_exact_bytes(self, capsys):
@@ -251,6 +275,24 @@ class TestExitCodes:
         path.write_text('{"kind": "adjacency", "matrix": [[0, 1], [1, 0]]}')
         assert run(["embed-check", str(path), "-d", "2"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ratios", "--all"],
+            ["ratios", "--setting", "euclidean"],
+            ["certify", "--setting", "all"],
+            ["certify", "--setting", "antipodal"],
+            ["certify", "--setting", "euclidean"],
+        ],
+    )
+    def test_ambiguous_zero_class_is_exit_2(self, ambiguous_zero_class_file, capsys, argv):
+        # ratios and certify share one applicability rule, so every command
+        # reports the ambiguous split instead of dropping the antipodal rows.
+        assert run([argv[0], ambiguous_zero_class_file, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "several inner product classes sit at 0" in captured.err
 
     def test_numerical_failure_is_exit_3_with_json(self, capsys):
         rc = run(["invert", "-s", "2", "-k", "1"])
