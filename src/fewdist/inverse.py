@@ -77,13 +77,8 @@ def jacobian(t) -> np.ndarray:
     diff = full[:, None] - full[None, :]
     np.fill_diagonal(diff, np.inf)
     inv = 1.0 / diff  # inv[i, j] = m_ij
-    J = np.empty((s1, s1))
-    for i in range(s1):
-        for j in range(s1):
-            if i == j:
-                J[i, i] = K[i] * np.sum(inv[:, i])
-            else:
-                J[i, j] = K[i] * (arr[i] / arr[j]) * inv[i, j]
+    J = K[:, None] * (arr[:, None] / arr[None, :]) * inv[:s1, :s1]
+    J[np.diag_indices(s1)] = K * np.sum(np.ascontiguousarray(inv.T), axis=1)[:s1]
     return J
 
 
@@ -157,13 +152,15 @@ def invert_K(
     tol_res: float = DEFAULT_TOL_RES,
     max_iter: int = 100,
     multistart: bool = True,
+    starts=None,
 ) -> InversionResult:
     """Damped Newton inversion of forward_K.
 
     Tries the default start t_i = i/s and, if needed, five power-law spreads
-    of it; each Newton step is halved up to 30 times until the residual
-    decreases, and iterates are projected back into the open simplex. Returns
-    the best point found with success = (residual <= tol_res).
+    of it, or the given starts; each Newton step is halved up to 30 times
+    until the residual decreases, and iterates are projected back into the
+    open simplex. Returns the best point found with
+    success = (residual <= tol_res).
     """
     target = check_sign_pattern(k_target)
     s1 = target.size
@@ -172,7 +169,7 @@ def invert_K(
     # absolute criterion would be unattainable.
     res_scale = max(1.0, float(np.max(np.abs(target))))
     best = None
-    for start_index, start in enumerate(_starts(s1)):
+    for start_index, start in enumerate(_starts(s1) if starts is None else starts):
         if not multistart and start_index > 0:
             break
         t = _project(np.asarray(start, dtype=float))

@@ -6,6 +6,18 @@ of sign (-1)**(i-1) with |k_i| <= U(N), and the induced k_s = 1 - sum(k_i)
 obeys the same constraints. Enumerating the box and inverting each tuple back
 to normalized squared distances yields the complete list of candidate
 distance systems.
+
+Realizing a catalog decides each tuple by the roots of its power-sum system
+(fewdist.powersum.solve_power_sums), whose roots in D are exactly the tuple's
+preimages:
+
+- realized: the system has a root in D; `t` and `residual` come from Newton
+  (invert_K), or from Newton started at the homotopy's root;
+- unrealizable: every homotopy path was accounted for and no root lies in D,
+  or k_1 = 1; `margin`, when present, is the distance from the nearest
+  nonsingular root outside D to the closure of D;
+- newton_failed: a homotopy path failed to track, so the tuple fell back to
+  multistart Newton, and Newton did not converge either.
 """
 
 from __future__ import annotations
@@ -18,6 +30,7 @@ import numpy as np
 from .bounds import TheoremContext, theorem_context
 from .errors import BoxOverflowError, ParameterError
 from .inverse import forward_K, invert_K
+from .powersum import solve_power_sums
 
 DEFAULT_BOX_CAP = 10**7
 
@@ -26,10 +39,15 @@ DEFAULT_BOX_CAP = 10**7
 class TupleEntry:
     k: tuple[int, ...]
     k_last: int
-    status: str  # raw | realized | unrealizable | newton_failed
+    # raw; realized (a root in D, t and residual set); unrealizable (no root
+    # in D: k_1 = 1, or every homotopy path accounted for, with the margin of
+    # the nearest nonsingular root outside D when there is one);
+    # newton_failed (a homotopy path failed and the Newton fallback too)
+    status: str
     t: tuple[float, ...] | None = None
     residual: float | None = None
     note: str | None = None
+    margin: float | None = None
 
     def to_dict(self) -> dict:
         out = {"k": list(self.k), "k_last": self.k_last, "status": self.status}
@@ -39,6 +57,8 @@ class TupleEntry:
             out["residual"] = float(self.residual)
         if self.note is not None:
             out["note"] = self.note
+        if self.margin is not None:
+            out["margin"] = float(self.margin)
         return out
 
 
@@ -105,13 +125,21 @@ def realize_catalog(
     tol_res: float = 1e-10,
     round_trip_tol: float = 1e-8,
 ) -> CandidateCatalog:
-    """Invert every tuple; statuses become realized / unrealizable / newton_failed.
+    """Decide every tuple; statuses become realized / unrealizable / newton_failed.
 
     k_1 = 1 is provably outside the image of the forward map (every factor of
     K_1 exceeds 1 strictly on the open domain), so those tuples are labeled
-    unrealizable without running Newton. Any other inversion failure keeps its
-    best residual for diagnosis rather than being dropped.
+    unrealizable without solving anything. Every other tuple goes to
+    solve_power_sums. A tuple with a root in D is inverted by invert_K and,
+    should Newton fail from its own starts, by Newton from that root; it is
+    realized when the forward map returns k within round_trip_tol. A tuple
+    whose homotopy paths are all accounted for and none ends in D is
+    unrealizable. A tuple with a path that failed to track falls back to
+    multistart Newton, and stays newton_failed, with its best residual, if
+    that does not converge.
     """
+    hard = [entry.k for entry in catalog.entries if entry.k[0] > 1]
+    solutions = dict(zip(hard, solve_power_sums(hard)))
     realized = []
     for entry in catalog.entries:
         if entry.k[0] <= 1:
@@ -123,14 +151,23 @@ def realize_catalog(
                 )
             )
             continue
+        solution = solutions[entry.k]
+        if solution.complete and not solution.roots:
+            note = (
+                "every root of the power-sum system lies outside D"
+                if solution.margin is not None
+                else "every root of the power-sum system is singular or at infinity"
+            )
+            realized.append(
+                replace(entry, status="unrealizable", note=note, margin=solution.margin)
+            )
+            continue
         result = invert_K(entry.k, tol_res=tol_res)
-        if result.success:
-            round_trip = float(np.max(np.abs(forward_K(result.t) - np.asarray(entry.k, float))))
-            if round_trip <= round_trip_tol:
-                realized.append(
-                    replace(entry, status="realized", t=result.t, residual=result.residual)
-                )
-                continue
+        if not _round_trips(result, entry.k, round_trip_tol) and solution.roots:
+            result = invert_K(entry.k, tol_res=tol_res, starts=solution.roots)
+        if _round_trips(result, entry.k, round_trip_tol):
+            realized.append(replace(entry, status="realized", t=result.t, residual=result.residual))
+            continue
         realized.append(
             replace(
                 entry,
@@ -142,6 +179,12 @@ def realize_catalog(
     return CandidateCatalog(
         d=catalog.d, s=catalog.s, context=catalog.context, stage="realized", entries=tuple(realized)
     )
+
+
+def _round_trips(result, k, tol: float) -> bool:
+    if not result.success:
+        return False
+    return float(np.max(np.abs(forward_K(result.t) - np.asarray(k, float)))) <= tol
 
 
 def catalog_report(catalog: CandidateCatalog) -> dict:

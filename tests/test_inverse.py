@@ -1,9 +1,11 @@
-"""Forward ratio map, analytic Jacobian, Newton and closed-form inversion."""
+"""Forward ratio map, analytic Jacobian, Newton, closed-form and homotopy inversion."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fewdist import (
     forward_K,
@@ -15,6 +17,8 @@ from fewdist import (
     jacobian_det_closed,
 )
 from fewdist.errors import InvalidSignError, NoSolutionError, ParameterError, SingularTupleError
+from fewdist.inverse import _check_domain, _weights
+from fewdist.powersum import solve_power_sums
 
 
 def sample_interior(rng, s, gap=1e-2):
@@ -70,7 +74,52 @@ class TestForwardMap:
             forward_K(np.asarray(bad, dtype=float))
 
 
+def jacobian_loop(t):
+    """The entry-by-entry Jacobian that jacobian() replaced, kept as the
+    reference for its operation order."""
+    arr = _check_domain(t)
+    s1 = arr.size
+    full = np.append(arr, 1.0)
+    K = _weights(arr)[:-1]
+    diff = full[:, None] - full[None, :]
+    np.fill_diagonal(diff, np.inf)
+    inv = 1.0 / diff
+    J = np.empty((s1, s1))
+    for i in range(s1):
+        for j in range(s1):
+            if i == j:
+                J[i, i] = K[i] * np.sum(inv[:, i])
+            else:
+                J[i, j] = K[i] * (arr[i] / arr[j]) * inv[i, j]
+    return J
+
+
+def interior_points(gap):
+    """Strategy: (s, t) with s = 3..5 and t in D, every gap (0 and 1
+    included) at least `gap`."""
+
+    def build(draw_s):
+        return st.lists(
+            st.floats(min_value=gap, max_value=1.0 - gap), min_size=draw_s - 1, max_size=draw_s - 1
+        ).map(lambda xs: (draw_s, np.sort(np.array(xs))))
+
+    return st.integers(min_value=3, max_value=5).flatmap(build)
+
+
+def has_gaps(t, gap):
+    return np.min(np.diff(np.concatenate(([0.0], t, [1.0])))) >= gap
+
+
 class TestJacobian:
+    @given(st.integers(min_value=2, max_value=6).flatmap(
+        lambda s: st.lists(st.floats(min_value=1e-6, max_value=1 - 1e-6), min_size=s - 1, max_size=s - 1)
+    ))
+    @settings(max_examples=300)
+    def test_matches_loop_bit_for_bit(self, values):
+        t = np.sort(np.array(values))
+        assume(has_gaps(t, 1e-9))
+        assert np.array_equal(jacobian(t), jacobian_loop(t))
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         for s in range(2, 7):
@@ -188,3 +237,62 @@ class TestAutoInversion:
     def test_newton_for_other_sizes(self):
         res = invert_auto([2.0])
         assert res.method == "newton" and res.success
+
+
+class TestPowerSumHomotopy:
+    """solve_power_sums finds every preimage in D of k = K(t): forward then
+    inverse returns t, and nothing else in D (uniqueness)."""
+
+    @given(interior_points(1e-3))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_and_uniqueness(self, case):
+        s, t = case
+        assume(has_gaps(t, 1e-3))
+        (solution,) = solve_power_sums([forward_K(t)])
+        # Every root reported lies at t; a complete verdict also proves that
+        # t is the only preimage. An ill-conditioned cluster may leave the
+        # verdict incomplete, which realize_catalog then hands to Newton.
+        assert len(solution.roots) <= 1
+        if solution.complete:
+            assert len(solution.roots) == 1
+        for root in solution.roots:
+            assert np.max(np.abs(np.asarray(root) - t)) <= 1e-8
+
+    def test_round_trip_rate_on_a_fixed_sample(self):
+        rng = np.random.default_rng(20)
+        cases = []
+        while len(cases) < 150:
+            t = np.sort(rng.random(rng.integers(2, 5)))
+            if has_gaps(t, 1e-3):
+                cases.append(t)
+        by_length = {}
+        for t in cases:
+            by_length.setdefault(t.size, []).append(t)
+        exact = 0
+        for ts in by_length.values():
+            for t, solution in zip(ts, solve_power_sums([forward_K(t) for t in ts])):
+                if solution.complete and len(solution.roots) == 1:
+                    exact += np.max(np.abs(np.asarray(solution.roots[0]) - t)) <= 1e-8
+        assert exact >= 147
+
+    def test_no_preimage_tuples_are_complete_and_rootless(self):
+        # Newton failures the ROADMAP names; sympy confirms no real root in D.
+        for solution in solve_power_sums([(13, -7, 8), (12, -1, 3), (9, -4, 7)]):
+            assert solution.complete
+            assert solution.roots == ()
+            assert solution.margin > 0.0
+
+    def test_two_distance_tuple(self):
+        # F_1 = k_1 t_1 + 1 - k_1 = 0 has the single root t_1 = 1 - 1/k_1.
+        (solution,) = solve_power_sums([(4,)])
+        assert solution.complete
+        assert solution.roots == pytest.approx([(0.75,)], abs=1e-12)
+
+    def test_repeats_exactly(self):
+        ks = [(3, -4, 2), (2, -1, 1), (4, -2, 3)]
+        assert solve_power_sums(ks) == solve_power_sums(ks)
+
+    def test_sign_validation(self):
+        with pytest.raises(InvalidSignError):
+            solve_power_sums([(2, 3)])
+        assert solve_power_sums([]) == []

@@ -8,14 +8,23 @@ induced last component k_s = 1 - sum(k_i) obeys the same constraints. For
 under the forward ratio map, leaving 15 realizable distance systems.
 """
 
+import contextlib
+import importlib.util
+import io
 import itertools
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fewdist import jsonio
+from fewdist import jsonio, search
+from fewdist.cli import run
 from fewdist.errors import BoxOverflowError, ParameterError
-from fewdist.inverse import forward_K
+from fewdist import powersum
+from fewdist.inverse import forward_K, invert_K
+from fewdist.powersum import PowerSumSolution
 from fewdist.search import (
     CandidateCatalog,
     TupleEntry,
@@ -165,3 +174,111 @@ class TestReporting:
     def test_entry_dict_omits_unset_fields(self):
         raw = TupleEntry(k=(2,), k_last=-1, status="raw")
         assert raw.to_dict() == {"k": [2], "k_last": -1, "status": "raw"}
+
+
+ROOT = Path(__file__).resolve().parents[1]
+ARGV_4_4 = ["enumerate", "-d", "4", "-s", "4", "--realize"]
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def realized_4_4():
+    return run_cli(ARGV_4_4)
+
+
+class TestPowerSumDecisions:
+    """(4, 4) has 80 tuples. Before the power-sum homotopy, 40 of them ended
+    newton_failed; tests/golden/enumerate_4_4_realize.txt is that stdout."""
+
+    def test_realized_entries_unchanged_and_failures_decided(self, realized_4_4):
+        code, stdout = realized_4_4
+        assert code == 0
+        golden_text = (ROOT / "tests" / "golden" / "enumerate_4_4_realize.txt").read_text()
+        golden = json.loads(golden_text)
+        payload = json.loads(stdout)
+        assert [e["k"] for e in payload["entries"]] == [e["k"] for e in golden["entries"]]
+        singular_only = []
+        for old, new in zip(golden["entries"], payload["entries"]):
+            if old["status"] == "realized":
+                # Byte for byte: the entry's serialization sits in the old stdout.
+                assert jsonio.dumps(new) in golden_text
+                assert new == old
+            elif old["status"] == "newton_failed":
+                assert new["status"] == "unrealizable"
+                if "margin" in new:
+                    assert new["margin"] > 0.0
+                    assert new["note"] == "every root of the power-sum system lies outside D"
+                else:
+                    singular_only.append(new["k"])
+            else:
+                assert new == old
+        # (2, -1, 1): F has only the double roots t = (0, 0, 1) and (1, 1, 0)
+        # (sympy's eliminant is t_1^2 (t_1 - 1)^2) and two at infinity, so no
+        # root is nonsingular and there is no margin to report.
+        assert singular_only == [[2, -1, 1]]
+        assert payload["counts"] == {
+            "total": 80,
+            "realized": 30,
+            "unrealizable": 50,
+            "newton_failed": 0,
+        }
+
+    def test_bench_output_check_passes(self, realized_4_4, monkeypatch):
+        # The benchmark's own output gate, read from bench/ without changing it.
+        spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, checks)
+        spec.loader.exec_module(checks)
+        (reference,) = [
+            command
+            for command in checks.load_reference()["workloads"]["catalog"]["commands"]
+            if command["argv"] == ARGV_4_4
+        ]
+        code, stdout = realized_4_4
+        tally = checks.check_command(ARGV_4_4, code, stdout, reference)
+        assert tally.failed == 0
+        assert tally.decided == tally.attempted == 80
+
+    def test_root_in_domain_is_polished_when_newton_fails(self, monkeypatch):
+        calls = []
+
+        def newton_without_default_starts(k, tol_res, starts=None):
+            calls.append(starts)
+            if starts is None:
+                return invert_K(k, tol_res=tol_res, max_iter=0, multistart=False)
+            return invert_K(k, tol_res=tol_res, starts=starts)
+
+        monkeypatch.setattr(search, "invert_K", newton_without_default_starts)
+        catalog = realize_catalog(enumerate_tuples(10, 3))
+        entry = {e.k: e for e in catalog.entries}[(3, -3)]
+        assert entry.status == "realized"
+        assert np.allclose(entry.t, (1.0 / 3.0, 2.0 / 3.0), atol=1e-10)
+        assert entry.residual <= 1e-10
+        assert any(starts is not None for starts in calls)
+
+    def test_incomplete_tuples_fall_back_to_newton(self, monkeypatch):
+        def incomplete(ks):
+            return [PowerSumSolution(roots=(), margin=None, complete=False) for _ in ks]
+
+        monkeypatch.setattr(powersum, "solve_power_sums", incomplete)
+        catalog = realize_catalog(enumerate_tuples(10, 3))
+        assert catalog.counts()["realized"] == 15
+        failed = realize_catalog(CandidateCatalog(
+            d=4, s=4, context=catalog.context, stage="enumerated",
+            entries=(TupleEntry(k=(3, -1, 1), k_last=-2, status="raw"),),
+        ))
+        (entry,) = failed.entries
+        assert entry.status == "newton_failed"
+        assert entry.margin is None and entry.residual > 0.0
+
+    def test_unrealizable_entry_dict_carries_margin(self):
+        entry = TupleEntry(k=(3, -1, 1), k_last=-2, status="unrealizable", note="n", margin=0.25)
+        assert entry.to_dict() == {
+            "k": [3, -1, 1], "k_last": -2, "status": "unrealizable", "note": "n", "margin": 0.25,
+        }
