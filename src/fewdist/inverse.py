@@ -78,6 +78,8 @@ def jacobian(t) -> np.ndarray:
     np.fill_diagonal(diff, np.inf)
     inv = 1.0 / diff  # inv[i, j] = m_ij
     J = K[:, None] * (arr[:, None] / arr[None, :]) * inv[:s1, :s1]
+    # Summing each column as a contiguous row adds in the order of the former
+    # per-column np.sum, so J is bit for bit what the entry-by-entry loop gave.
     J[np.diag_indices(s1)] = K * np.sum(np.ascontiguousarray(inv.T), axis=1)[:s1]
     return J
 

@@ -32,10 +32,10 @@ from .inverse import DOMAIN_EPS, check_sign_pattern
 HOMOTOPY_GAMMA = complex(math.cos(0.7), math.sin(0.7))  # fixed, so runs repeat exactly
 PATH_BATCH = 256  # paths tracked together; bounds the tracker's memory
 S_CHECK = 8.0  # sigma = 3.4e-4: paths are compared here and first tried at sigma = 0
-S_END = 30.0  # sigma = 9.4e-14: paths not settled at S_CHECK are tried again here
+S_END = 24.0  # sigma = 3.8e-11: paths not settled at S_CHECK are tried again here
 MAX_STEPS = 500
 MIN_STEP = (1e-8, 0.05)  # smallest step in s before and after S_CHECK
-PREDICT_TOL = 1e-4  # aimed size of the first correction, relative to |x|
+PREDICT_TOL = 3e-4  # aimed size of the first correction, relative to |x|
 CORRECT_TOL = 1e-8  # corrector convergence, relative to |x|
 JUMP_TOL = 1e-2  # largest first correction accepted, relative to |x|
 ROOT_TOL = 1e-11  # last Newton update at sigma = 0 of a converged root, relative to |x|
@@ -60,32 +60,26 @@ class PowerSumSolution:
     complete: bool
 
 
-def _lu(J):
-    """LU factors with partial pivoting of a stack of matrices, and the row
-    order. Written out rather than taken from LAPACK, whose complex routines
-    would add about 0.8 MiB of code to the process. A zero pivot makes the
-    solutions non-finite, which the callers reject."""
-    A = J.copy()
-    order = np.tile(np.arange(A.shape[1]), (A.shape[0], 1))
-    rows = np.arange(A.shape[0])
-    for k in range(A.shape[1] - 1):
-        p = k + np.argmax(np.abs(A[:, k:, k]), axis=1)
-        A[rows, k], A[rows, p] = A[rows, p], A[rows, k].copy()
-        order[rows, k], order[rows, p] = order[rows, p], order[rows, k].copy()
-        A[:, k + 1 :, k] /= A[:, k, k, None]
-        A[:, k + 1 :, k + 1 :] -= A[:, k + 1 :, k, None] * A[:, k, None, k + 1 :]
-    return A, order
-
-
-def _lu_solve(factors, b: np.ndarray) -> np.ndarray:
-    LU, order = factors
-    x = np.take_along_axis(b, order, axis=1)
-    N = x.shape[1]
-    for k in range(1, N):
-        x[:, k] -= np.einsum("bj,bj->b", LU[:, k, :k], x[:, :k])
+def _solve(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X with J X = R for a stack of small matrices, by Gaussian elimination
+    with partial pivoting on [J | R]. It is written out in numpy because
+    paging in LAPACK's complex routines raises the peak resident memory of
+    a catalog run by about 0.4 MiB. A zero pivot makes X non-finite, which
+    the callers reject."""
+    N = J.shape[1]
+    M = np.concatenate([J, R], axis=2)
+    rows = np.arange(M.shape[0])
+    for k in range(N - 1):
+        p = k + np.argmax(np.abs(M[:, k:, k]), axis=1)
+        pivot_rows = M[rows, p]
+        M[rows, p] = M[:, k]
+        M[:, k] = pivot_rows
+        M[:, k + 1 :, k:] -= (M[:, k + 1 :, k] / M[:, k, k, None])[:, :, None] * M[:, k, None, k:]
+    X = M[:, :, N:]
     for k in range(N - 1, -1, -1):
-        x[:, k] = (x[:, k] - np.einsum("bj,bj->b", LU[:, k, k + 1 :], x[:, k + 1 :])) / LU[:, k, k]
-    return x
+        X[:, k] -= np.einsum("bj,bjm->bm", M[:, k, k + 1 : N], X[:, k + 1 :])
+        X[:, k] /= M[:, k, k, None]
+    return X
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -148,12 +142,11 @@ class _Homotopy:
         F, G = self.values(c, xp)
         rhs = np.zeros_like(x)
         rhs[:, :-1] = F - HOMOTOPY_GAMMA * G
-        J = self.jacobian(c, sigma, prev)
-        return -sigma[:, None] * _lu_solve(_lu(J), rhs)
+        return -sigma[:, None] * _solve(self.jacobian(c, sigma, prev), rhs[..., None])[..., 0]
 
-    def correct(self, c, x, sigma, factors=None):
-        """Three Newton steps at fixed sigma and the size of each; given LU
-        factors of a Jacobian, chord steps with them."""
+    def correct(self, c, x, sigma, Jinv=None):
+        """Three Newton steps at fixed sigma and the size of each; given an
+        inverse Jacobian, chord steps with it."""
         sizes = []
         for _ in range(3):
             prev, xp = self.powers(x)
@@ -161,7 +154,10 @@ class _Homotopy:
             r = np.empty_like(x)
             r[:, :-1] = (1.0 - sigma)[:, None] * F + (sigma * HOMOTOPY_GAMMA)[:, None] * G
             r[:, -1] = np.einsum("bi,i->b", x, self.patch) - 1.0
-            dx = _lu_solve(factors or _lu(self.jacobian(c, sigma, prev)), r)
+            if Jinv is None:
+                dx = _solve(self.jacobian(c, sigma, prev), r[..., None])[..., 0]
+            else:
+                dx = np.einsum("bij,bj->bi", Jinv, r)
             x = x - dx
             sizes.append(_norms(dx))
         return x, sizes
@@ -225,8 +221,9 @@ def _track(hom: _Homotopy, c_rows: np.ndarray) -> list[PowerSumSolution]:
             guess = x + (step / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             s_new = np.where(last, goal, s + step)
             sigma = np.exp(-s_new)
-            factors = _lu(hom.jacobian(c, sigma, hom.powers(guess)[0]))
-            y, (d1, d2, d3) = hom.correct(c, guess, sigma, factors)
+            J = hom.jacobian(c, sigma, hom.powers(guess)[0])
+            Jinv = _solve(J, np.broadcast_to(np.eye(J.shape[1]), J.shape))
+            y, (d1, d2, d3) = hom.correct(c, guess, sigma, Jinv)
             scale = 1.0 + _norms(y)
             ok = (
                 np.isfinite(y).all(axis=1)
@@ -283,8 +280,11 @@ def _distance_to_domain(t: np.ndarray) -> float:
 def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
     """Sort one tuple's path endpoints into roots in D and points outside D.
 
-    An endpoint is a root in D when it is real and lies inside D by more
-    than INSIDE times its error estimate (and by more than DOMAIN_EPS): no
+    An endpoint's error is taken as its estimate, and at least CORRECT_TOL
+    relative to its size, since rounding alone can leave that much imaginary
+    part on a real root. An endpoint is a root in D when it is real and
+    lies inside D by more than INSIDE times its error (and by more than
+    DOMAIN_EPS): no
     singular point lies in D, so such a point is a simple root however
     ill-conditioned. It is outside D when it lies that far outside the
     closure of D, or when two of its coordinates coalesce, as at a singular
@@ -303,7 +303,7 @@ def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
     with np.errstate(all="ignore"):
         t = y[:, 1:] / y[:, :1]
         size = 1.0 + np.max(np.abs(t), axis=1)
-        err = INSIDE * np.maximum(err / np.abs(y[:, 0]), np.finfo(float).eps) * size
+        err = INSIDE * np.maximum(err / np.abs(y[:, 0]), CORRECT_TOL) * size
         real = np.max(np.abs(t.imag), axis=1) <= err
         full = np.concatenate([np.zeros((len(t), 1)), t.real, np.ones((len(t), 1))], axis=1)
         inside = real & (np.min(np.diff(full, axis=1), axis=1) > np.maximum(err, DOMAIN_EPS))

@@ -11,13 +11,16 @@ Realizing a catalog decides each tuple by the roots of its power-sum system
 (fewdist.powersum.solve_power_sums), whose roots in D are exactly the tuple's
 preimages:
 
-- realized: the system has a root in D; `t` and `residual` come from Newton
-  (invert_K), or from Newton started at the homotopy's root;
-- unrealizable: every homotopy path was accounted for and no root lies in D,
-  or k_1 = 1; `margin`, when present, is the distance from the nearest
-  nonsingular root outside D to the closure of D;
-- newton_failed: a homotopy path failed to track, so the tuple fell back to
-  multistart Newton, and Newton did not converge either.
+- realized: the system has a root in D, and Newton (invert_K, from its own
+  starts or else from that root) confirms it; `t` and `residual` are
+  Newton's;
+- unrealizable: k_1 = 1, or every homotopy path was accounted for and none
+  ends in D; `margin` is then the distance from the nearest nonsingular root
+  outside D to the closure of D, absent when every root is singular or at
+  infinity;
+- newton_failed: the homotopy left the tuple undecided (a path failed, two
+  paths merged, or an endpoint could not be placed inside or outside D),
+  and multistart Newton, its fallback, did not converge.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ DEFAULT_BOX_CAP = 10**7
 class TupleEntry:
     k: tuple[int, ...]
     k_last: int
-    # raw; realized (a root in D, t and residual set); unrealizable (no root
-    # in D: k_1 = 1, or every homotopy path accounted for, with the margin of
-    # the nearest nonsingular root outside D when there is one);
-    # newton_failed (a homotopy path failed and the Newton fallback too)
+    # raw | realized (a root in D, confirmed by Newton: t, residual) |
+    # unrealizable (k_1 = 1, or no homotopy path ends in D: margin, the
+    # distance from D of the nearest nonsingular root, when one exists) |
+    # newton_failed (homotopy undecided and its Newton fallback failed)
     status: str
     t: tuple[float, ...] | None = None
     residual: float | None = None
@@ -130,13 +133,15 @@ def realize_catalog(
     k_1 = 1 is provably outside the image of the forward map (every factor of
     K_1 exceeds 1 strictly on the open domain), so those tuples are labeled
     unrealizable without solving anything. Every other tuple goes to
-    solve_power_sums. A tuple with a root in D is inverted by invert_K and,
-    should Newton fail from its own starts, by Newton from that root; it is
-    realized when the forward map returns k within round_trip_tol. A tuple
-    whose homotopy paths are all accounted for and none ends in D is
-    unrealizable. A tuple with a path that failed to track falls back to
-    multistart Newton, and stays newton_failed, with its best residual, if
-    that does not converge.
+    solve_power_sums:
+    - with a root in D, it is inverted by invert_K exactly as before and,
+      should Newton fail from its own starts, by Newton from that root; it
+      is realized when the forward map returns k within round_trip_tol;
+    - with every path accounted for and none ending in D, it is
+      unrealizable, with a note and the margin of the nearest nonsingular
+      root outside D;
+    - otherwise multistart Newton decides it as before: realized, or
+      newton_failed with its best residual.
     """
     hard = [entry.k for entry in catalog.entries if entry.k[0] > 1]
     solutions = dict(zip(hard, solve_power_sums(hard)))

@@ -286,7 +286,8 @@ class TestPowerSumHomotopy:
         # F_1 = k_1 t_1 + 1 - k_1 = 0 has the single root t_1 = 1 - 1/k_1.
         (solution,) = solve_power_sums([(4,)])
         assert solution.complete
-        assert solution.roots == pytest.approx([(0.75,)], abs=1e-12)
+        (root,) = solution.roots
+        assert root == pytest.approx((0.75,), abs=1e-12)
 
     def test_repeats_exactly(self):
         ks = [(3, -4, 2), (2, -1, 1), (4, -2, 3)]

@@ -22,7 +22,6 @@ import pytest
 from fewdist import jsonio, search
 from fewdist.cli import run
 from fewdist.errors import BoxOverflowError, ParameterError
-from fewdist import powersum
 from fewdist.inverse import forward_K, invert_K
 from fewdist.powersum import PowerSumSolution
 from fewdist.search import (
@@ -266,7 +265,7 @@ class TestPowerSumDecisions:
         def incomplete(ks):
             return [PowerSumSolution(roots=(), margin=None, complete=False) for _ in ks]
 
-        monkeypatch.setattr(powersum, "solve_power_sums", incomplete)
+        monkeypatch.setattr(search, "solve_power_sums", incomplete)
         catalog = realize_catalog(enumerate_tuples(10, 3))
         assert catalog.counts()["realized"] == 15
         failed = realize_catalog(CandidateCatalog(
