@@ -280,11 +280,10 @@ def _distance_to_domain(t: np.ndarray) -> float:
 def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
     """Sort one tuple's path endpoints into roots in D and points outside D.
 
-    An endpoint's error is taken as its estimate, and at least CORRECT_TOL
-    relative to its size, since rounding alone can leave that much imaginary
-    part on a real root. An endpoint is a root in D when it is real and
-    lies inside D by more than INSIDE times its error (and by more than
-    DOMAIN_EPS): no
+    An endpoint's error is its estimate, but at least CORRECT_TOL relative
+    to its size, since rounding alone can leave that much imaginary part on
+    a real root. An endpoint is a root in D when it is real and lies inside
+    D by more than INSIDE times its error (and by more than DOMAIN_EPS): no
     singular point lies in D, so such a point is a simple root however
     ill-conditioned. It is outside D when it lies that far outside the
     closure of D, or when two of its coordinates coalesce, as at a singular
