@@ -317,8 +317,11 @@ def verify_key_lemma(
     companion_matrix -= shift
     companion_matrix.flat[:: n + 1] += expected_e
     required_mult = n - im.n_cap - int(shift)
-    comp_spectrum = eigen_multiplicities(companion_matrix, cluster_tol)
-    eig = np.asarray(comp_spectrum.eigenvalues)
+    if signed:
+        # The spectrum of M - kI is M's shifted by -k: no second decomposition.
+        eig = np.asarray(spectrum.eigenvalues) + expected_e
+    else:
+        eig = np.asarray(eigen_multiplicities(companion_matrix, cluster_tol).eigenvalues)
     atol = cluster_tol * max(1.0, float(np.max(np.abs(eig))) if eig.size else 0.0)
     measured_mult = int(np.count_nonzero(np.abs(eig - expected_e) <= atol))
     mult_applicable = required_mult >= 1

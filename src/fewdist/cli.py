@@ -10,31 +10,13 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .bounds import FAMILIES, SETTINGS, theorem_context
-from .certificate import (
-    applicable_certificate_settings,
-    class_index_range,
-    indicator_matrix,
-    verify_key_lemma,
-)
-from .embed import euclidean_embeddable, spherical_embeddable
+from .defaults import DEFAULT_BOX_CAP, DEFAULT_TOL, NAMED_CONSTRUCTIONS
 from .errors import FewdistError, InputError, NumericalError, ParameterError, PointFileError
-from .inverse import invert_auto
 from .jsonio import dumps
-from .pointset import (
-    DEFAULT_TOL,
-    NAMED_CONSTRUCTIONS,
-    construct_johnson,
-    construct_named,
-    distance_profile,
-    inner_product_profile,
-    load_points,
-    on_unit_sphere,
-)
-from .ratios import analyze, choose_settings
-from .search import DEFAULT_BOX_CAP, catalog_report, enumerate_tuples, realize_catalog
+
+# Each handler imports the modules it runs, so a command loads no more of
+# the package than it needs.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,6 +120,8 @@ def _emit(payload, args) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from .pointset import construct_johnson, construct_named
+
     if args.name == "johnson":
         if args.d is None or args.s is None:
             raise ParameterError("construct johnson needs -d and -s")
@@ -149,6 +133,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .pointset import distance_profile, inner_product_profile, load_points, on_unit_sphere
+
     ps = load_points(args.pointfile)
     payload = {
         "n": ps.n,
@@ -163,6 +149,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_ratios(args) -> int:
+    from .pointset import load_points
+    from .ratios import analyze
+
     ps = load_points(args.pointfile)
     report = analyze(
         ps,
@@ -181,6 +170,15 @@ def _cmd_ratios(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .certificate import (
+        applicable_certificate_settings,
+        class_index_range,
+        indicator_matrix,
+        verify_key_lemma,
+    )
+    from .pointset import load_points
+    from .ratios import choose_settings
+
     ps = load_points(args.pointfile)
     applicable = applicable_certificate_settings(ps, args.tol, args.tol_rank)
     settings = choose_settings(applicable, args.setting)
@@ -207,6 +205,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    from .inverse import invert_auto
+
     try:
         target = [float(x) for x in args.k.split(",") if x.strip()]
     except ValueError as exc:
@@ -219,6 +219,8 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .search import catalog_report, enumerate_tuples, realize_catalog
+
     catalog = enumerate_tuples(args.d, args.s, cap=args.cap)
     if args.realize:
         catalog = realize_catalog(catalog)
@@ -229,6 +231,10 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
+    import numpy as np
+
+    from .embed import euclidean_embeddable, spherical_embeddable
+
     try:
         with open(args.matrixfile, "r", encoding="utf-8") as fh:
             payload = json.load(fh)

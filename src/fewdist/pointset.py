@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .defaults import DEFAULT_TOL, DEFAULT_TOL_RANK, NAMED_CONSTRUCTIONS
 from .errors import (
     AmbiguousGroupingError,
     DimensionMismatchError,
@@ -33,18 +34,6 @@ from .errors import (
     NotOnSphereError,
     ParameterError,
     PointFileError,
-)
-
-DEFAULT_TOL = 1e-9
-DEFAULT_TOL_RANK = 1e-8
-
-NAMED_CONSTRUCTIONS = (
-    "cross_polytope",
-    "simplex",
-    "hypercube",
-    "e8_roots",
-    "pentagon",
-    "icosahedron",
 )
 
 

@@ -17,20 +17,29 @@ batches. Coordinates are projective (t_i = x_i / x_0) on the fixed patch
 a.x = 1, so a path whose t diverges stays bounded. Paths are tracked in
 s = -log(sigma), in which a path ending at a singular point approaches it at
 a steady pace, by an RK4 predictor and a chord Newton corrector.
+
+The tracker keeps its batches path-last: a point is an (N, B) array and a
+stack of matrices (N, W, B), so every operation runs along contiguous rows
+of B paths. A path's arithmetic does not depend on the batch it is in, and
+it matches, bit for bit, the batch-first reference kept in the tests: sums
+run in the same order, and every complex product keeps its operand order,
+since numpy multiplies complex arrays with fused multiply-adds, so that
+a * b and b * a can differ in the last bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .inverse import DOMAIN_EPS, check_sign_pattern
 
 HOMOTOPY_GAMMA = complex(math.cos(0.7), math.sin(0.7))  # fixed, so runs repeat exactly
-PATH_BATCH = 256  # paths tracked together; bounds the tracker's memory
+PATH_BATCH = 768  # paths tracked together; bounds the tracker's memory
+SETTLE_BATCH = 192  # paths at S_CHECK or at their end settled together
 S_CHECK = 8.0  # sigma = 3.4e-4: paths are compared here and first tried at sigma = 0
 S_END = 24.0  # sigma = 3.8e-11: paths not settled at S_CHECK are tried again here
 MAX_STEPS = 500
@@ -60,106 +69,143 @@ class PowerSumSolution:
     complete: bool
 
 
-def _solve(J: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """X with J X = R for a stack of small matrices, by Gaussian elimination
-    with partial pivoting on [J | R]. It is written out in numpy because
-    paging in LAPACK's complex routines raises the peak resident memory of
-    a catalog run by about 0.4 MiB. A zero pivot makes X non-finite, which
-    the callers reject."""
-    N = J.shape[1]
-    M = np.concatenate([J, R], axis=2)
-    rows = np.arange(M.shape[0])
+def _solve(M: np.ndarray, N: int, T: np.ndarray) -> np.ndarray:
+    """X with J X = R for B small systems stored path-last, M = [J | R] of
+    shape (N, W, B), by Gaussian elimination with partial pivoting. M must be
+    contiguous; it is overwritten, and X is the view M[:, N:]. T is scratch
+    space of at least W * B entries.
+
+    Pivot rows are swapped through the flat array, and the entries below a
+    pivot, which are never read again, are not updated. The back
+    substitution sums by einsum, which rounds each complex product's parts
+    separately, as the batch-first reference does. It is written out in
+    numpy because paging in LAPACK's complex routines raises the peak
+    resident memory of a catalog run by about 0.4 MiB. A zero pivot makes X
+    non-finite, which the callers reject."""
+    W, B = M.shape[1:]
+    flat = M.reshape(-1)
+    T = T[: W * B].reshape(W, B)
+    row = np.arange(0, W * B, B)[:, None] + np.arange(B)  # flat offsets in row 0
     for k in range(N - 1):
-        p = k + np.argmax(np.abs(M[:, k:, k]), axis=1)
-        pivot_rows = M[rows, p]
-        M[rows, p] = M[:, k]
-        M[:, k] = pivot_rows
-        M[:, k + 1 :, k:] -= (M[:, k + 1 :, k] / M[:, k, k, None])[:, :, None] * M[:, k, None, k:]
-    X = M[:, :, N:]
+        pivot = row[k:] + k * W * B
+        pivot += np.argmax(np.abs(M[k:, k]), axis=0) * (W * B)
+        pivot_rows = flat.take(pivot, out=T[: W - k], mode="clip")
+        flat[pivot] = M[k, k:]
+        M[k, k:] = pivot_rows
+        for i, f in enumerate(M[k + 1 :, k] / M[k, k], k + 1):
+            np.subtract(M[i, k + 1 :], np.multiply(f, M[k, k + 1 :], out=T[: W - k - 1]), out=M[i, k + 1 :])
+    X = M[:, N:]
     for k in range(N - 1, -1, -1):
-        X[:, k] -= np.einsum("bj,bjm->bm", M[:, k, k + 1 : N], X[:, k + 1 :])
-        X[:, k] /= M[:, k, k, None]
+        if k < N - 1:
+            X[k] -= np.einsum("jb,jmb->mb", M[k, k + 1 : N], X[k + 1 :])
+        X[k] /= M[k, k]
     return X
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("bi,bi->b", v.real, v.real) + np.einsum("bi,bi->b", v.imag, v.imag))
+    """|v| of each column of an (N, B) array, summed in row order."""
+    return np.sqrt(np.einsum("ib,ib->b", v.real, v.real) + np.einsum("ib,ib->b", v.imag, v.imag))
 
 
 def _coalescence(y: np.ndarray) -> np.ndarray:
-    """min |x_i - x_j| / |x| over 1 <= i < j, zero at singular points and
-    at infinity."""
-    pairs = np.array(list(itertools.combinations(range(1, y.shape[1]), 2)), dtype=int).reshape(-1, 2)
+    """min |x_i - x_j| / |x| over 1 <= i < j of each column, zero at
+    singular points and at infinity."""
+    pairs = np.array(list(itertools.combinations(range(1, y.shape[0]), 2)), dtype=int).reshape(-1, 2)
     if not pairs.size:
-        return np.full(y.shape[0], np.inf)
-    return np.min(np.abs(y[:, pairs[:, 0]] - y[:, pairs[:, 1]]), axis=1) / _norms(y)
+        return np.full(y.shape[1], np.inf)
+    return np.min(np.abs(y[pairs[:, 0]] - y[pairs[:, 1]]), axis=0) / _norms(y)
 
 
 class _Homotopy:
     """[H; a.x - 1] and its derivatives for a batch of paths in n + 1
-    projective coordinates, with target coefficient rows c = [k_s, k]:
-    H_m = (1 - sigma) F_m + sigma gamma G_m, F_m = sum_i c_i x_i^m."""
+    projective coordinates, with target coefficient columns c = [k_s, k]:
+    H_m = (1 - sigma) F_m + sigma gamma G_m, F_m = sum_i c_i x_i^m.
+
+    The powers, the augmented matrix and the elimination's scratch space
+    live in buffers that are reused from call to call and grow with the
+    largest batch seen."""
 
     def __init__(self, n: int):
         self.patch = np.exp(1j * (0.5 + 1.7 * np.arange(n + 1))) / math.sqrt(n + 1)
-        self.rows = np.arange(n)
-        self.degree = np.arange(1.0, n + 1)[:, None]
+        self.n = n
+        self.degree = np.arange(1.0, n + 1)[:, None, None]
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape) -> np.ndarray:
+        """A contiguous complex work array of the given shape."""
+        size = math.prod(shape)
+        if self.buffers.get(name, np.empty(0)).size < size:
+            self.buffers[name] = np.empty(size, dtype=complex)
+        return self.buffers[name][:size].reshape(shape)
 
     def start_points(self) -> np.ndarray:
-        """The n! roots of G, scaled onto the patch."""
-        unity = [np.exp(2j * np.pi * np.arange(m) / m) for m in range(1, self.rows.size + 1)]
+        """The n! roots of G, scaled onto the patch, one per column."""
+        unity = [np.exp(2j * np.pi * np.arange(m) / m) for m in range(1, self.n + 1)]
         x = np.array([(1.0, *p) for p in itertools.product(*unity)], dtype=complex)
-        return x / np.einsum("bi,i->b", x, self.patch)[:, None]
+        return np.ascontiguousarray((x / np.einsum("bi,i->b", x, self.patch)[:, None]).T)
 
-    def powers(self, x):
-        """x_i^(m-1) and x_i^m for m = 1..n, each of shape (B, n, n+1)."""
-        prev = np.empty((x.shape[0], self.rows.size, x.shape[1]), dtype=complex)
-        prev[:, 0] = 1.0
-        for m in range(1, self.rows.size):
-            prev[:, m] = prev[:, m - 1] * x
-        return prev, prev * x[:, None, :]
+    def powers(self, x) -> np.ndarray:
+        """x_i^m for m = 0..n, of shape (n + 1, n + 1, B)."""
+        P = self.buffer("P", (self.n + 1, *x.shape))
+        P[0] = 1.0
+        for m in range(1, self.n + 1):
+            np.multiply(P[m - 1], x, out=P[m])
+        return P
 
-    def values(self, c, xp):
+    def values(self, c, P):
         """F and G from the powers."""
-        m = self.rows
-        return np.einsum("bi,bmi->bm", c, xp), xp[:, m, m + 1] - xp[:, :, 0]
+        m = np.arange(1, self.n + 1)
+        return np.einsum("ib,mib->mb", c, P[1:]), P[m, m] - P[1:, 0]
 
-    def jacobian(self, c, sigma, prev) -> np.ndarray:
-        m = self.rows
-        dprev = self.degree * prev
-        J = np.empty((prev.shape[0], prev.shape[2], prev.shape[2]), dtype=complex)
-        np.multiply(((1.0 - sigma)[:, None] * c)[:, None, :], dprev, out=J[:, :-1])
-        g = (sigma * HOMOTOPY_GAMMA)[:, None]
-        J[:, m, m + 1] += g * dprev[:, m, m + 1]
-        J[:, :-1, 0] -= g * dprev[:, :, 0]
-        J[:, -1] = self.patch
-        return J
+    def solve(self, c, sigma, P, rhs) -> np.ndarray:
+        """J^-1 rhs at the points whose powers are P, for rhs of shape
+        (N, r, B). Row m < n of J is (1 - sigma) c_i (m + 1) x_i^m, plus
+        sigma gamma (m + 1) x_(m+1)^m at column m + 1 and minus
+        sigma gamma (m + 1) x_0^m at column 0; row n is the patch."""
+        n, N, B = self.n, self.n + 1, P.shape[2]
+        W = N + rhs.shape[1]
+        M = self.buffer("M", (N, W, B))
+        J = M[:-1, :N]
+        np.multiply(self.degree, P[:-1], out=J)
+        above = M.reshape(N * W, B)[1 : n * (W + 1) : W + 1]  # the entries (m, m + 1)
+        g = sigma * HOMOTOPY_GAMMA
+        g_above, g_first = g * above, g * J[:, 0]
+        np.multiply((1.0 - sigma) * c, J, out=J)
+        above += g_above
+        J[:, 0] -= g_first
+        M[-1, :N] = self.patch[:, None]
+        M[:, N:] = rhs
+        return _solve(M, N, self.buffer("T", (W * B,)))
 
     def velocity(self, c, x, s) -> np.ndarray:
         """dx/ds along the path."""
         sigma = np.exp(-s)
-        prev, xp = self.powers(x)
-        F, G = self.values(c, xp)
+        P = self.powers(x)
+        F, G = self.values(c, P)
         rhs = np.zeros_like(x)
-        rhs[:, :-1] = F - HOMOTOPY_GAMMA * G
-        return -sigma[:, None] * _solve(self.jacobian(c, sigma, prev), rhs[..., None])[..., 0]
+        rhs[:-1] = F - HOMOTOPY_GAMMA * G
+        return -sigma * self.solve(c, sigma, P, rhs[:, None])[:, 0]
 
-    def correct(self, c, x, sigma, Jinv=None):
+    def correct(self, c, x, sigma, Jinv=None, P=None):
         """Three Newton steps at fixed sigma and the size of each; given an
-        inverse Jacobian, chord steps with it."""
+        inverse Jacobian, chord steps with it. P, if given, holds the powers
+        of x."""
         sizes = []
+        a, g = 1.0 - sigma, sigma * HOMOTOPY_GAMMA
         for _ in range(3):
-            prev, xp = self.powers(x)
-            F, G = self.values(c, xp)
+            if P is None:
+                P = self.powers(x)
+            F, G = self.values(c, P)
             r = np.empty_like(x)
-            r[:, :-1] = (1.0 - sigma)[:, None] * F + (sigma * HOMOTOPY_GAMMA)[:, None] * G
-            r[:, -1] = np.einsum("bi,i->b", x, self.patch) - 1.0
+            r[:-1] = a * F + g * G
+            r[-1] = np.einsum("ib,i->b", x, self.patch) - 1.0
             if Jinv is None:
-                dx = _solve(self.jacobian(c, sigma, prev), r[..., None])[..., 0]
+                dx = self.solve(c, sigma, P, r[:, None])[:, 0]
             else:
-                dx = np.einsum("bij,bj->bi", Jinv, r)
+                dx = np.einsum("ijb,jb->ib", Jinv, r)
             x = x - dx
             sizes.append(_norms(dx))
+            P = None
         return x, sizes
 
     def settle(self, c, x):
@@ -167,13 +213,72 @@ class _Homotopy:
         refined points, an estimate of their remaining error (the geometric
         tail of the last two updates), and which are nonsingular roots."""
         with np.errstate(all="ignore"):
-            y, (d1, d2, d3) = self.correct(c, x, np.zeros(x.shape[0]))
+            y, (d1, d2, d3) = self.correct(c, x, np.zeros(x.shape[1]))
             err = d3 / (1.0 - np.where(d2 > 0.0, np.minimum(d3 / d2, 0.99), 0.0))
-        lost = ~np.isfinite(y).all(axis=1)
-        y[lost], err[lost] = x[lost], np.inf
+        lost = ~np.isfinite(y).all(axis=0)
+        y[:, lost], err[lost] = x[:, lost], np.inf
         scale = 1.0 + _norms(y)
         converged = ~lost & (d1 < JUMP_TOL * scale) & (d3 < ROOT_TOL * scale)
         return y, err, converged & (_coalescence(y) > COALESCE_TOL)
+
+
+@dataclass
+class _Paths:
+    """A batch of paths: ids, points (N, B), times s, steps h, step counts."""
+
+    pid: np.ndarray
+    x: np.ndarray
+    s: np.ndarray
+    h: np.ndarray
+    steps: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.pid.size
+
+    def select(self, which) -> _Paths:
+        return _Paths(self.pid[which], self.x[:, which], self.s[which], self.h[which], self.steps[which])
+
+    @staticmethod
+    def join(parts) -> _Paths:
+        return _Paths(*(np.concatenate([getattr(p, f.name) for p in parts], axis=-1) for f in fields(_Paths)))
+
+
+def _step(hom: _Homotopy, c, p: _Paths):
+    """One RK4 prediction and chord correction of every path, in place;
+    returns which paths moved and which moved to their goal."""
+    x, s, h = p.x, p.s, p.h
+    goal = np.where(s < S_CHECK, S_CHECK, S_END)
+    last = h >= goal - s
+    step = np.where(last, goal - s, h)
+    with np.errstate(all="ignore"):
+        k = hom.velocity(c, x, s)
+        total = k  # k1 + 2 k2 + 2 k3 + k4, added in that order
+        k = hom.velocity(c, x + (0.5 * step) * k, s + 0.5 * step)
+        total += 2.0 * k
+        k = hom.velocity(c, x + (0.5 * step) * k, s + 0.5 * step)
+        total += 2.0 * k
+        total += hom.velocity(c, x + step * k, s + step)
+        guess = x + (step / 6.0) * total
+        s_new = np.where(last, goal, s + step)
+        sigma = np.exp(-s_new)
+        P = hom.powers(guess)
+        Jinv = hom.solve(c, sigma, P, np.eye(x.shape[0])[:, :, None])
+        y, (d1, d2, d3) = hom.correct(c, guess, sigma, Jinv, P)
+        scale = 1.0 + _norms(y)
+        ok = (
+            np.isfinite(y).all(axis=0)
+            & (d1 < JUMP_TOL * scale)
+            & ((d2 < 0.5 * d1) | (d2 < CORRECT_TOL * scale))
+            & (d3 < CORRECT_TOL * scale)
+        )
+        factor = np.clip(0.8 * (PREDICT_TOL * scale / d1) ** 0.2, 0.25, 2.0)
+    factor = np.where(np.isfinite(factor), factor, 0.25)
+    p.x = np.where(ok, y, x)
+    p.s = np.where(ok, s_new, s)
+    p.h = step * np.where(ok, factor, np.minimum(factor, 0.5))
+    p.steps = p.steps + 1
+    return ok, ok & last, goal
 
 
 def _track(hom: _Homotopy, c_rows: np.ndarray) -> list[PowerSumSolution]:
@@ -183,82 +288,68 @@ def _track(hom: _Homotopy, c_rows: np.ndarray) -> list[PowerSumSolution]:
     A path is settled by Newton at sigma = 0 from S_CHECK if it converges
     there to a nonsingular root, else tracked on to S_END, or to where it
     stalls beyond S_CHECK, and settled from there whatever the outcome. A
-    path that stalls before S_CHECK has failed. A row's buffers live only
-    while its paths do.
+    path that stalls before S_CHECK has failed. Paths to be settled leave
+    the batch and are settled together, once SETTLE_BATCH of them, or as
+    many as are still being tracked, are waiting; those tracked on rejoin
+    the batch ahead of new paths. A row's buffers live only while its paths
+    do.
     """
     starts = hom.start_points()
-    R, N = starts.shape
+    N, R = starts.shape
+    c_cols = np.ascontiguousarray(c_rows.T)
     total = c_rows.shape[0] * R
     verdicts: list = [None] * c_rows.shape[0]
     open_rows: dict[int, list] = {}  # row -> [x at S_CHECK, endpoints, errors, paths left]
-    pid = np.empty(0, dtype=int)
-    x = np.empty((0, N), dtype=complex)
-    s, h = np.empty(0), np.empty(0)
-    steps = np.empty(0, dtype=int)
     queued = 0
-    while queued < total or pid.size:
-        if pid.size < PATH_BATCH and queued < total:
-            new = np.arange(queued, min(total, queued + PATH_BATCH - pid.size))
-            queued += new.size
-            for row in range(new[0] // R, new[-1] // R + 1):
-                open_rows.setdefault(
-                    row, [np.full((R, N), np.nan + 0j), np.full((R, N), np.nan + 0j), np.full(R, np.inf), R]
-                )
-            pid = np.concatenate([pid, new])
-            x = np.concatenate([x, starts[new % R]])
-            s = np.concatenate([s, np.zeros(new.size)])
-            h = np.concatenate([h, np.full(new.size, 0.2)])
-            steps = np.concatenate([steps, np.zeros(new.size, dtype=int)])
-        c = c_rows[pid // R]
-        goal = np.where(s < S_CHECK, S_CHECK, S_END)
-        last = h >= goal - s
-        step = np.where(last, goal - s, h)
-        with np.errstate(all="ignore"):
-            k1 = hom.velocity(c, x, s)
-            k2 = hom.velocity(c, x + (0.5 * step)[:, None] * k1, s + 0.5 * step)
-            k3 = hom.velocity(c, x + (0.5 * step)[:, None] * k2, s + 0.5 * step)
-            k4 = hom.velocity(c, x + step[:, None] * k3, s + step)
-            guess = x + (step / 6.0)[:, None] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s_new = np.where(last, goal, s + step)
-            sigma = np.exp(-s_new)
-            J = hom.jacobian(c, sigma, hom.powers(guess)[0])
-            Jinv = _solve(J, np.broadcast_to(np.eye(J.shape[1]), J.shape))
-            y, (d1, d2, d3) = hom.correct(c, guess, sigma, Jinv)
-            scale = 1.0 + _norms(y)
-            ok = (
-                np.isfinite(y).all(axis=1)
-                & (d1 < JUMP_TOL * scale)
-                & ((d2 < 0.5 * d1) | (d2 < CORRECT_TOL * scale))
-                & (d3 < CORRECT_TOL * scale)
+
+    def queue(count: int) -> _Paths:
+        nonlocal queued
+        first, queued = queued, min(total, queued + count)
+        new = np.arange(first, queued)
+        for row in range(first // R, -(-queued // R)):
+            open_rows.setdefault(
+                row, [np.full((R, N), np.nan + 0j), np.full((R, N), np.nan + 0j), np.full(R, np.inf), R]
             )
-            factor = np.clip(0.8 * (PREDICT_TOL * scale / d1) ** 0.2, 0.25, 2.0)
-        factor = np.where(np.isfinite(factor), factor, 0.25)
-        x = np.where(ok[:, None], y, x)
-        s = np.where(ok, s_new, s)
-        h = step * np.where(ok, factor, np.minimum(factor, 0.5))
-        steps += 1
-        at_check = ok & last & (goal == S_CHECK)
-        for p, point in zip(pid[at_check], x[at_check]):
-            open_rows[p // R][0][p % R] = point
-        stalled = ~ok & ((h < np.where(s < S_CHECK, *MIN_STEP)) | (steps >= MAX_STEPS))
-        final = (ok & last & ~at_check) | (stalled & (s >= S_CHECK))
-        done = final | stalled
-        if np.any(at_check | final):
-            settle = at_check | final
-            y, err, root = hom.settle(c[settle], x[settle])
-            done[settle] |= root
-            ended = root | final[settle]
-            for p, point, e in zip(pid[settle][ended], y[ended], err[ended]):
-                buffers = open_rows[p // R]
-                buffers[1][p % R], buffers[2][p % R] = point, e
-        for p in pid[done]:
-            buffers = open_rows[p // R]
+        return _Paths(new, starts[:, new % R], np.zeros(new.size), np.full(new.size, 0.2), np.zeros(new.size, int))
+
+    def finish(pids):
+        for q in pids:
+            buffers = open_rows[q // R]
             buffers[3] -= 1
             if not buffers[3]:
-                verdicts[p // R] = _verdict(*buffers[:3])
-                del open_rows[p // R]
-        keep = ~done
-        pid, x, s, h, steps = pid[keep], x[keep], s[keep], h[keep], steps[keep]
+                verdicts[q // R] = _verdict(*buffers[:3])
+                del open_rows[q // R]
+
+    active = waiting = queue(0)
+    parked: list[tuple[_Paths, np.ndarray]] = []  # (paths, which are at their end)
+    while queued < total or active.size or waiting.size or parked:
+        room = PATH_BATCH - active.size
+        if room > 0 and (waiting.size or queued < total):
+            back, waiting = waiting.select(slice(room)), waiting.select(slice(room, None))
+            active = _Paths.join([active, back, queue(room - back.size)])
+        if active.size:
+            ok, arrived, goal = _step(hom, c_cols[:, active.pid // R], active)
+            at_check = arrived & (goal == S_CHECK)
+            for q, point in zip(active.pid[at_check], active.x[:, at_check].T):
+                open_rows[q // R][0][q % R] = point
+            stalled = ~ok & ((active.h < np.where(active.s < S_CHECK, *MIN_STEP)) | (active.steps >= MAX_STEPS))
+            final = (arrived & ~at_check) | (stalled & (active.s >= S_CHECK))
+            park = at_check | final
+            if np.any(park):
+                parked.append((active.select(park), final[park]))
+            finish(active.pid[stalled & ~final])
+            active = active.select(~(park | stalled))
+        n_parked = sum(paths.size for paths, _ in parked)
+        if n_parked and (n_parked >= SETTLE_BATCH or n_parked >= active.size):
+            paths = _Paths.join([p for p, _ in parked])
+            y, err, root = hom.settle(c_cols[:, paths.pid // R], paths.x)
+            ended = root | np.concatenate([f for _, f in parked])
+            for q, point, e in zip(paths.pid[ended], y[:, ended].T, err[ended]):
+                buffers = open_rows[q // R]
+                buffers[1][q % R], buffers[2][q % R] = point, e
+            finish(paths.pid[ended])
+            waiting = _Paths.join([waiting, paths.select(~ended)])
+            parked = []
     return verdicts
 
 
@@ -297,7 +388,7 @@ def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
     if complete:
         gaps = np.linalg.norm(x_check[:, None, :] - x_check[None, :, :], axis=2)
         np.fill_diagonal(gaps, np.inf)
-        complete = bool(np.all(gaps > SEPARATION_TOL * (1.0 + _norms(x_check))[:, None]))
+        complete = bool(np.all(gaps > SEPARATION_TOL * (1.0 + _norms(x_check.T))[:, None]))
     y, err = x_end[ended], err_end[ended]
     with np.errstate(all="ignore"):
         t = y[:, 1:] / y[:, :1]
@@ -306,15 +397,14 @@ def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
         real = np.max(np.abs(t.imag), axis=1) <= err
         full = np.concatenate([np.zeros((len(t), 1)), t.real, np.ones((len(t), 1))], axis=1)
         inside = real & (np.min(np.diff(full, axis=1), axis=1) > np.maximum(err, DOMAIN_EPS))
-    regular = ~inside & (_coalescence(y) > COALESCE_TOL)
+    regular = ~inside & (_coalescence(y.T) > COALESCE_TOL)
     distances = np.array([_distance_to_domain(row) for row in t[regular]])
     if np.any(~(distances > err[regular])):
         complete = False
     kept = t[inside | regular]
-    for i in range(len(kept)):
-        for j in range(i):
-            if np.linalg.norm(kept[i] - kept[j]) <= SEPARATION_TOL * (1.0 + np.linalg.norm(kept[i])):
-                complete = False
+    gaps = np.linalg.norm(kept[:, None, :] - kept[None, :, :], axis=2)
+    if np.any(np.tril(gaps <= SEPARATION_TOL * (1.0 + np.linalg.norm(kept, axis=1))[:, None], -1)):
+        complete = False
     return PowerSumSolution(
         roots=tuple(sorted(tuple(float(v) for v in row.real) for row in t[inside])),
         margin=float(distances.min()) if distances.size else None,

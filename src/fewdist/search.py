@@ -31,11 +31,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bounds import TheoremContext, theorem_context
+from .defaults import DEFAULT_BOX_CAP
 from .errors import BoxOverflowError, ParameterError
 from .inverse import forward_K, invert_K
 from .powersum import solve_power_sums
-
-DEFAULT_BOX_CAP = 10**7
 
 
 @dataclass(frozen=True)

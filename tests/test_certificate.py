@@ -12,6 +12,7 @@ from fewdist import (
     verify_key_lemma,
     verify_sign_matrix_bound,
 )
+from fewdist import certificate
 from fewdist.certificate import applicable_certificate_settings, class_index_range
 from fewdist.errors import NumericalError, ParameterError
 
@@ -166,6 +167,27 @@ class TestE8Certificates:
         assert v.companion["expected_eigenvalue"] == pytest.approx(-2.0, abs=1e-9)
         assert v.companion["measured_multiplicity"] == 112
         assert v.companion["sign_bound_rhs"] == pytest.approx(8.5, abs=1e-9)
+
+    @pytest.mark.parametrize("index,setting", [(2, "antipodal_even_v2"), (2, "antipodal_even_v1")])
+    def test_signed_companion_reuses_the_spectrum(self, e8, monkeypatch, index, setting):
+        # M - kI has M's spectrum shifted by -k: the signed rows decompose
+        # once, the Seidel companion of the unsigned rows a second time.
+        im = indicator_matrix(e8, index, setting)
+        calls = []
+
+        def counted(matrix, cluster_tol):
+            calls.append(matrix)
+            return eigen_multiplicities(matrix, cluster_tol)
+
+        monkeypatch.setattr(certificate, "eigen_multiplicities", counted)
+        v = verify_key_lemma(im)
+        signed = setting in certificate.SIGNED_SETTINGS
+        assert len(calls) == (1 if signed else 2)
+        if signed:
+            e = v.companion["expected_eigenvalue"]
+            eig = np.linalg.eigvalsh(im.matrix - im.k_claimed * np.eye(im.n))
+            atol = certificate.DEFAULT_CLUSTER_TOL * max(1.0, float(np.max(np.abs(eig))))
+            assert v.companion["measured_multiplicity"] == np.count_nonzero(np.abs(eig - e) <= atol)
 
     def test_bound_tight_at_ratio_limit(self, e8):
         v = verify_key_lemma(indicator_matrix(e8, 2, "antipodal_even_v1"))

@@ -6,6 +6,7 @@ across runs and platforms. Exit codes: 0 success, 1 theorem check failed with
 the cardinality hypothesis met, 2 usage or input error, 3 numerical failure.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -105,6 +106,13 @@ class TestGoldenOutput:
         # Pins the forward map's bytes through Newton and the closed form.
         assert run(["enumerate", "-d", "10", "-s", "3", "--realize"]) == 0
         golden = (GOLDEN_DIR / "enumerate_10_3_realize.txt").read_text()
+        assert capsys.readouterr().out == golden
+
+    def test_enumerate_homotopy_exact_bytes(self, capsys):
+        # Pins the power-sum solver's own bytes: 40 of the 80 tuples are
+        # decided by the homotopy, 39 of them with a printed margin.
+        assert run(["enumerate", "-d", "4", "-s", "4", "--realize"]) == 0
+        golden = (GOLDEN_DIR / "enumerate_4_4_realize_homotopy.txt").read_text()
         assert capsys.readouterr().out == golden
 
     def test_bounds_exact_bytes(self, capsys):
@@ -300,3 +308,39 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         assert payload["success"] is False
         assert payload["method"] == "newton"
+
+
+class TestLazyImports:
+    """A command loads only the modules it runs; the package's names
+    resolve on first use."""
+
+    @staticmethod
+    def loaded_after(*argv):
+        code = (
+            "import contextlib, io, sys\n"
+            "from fewdist.cli import run\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert run({list(argv)!r}) == 0\n"
+            "print(' '.join(sorted(sys.modules)))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_enumerate_loads_no_point_set_code(self):
+        loaded = self.loaded_after("enumerate", "-d", "10", "-s", "3", "--realize")
+        assert "fewdist.powersum" in loaded
+        assert not loaded & {"fewdist.pointset", "fewdist.ratios", "fewdist.certificate", "fewdist.embed"}
+
+    def test_bounds_loads_no_numpy(self):
+        assert "numpy" not in self.loaded_after("bounds", "--setting", "euclidean", "-d", "10", "-s", "3")
+
+    def test_package_names_resolve_to_their_modules(self):
+        import fewdist
+
+        for name in fewdist.__all__:
+            module = importlib.import_module(f"fewdist.{fewdist._MODULE_OF[name]}")
+            assert getattr(fewdist, name) is getattr(module, name)
+        assert set(fewdist.__all__) <= set(dir(fewdist))
+        with pytest.raises(AttributeError):
+            fewdist.no_such_name  # noqa: B018
