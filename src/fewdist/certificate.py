@@ -62,11 +62,26 @@ def _pair_classes(ps: PointSet, family: str, values, i0: int, tol: float):
         return ps.points @ ps.points.T, inner_product_profile(ps, tol).adjacency[i0].astype(np.int8)
     half = antipodal_structure(ps, tol).half.points
     gram = half @ half.T
-    # Class adjacency on the half set: nearest |beta| class per pair.
-    dist_to_class = np.abs(np.abs(gram)[:, :, None] - np.asarray(values)[None, None, :])
-    adjacency = (np.argmin(dist_to_class, axis=2) == i0).astype(np.int8)
+    return gram, _nearest_class_adjacency(gram, values, i0)
+
+
+def _nearest_class_adjacency(gram: np.ndarray, values, i0: int) -> np.ndarray:
+    """Pairs whose |inner product| is nearest class value i0, with a zero
+    diagonal. A running minimum over the classes, moved only on a strict
+    decrease, picks the first of tied classes, as argmin over an
+    n x n x s distance array would."""
+    magnitudes = np.abs(gram)
+    values = np.asarray(values)
+    best = np.abs(magnitudes - values[0])
+    nearest = np.zeros(gram.shape, dtype=np.min_scalar_type(len(values)))
+    for c in range(1, len(values)):
+        dist = np.abs(magnitudes - values[c])
+        closer = dist < best
+        np.copyto(best, dist, where=closer)
+        nearest[closer] = c
+    adjacency = (nearest == i0).astype(np.int8)
     np.fill_diagonal(adjacency, 0)
-    return gram, adjacency
+    return adjacency
 
 
 def indicator_matrix(

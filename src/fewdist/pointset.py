@@ -7,7 +7,10 @@ everything downstream consumes those classes.
 
 Each profile is computed once per point set and tolerance and kept on the
 point set (read-only), so every caller shares one classification pass.
-Memory is O(n^2): the n x n pair matrix and one n x n adjacency per class.
+Classifying n points holds one float n x n pair matrix, one sorted copy of
+its n(n-1)/2 values above the diagonal (freed before the classes are
+built) and one int8 n x n adjacency per class; every other temporary is a
+square tile of the matrix or a fixed-size chunk of the sorted values.
 The duplicate-point and antipodal checks never build an n x n x d array;
 they screen pairs by a Gram product taken a block of rows at a time and run
 the exact coordinate test only on the pairs that pass the screen.
@@ -226,68 +229,144 @@ def squared_distance_matrix(ps: PointSet) -> np.ndarray:
 
 
 def _squared_distances(ps: PointSet) -> np.ndarray:
-    # |x_i|^2 + |x_j|^2 - 2<x_i, x_j>, clipped at 0 and symmetrised, with
-    # two n x n buffers reused in place.
+    # a_ij = max(|x_i|^2 + |x_j|^2 - 2<x_i, x_j>, 0) with a zero diagonal,
+    # symmetrised as (a_ij + a_ji) / 2. Each tile and its mirror are read
+    # from the doubled Gram matrix and then overwritten in it, so the result
+    # needs no second n x n buffer.
     g = ps.points @ ps.points.T
     sq = np.diag(g).copy()
-    d2 = sq[:, None] + sq[None, :]
     g *= 2.0
-    d2 -= g
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    np.add(d2, d2.T, out=g)
-    g /= 2.0
+    for rows, cols in _tile_pairs(ps.n):
+        upper = _clipped_tile(sq, g, rows, cols)
+        if rows == cols:
+            np.fill_diagonal(upper, 0.0)
+            upper = upper + upper.T
+        else:
+            upper += _clipped_tile(sq, g, cols, rows).T
+        upper /= 2.0
+        g[rows, cols] = upper
+        g[cols, rows] = upper.T
     return g
 
 
-def _cluster_sorted(values: np.ndarray, tol: float, relative: bool):
-    """Single-linkage clusters of ascending values; adjacent values chain when
-    their gap is below tol, and a gap below 10*tol between two clusters is an
+def _clipped_tile(sq: np.ndarray, g2: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    tile = sq[rows, None] + sq[None, cols]
+    tile -= g2[rows, cols]
+    return np.maximum(tile, 0.0, out=tile)
+
+
+# The pair matrix is built and classified in square tiles this wide.
+_TILE = 256
+
+
+def _tile_pairs(n: int):
+    """(rows, cols) slices of every tile on or above the diagonal of an
+    n x n matrix; a diagonal tile has rows == cols."""
+    for start in range(0, n, _TILE):
+        for col in range(start, n, _TILE):
+            yield slice(start, start + _TILE), slice(col, col + _TILE)
+
+
+# Gaps between sorted values are taken this many at a time.
+_CHUNK = 1 << 16
+
+
+def _cluster_sorted(values: np.ndarray, tol: float, relative: bool) -> np.ndarray:
+    """Single-linkage clusters of ascending values, as the ascending positions
+    p after which a new cluster starts. Adjacent values chain when their gap
+    is below tol, and a gap below 10*tol between two clusters is an
     ambiguity error. The gap from a to b is (b-a)/max(|a|,|b|), or
-    (b-a)/max(1,|a|,|b|) when not relative."""
-    # values holds every pair of the set; each temporary is dropped as soon
-    # as it is used, which keeps about 40 MiB off the peak at n = 2380.
-    mags = np.abs(values)
-    denom = np.maximum(mags[:-1], mags[1:])
-    del mags
-    if not relative:
-        np.maximum(denom, 1.0, out=denom)
-    gaps = np.diff(values)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gaps /= denom
-    del denom
-    cuts = np.flatnonzero(gaps > tol)
-    narrow = cuts[gaps[cuts] <= 10.0 * tol]
-    del gaps
-    if narrow.size:
-        pos = narrow[0]
-        raise AmbiguousGroupingError(
-            f"values {float(values[pos])!r} and {float(values[pos + 1])!r} are separated by less "
-            "than 10x tol; no stable class split exists at this tolerance"
-        )
-    ids = np.zeros(len(values), dtype=int)
-    ids[cuts + 1] = 1
-    return np.cumsum(ids, out=ids), cuts.size + 1
+    (b-a)/max(1,|a|,|b|) when not relative. Gaps are taken in chunks that
+    overlap by one value, so the temporaries stay small."""
+    cuts = [np.zeros(0, dtype=np.intp)]
+    for start in range(0, len(values) - 1, _CHUNK):
+        part = values[start:start + _CHUNK + 1]
+        mags = np.abs(part)
+        denom = np.maximum(mags[:-1], mags[1:])
+        if not relative:
+            np.maximum(denom, 1.0, out=denom)
+        gaps = np.diff(part)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            gaps /= denom
+        found = np.flatnonzero(gaps > tol)
+        narrow = found[gaps[found] <= 10.0 * tol]
+        if narrow.size:
+            pos = start + narrow[0]
+            raise AmbiguousGroupingError(
+                f"values {float(values[pos])!r} and {float(values[pos + 1])!r} are separated by "
+                "less than 10x tol; no stable class split exists at this tolerance"
+            )
+        cuts.append(found + start)
+    return np.concatenate(cuts)
 
 
 def _group_pairs(matrix: np.ndarray, tol: float, relative: bool):
+    """Classes of the values above the diagonal: (means, counts, adjacencies).
+
+    The lower triangle is never read, since a Gram matrix need not be
+    exactly symmetric: each class is found on the upper triangle and its
+    adjacency mirrored. A class mean is np.mean over its values in row-major
+    order.
+    """
     n = matrix.shape[0]
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    vals = matrix[upper]
-    order = np.argsort(vals, kind="stable")
-    ids_sorted, num = _cluster_sorted(vals[order], tol, relative)
-    ids = np.empty(len(vals), dtype=int)
-    ids[order] = ids_sorted
-    labels = np.full((n, n), -1, dtype=np.min_scalar_type(-num))
-    labels[upper] = ids
-    labels.T[upper] = ids
-    reps, counts, adjacency = [], [], []
-    for cid in range(num):
-        mask = ids == cid
-        reps.append(float(np.mean(vals[mask])))
-        counts.append(int(np.count_nonzero(mask)))
-        adjacency.append(_read_only((labels == cid).view(np.int8)))
-    return reps, counts, adjacency
+    values = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        values[pos:pos + n - 1 - i] = matrix[i, i + 1:]
+        pos += n - 1 - i
+    values.sort()
+    _stable_zero_ends(matrix, values)
+    cuts = _cluster_sorted(values, tol, relative)
+    # The largest value of every class but the last.
+    tops = values[cuts]
+    del values
+    adjacency = [np.zeros((n, n), dtype=bool) for _ in range(cuts.size + 1)]
+    for rows, cols in _tile_pairs(n):
+        tile = matrix[rows, cols]
+        # Pairs above the top of every class handled so far.
+        above = np.ones(tile.shape, dtype=bool)
+        for top, adj in zip(tops, adjacency):
+            at_most = tile <= top
+            np.logical_and(at_most, above, out=adj[rows, cols])
+            np.logical_not(at_most, out=above)
+        adjacency[-1][rows, cols] = above
+        if rows == cols:
+            on_or_below = np.tri(tile.shape[0], dtype=bool)
+            for adj in adjacency:
+                adj[rows, cols][on_or_below] = False
+    reps, counts = [], []
+    for adj in adjacency:
+        members = matrix[adj]
+        reps.append(float(np.mean(members)))
+        counts.append(members.size)
+        del members
+        for rows, cols in _tile_pairs(n):
+            if rows == cols:
+                adj[rows, cols] |= adj[rows, cols].T
+            else:
+                adj[cols, rows] = adj[rows, cols].T
+    return reps, counts, [_read_only(adj.view(np.int8)) for adj in adjacency]
+
+
+def _stable_zero_ends(matrix: np.ndarray, values: np.ndarray) -> None:
+    """Give the first and last zero of the sorted values the signs a stable
+    sort gives them. np.sort orders -0.0 and 0.0 arbitrarily, and an
+    ambiguity error prints the value on each side of a cut, so a zero there
+    must be the first (or last) zero above the diagonal in row-major order."""
+    first = np.searchsorted(values, 0.0, side="left")
+    last = np.searchsorted(values, 0.0, side="right") - 1
+    if first > last:
+        return
+    rows = range(matrix.shape[0] - 1)
+    values[first] = _first_zero(matrix[i, i + 1:] for i in rows)
+    values[last] = _first_zero(matrix[i, :i:-1] for i in reversed(rows))
+
+
+def _first_zero(rows) -> float:
+    for row in rows:
+        zeros = np.flatnonzero(row == 0.0)
+        if zeros.size:
+            return row[zeros[0]]
 
 
 @dataclass(frozen=True)

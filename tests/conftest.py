@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,19 @@ def bundled_sets(johnson_10_3, e8, pentagon, icosahedron, cross_polytope_4, hype
         "simplex_5": simplex_5,
         "unit_square": unit_square,
     }
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls fn(*args) and returns its peak of traced allocations, in bytes."""
+
+    def measure(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    return measure

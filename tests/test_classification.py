@@ -1,13 +1,15 @@
 """The vectorised pair classification against the per-pair reference code.
 
 The reference functions below are the earlier implementations: a Python
-loop over adjacent sorted values for grouping, and n x n x d difference or
-sum arrays for the duplicate-point and antipodal checks. The library's
-versions must return identical results: the same class ids and count, the
-same error messages, the same duplicate pair and the same partner array.
+loop over adjacent sorted values for grouping, two n x n buffers for the
+pair matrix, n x n x d difference or sum arrays for the duplicate-point and
+antipodal checks, and an n x n x s distance array for the nearest antipodal
+class. The library's versions must return identical results: the same class
+ids and count, the same error messages, the same duplicate pair, the same
+partner array and the same bits.
 """
 
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import fewdist.pointset as pointset
 from fewdist import PointSet, construct_johnson, construct_named
 from fewdist.certificate import (
+    _nearest_class_adjacency,
     applicable_certificate_settings,
     class_index_range,
     indicator_matrix,
@@ -27,6 +30,7 @@ from fewdist.errors import AmbiguousGroupingError, DuplicatePointError
 from fewdist.pointset import (
     _cluster_sorted,
     _group_pairs,
+    _squared_distances,
     distance_profile,
     inner_product_profile,
     is_antipodal,
@@ -79,6 +83,26 @@ def reference_group_pairs(matrix, tol, relative):
     return reps, counts, adjacency
 
 
+def reference_squared_distances(ps):
+    g = ps.points @ ps.points.T
+    sq = np.diag(g).copy()
+    d2 = sq[:, None] + sq[None, :]
+    g *= 2.0
+    d2 -= g
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    np.add(d2, d2.T, out=g)
+    g /= 2.0
+    return g
+
+
+def reference_nearest_class_adjacency(gram, values, i0):
+    dist_to_class = np.abs(np.abs(gram)[:, :, None] - np.asarray(values)[None, None, :])
+    adjacency = (np.argmin(dist_to_class, axis=2) == i0).astype(np.int8)
+    np.fill_diagonal(adjacency, 0)
+    return adjacency
+
+
 def reference_duplicate_message(pts):
     """The DuplicatePointError message PointSet raises, or None."""
     scale = max(1.0, float(np.max(np.abs(pts))))
@@ -113,6 +137,25 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def cluster_ids(values, tol, relative):
+    """_cluster_sorted's cuts as per-value class ids and a class count."""
+    cuts = _cluster_sorted(values, tol, relative)
+    ids = np.zeros(len(values), dtype=int)
+    ids[cuts + 1] = 1
+    return np.cumsum(ids, out=ids), cuts.size + 1
+
+
+def assert_same_classes(got, want):
+    """Two _group_pairs outcomes agree: error type and message, or every bit."""
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert len(got[2]) == len(want[2])
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got[2], want[2]))
+
+
 def duplicate_message(pts):
     try:
         PointSet(dimension=pts.shape[1], points=pts)
@@ -137,15 +180,22 @@ def sorted_values(draw):
     return np.sort(np.asarray(values)), tol
 
 
+# Tile widths and gap-chunk lengths: the smallest ones put boundaries
+# between nearly every pair of values.
+TILES = st.sampled_from([1, 2, 3, 7, pointset._TILE])
+CHUNKS = st.sampled_from([1, 2, 5, pointset._CHUNK])
+
+
 class TestClusterSortedMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(sorted_values(), st.booleans())
-    def test_same_ids_count_and_errors(self, drawn, relative):
+    @given(sorted_values(), st.booleans(), CHUNKS)
+    def test_same_ids_count_and_errors(self, drawn, relative, chunk):
         values, tol = drawn
         if relative:
             values = np.abs(values)
             values.sort()
-        got = outcome(_cluster_sorted, values, tol, relative)
+        with mock.patch.object(pointset, "_CHUNK", chunk):
+            got = outcome(cluster_ids, values, tol, relative)
         want = outcome(reference_cluster_sorted, values, tol, relative)
         if isinstance(want[0], type):
             assert got == want
@@ -154,23 +204,103 @@ class TestClusterSortedMatchesReference:
             assert got[1] == want[1]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed):
+    @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1), TILES, CHUNKS)
+    def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed, tile, chunk):
         # Small integer coordinates give few distinct squared distances,
         # so classes hold many pairs and their means exercise summation order.
         rng = np.random.default_rng(seed)
         pts = np.unique(rng.integers(-3, 4, size=(n, d)), axis=0) * rng.choice([1.0, 0.1, 1e3])
         assume(len(pts) >= 2)
-        matrix = squared_distance_matrix(PointSet(dimension=d, points=pts))
-        for relative, tol in ((True, 1e-9), (False, 1e-9), (True, 0.05)):
-            got = outcome(_group_pairs, matrix, tol, relative)
-            want = outcome(reference_group_pairs, matrix, tol, relative)
-            if isinstance(want[0], type):
-                assert got == want
-                continue
-            assert got[0] == want[0]
-            assert got[1] == want[1]
-            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got[2], want[2]))
+        ps = PointSet(dimension=d, points=pts)
+        with mock.patch.object(pointset, "_TILE", tile), mock.patch.object(pointset, "_CHUNK", chunk):
+            matrix = _squared_distances(ps)
+            assert matrix.tobytes() == reference_squared_distances(ps).tobytes()
+            for relative, tol in ((True, 1e-9), (False, 1e-9), (True, 0.05)):
+                got = outcome(_group_pairs, matrix, tol, relative)
+                want = outcome(reference_group_pairs, matrix, tol, relative)
+                assert_same_classes(got, want)
+
+
+class TestPairMatrixMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 20),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e3, 1e8]),
+        st.sampled_from([1.0, 1e-4, 1e200]),
+        TILES,
+    )
+    def test_pair_matrix_bits_on_random_sets(self, n, d, seed, offset, spread, tile):
+        # A large common offset makes |x_i|^2 + |x_j|^2 - 2<x_i, x_j> cancel
+        # to values that can round below 0; a spread of 1e200 overflows.
+        rng = np.random.default_rng(seed)
+        pts = offset + spread * rng.normal(size=(n, d))
+        assume(duplicate_message(pts) is None)
+        ps = PointSet(dimension=d, points=pts)
+        with mock.patch.object(pointset, "_TILE", tile), np.errstate(over="ignore", invalid="ignore"):
+            assert _squared_distances(ps).tobytes() == reference_squared_distances(ps).tobytes()
+
+
+# Pair values near 0 at tol = 1e-9 (not relative): -0.0 and 0.0 tie in a
+# sort, 5e-9 and -5e-9 sit an ambiguous gap from them, 1e-6 a clear one.
+NEAR_ZERO = st.sampled_from([-0.0, 0.0, 5e-9, -5e-9, 1e-6, 0.5])
+
+
+class TestGroupingEdgeCases:
+    def test_asymmetric_gram_reads_the_upper_triangle(self):
+        # The lower 0.5 + 2^-53 sits one ulp above the top of the 0.5 class,
+        # so read there it would join the 0.9 class.
+        gram = np.array(
+            [[1, 0.5, 0.9, 0.2], [0.5 + 2**-53, 1, 0.2, 0.2], [0.9, 0.2, 1, 0.2], [0.2, 0.2, 0.2, 1]]
+        )
+        got = _group_pairs(gram, 1e-9, False)
+        assert_same_classes(got, reference_group_pairs(gram, 1e-9, False))
+        assert got[0] == [0.2, 0.5, 0.9]
+        for adj in got[2]:
+            assert np.array_equal(adj, adj.T)
+
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+    @pytest.mark.parametrize("near", [5e-9, -5e-9])
+    def test_ambiguous_split_next_to_signed_zeros(self, zeros, near):
+        # Zeros alternating in sign and one ambiguous neighbour: the
+        # message prints the zero a stable sort puts next to it.
+        n = 9
+        upper = [zeros[k % 2] for k in range(n * (n - 1) // 2)]
+        upper[17] = near
+        matrix = np.zeros((n, n))
+        matrix[np.triu_indices(n, 1)] = upper
+        got = outcome(_group_pairs, matrix, 1e-9, False)
+        assert got[0] is AmbiguousGroupingError
+        assert got == outcome(reference_group_pairs, matrix, 1e-9, False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 12), st.data())
+    def test_signed_zeros_and_asymmetry_match_the_reference(self, n, data):
+        # Lower and upper triangles are drawn independently.
+        entries = data.draw(st.lists(NEAR_ZERO, min_size=n * n, max_size=n * n))
+        matrix = np.asarray(entries).reshape(n, n)
+        tile = data.draw(TILES)
+        with mock.patch.object(pointset, "_TILE", tile):
+            got = outcome(_group_pairs, matrix, 1e-9, False)
+        assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False))
+
+
+# Class values and most inner products lie on a grid of multiples of 1/8,
+# so that many |inner products| sit exactly halfway between two classes.
+EIGHTHS = st.integers(0, 8).map(lambda k: k / 8.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10), st.lists(EIGHTHS, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.data())
+def test_nearest_antipodal_class_matches_argmin(n, values, seed, data):
+    rng = np.random.default_rng(seed)
+    on_grid = rng.integers(-8, 9, size=(n, n)) / 8.0
+    gram = np.where(rng.random((n, n)) < 0.8, on_grid, rng.uniform(-1.0, 1.0, size=(n, n)))
+    i0 = data.draw(st.integers(0, len(values) - 1))
+    got = _nearest_class_adjacency(gram, values, i0)
+    want = reference_nearest_class_adjacency(gram, values, i0)
+    assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 @st.composite
@@ -284,15 +414,29 @@ def test_key_lemma_rank_matches_numeric_rank(request, name):
             assert verify_key_lemma(im).rank == numeric_rank(im.matrix)
 
 
-def test_validation_memory_stays_below_one_dense_matrix():
+@pytest.fixture(scope="module")
+def johnson_14_4():
+    ps = construct_johnson(14, 4)
+    assert (ps.n, ps.dimension) == (1365, 15)
+    return ps
+
+
+def test_validation_memory_stays_below_one_dense_matrix(johnson_14_4, traced_peak):
     # The n x n x d difference array took about d times 8n^2 bytes.
-    pts = np.array(construct_johnson(14, 4).points)
+    pts = np.array(johnson_14_4.points)
     n = pts.shape[0]
-    assert (n, pts.shape[1]) == (1365, 15)
-    tracemalloc.start()
-    try:
-        PointSet(dimension=15, points=pts)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * n * n
+    assert traced_peak(PointSet, 15, pts) < 8 * n * n
+
+
+def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
+    # A second n x n buffer beside the Gram matrix took 16n^2 bytes.
+    n = johnson_14_4.n
+    assert traced_peak(_squared_distances, johnson_14_4) < 10 * n * n
+
+
+def test_grouping_memory_is_a_sort_buffer_then_the_adjacencies(johnson_14_4, traced_peak):
+    # Here 4n^2 bytes of sorted values, then four int8 adjacencies of n^2
+    # bytes; the argsort order, gathered copy and id arrays took 22.5n^2.
+    matrix = squared_distance_matrix(johnson_14_4)
+    n = johnson_14_4.n
+    assert traced_peak(_group_pairs, matrix, 1e-9, True) < 12 * n * n
