@@ -6,7 +6,8 @@ bounds.Setting). It evaluates to the ratio k_i on the diagonal and to the
 class-i adjacency off it, so M = (F_x(y)) decomposes as k*I + A. Because
 the polynomials span a space of dimension at most N_cap, rank(M) <= N_cap,
 which pins the spectrum of A and forces k to be a bounded integer once the
-set is large enough. The checks here are numerical, with measured slacks.
+set is large enough. The pair values and classes are pointset's memoized
+ones, which the ratios read too. The checks are numerical, with measured slacks.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .pointset import (
     PointSet,
     antipodal_structure,
     distance_profile,
+    inner_product_matrix,
     inner_product_profile,
     squared_distance_matrix,
 )
@@ -54,34 +56,22 @@ class IndicatorMatrix:
         return self.matrix.shape[0]
 
 
-def _pair_classes(ps: PointSet, family: str, values, i0: int, tol: float):
-    """The pair values the family's indicator is read on; class i0's adjacency."""
-    if family == "euclidean":
-        return squared_distance_matrix(ps), distance_profile(ps, tol).adjacency[i0].astype(np.int8)
-    if family == "spherical":
-        return ps.points @ ps.points.T, inner_product_profile(ps, tol).adjacency[i0].astype(np.int8)
-    half = antipodal_structure(ps, tol).half.points
-    gram = half @ half.T
-    return gram, _nearest_class_adjacency(gram, values, i0)
-
-
-def _nearest_class_adjacency(gram: np.ndarray, values, i0: int) -> np.ndarray:
-    """Pairs whose |inner product| is nearest class value i0, with a zero
-    diagonal. A running minimum over the classes, moved only on a strict
-    decrease, picks the first of tied classes, as argmin over an
-    n x n x s distance array would."""
-    magnitudes = np.abs(gram)
-    values = np.asarray(values)
-    best = np.abs(magnitudes - values[0])
-    nearest = np.zeros(gram.shape, dtype=np.min_scalar_type(len(values)))
-    for c in range(1, len(values)):
-        dist = np.abs(magnitudes - values[c])
-        closer = dist < best
-        np.copyto(best, dist, where=closer)
-        nearest[closer] = c
-    adjacency = (nearest == i0).astype(np.int8)
-    np.fill_diagonal(adjacency, 0)
-    return adjacency
+def _pair_classes(ps: PointSet, row, i0: int, tol: float):
+    """The memoized pair values row's indicator is read on, and the profile's
+    class i0 on them: on the half set, +beta plus (signed: minus) -beta."""
+    if row.family == "euclidean":
+        return squared_distance_matrix(ps), distance_profile(ps, tol).adjacency[i0]
+    profile = inner_product_profile(ps, tol)
+    if row.family == "spherical":
+        return inner_product_matrix(ps), profile.adjacency[i0]
+    structure = antipodal_structure(ps, tol)
+    half = np.ix_(structure.rows, structure.rows)
+    p = profile.s - len(structure.beta_abs) + i0
+    adjacency = profile.adjacency[p][half]
+    if profile.s - p != p:
+        minus = profile.adjacency[profile.s - p][half]
+        adjacency = adjacency - minus if row.signed else adjacency + minus
+    return inner_product_matrix(ps)[half], adjacency
 
 
 def indicator_matrix(
@@ -93,7 +83,9 @@ def indicator_matrix(
 ) -> IndicatorMatrix:
     """Evaluate the class indicator polynomial (bounds.Setting) at all point pairs.
 
-    The antipodal matrices run over the half set. class_index is 1-based
+    The adjacency is the profile's class, read-only and shared for the
+    euclidean and spherical rows. The antipodal matrices run over the half
+    set, where class j is the profile's +beta_j and -beta_j. class_index is 1-based
     within the setting's own index range: 1..s for euclidean/spherical,
     1..(s-1)/2 for the odd antipodal variants, 1..s/2 for the even variant 1
     and 2..s/2 for the even variant 2 (the zero class has no variant-2 ratio).
@@ -106,24 +98,23 @@ def indicator_matrix(
             f"class index {class_index} out of range [{ids.start}, {ids.stop - 1}] for {setting}"
         )
     i0 = class_index - 1
-    pairs, adjacency = _pair_classes(ps, row.family, values, i0, tol)
+    pairs, adjacency = _pair_classes(ps, row, i0, tol)
     i = class_index - row.first_index
     matrix = lagrange_basis(row.nodes(values), i, row.node_map(pairs))
     k = ratios[i]
     if row.signed:
         matrix *= pairs / values[i0]
-        adjacency = adjacency * np.sign(pairs).astype(np.int8)
     d_eff = effective_dimension(ps, setting, tol_rank)
-    n = matrix.shape[0]
-    expected = adjacency.astype(float)
-    expected[np.arange(n), np.arange(n)] += k
+    # The adjacency has a zero diagonal, where k is subtracted instead.
+    deviation = matrix - adjacency
+    deviation[np.diag_indices_from(deviation)] -= k
     return IndicatorMatrix(
         matrix=matrix,
         setting=setting,
         class_index=class_index,
         k_claimed=float(k),
         adjacency=adjacency,
-        max_decomposition_dev=float(np.max(np.abs(matrix - expected))),
+        max_decomposition_dev=float(np.max(np.abs(deviation, out=deviation))),
         n_cap=dim_poly_space(row.space, d_eff, s - row.degree_offset),
         x_size=ps.n,
         d_eff=d_eff,

@@ -5,12 +5,12 @@ n(n-1)/2 pair values (squared distances, or inner products for unit-norm
 sets) into classes by single-linkage grouping at a declared tolerance, and
 everything downstream consumes those classes.
 
-Each profile is computed once per point set and tolerance and kept on the
-point set (read-only), so every caller shares one classification pass.
-Classifying n points holds one float n x n pair matrix, one sorted copy of
-its n(n-1)/2 values above the diagonal (freed before the classes are
-built) and one int8 n x n adjacency per class; every other temporary is a
-square tile of the matrix or a fixed-size chunk of the sorted values.
+Each pair matrix and profile is computed once per point set and tolerance
+and kept on the point set (read-only), so every caller shares one pass.
+Classifying n points holds one float n x n pair matrix (a unit-norm set
+keeps its Gram matrix too), one sorted copy of its n(n-1)/2 values above
+the diagonal (freed before the classes are built) and one int8 n x n
+adjacency per class; every other temporary is a tile or a fixed-size chunk.
 The duplicate-point and antipodal checks never build an n x n x d array;
 they screen pairs by a Gram product taken a block of rows at a time and run
 the exact coordinate test only on the pairs that pass the screen.
@@ -224,8 +224,16 @@ def _points_from_csv(text: str) -> PointSet:
 
 
 def squared_distance_matrix(ps: PointSet) -> np.ndarray:
-    """Pair squared distances, computed once per point set; read-only."""
+    """Pair squared distances, computed once per point set; read-only. A set
+    is refused when 4 max|x_i|^2, a bound on every term, is not finite."""
+    if not math.isfinite(4.0 * float(np.max(np.einsum("ij,ij->i", ps.points, ps.points)))):
+        raise PointFileError("squared distances overflow: a point norm is above about 6.7e153")
     return _memoized(ps, ("squared_distances",), lambda: _read_only(_squared_distances(ps)))
+
+
+def inner_product_matrix(ps: PointSet) -> np.ndarray:
+    """Pair inner products (the Gram matrix), computed once per point set; read-only."""
+    return _memoized(ps, ("inner_products",), lambda: _read_only(ps.points @ ps.points.T))
 
 
 def _squared_distances(ps: PointSet) -> np.ndarray:
@@ -443,8 +451,7 @@ def _inner_product_profile(ps: PointSet, tol: float) -> InnerProductProfile:
     if not on_unit_sphere(ps, tol):
         worst = float(np.max(np.abs(np.linalg.norm(ps.points, axis=1) - 1.0)))
         raise NotOnSphereError(f"points deviate from unit norm by {worst:.3e}")
-    gram = ps.points @ ps.points.T
-    reps, counts, adjacency = _group_pairs(gram, tol, relative=False)
+    reps, counts, adjacency = _group_pairs(inner_product_matrix(ps), tol, relative=False)
     antipodal, _ = is_antipodal(ps, tol)
     contains_minus_one = bool(abs(reps[0] + 1.0) <= 10.0 * max(tol, 1e-12))
     if reps[-1] >= 1.0 - 1e-12:
@@ -488,23 +495,31 @@ def _is_antipodal(ps: PointSet, tol: float):
 
 def half_set(ps: PointSet, tol: float = DEFAULT_TOL) -> PointSet:
     """One representative per antipodal pair: the lexicographically larger point."""
-    ok, partner = is_antipodal(ps, tol)
-    if not ok:
-        raise NotAntipodalError("point set is not antipodal within tolerance")
-    keep = [i for i, j in enumerate(partner) if tuple(ps.points[i]) > tuple(ps.points[j])]
+    keep = _half_rows(ps, tol)
     labels = tuple(ps.labels[i] for i in keep) if ps.labels is not None else None
     return PointSet(dimension=ps.dimension, points=ps.points[keep], labels=labels)
 
 
+def _half_rows(ps: PointSet, tol: float) -> np.ndarray:
+    """The rows of half_set in ps, computed once per point set and tol."""
+    ok, partner = is_antipodal(ps, tol)
+    if not ok:
+        raise NotAntipodalError("point set is not antipodal within tolerance")
+    return _memoized(ps, ("half_rows", tol), lambda: _read_only(np.flatnonzero(
+        [tuple(ps.points[i]) > tuple(ps.points[j]) for i, j in enumerate(partner)])))
+
+
 @dataclass(frozen=True)
 class AntipodalStructure:
-    """Half set plus the |beta| inner-product classes it realizes.
+    """Half set, its rows in the full set, and the |beta| profile classes.
 
     For s odd, beta_abs lists the (s-1)/2 positive values; for s even it
-    starts with an exact 0.0 followed by the s/2 - 1 positive values.
+    starts with an exact 0.0 followed by the s/2 - 1 positive values. |beta|
+    value j is profile class p = s - len(beta_abs) + j, and -beta is s - p.
     """
 
     half: PointSet
+    rows: np.ndarray
     s: int
     parity: str
     beta_abs: tuple[float, ...]
@@ -530,18 +545,11 @@ def _antipodal_structure(ps: PointSet, tol: float) -> AntipodalStructure:
         abs(p - q) > atol for p, q in zip(positives, negatives)
     ):
         raise NotAntipodalError("inner product classes are not symmetric under negation")
-    s = profile.s
-    if zeros:
-        if s % 2 != 0:
-            raise NotAntipodalError(f"zero class present but s={s} is odd")
-        beta_abs = (0.0, *positives)
-        parity = "even"
-    else:
-        if s % 2 != 1:
-            raise NotAntipodalError(f"no zero class but s={s} is even")
-        beta_abs = tuple(positives)
-        parity = "odd"
-    return AntipodalStructure(half=half_set(ps, tol), s=s, parity=parity, beta_abs=beta_abs)
+    if len(rest) != profile.s - 1:
+        raise NotAntipodalError("several inner product classes sit at -1")
+    parity, beta_abs = ("even", (0.0, *positives)) if zeros else ("odd", tuple(positives))
+    half, rows = half_set(ps, tol), _half_rows(ps, tol)
+    return AntipodalStructure(half=half, rows=rows, s=profile.s, parity=parity, beta_abs=beta_abs)
 
 
 def affine_dimension(ps: PointSet, tol_rank: float = DEFAULT_TOL_RANK) -> int:

@@ -6,8 +6,11 @@ import pytest
 from fewdist import (
     IndicatorMatrix,
     PointSet,
+    antipodal_structure,
+    construct_named,
     eigen_multiplicities,
     indicator_matrix,
+    inner_product_profile,
     numeric_rank,
     verify_key_lemma,
     verify_sign_matrix_bound,
@@ -74,6 +77,48 @@ class TestIndicatorMatrix:
         ]
         # Odd antipodal families need s >= 5; the icosahedron has s = 3.
         assert applicable_certificate_settings(icosahedron) == ["euclidean", "spherical"]
+
+
+def chained_antipodal_set():
+    """18 unit vectors, +-x_i with Gram entries <x_i, x_j> 0.1000, 0.1009,
+    ..., 0.1270 (31 pairs) and 0.1375 (5 pairs). At tol 1e-3 the 31 chain
+    into one class of mean 0.1135, although 0.1261 and 0.1270 lie nearer
+    0.1375. The Cholesky rows x_i have a positive first coordinate, so they
+    are the half set."""
+    gram = np.eye(9)
+    gram[np.triu_indices(9, 1)] = [0.1 + 0.0009 * k for k in range(31)] + [0.1375] * 5
+    x = np.linalg.cholesky(np.triu(gram) + np.triu(gram, 1).T)
+    return PointSet(dimension=9, points=np.vstack([x, -x]))
+
+
+class TestClassesFromTheProfile:
+    @pytest.mark.parametrize("setting,signed", [("antipodal_odd_v1", False), ("antipodal_odd_v2", True)])
+    def test_half_set_pairs_take_the_profile_class(self, setting, signed):
+        ps = chained_antipodal_set()
+        assert inner_product_profile(ps, 1e-3).inner_products[3] == pytest.approx(0.1135)
+        assert np.array_equal(antipodal_structure(ps, 1e-3).rows, np.arange(9))
+        im = indicator_matrix(ps, 1, setting, tol=1e-3)
+        gram = ps.points[:9] @ ps.points[:9].T
+        chained = (np.abs(gram) > 0.0995) & (np.abs(gram) < 0.1275)
+        assert np.count_nonzero(np.triu(chained)) == 31
+        assert np.array_equal(im.adjacency, chained * np.sign(gram) if signed else chained)
+
+    @pytest.mark.parametrize(
+        "name,d", [("e8_roots", None), ("hypercube", 5), ("hypercube", 8), ("cross_polytope", 6)]
+    )
+    def test_half_set_holds_a_quarter_of_each_beta_pair(self, name, d):
+        # A half-set pair at +-beta stands for two full-set pairs at beta and
+        # two at -beta; a pair at 0 for four pairs at 0.
+        ps = construct_named(name, d)
+        profile, structure = inner_product_profile(ps), antipodal_structure(ps)
+        for j, beta in enumerate(structure.beta_abs, start=1):
+            im = indicator_matrix(ps, j, f"antipodal_{structure.parity}_v1")
+            full = sum(
+                count
+                for value, count in zip(profile.inner_products, profile.pair_counts)
+                if abs(abs(value) - beta) < 1e-9
+            )
+            assert 4 * np.count_nonzero(np.triu(im.adjacency)) == full > 0
 
 
 class TestNumericRank:

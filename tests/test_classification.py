@@ -2,11 +2,10 @@
 
 The reference functions below are the earlier implementations: a Python
 loop over adjacent sorted values for grouping, two n x n buffers for the
-pair matrix, n x n x d difference or sum arrays for the duplicate-point and
-antipodal checks, and an n x n x s distance array for the nearest antipodal
-class. The library's versions must return identical results: the same class
-ids and count, the same error messages, the same duplicate pair, the same
-partner array and the same bits.
+pair matrix, and n x n x d difference or sum arrays for the duplicate-point
+and antipodal checks. The library's versions must return identical results:
+the same class ids and count, the same error messages, the same duplicate
+pair, the same partner array and the same bits.
 """
 
 from unittest import mock
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 import fewdist.pointset as pointset
 from fewdist import PointSet, construct_johnson, construct_named
 from fewdist.certificate import (
-    _nearest_class_adjacency,
     applicable_certificate_settings,
     class_index_range,
     indicator_matrix,
@@ -32,6 +30,7 @@ from fewdist.pointset import (
     _group_pairs,
     _squared_distances,
     distance_profile,
+    inner_product_matrix,
     inner_product_profile,
     is_antipodal,
     squared_distance_matrix,
@@ -94,13 +93,6 @@ def reference_squared_distances(ps):
     np.add(d2, d2.T, out=g)
     g /= 2.0
     return g
-
-
-def reference_nearest_class_adjacency(gram, values, i0):
-    dist_to_class = np.abs(np.abs(gram)[:, :, None] - np.asarray(values)[None, None, :])
-    adjacency = (np.argmin(dist_to_class, axis=2) == i0).astype(np.int8)
-    np.fill_diagonal(adjacency, 0)
-    return adjacency
 
 
 def reference_duplicate_message(pts):
@@ -286,23 +278,6 @@ class TestGroupingEdgeCases:
         assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False))
 
 
-# Class values and most inner products lie on a grid of multiples of 1/8,
-# so that many |inner products| sit exactly halfway between two classes.
-EIGHTHS = st.integers(0, 8).map(lambda k: k / 8.0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 10), st.lists(EIGHTHS, min_size=1, max_size=5), st.integers(0, 2**32 - 1), st.data())
-def test_nearest_antipodal_class_matches_argmin(n, values, seed, data):
-    rng = np.random.default_rng(seed)
-    on_grid = rng.integers(-8, 9, size=(n, n)) / 8.0
-    gram = np.where(rng.random((n, n)) < 0.8, on_grid, rng.uniform(-1.0, 1.0, size=(n, n)))
-    i0 = data.draw(st.integers(0, len(values) - 1))
-    got = _nearest_class_adjacency(gram, values, i0)
-    want = reference_nearest_class_adjacency(gram, values, i0)
-    assert np.array_equal(got, want) and got.dtype == want.dtype
-
-
 @st.composite
 def near_duplicate_sets(draw):
     n = draw(st.integers(2, 25))
@@ -402,6 +377,16 @@ class TestClassifiedOnce:
                 verify_key_lemma(indicator_matrix(ps, index, setting))
         assert sorted(calls) == [False, True]
 
+    @pytest.mark.parametrize(
+        "setting,profile", [("euclidean", distance_profile), ("spherical", inner_product_profile)]
+    )
+    def test_indicator_adjacency_is_the_profiles(self, e8, setting, profile):
+        for index in class_index_range(e8, setting):
+            im = indicator_matrix(e8, index, setting)
+            assert np.shares_memory(im.adjacency, profile(e8).adjacency[index - 1])
+        assert inner_product_matrix(e8) is inner_product_matrix(e8)
+        assert not inner_product_matrix(e8).flags.writeable
+
 
 @pytest.mark.parametrize(
     "name", ["e8", "johnson_10_3", "hypercube_4", "cross_polytope_4", "icosahedron", "unit_square"]
@@ -440,3 +425,12 @@ def test_grouping_memory_is_a_sort_buffer_then_the_adjacencies(johnson_14_4, tra
     matrix = squared_distance_matrix(johnson_14_4)
     n = johnson_14_4.n
     assert traced_peak(_group_pairs, matrix, 1e-9, True) < 12 * n * n
+
+
+def test_indicator_memory_is_the_basis_and_one_deviation(johnson_14_4, traced_peak):
+    # Above the memoized pair matrix and classes: the Lagrange basis and one
+    # temporary for |M - k*I - A|; a float copy of the adjacency and two
+    # temporaries for the deviation took 4.1 float n^2 arrays in all.
+    indicator_matrix(johnson_14_4, 1, "euclidean")
+    n = johnson_14_4.n
+    assert traced_peak(indicator_matrix, johnson_14_4, 1, "euclidean") < 2.5 * 8 * n * n

@@ -302,6 +302,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert "several inner product classes sit at 0" in captured.err
 
+    @pytest.mark.parametrize("command", ["profile", "ratios", "certify"])
+    def test_overflowing_pair_values_are_exit_2(self, tmp_path, capsys, command):
+        # Squared norms of 2e320 are not finite, so no pair value can be.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"points": (construct_johnson(6, 2).points * 1e160).tolist()}))
+        assert run([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "squared distances overflow" in captured.err
+
     def test_numerical_failure_is_exit_3_with_json(self, capsys):
         rc = run(["invert", "-s", "2", "-k", "1"])
         assert rc == 3

@@ -142,6 +142,15 @@ class TestDistanceProfile:
         dp = distance_profile(doubled)
         assert dp.squared_distances == (4.0, 8.0)
 
+    def test_overflowing_squared_distances_are_refused(self):
+        # 4 max|x_i|^2 is 8e300 at scale 1e150, and not finite at 1e160.
+        points = construct_johnson(6, 2).points
+        big = PointSet(dimension=7, points=points * 1e150)
+        assert distance_profile(big).squared_distances == pytest.approx((2e300, 4e300), rel=1e-12)
+        huge = PointSet(dimension=7, points=points * 1e160)
+        with pytest.raises(PointFileError, match="squared distances overflow"):
+            distance_profile(huge)
+
     def test_close_classes_flagged_ambiguous(self):
         # Middle value sits 0.5 percent from its neighbour: more than tol but
         # less than the 10x guard band at tol 1e-3.
@@ -213,6 +222,24 @@ class TestSphereAndAntipodal:
         st = antipodal_structure(icosahedron)
         assert st.parity == "odd" and st.s == 3
         assert np.allclose(st.beta_abs, (1 / sqrt(5),), atol=1e-12)
+
+    def test_antipodal_structure_rows_are_the_half_set(self, e8, hypercube_4):
+        for ps in (e8, hypercube_4):
+            st = antipodal_structure(ps)
+            assert np.array_equal(ps.points[st.rows], st.half.points)
+            assert np.array_equal(half_set(ps).points, st.half.points)
+            assert not st.rows.flags.writeable
+
+    def test_antipodal_structure_needs_one_class_at_minus_one(self):
+        # Partners within the 1e-12 antipodal tolerance whose inner products
+        # -1, -1 + 4.5e-13 and -1 + 9e-13 are three classes at tol 1e-15:
+        # the |beta| classes could not be told from the profile's order.
+        eye = np.eye(3)
+        shrink = np.array([[1.0], [1.0 - 4.5e-13], [1.0 - 9e-13]])
+        ps = PointSet(dimension=3, points=np.vstack([eye, -shrink * eye]))
+        assert inner_product_profile(ps, 1e-15).s == 4
+        with pytest.raises(NotAntipodalError, match="several inner product classes sit at -1"):
+            antipodal_structure(ps, 1e-15)
 
     def test_antipodal_structure_rejects_plain_sets(self, pentagon, johnson_10_3):
         with pytest.raises((NotAntipodalError, InputError)):
