@@ -32,6 +32,11 @@ from .pointset import (
 from .ratios import applicable_settings, class_ratios, effective_dimension
 
 DEFAULT_CLUSTER_TOL = 1e-6
+# Columns of the range sketch beyond N_cap, and the seed of its Gaussian test matrix.
+SKETCH_OVERSAMPLING = 8
+SKETCH_SEED = 0
+# Multiple of n * eps * max|eigenvalue| allowed for eigvalsh's backward error.
+EIGVALSH_SLACK = 64
 
 SIGNED_SETTINGS = tuple(name for name, row in SETTING_TABLE.items() if row.signed)
 
@@ -161,10 +166,14 @@ class SpectrumReport:
 
 def eigen_multiplicities(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumReport:
     """Cluster the spectrum by gaps above cluster_tol * max|eigenvalue|."""
-    arr = matrix.matrix if isinstance(matrix, IndicatorMatrix) else np.asarray(matrix, float)
-    try:
+    if isinstance(matrix, IndicatorMatrix):
+        arr = matrix.matrix  # built exactly symmetric
+    else:
         # Asymmetric input is allowed: the spectrum is that of the symmetric part.
-        eig = np.linalg.eigvalsh((arr + arr.T) / 2.0)
+        arr = np.asarray(matrix, float)
+        arr = (arr + arr.T) / 2.0
+    try:
+        eig = np.linalg.eigvalsh(arr)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     scale = float(np.max(np.abs(eig))) if eig.size else 0.0
@@ -196,14 +205,23 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     n = arr.shape[0]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("sign matrix must be square")
-    if np.max(np.abs(arr - arr.T)) > entry_tol:
+    # The entry checks share one n x n buffer.
+    buf = np.subtract(arr, arr.T)
+    if np.max(np.abs(buf, out=buf)) > entry_tol:
         raise InputError("sign matrix must be symmetric")
     if np.max(np.abs(np.diag(arr))) > entry_tol:
         raise InputError("sign matrix must have zero diagonal")
-    off = arr[~np.eye(n, dtype=bool)]
-    if off.size and np.max(np.abs(off - np.round(off))) > entry_tol:
+    # Off the diagonal: distance to the nearest integer, then that integer.
+    np.round(arr, out=buf)
+    buf -= arr
+    np.abs(buf, out=buf)
+    buf.flat[:: n + 1] = 0.0
+    if np.max(buf) > entry_tol:
         raise InputError("off-diagonal entries must be 0 or +-1")
-    if off.size and np.max(np.abs(np.round(off))) > 1:
+    np.round(arr, out=buf)
+    np.abs(buf, out=buf)
+    buf.flat[:: n + 1] = 0.0
+    if np.max(buf) > 1:
         raise InputError("off-diagonal entries must be 0 or +-1")
     if not (1 <= m <= n):
         raise ParameterError(f"multiplicity m must be in [1, n], got {m}")
@@ -217,6 +235,80 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
         "rhs": float(rhs),
         "ok": bool(lhs <= rhs * (1.0 + 1e-12) + 1e-9),
     }
+
+
+def _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors=None):
+    """(rank, zero multiplicity, companion multiplicity at expected_e) from the
+    spectra of M and of its companion. M is exactly symmetric, so its singular
+    values are the |eigenvalues| and numeric_rank's threshold applies to them.
+
+    errors, if given, bound how far each spectrum (M's, the companion's) may
+    sit from the exact one. Then None is returned when an eigenvalue lies
+    within twice that bound, plus eigvalsh's backward error, of a threshold:
+    there the exact or a dense count could differ.
+    """
+    magnitudes = np.abs(eig)
+    top = float(np.max(magnitudes))
+    top_c = max(1.0, float(np.max(np.abs(companion_eig))))
+    n = eig.size
+    checks = (
+        (magnitudes, tol_rank * n, top, 0),
+        (magnitudes, cluster_tol, top, 0),
+        (np.abs(companion_eig - expected_e), cluster_tol, top_c, 1),
+    )
+    below = []
+    for values, rel, top_value, spectrum in checks:
+        threshold = rel * top_value
+        if errors is not None:
+            slack = EIGVALSH_SLACK * n * np.finfo(float).eps * top_value
+            # The threshold moves with top_value, by rel times the same margin.
+            margin = (2.0 * errors[spectrum] + slack) * (1.0 + rel)
+            if np.any(np.abs(values - threshold) <= margin):
+                return None
+        below.append(int(np.count_nonzero(values <= threshold)))
+    return n - below[0], below[1], below[2]
+
+
+def _sketched_counts(im: IndicatorMatrix, scale, shift, expected_e, tol_rank, cluster_tol):
+    """_counts from a sketch of the range of M, or None when the sketch is not
+    narrower than M or leaves a count undecided.
+
+    Q = orth([1, M @ Omega]) with Omega Gaussian n x (N_cap + p), and
+    B = Q^T M Q. Then M = Q B Q^T + E, so by Weyl's inequality the spectrum of
+    M is eig(B) and n - l zeros, each within ||E|| of the exact one. As 1 is in
+    range(Q), the companion scale*M - shift*J is Q (scale*B - shift*c c^T) Q^T
+    with c = Q^T 1, up to scale*E and the part of J outside range(Q).
+    """
+    m = im.matrix
+    n = im.n
+    width = im.n_cap + SKETCH_OVERSAMPLING + 1
+    if width >= n:
+        return None
+    basis = np.empty((n, width))
+    basis[:, 0] = 1.0
+    gaussian = np.random.default_rng(SKETCH_SEED).standard_normal((n, width - 1))
+    np.matmul(m, gaussian, out=basis[:, 1:])
+    del gaussian
+    q = np.linalg.qr(basis)[0]
+    del basis
+    b = (q.T @ m) @ q
+    b = (b + b.T) / 2.0
+    residual = (q @ b) @ q.T
+    np.subtract(m, residual, out=residual)
+    err = float(np.linalg.norm(residual))
+    del residual
+    c = q.sum(axis=0)
+    off = float(np.linalg.norm(1.0 - q @ c))
+    # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
+    companion_err = scale * err + shift * off * (2.0 * np.sqrt(n) + off)
+    zeros = np.zeros(n - width)
+    eig = np.concatenate([np.linalg.eigvalsh(b), zeros])
+    if shift:
+        companion_eig = np.concatenate([np.linalg.eigvalsh(scale * b - shift * np.outer(c, c)), zeros])
+    else:
+        companion_eig = scale * eig
+    companion_eig += expected_e
+    return _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, (err, companion_err))
 
 
 @dataclass(frozen=True)
@@ -288,6 +380,10 @@ def verify_key_lemma(
     (2M - J - (2k-1)I, or M - kI for the signed variants) carries its forced
     eigenvalue with multiplicity >= n - N_cap - 1 (resp. n - N_cap) and
     satisfies the 0/+-1 eigenvalue inequality.
+
+    When n >= 2*N_cap both spectra come from a sketch of the range of M (rank
+    <= N_cap), and from dense eigvalsh only if its residual leaves a count
+    undecided; the counts are the same either way.
     """
     if context is None:
         context = theorem_context(im.setting, im.d_eff, im.s)
@@ -301,35 +397,34 @@ def verify_key_lemma(
         )
     n = im.n
     k = im.k_claimed
-    spectrum = eigen_multiplicities(im.matrix, cluster_tol)
-    # im.matrix is exactly symmetric, so its singular values are the
-    # |eigenvalues| and the numeric_rank threshold applies to them as is.
-    magnitudes = np.abs(np.asarray(spectrum.eigenvalues))
-    rank = int(np.count_nonzero(magnitudes > tol_rank * n * np.max(magnitudes)))
     zero_applicable = n >= 2 * im.n_cap
-    zero_ok = (spectrum.zero_multiplicity >= im.n_cap) if zero_applicable else True
-
     k_rounded = int(round(k))
     integrality_dev = abs(k - k_rounded)
     integral_ok = integrality_dev <= tol_int
     bound_ok = abs(k_rounded) <= context.ratio_bound
 
-    # M - kI for the signed rows, else the Seidel matrix 2M - J - (2k-1)I,
-    # built in place without dense J and I.
+    # M - kI for the signed rows, else the Seidel matrix 2M - J - (2k-1)I.
     signed = im.setting in SIGNED_SETTINGS
     scale, shift = (1.0, 0.0) if signed else (2.0, 1.0)
     expected_e = -(scale * k - shift)
+    counts = None
+    if zero_applicable:
+        counts = _sketched_counts(im, scale, shift, expected_e, tol_rank, cluster_tol)
+    # Built in place without dense J and I.
     companion_matrix = scale * im.matrix
     companion_matrix -= shift
     companion_matrix.flat[:: n + 1] += expected_e
+    if counts is None:
+        eig = np.asarray(eigen_multiplicities(im, cluster_tol).eigenvalues)
+        if signed:
+            # The spectrum of M - kI is M's shifted by -k: no second decomposition.
+            companion_eig = eig + expected_e
+        else:
+            companion_eig = np.asarray(eigen_multiplicities(companion_matrix, cluster_tol).eigenvalues)
+        counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol)
+    rank, zero_multiplicity, measured_mult = counts
+    zero_ok = (zero_multiplicity >= im.n_cap) if zero_applicable else True
     required_mult = n - im.n_cap - int(shift)
-    if signed:
-        # The spectrum of M - kI is M's shifted by -k: no second decomposition.
-        eig = np.asarray(spectrum.eigenvalues) + expected_e
-    else:
-        eig = np.asarray(eigen_multiplicities(companion_matrix, cluster_tol).eigenvalues)
-    atol = cluster_tol * max(1.0, float(np.max(np.abs(eig))) if eig.size else 0.0)
-    measured_mult = int(np.count_nonzero(np.abs(eig - expected_e) <= atol))
     mult_applicable = required_mult >= 1
     mult_ok = (measured_mult >= required_mult) if mult_applicable else True
 
@@ -366,7 +461,7 @@ def verify_key_lemma(
         rank=rank,
         rank_cap=im.n_cap,
         rank_ok=rank <= im.n_cap,
-        zero_multiplicity=spectrum.zero_multiplicity,
+        zero_multiplicity=zero_multiplicity,
         zero_required=im.n_cap,
         zero_applicable=zero_applicable,
         zero_ok=zero_ok,

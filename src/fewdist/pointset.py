@@ -433,9 +433,14 @@ class InnerProductProfile:
         }
 
 
+def _unit_norm_deviation(ps: PointSet) -> float:
+    # A norm that overflows is inf, which is far from 1: no warning needed.
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(np.linalg.norm(ps.points, axis=1) - 1.0)))
+
+
 def on_unit_sphere(ps: PointSet, tol: float = DEFAULT_TOL) -> bool:
-    norms = np.linalg.norm(ps.points, axis=1)
-    return bool(np.max(np.abs(norms - 1.0)) <= max(tol, 1e-12))
+    return _unit_norm_deviation(ps) <= max(tol, 1e-12)
 
 
 def inner_product_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> InnerProductProfile:
@@ -449,8 +454,7 @@ def inner_product_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> InnerProduc
 
 def _inner_product_profile(ps: PointSet, tol: float) -> InnerProductProfile:
     if not on_unit_sphere(ps, tol):
-        worst = float(np.max(np.abs(np.linalg.norm(ps.points, axis=1) - 1.0)))
-        raise NotOnSphereError(f"points deviate from unit norm by {worst:.3e}")
+        raise NotOnSphereError(f"points deviate from unit norm by {_unit_norm_deviation(ps):.3e}")
     reps, counts, adjacency = _group_pairs(inner_product_matrix(ps), tol, relative=False)
     antipodal, _ = is_antipodal(ps, tol)
     contains_minus_one = bool(abs(reps[0] + 1.0) <= 10.0 * max(tol, 1e-12))

@@ -1,7 +1,12 @@
 """Indicator matrix decomposition, rank caps, spectra, companion bounds."""
 
+import contextlib
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fewdist import (
     IndicatorMatrix,
@@ -15,9 +20,54 @@ from fewdist import (
     verify_key_lemma,
     verify_sign_matrix_bound,
 )
-from fewdist import certificate
-from fewdist.certificate import applicable_certificate_settings, class_index_range
+from fewdist import certificate, construct_johnson
+from fewdist.bounds import theorem_context
+from fewdist.certificate import (
+    DEFAULT_CLUSTER_TOL,
+    SKETCH_OVERSAMPLING,
+    applicable_certificate_settings,
+    class_index_range,
+)
+from fewdist.defaults import DEFAULT_TOL_RANK
 from fewdist.errors import NumericalError, ParameterError
+
+
+def dense_counts(im, tol_rank=DEFAULT_TOL_RANK, cluster_tol=DEFAULT_CLUSTER_TOL):
+    """(rank, zero multiplicity, companion multiplicity) as verify_key_lemma
+    counted them before the range sketch: from dense n x n decompositions."""
+    n, k = im.n, im.k_claimed
+    eig = np.linalg.eigvalsh(im.matrix)
+    magnitudes = np.abs(eig)
+    rank = int(np.count_nonzero(magnitudes > tol_rank * n * np.max(magnitudes)))
+    zero_mult = int(np.count_nonzero(magnitudes <= cluster_tol * np.max(magnitudes)))
+    signed = im.setting in certificate.SIGNED_SETTINGS
+    scale, shift = (1.0, 0.0) if signed else (2.0, 1.0)
+    expected_e = -(scale * k - shift)
+    if signed:
+        companion_eig = eig + expected_e
+    else:
+        companion_eig = np.linalg.eigvalsh(scale * im.matrix - shift + expected_e * np.eye(n))
+    atol = cluster_tol * max(1.0, float(np.max(np.abs(companion_eig))))
+    return rank, zero_mult, int(np.count_nonzero(np.abs(companion_eig - expected_e) <= atol))
+
+
+def spectral_counts(verdict):
+    return verdict.rank, verdict.zero_multiplicity, verdict.companion["measured_multiplicity"]
+
+
+@contextlib.contextmanager
+def recorded_eigvalsh_shapes():
+    """Record the shape of every matrix np.linalg.eigvalsh decomposes."""
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", recording)
+        yield shapes
 
 
 def random_sign_matrix(rng, n):
@@ -214,10 +264,21 @@ class TestE8Certificates:
         assert v.companion["sign_bound_rhs"] == pytest.approx(8.5, abs=1e-9)
 
     @pytest.mark.parametrize("index,setting", [(2, "antipodal_even_v2"), (2, "antipodal_even_v1")])
-    def test_signed_companion_reuses_the_spectrum(self, e8, monkeypatch, index, setting):
-        # M - kI has M's spectrum shifted by -k: the signed rows decompose
-        # once, the Seidel companion of the unsigned rows a second time.
+    def test_signed_companion_reuses_the_spectrum(
+        self, e8, hypercube_4, monkeypatch, index, setting
+    ):
+        # e8's half set has n = 120 >= 2 N_cap: both spectra come from the
+        # rank-N_cap sketch, with no n x n decomposition.
         im = indicator_matrix(e8, index, setting)
+        with recorded_eigvalsh_shapes() as shapes:
+            v = verify_key_lemma(im)
+        assert (im.n, im.n) not in shapes
+        assert spectral_counts(v) == dense_counts(im)
+        # On the dense path M - kI has M's spectrum shifted by -k: the signed
+        # rows decompose once, the Seidel companion of the unsigned rows a
+        # second time.
+        signed = setting in certificate.SIGNED_SETTINGS
+        im = indicator_matrix(hypercube_4, 2, setting) if signed else indicator_matrix(e8, 1, "euclidean")
         calls = []
 
         def counted(matrix, cluster_tol):
@@ -226,8 +287,8 @@ class TestE8Certificates:
 
         monkeypatch.setattr(certificate, "eigen_multiplicities", counted)
         v = verify_key_lemma(im)
-        signed = setting in certificate.SIGNED_SETTINGS
         assert len(calls) == (1 if signed else 2)
+        assert spectral_counts(v) == dense_counts(im)
         if signed:
             e = v.companion["expected_eigenvalue"]
             eig = np.linalg.eigvalsh(im.matrix - im.k_claimed * np.eye(im.n))
@@ -307,3 +368,108 @@ class TestSignMatrixBound:
             value, mult = max(spec.clusters, key=lambda vc: vc[1])
             rep = verify_sign_matrix_bound(m, value, mult)
             assert rep["ok"], (n, value, mult, rep)
+
+
+@pytest.fixture(scope="module")
+def johnson_14_3():
+    return construct_johnson(14, 3)
+
+
+# Eigenvalues planted at, beside and between the rank and zero thresholds of
+# a matrix whose largest |eigenvalue| is 1: (threshold, factor).
+NEAR_THRESHOLDS = [
+    (threshold, factor)
+    for threshold in ("rank", "zero")
+    for factor in (0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0)
+] + [("zero", 1e-8)]
+
+
+class TestRangeSketch:
+    """verify_key_lemma reads both spectra off a rank-N_cap sketch when
+    n >= 2 N_cap, and falls back to dense eigvalsh when the sketch's
+    residual leaves a count undecided."""
+
+    def test_sketch_path_runs_no_dense_decomposition(self, johnson_14_3, e8):
+        cases = [(johnson_14_3, index, "euclidean") for index in (1, 2, 3)]
+        cases += [(e8, 1, "antipodal_even_v1"), (e8, 2, "antipodal_even_v1"), (e8, 2, "antipodal_even_v2")]
+        for ps, index, setting in cases:
+            im = indicator_matrix(ps, index, setting)
+            assert im.n >= 2 * im.n_cap
+            with recorded_eigvalsh_shapes() as shapes:
+                v = verify_key_lemma(im)
+            assert shapes and (im.n, im.n) not in shapes
+            assert max(shapes) <= (im.n_cap + SKETCH_OVERSAMPLING + 1,) * 2
+            assert spectral_counts(v) == dense_counts(im)
+
+    def test_residual_gate_falls_back_to_dense(self, johnson_14_3):
+        # With N_cap lowered to 60 the sketch is 69 columns wide, but M has
+        # rank 105: the residual leaves the counts undecided.
+        im = dataclasses.replace(indicator_matrix(johnson_14_3, 1, "euclidean"), n_cap=60)
+        context = dataclasses.replace(theorem_context("euclidean", im.d_eff, im.s), N=60)
+        with recorded_eigvalsh_shapes() as shapes:
+            v = verify_key_lemma(im, context)
+        assert (im.n, im.n) in shapes
+        assert spectral_counts(v) == dense_counts(im) == (105, 350, 350)
+        assert not v.rank_ok
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_cap=st.integers(2, 10),
+        extra=st.integers(0, 30),
+        rank_offset=st.integers(-8, 14),
+        near=st.lists(st.sampled_from(NEAR_THRESHOLDS), max_size=4),
+        signed=st.booleans(),
+        k=st.floats(-4.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sketch_counts_match_the_dense_reference(
+        self, n_cap, extra, rank_offset, near, signed, k, seed
+    ):
+        # M = kI + A is any symmetric matrix here: planted rank r below or
+        # above N_cap, some eigenvalues near the thresholds, random eigenvectors.
+        n = max(2 * n_cap, n_cap + SKETCH_OVERSAMPLING + 2) + extra
+        r = min(max(n_cap + rank_offset, 1), n - len(near))
+        rng = np.random.default_rng(seed)
+        planted = np.zeros(n)
+        planted[:r] = rng.uniform(1e-3, 1.0, r) * rng.choice([-1.0, 1.0], r)
+        planted[0] = 1.0
+        for pos, (threshold, factor) in enumerate(near):
+            rel = DEFAULT_TOL_RANK * n if threshold == "rank" else DEFAULT_CLUSTER_TOL
+            planted[r + pos] = factor * rel
+        vectors = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        matrix = (vectors * planted) @ vectors.T
+        matrix = (matrix + matrix.T) / 2.0
+        setting = "antipodal_even_v2" if signed else "euclidean"
+        im = IndicatorMatrix(
+            matrix=matrix, setting=setting, class_index=2, k_claimed=k,
+            adjacency=np.zeros((n, n), dtype=np.int8), max_decomposition_dev=0.0,
+            n_cap=n_cap, x_size=n, d_eff=2, s=4,
+        )
+        context = dataclasses.replace(theorem_context(setting, 2, 4), N=n_cap)
+        with recorded_eigvalsh_shapes() as shapes:
+            v = verify_key_lemma(im, context)
+        assert spectral_counts(v) == dense_counts(im)
+        dense = (n, n) in shapes
+        event("dense fallback" if dense else "sketch")
+        if r > n_cap + SKETCH_OVERSAMPLING:
+            assert dense  # the sketch cannot hold the range: the gate must fall back
+        elif r <= n_cap and not near:
+            assert not dense  # every eigenvalue is far from every threshold
+
+
+class TestEntryCheckMemory:
+    def test_sign_matrix_checks_use_one_buffer(self, johnson_14_3, traced_peak):
+        # arr - arr.T, the off-diagonal gather and off - round(off) took
+        # three float n^2 temporaries at once.
+        im = indicator_matrix(johnson_14_3, 1, "euclidean")
+        companion = 2.0 * im.matrix - 1.0 - 5.0 * np.eye(im.n)
+        assert verify_sign_matrix_bound(companion, -5.0, 350)["ok"]
+        n = im.n
+        assert traced_peak(verify_sign_matrix_bound, companion, -5.0, 350) < 1.25 * 8 * n * n
+
+    def test_indicator_spectrum_makes_no_symmetric_copy(self, johnson_14_3, traced_peak):
+        im = indicator_matrix(johnson_14_3, 1, "euclidean")
+        assert eigen_multiplicities(im).eigenvalues == eigen_multiplicities(im.matrix).eigenvalues
+        n = im.n
+        assert traced_peak(eigen_multiplicities, im) < 0.25 * 8 * n * n
+        assert traced_peak(eigen_multiplicities, im.matrix) > 8 * n * n

@@ -26,16 +26,19 @@ GOLDEN_INVERT = (
     '{"success":true,"t":[0.5,0.75],"residual":0,"iterations":0,'
     '"start_index":-1,"method":"closed_form","branches":["+","-"]}'
 )
-# Full stdout of `ratios --all` and `certify --setting all` on four bundled
+# Full stdout of `ratios --all` and `certify --setting all` on five bundled
 # sets, frozen the same way; one file per command under tests/golden/.
 # hypercube(5) is the one set that runs the odd antipodal settings, and the
 # icosahedron is spherical without an antipodal setting.
+# johnson(14,3) (n = 455, N_cap = 135) is the set whose euclidean verdicts
+# come from the rank-N_cap sketch.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SETS = {
     "e8_roots": lambda: construct_named("e8_roots"),
     "johnson_10_3": lambda: construct_johnson(10, 3),
     "hypercube_5": lambda: construct_named("hypercube", d=5),
     "icosahedron": lambda: construct_named("icosahedron"),
+    "johnson_14_3": lambda: construct_johnson(14, 3),
 }
 GOLDEN_VERDICTS = [
     (name, command, argv)
@@ -311,6 +314,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "squared distances overflow" in captured.err
+
+    def test_overflowing_norms_print_only_the_error(self, tmp_path):
+        # The unit-sphere test takes the norms first; an overflow there is
+        # not a warning, and -W error turns any warning into a failure.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"points": (construct_johnson(6, 2).points * 1e160).tolist()}))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fewdist", "certify", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: squared distances overflow: a point norm is above about 6.7e153"
+        ]
 
     def test_numerical_failure_is_exit_3_with_json(self, capsys):
         rc = run(["invert", "-s", "2", "-k", "1"])
