@@ -164,6 +164,14 @@ class SpectrumReport:
         }
 
 
+def _eigvalsh(arr: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly symmetric float array."""
+    try:
+        return np.linalg.eigvalsh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+
+
 def eigen_multiplicities(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumReport:
     """Cluster the spectrum by gaps above cluster_tol * max|eigenvalue|."""
     if isinstance(matrix, IndicatorMatrix):
@@ -172,10 +180,7 @@ def eigen_multiplicities(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Sp
         # Asymmetric input is allowed: the spectrum is that of the symmetric part.
         arr = np.asarray(matrix, float)
         arr = (arr + arr.T) / 2.0
-    try:
-        eig = np.linalg.eigvalsh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    eig = _eigvalsh(arr)
     scale = float(np.max(np.abs(eig))) if eig.size else 0.0
     atol = cluster_tol * scale
     clusters = []
@@ -415,12 +420,13 @@ def verify_key_lemma(
     companion_matrix -= shift
     companion_matrix.flat[:: n + 1] += expected_e
     if counts is None:
-        eig = np.asarray(eigen_multiplicities(im, cluster_tol).eigenvalues)
+        # M and its companion are built exactly symmetric: no symmetrising copy.
+        eig = _eigvalsh(im.matrix)
         if signed:
             # The spectrum of M - kI is M's shifted by -k: no second decomposition.
             companion_eig = eig + expected_e
         else:
-            companion_eig = np.asarray(eigen_multiplicities(companion_matrix, cluster_tol).eigenvalues)
+            companion_eig = _eigvalsh(companion_matrix)
         counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol)
     rank, zero_multiplicity, measured_mult = counts
     zero_ok = (zero_multiplicity >= im.n_cap) if zero_applicable else True

@@ -1,7 +1,9 @@
 """Command-line interface: JSON on stdout, diagnostics on stderr.
 
-Exit codes: 0 success; 1 a theorem check failed although the cardinality
-hypothesis was met; 2 usage or input error; 3 numerical failure.
+Exit codes: 0 success, including a proof that a ratio tuple given to
+`invert` has no preimage; 1 a theorem check failed although the cardinality
+hypothesis was met; 2 usage or input error; 3 numerical failure, such as a
+tuple `invert` leaves undecided.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def _cmd_invert(args) -> int:
         raise InputError(f"-k needs s-1 = {args.s - 1} values, got {len(target)}")
     result = invert_auto(target, tol_res=args.tol_res, max_iter=args.max_iter)
     _emit(result.to_dict(), args)
-    return 0 if result.success else 3
+    return 0 if result.success or result.method == "no_preimage" else 3
 
 
 def _cmd_enumerate(args) -> int:

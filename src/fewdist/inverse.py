@@ -14,27 +14,26 @@ determinant
     det J = (s-1)! * prod_i K_i / (1 - t_i),
 
 which never vanishes on D, so Newton iteration inverts K locally.
+
+Inversion takes one path. Damped Newton runs from the default start
+t_i = i/s; if it fails, k has no preimage when k_1 <= 1 (K_1 > 1 strictly on
+D) or when the power-sum engine (fewdist.powersum) accounts for every root
+and finds none in D; otherwise Newton runs again from each root in D the
+engine reports, and a tuple none of them inverts stays undecided.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    InvalidSignError,
-    NoSolutionError,
-    ParameterError,
-    SingularTupleError,
-)
-from .lagrange import lagrange_weights
+from .errors import NoSolutionError, ParameterError, SingularTupleError
+from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_weights
 
-DOMAIN_EPS = 1e-12
 PROJECT_GAP = 1e-9
 DEFAULT_TOL_RES = 1e-10
-SPREADS = (0.5, 2.0, 0.25, 4.0, 8.0)
 
 
 def _check_domain(t) -> np.ndarray:
@@ -94,19 +93,6 @@ def jacobian_det_closed(t) -> float:
     return det
 
 
-def check_sign_pattern(k) -> np.ndarray:
-    arr = np.asarray(k, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ParameterError("k must be a 1-d sequence with at least one entry")
-    for i, value in enumerate(arr):
-        want_positive = i % 2 == 0
-        if value == 0.0 or (value > 0.0) != want_positive:
-            raise InvalidSignError(
-                f"k[{i + 1}] = {float(value)!r} violates the alternating pattern (-1)**(i-1)"
-            )
-    return arr
-
-
 @dataclass(frozen=True)
 class InversionResult:
     success: bool
@@ -142,74 +128,94 @@ def _project(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _starts(s1: int):
-    base = np.arange(1, s1 + 1) / (s1 + 1)
-    yield base.copy()
-    for q in SPREADS:
-        yield base**q
-
-
-def invert_K(
-    k_target,
-    tol_res: float = DEFAULT_TOL_RES,
-    max_iter: int = 100,
-    multistart: bool = True,
-    starts=None,
-) -> InversionResult:
-    """Damped Newton inversion of forward_K.
-
-    Tries the default start t_i = i/s and, if needed, five power-law spreads
-    of it, or the given starts; each Newton step is halved up to 30 times
-    until the residual decreases, and iterates are projected back into the
-    open simplex. Returns the best point found with
-    success = (residual <= tol_res).
-    """
-    target = check_sign_pattern(k_target)
-    s1 = target.size
+def _newton(target, start, start_index: int, tol_res: float, max_iter: int) -> InversionResult:
+    """Damped Newton on forward_K - target from one start: each step is halved
+    up to 30 times until the residual decreases, and iterates are projected
+    back into the open simplex."""
     # Residuals are measured relative to the target scale: for large |k| the
     # forward map cannot be evaluated below ~eps * |k| in floats, so an
     # absolute criterion would be unattainable.
     res_scale = max(1.0, float(np.max(np.abs(target))))
-    best = None
-    for start_index, start in enumerate(_starts(s1) if starts is None else starts):
-        if not multistart and start_index > 0:
-            break
-        t = _project(np.asarray(start, dtype=float))
-        residual_vec = forward_K(t) - target
-        residual = float(np.max(np.abs(residual_vec))) / res_scale
-        iterations = 0
-        stalled = 0
-        while residual > tol_res and iterations < max_iter and stalled < 3:
-            iterations += 1
-            J = jacobian(t)
-            try:
-                step = np.linalg.solve(J, residual_vec)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(J, residual_vec, rcond=None)
-            improved = False
-            scale = 1.0
-            for _ in range(30):
-                candidate = _project(t - scale * step)
-                cand_vec = forward_K(candidate) - target
-                cand_res = float(np.max(np.abs(cand_vec))) / res_scale
-                if cand_res < residual:
-                    t, residual_vec, residual = candidate, cand_vec, cand_res
-                    improved = True
-                    break
-                scale *= 0.5
-            stalled = 0 if improved else stalled + 1
-        candidate = InversionResult(
-            success=residual <= tol_res,
-            t=tuple(float(x) for x in t),
-            residual=residual,
-            iterations=iterations,
-            start_index=start_index,
-        )
-        if candidate.success:
-            return candidate
-        if best is None or candidate.residual < best.residual:
-            best = candidate
+    t = _project(np.asarray(start, dtype=float))
+    residual_vec = forward_K(t) - target
+    residual = float(np.max(np.abs(residual_vec))) / res_scale
+    iterations = 0
+    stalled = 0
+    while residual > tol_res and iterations < max_iter and stalled < 3:
+        iterations += 1
+        J = jacobian(t)
+        try:
+            step = np.linalg.solve(J, residual_vec)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(J, residual_vec, rcond=None)
+        improved = False
+        scale = 1.0
+        for _ in range(30):
+            candidate = _project(t - scale * step)
+            cand_vec = forward_K(candidate) - target
+            cand_res = float(np.max(np.abs(cand_vec))) / res_scale
+            if cand_res < residual:
+                t, residual_vec, residual = candidate, cand_vec, cand_res
+                improved = True
+                break
+            scale *= 0.5
+        stalled = 0 if improved else stalled + 1
+    return InversionResult(
+        success=residual <= tol_res,
+        t=tuple(float(x) for x in t),
+        residual=residual,
+        iterations=iterations,
+        start_index=start_index,
+    )
+
+
+def no_preimage(k, solution) -> str | None:
+    """Why k provably has no preimage in D, else None: k_1 <= 1, as K_1 > 1
+    strictly on D (solution may then be None), or a PowerSumSolution that
+    accounted for every path and found no root in D."""
+    if k[0] <= 1:
+        return "K_1 > 1 strictly on the domain; k_1 = 1 has no preimage"
+    if solution.complete and not solution.roots:
+        if solution.margin is None:
+            return "every root of the power-sum system is singular or at infinity"
+        return "every root of the power-sum system lies outside D"
+    return None
+
+
+def invert_with(
+    target: np.ndarray, solution, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
+) -> InversionResult:
+    """The inversion path for a sign-checked target whose PowerSumSolution,
+    if None, is computed only when Newton from the default start fails.
+
+    Returns the first converged Newton result (start_index 0 from the
+    default start, i from the i-th root in D); else the default-start
+    attempt with method "no_preimage" if no_preimage holds; else the failed
+    attempt of least residual.
+    """
+    first = _newton(target, np.arange(1, target.size + 1) / (target.size + 1), 0, tol_res, max_iter)
+    if first.success:
+        return first
+    if solution is None and target[0] > 1:
+        from .powersum import solve_power_sums  # so a default-start success never loads it
+
+        solution = solve_power_sums([target])[0]
+    if no_preimage(target, solution) is not None:
+        return replace(first, method="no_preimage")
+    best = first
+    for start_index, root in enumerate(solution.roots, start=1):
+        result = _newton(target, root, start_index, tol_res, max_iter)
+        if result.success:
+            return result
+        if result.residual < best.residual:
+            best = result
     return best
+
+
+def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
+    """invert_with on a sign-checked k_target: success = (residual <= tol_res),
+    relative to max(1, max|k|); method "no_preimage" marks a proven none."""
+    return invert_with(check_sign_pattern(k_target), None, tol_res, max_iter)
 
 
 @dataclass(frozen=True)
@@ -258,7 +264,7 @@ def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
 
 
 def invert_auto(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
-    """Closed form for s = 3 when regular, Newton otherwise or on fallback."""
+    """Closed form for s = 3 when regular, else the inversion path (invert_K)."""
     target = check_sign_pattern(k_target)
     if target.size == 2:
         try:

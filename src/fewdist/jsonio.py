@@ -50,7 +50,7 @@ def _write_items(items, open_ch, close_ch, parts, indent, level, keyed):
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     for pos, item in enumerate(items):
         if pos:
-            parts.append("," if indent is None else ",")
+            parts.append(",")
         parts.append(pad)
         if keyed:
             key, value = item

@@ -1,12 +1,16 @@
 """Lagrange basis polynomials L_i(x) = prod_{j != i} (x - v_j) / (v_i - v_j).
 
-Both functions multiply the factors in ascending j from 1.0, skipping j = i,
-so a value does not depend on which setting or caller asks for it.
+The basis functions multiply the factors in ascending j from 1.0, skipping
+j = i, so a value does not depend on which setting or caller asks for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InvalidSignError, ParameterError
+
+DOMAIN_EPS = 1e-12  # smallest gap between the nodes 0 < t_1 < ... < t_{s-1} < 1 of the domain D
 
 
 def lagrange_weights(nodes, x0: float) -> list[float]:
@@ -28,3 +32,17 @@ def lagrange_basis(nodes, i: int, X) -> np.ndarray:
         if j != i:
             out *= (X - vj) / (nodes[i] - vj)
     return out
+
+
+def check_sign_pattern(k) -> np.ndarray:
+    """k as floats, if k_i has the sign (-1)**(i-1) of L_i(0) on the nodes (t, 1) of D."""
+    arr = np.asarray(k, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ParameterError("k must be a 1-d sequence with at least one entry")
+    for i, value in enumerate(arr):
+        want_positive = i % 2 == 0
+        if value == 0.0 or (value > 0.0) != want_positive:
+            raise InvalidSignError(
+                f"k[{i + 1}] = {float(value)!r} violates the alternating pattern (-1)**(i-1)"
+            )
+    return arr

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .inverse import DOMAIN_EPS, check_sign_pattern
+from .lagrange import DOMAIN_EPS, check_sign_pattern
 
 HOMOTOPY_GAMMA = complex(math.cos(0.7), math.sin(0.7))  # fixed, so runs repeat exactly
 PATH_BATCH = 768  # paths tracked together; bounds the tracker's memory

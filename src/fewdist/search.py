@@ -7,20 +7,21 @@ obeys the same constraints. Enumerating the box and inverting each tuple back
 to normalized squared distances yields the complete list of candidate
 distance systems.
 
-Realizing a catalog decides each tuple by the roots of its power-sum system
-(fewdist.powersum.solve_power_sums), whose roots in D are exactly the tuple's
-preimages:
+Realizing a catalog decides each tuple by the inversion path of
+fewdist.inverse, with the roots of its power-sum system
+(fewdist.powersum.solve_power_sums), whose roots in D are exactly the
+tuple's preimages, computed for the whole catalog at once:
 
-- realized: the system has a root in D, and Newton (invert_K, from its own
-  starts or else from that root) confirms it; `t` and `residual` are
-  Newton's;
+- realized: Newton, from the default start or else from a root in D of the
+  system, converges and round-trips; `t` and `residual` are Newton's;
 - unrealizable: k_1 = 1, or every homotopy path was accounted for and none
   ends in D; `margin` is then the distance from the nearest nonsingular root
   outside D to the closure of D, absent when every root is singular or at
   infinity;
 - newton_failed: the homotopy left the tuple undecided (a path failed, two
   paths merged, or an endpoint could not be placed inside or outside D),
-  and multistart Newton, its fallback, did not converge.
+  and Newton from the default start and from every root it reported in D
+  did not converge.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .bounds import TheoremContext, theorem_context
 from .defaults import DEFAULT_BOX_CAP
 from .errors import BoxOverflowError, ParameterError
-from .inverse import forward_K, invert_K
+from .inverse import forward_K, invert_with, no_preimage
 from .powersum import solve_power_sums
 
 
@@ -41,10 +42,10 @@ from .powersum import solve_power_sums
 class TupleEntry:
     k: tuple[int, ...]
     k_last: int
-    # raw | realized (a root in D, confirmed by Newton: t, residual) |
-    # unrealizable (k_1 = 1, or no homotopy path ends in D: margin, the
-    # distance from D of the nearest nonsingular root, when one exists) |
-    # newton_failed (homotopy undecided and its Newton fallback failed)
+    # raw | realized (Newton converged from the default start or a root in D:
+    # t, residual) | unrealizable (k_1 = 1, or no homotopy path ends in D:
+    # margin, the distance from D of the nearest nonsingular root, when one
+    # exists) | newton_failed (homotopy undecided and Newton did not converge)
     status: str
     t: tuple[float, ...] | None = None
     residual: float | None = None
@@ -74,10 +75,9 @@ class CandidateCatalog:
 
     def counts(self) -> dict:
         out = {"total": len(self.entries)}
-        for status in ("realized", "unrealizable", "newton_failed"):
-            count = sum(1 for e in self.entries if e.status == status)
-            if self.stage == "realized":
-                out[status] = count
+        if self.stage == "realized":
+            for status in ("realized", "unrealizable", "newton_failed"):
+                out[status] = sum(1 for e in self.entries if e.status == status)
         return out
 
     def to_dict(self) -> dict:
@@ -129,66 +129,32 @@ def realize_catalog(
 ) -> CandidateCatalog:
     """Decide every tuple; statuses become realized / unrealizable / newton_failed.
 
-    k_1 = 1 is provably outside the image of the forward map (every factor of
-    K_1 exceeds 1 strictly on the open domain), so those tuples are labeled
-    unrealizable without solving anything. Every other tuple goes to
-    solve_power_sums:
-    - with a root in D, it is inverted by invert_K exactly as before and,
-      should Newton fail from its own starts, by Newton from that root; it
-      is realized when the forward map returns k within round_trip_tol;
-    - with every path accounted for and none ending in D, it is
-      unrealizable, with a note and the margin of the nearest nonsingular
-      root outside D;
-    - otherwise multistart Newton decides it as before: realized, or
-      newton_failed with its best residual.
+    Every tuple with k_1 > 1 goes to one batched solve_power_sums call. A
+    tuple no_preimage decides is unrealizable, with its note and margin,
+    without Newton; every other one takes invert_with with its solution, and
+    is realized when the forward map returns k within round_trip_tol, else
+    newton_failed with the best residual.
     """
     hard = [entry.k for entry in catalog.entries if entry.k[0] > 1]
     solutions = dict(zip(hard, solve_power_sums(hard)))
     realized = []
     for entry in catalog.entries:
-        if entry.k[0] <= 1:
-            realized.append(
-                replace(
-                    entry,
-                    status="unrealizable",
-                    note="K_1 > 1 strictly on the domain; k_1 = 1 has no preimage",
-                )
-            )
+        solution = solutions.get(entry.k)
+        note = no_preimage(entry.k, solution)
+        if note is not None:
+            margin = None if solution is None else solution.margin
+            realized.append(replace(entry, status="unrealizable", note=note, margin=margin))
             continue
-        solution = solutions[entry.k]
-        if solution.complete and not solution.roots:
-            note = (
-                "every root of the power-sum system lies outside D"
-                if solution.margin is not None
-                else "every root of the power-sum system is singular or at infinity"
-            )
-            realized.append(
-                replace(entry, status="unrealizable", note=note, margin=solution.margin)
-            )
-            continue
-        result = invert_K(entry.k, tol_res=tol_res)
-        if not _round_trips(result, entry.k, round_trip_tol) and solution.roots:
-            result = invert_K(entry.k, tol_res=tol_res, starts=solution.roots)
-        if _round_trips(result, entry.k, round_trip_tol):
+        k = np.asarray(entry.k, dtype=float)
+        result = invert_with(k, solution, tol_res=tol_res)
+        if result.success and np.max(np.abs(forward_K(result.t) - k)) <= round_trip_tol:
             realized.append(replace(entry, status="realized", t=result.t, residual=result.residual))
             continue
-        realized.append(
-            replace(
-                entry,
-                status="newton_failed",
-                residual=result.residual,
-                note=f"no start converged below {tol_res}",
-            )
-        )
+        note = f"no start converged below {tol_res}"
+        realized.append(replace(entry, status="newton_failed", residual=result.residual, note=note))
     return CandidateCatalog(
         d=catalog.d, s=catalog.s, context=catalog.context, stage="realized", entries=tuple(realized)
     )
-
-
-def _round_trips(result, k, tol: float) -> bool:
-    if not result.success:
-        return False
-    return float(np.max(np.abs(forward_K(result.t) - np.asarray(k, float)))) <= tol
 
 
 def catalog_report(catalog: CandidateCatalog) -> dict:

@@ -264,9 +264,7 @@ class TestE8Certificates:
         assert v.companion["sign_bound_rhs"] == pytest.approx(8.5, abs=1e-9)
 
     @pytest.mark.parametrize("index,setting", [(2, "antipodal_even_v2"), (2, "antipodal_even_v1")])
-    def test_signed_companion_reuses_the_spectrum(
-        self, e8, hypercube_4, monkeypatch, index, setting
-    ):
+    def test_signed_companion_reuses_the_spectrum(self, e8, hypercube_4, index, setting):
         # e8's half set has n = 120 >= 2 N_cap: both spectra come from the
         # rank-N_cap sketch, with no n x n decomposition.
         im = indicator_matrix(e8, index, setting)
@@ -279,15 +277,9 @@ class TestE8Certificates:
         # second time.
         signed = setting in certificate.SIGNED_SETTINGS
         im = indicator_matrix(hypercube_4, 2, setting) if signed else indicator_matrix(e8, 1, "euclidean")
-        calls = []
-
-        def counted(matrix, cluster_tol):
-            calls.append(matrix)
-            return eigen_multiplicities(matrix, cluster_tol)
-
-        monkeypatch.setattr(certificate, "eigen_multiplicities", counted)
-        v = verify_key_lemma(im)
-        assert len(calls) == (1 if signed else 2)
+        with recorded_eigvalsh_shapes() as shapes:
+            v = verify_key_lemma(im)
+        assert shapes.count((im.n, im.n)) == (1 if signed else 2)
         assert spectral_counts(v) == dense_counts(im)
         if signed:
             e = v.companion["expected_eigenvalue"]
@@ -473,3 +465,26 @@ class TestEntryCheckMemory:
         n = im.n
         assert traced_peak(eigen_multiplicities, im) < 0.25 * 8 * n * n
         assert traced_peak(eigen_multiplicities, im.matrix) > 8 * n * n
+
+    def test_dense_companion_spectrum_makes_no_symmetric_copy(self, e8, monkeypatch, traced_peak):
+        # e8's euclidean rows (n = 240 < 2 N_cap) take the dense path. The
+        # Seidel companion is built exactly symmetric, so it goes to eigvalsh
+        # as it is; eigen_multiplicities would first copy it into (a + a^T)/2.
+        im = indicator_matrix(e8, 1, "euclidean")
+        n = im.n
+        spectra = []
+        real = certificate._eigvalsh
+
+        def recorded(arr):
+            spectra.append(arr)
+            return real(arr)
+
+        monkeypatch.setattr(certificate, "_eigvalsh", recorded)
+        verify_key_lemma(im)
+        monkeypatch.undo()
+        matrix, companion = spectra
+        assert matrix is im.matrix
+        assert np.array_equal(companion, companion.T)
+        assert tuple(real(companion)) == eigen_multiplicities(companion).eigenvalues
+        assert traced_peak(real, companion) < 0.25 * 8 * n * n
+        assert traced_peak(eigen_multiplicities, companion) > 8 * n * n

@@ -331,11 +331,31 @@ class TestExitCodes:
         ]
 
     def test_numerical_failure_is_exit_3_with_json(self, capsys):
-        rc = run(["invert", "-s", "2", "-k", "1"])
+        # The engine leaves this tuple undecided and Newton converges from
+        # neither the default start nor a root: undecided is exit 3.
+        rc = run(["invert", "-s", "6", "-k", "2,-6,6,-1,8"])
         assert rc == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["success"] is False
         assert payload["method"] == "newton"
+
+    @pytest.mark.parametrize(
+        "s,k",
+        [
+            # The engine accounts for every root and finds none in D.
+            ("4", "13,-7,8"),
+            # The engine alone is incomplete here (its root t = 0 lies on the
+            # boundary of D); K_1 > 1 on D decides it.
+            ("2", "1"),
+        ],
+    )
+    def test_proven_no_preimage_is_exit_0(self, capsys, s, k):
+        assert run(["invert", "-s", s, "-k", k]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["success"] is False
+        assert payload["method"] == "no_preimage"
+        assert set(payload) == set(json.loads(GOLDEN_INVERT))
+        assert payload["start_index"] == 0 and payload["iterations"] > 0
 
 
 class TestLazyImports:
@@ -359,6 +379,12 @@ class TestLazyImports:
         loaded = self.loaded_after("enumerate", "-d", "10", "-s", "3", "--realize")
         assert "fewdist.powersum" in loaded
         assert not loaded & {"fewdist.pointset", "fewdist.ratios", "fewdist.certificate", "fewdist.embed"}
+
+    @pytest.mark.parametrize("argv", [("-s", "3", "-k", "6,-8"), ("-s", "4", "-k", "4,-6,4")])
+    def test_invert_loads_the_engine_only_when_newton_fails(self, argv):
+        # The closed form (s = 3) and Newton from the default start (s = 4)
+        # decide these tuples, so the power-sum engine is never imported.
+        assert "fewdist.powersum" not in self.loaded_after("invert", *argv)
 
     def test_bounds_loads_no_numpy(self):
         assert "numpy" not in self.loaded_after("bounds", "--setting", "euclidean", "-d", "10", "-s", "3")

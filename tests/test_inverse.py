@@ -16,6 +16,7 @@ from fewdist import (
     jacobian,
     jacobian_det_closed,
 )
+from fewdist import inverse, powersum
 from fewdist.errors import InvalidSignError, NoSolutionError, ParameterError, SingularTupleError
 from fewdist.inverse import _check_domain, _weights
 from fewdist.powersum import solve_power_sums
@@ -170,6 +171,7 @@ class TestNewtonInversion:
         res = invert_K(np.array([1.0]))
         assert not res.success
         assert res.residual > 0.0
+        assert res.method == "no_preimage"
 
     def test_sign_validation(self):
         with pytest.raises(InvalidSignError):
@@ -179,9 +181,26 @@ class TestNewtonInversion:
         with pytest.raises(InvalidSignError):
             invert_K(np.array([2.0, 0.0]))
 
-    def test_single_start_still_converges_on_easy_case(self):
-        res = invert_K(np.array([3.0, -3.0]), multistart=False)
+    def test_single_start_still_converges_on_easy_case(self, monkeypatch):
+        # The default start alone decides (3, -3): the engine is never asked.
+        def no_engine(ks):
+            raise AssertionError(f"power-sum engine asked for {ks}")
+
+        monkeypatch.setattr(powersum, "solve_power_sums", no_engine)
+        res = invert_K(np.array([3.0, -3.0]))
         assert res.success and res.start_index == 0
+
+    def test_engine_root_starts_newton_when_the_default_start_fails(self):
+        # A tight pair near t = 0.288 gives k ~ (3.495, -191.0, 188.5), from
+        # which Newton at t_i = i/4 does not converge; the engine's single
+        # root in D does.
+        t = np.array([0.1235, 0.2873, 0.2889])
+        k = forward_K(t)
+        assert not inverse._newton(k, np.arange(1, 4) / 4, 0, 1e-10, 100).success
+        res = invert_K(k)
+        assert res.success and res.method == "newton"
+        assert res.start_index >= 1
+        assert np.max(np.abs(np.asarray(res.t) - t)) < 1e-8
 
     def test_result_serialization(self):
         d = invert_K(np.array([2.0])).to_dict()

@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewdist import jsonio, search
+from fewdist import inverse, jsonio, search
 from fewdist.cli import run
 from fewdist.errors import BoxOverflowError, ParameterError
-from fewdist.inverse import forward_K, invert_K
+from fewdist.inverse import forward_K
 from fewdist.powersum import PowerSumSolution
 from fewdist.search import (
     CandidateCatalog,
@@ -245,21 +245,27 @@ class TestPowerSumDecisions:
         assert tally.decided == tally.attempted == 80
 
     def test_root_in_domain_is_polished_when_newton_fails(self, monkeypatch):
-        calls = []
+        # Newton from the default start is made to fail (no step, and a
+        # tolerance no residual meets; t = (1/3, 2/3) is itself the default
+        # start for (3, -3)), so every realized tuple must come from Newton
+        # started at the engine's root in D.
+        newton = inverse._newton
+        starts = []
 
-        def newton_without_default_starts(k, tol_res, starts=None):
-            calls.append(starts)
-            if starts is None:
-                return invert_K(k, tol_res=tol_res, max_iter=0, multistart=False)
-            return invert_K(k, tol_res=tol_res, starts=starts)
+        def newton_failing_from_the_default_start(target, start, start_index, tol_res, max_iter):
+            starts.append(start_index)
+            if start_index == 0:
+                return newton(target, start, start_index, -1.0, 0)
+            return newton(target, start, start_index, tol_res, max_iter)
 
-        monkeypatch.setattr(search, "invert_K", newton_without_default_starts)
+        monkeypatch.setattr(inverse, "_newton", newton_failing_from_the_default_start)
         catalog = realize_catalog(enumerate_tuples(10, 3))
         entry = {e.k: e for e in catalog.entries}[(3, -3)]
         assert entry.status == "realized"
         assert np.allclose(entry.t, (1.0 / 3.0, 2.0 / 3.0), atol=1e-10)
         assert entry.residual <= 1e-10
-        assert any(starts is not None for starts in calls)
+        assert catalog.counts()["realized"] == 15
+        assert starts.count(1) == 15
 
     def test_incomplete_tuples_fall_back_to_newton(self, monkeypatch):
         def incomplete(ks):
