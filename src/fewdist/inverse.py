@@ -34,6 +34,7 @@ from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_weights
 
 PROJECT_GAP = 1e-9
 DEFAULT_TOL_RES = 1e-10
+ENGINE_MAX_S = 6  # one tuple's (s-1)! engine paths: 0.3 s at s = 6, gigabytes at s = 8
 
 
 def _check_domain(t) -> np.ndarray:
@@ -169,41 +170,40 @@ def _newton(target, start, start_index: int, tol_res: float, max_iter: int) -> I
     )
 
 
-def no_preimage(k, solution) -> str | None:
+def no_preimage(k, solution=None) -> str | None:
     """Why k provably has no preimage in D, else None: k_1 <= 1, as K_1 > 1
-    strictly on D (solution may then be None), or a PowerSumSolution that
-    accounted for every path and found no root in D."""
+    strictly on D, or a PowerSumSolution that accounted for every path and
+    found no root in D (solution None: the engine was not run)."""
     if k[0] <= 1:
         return "K_1 > 1 strictly on the domain; k_1 = 1 has no preimage"
-    if solution.complete and not solution.roots:
-        if solution.margin is None:
-            return "every root of the power-sum system is singular or at infinity"
-        return "every root of the power-sum system lies outside D"
-    return None
+    if solution is None or not solution.complete or solution.roots:
+        return None
+    if solution.margin is None:
+        return "every root of the power-sum system is singular or at infinity"
+    return "every root of the power-sum system lies outside D"
 
 
 def invert_with(
     target: np.ndarray, solution, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
 ) -> InversionResult:
-    """The inversion path for a sign-checked target whose PowerSumSolution,
-    if None, is computed only when Newton from the default start fails.
-
-    Returns the first converged Newton result (start_index 0 from the
-    default start, i from the i-th root in D); else the default-start
-    attempt with method "no_preimage" if no_preimage holds; else the failed
-    attempt of least residual.
-    """
+    """The inversion path for a sign-checked target. A caller that passes a
+    PowerSumSolution has applied no_preimage; with None, the engine runs
+    (only if s <= ENGINE_MAX_S) when Newton from the default start fails,
+    and no_preimage is applied here. Returns the first converged result
+    (start_index 0 from the default start, i from the i-th root in D), else
+    the default-start attempt with method "no_preimage", else the failed
+    attempt of least residual."""
     first = _newton(target, np.arange(1, target.size + 1) / (target.size + 1), 0, tol_res, max_iter)
     if first.success:
         return first
-    if solution is None and target[0] > 1:
-        from .powersum import solve_power_sums  # so a default-start success never loads it
-
-        solution = solve_power_sums([target])[0]
-    if no_preimage(target, solution) is not None:
-        return replace(first, method="no_preimage")
+    if solution is None:
+        if target.size < ENGINE_MAX_S:
+            from .powersum import solve_power_sums  # so a default-start success never loads it
+            solution = solve_power_sums([target])[0]
+        if no_preimage(target, solution) is not None:
+            return replace(first, method="no_preimage")
     best = first
-    for start_index, root in enumerate(solution.roots, start=1):
+    for start_index, root in enumerate(solution.roots if solution is not None else (), start=1):
         result = _newton(target, root, start_index, tol_res, max_iter)
         if result.success:
             return result

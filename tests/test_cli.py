@@ -347,6 +347,8 @@ class TestExitCodes:
             # The engine alone is incomplete here (its root t = 0 lies on the
             # boundary of D); K_1 > 1 on D decides it.
             ("2", "1"),
+            # Above the engine's cap, k_1 <= 1 still decides without it.
+            ("12", ",".join(["1"] + ["-1", "1"] * 5)),
         ],
     )
     def test_proven_no_preimage_is_exit_0(self, capsys, s, k):
@@ -363,15 +365,15 @@ class TestLazyImports:
     resolve on first use."""
 
     @staticmethod
-    def loaded_after(*argv):
+    def loaded_after(*argv, rc=0):
         code = (
             "import contextlib, io, sys\n"
             "from fewdist.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert run({list(argv)!r}) == 0\n"
+            f"    assert run({list(argv)!r}) == {rc}\n"
             "print(' '.join(sorted(sys.modules)))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         return set(proc.stdout.split())
 
@@ -385,6 +387,12 @@ class TestLazyImports:
         # The closed form (s = 3) and Newton from the default start (s = 4)
         # decide these tuples, so the power-sum engine is never imported.
         assert "fewdist.powersum" not in self.loaded_after("invert", *argv)
+
+    def test_invert_runs_no_engine_above_its_path_cap(self):
+        # At s = 12 the engine would track 11! paths. Newton from the default
+        # start fails on this tuple, which must stay a quick exit 3.
+        k = ",".join(["3"] + ["-1", "1"] * 5)
+        assert "fewdist.powersum" not in self.loaded_after("invert", "-s", "12", "-k", k, rc=3)
 
     def test_bounds_loads_no_numpy(self):
         assert "numpy" not in self.loaded_after("bounds", "--setting", "euclidean", "-d", "10", "-s", "3")
