@@ -20,6 +20,12 @@ t_i = i/s; if it fails, k has no preimage when k_1 <= 1 (K_1 > 1 strictly on
 D) or when the power-sum engine (fewdist.powersum) accounts for every root
 and finds none in D; otherwise Newton runs again from each root in D the
 engine reports, and a tuple none of them inverts stays undecided.
+
+Newton runs on rows, many tuples or starts at once
+(newton_from_default_start on a catalog, newton_from_roots on one tuple's
+roots): the map, its Jacobian and the projection into D take a leading axis
+of points, and forward_K and jacobian are their one-point case. A row's
+arithmetic does not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -30,11 +36,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoSolutionError, ParameterError, SingularTupleError
-from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_weights
+from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_basis
 
 PROJECT_GAP = 1e-9
 DEFAULT_TOL_RES = 1e-10
-ENGINE_MAX_S = 6  # one tuple's (s-1)! engine paths: 0.3 s at s = 6, gigabytes at s = 8
+ENGINE_MAX_S = 6  # one tuple's (s-1)! engine paths: 0.3 s at s = 6, 0.8 s at s = 7, 6 s at s = 8
+BACKTRACK = 0.5 ** np.arange(30)  # the damped step's scales 1, 1/2, ..., 2**-29
 
 
 def _check_domain(t) -> np.ndarray:
@@ -49,8 +56,16 @@ def _check_domain(t) -> np.ndarray:
     return arr
 
 
-def _weights(arr: np.ndarray) -> np.ndarray:
-    return np.array(lagrange_weights(arr.tolist() + [1.0], 0.0))
+def _nodes(t: np.ndarray) -> np.ndarray:
+    """The nodes (t, 1) of each row of t."""
+    return np.concatenate([t, np.ones((*t.shape[:-1], 1))], axis=-1)
+
+
+def _weights(t: np.ndarray) -> np.ndarray:
+    """L_1(0), ..., L_s(0) on the nodes (t, 1) of each row of t."""
+    nodes = np.moveaxis(_nodes(t), -1, 0)
+    zero = np.zeros(t.shape[:-1])
+    return np.stack([lagrange_basis(nodes, i, zero) for i in range(len(nodes))], axis=-1)
 
 
 def forward_K(t) -> np.ndarray:
@@ -70,17 +85,21 @@ def jacobian(t) -> np.ndarray:
     dK_i/dt_j = K_i * (t_i/t_j) * m_ij for j != i (t_s = 1 participates in
     the diagonal sum but is not a variable).
     """
-    arr = _check_domain(t)
-    s1 = arr.size
-    full = np.append(arr, 1.0)
-    K = _weights(arr)[:-1]
-    diff = full[:, None] - full[None, :]
-    np.fill_diagonal(diff, np.inf)
-    inv = 1.0 / diff  # inv[i, j] = m_ij
-    J = K[:, None] * (arr[:, None] / arr[None, :]) * inv[:s1, :s1]
+    return _jacobian(_check_domain(t))
+
+
+def _jacobian(t: np.ndarray) -> np.ndarray:
+    s1 = t.shape[-1]
+    full = _nodes(t)
+    K = _weights(t)[..., :-1]
+    diff = full[..., :, None] - full[..., None, :]
+    diff[..., np.arange(s1 + 1), np.arange(s1 + 1)] = np.inf
+    inv = 1.0 / diff  # inv[..., i, j] = m_ij
+    J = K[..., :, None] * (t[..., :, None] / t[..., None, :]) * inv[..., :s1, :s1]
     # Summing each column as a contiguous row adds in the order of the former
     # per-column np.sum, so J is bit for bit what the entry-by-entry loop gave.
-    J[np.diag_indices(s1)] = K * np.sum(np.ascontiguousarray(inv.T), axis=1)[:s1]
+    column_sums = np.sum(np.ascontiguousarray(np.swapaxes(inv, -1, -2)), axis=-1)
+    J[..., np.arange(s1), np.arange(s1)] = K * column_sums[..., :s1]
     return J
 
 
@@ -117,57 +136,105 @@ class InversionResult:
 
 
 def _project(t: np.ndarray) -> np.ndarray:
+    """Each row of t moved into D, with gaps of at least PROJECT_GAP."""
     out = np.clip(t, PROJECT_GAP, 1.0 - PROJECT_GAP)
-    for i in range(1, out.size):
-        if out[i] < out[i - 1] + PROJECT_GAP:
-            out[i] = out[i - 1] + PROJECT_GAP
-    if out[-1] > 1.0 - PROJECT_GAP:
-        out[-1] = 1.0 - PROJECT_GAP
-        for i in range(out.size - 2, -1, -1):
-            if out[i] > out[i + 1] - PROJECT_GAP:
-                out[i] = out[i + 1] - PROJECT_GAP
+    for i in range(1, out.shape[-1]):
+        floor = out[..., i - 1] + PROJECT_GAP
+        out[..., i] = np.where(out[..., i] < floor, floor, out[..., i])
+    top = out[..., -1] > 1.0 - PROJECT_GAP
+    if np.any(top):
+        out[..., -1] = np.where(top, 1.0 - PROJECT_GAP, out[..., -1])
+        for i in range(out.shape[-1] - 2, -1, -1):
+            ceiling = out[..., i + 1] - PROJECT_GAP
+            out[..., i] = np.where(top & (out[..., i] > ceiling), ceiling, out[..., i])
     return out
 
 
-def _newton(target, start, start_index: int, tol_res: float, max_iter: int) -> InversionResult:
-    """Damped Newton on forward_K - target from one start: each step is halved
-    up to 30 times until the residual decreases, and iterates are projected
-    back into the open simplex."""
+def _steps(J: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The Newton step J^-1 vec of each row; least squares where LAPACK
+    finds J singular."""
+    try:
+        return np.linalg.solve(J, vec[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(J) > 1:
+            return np.concatenate([_steps(J[i : i + 1], vec[i : i + 1]) for i in range(len(J))])
+        return np.linalg.lstsq(J[0], vec[0], rcond=None)[0][None]
+
+
+def _newton(targets, starts, tol_res: float, max_iter: int):
+    """Damped Newton on forward_K - target for each row of targets, of shape
+    (T, s-1), from the same row of starts. A step is halved up to 29 times
+    until the residual decreases: all 30 scales are evaluated at once and
+    each row takes its first improving one. Iterates are projected back into
+    the open simplex. Returns t, residual, iterations and success per row;
+    a row's values do not depend on the other rows."""
     # Residuals are measured relative to the target scale: for large |k| the
     # forward map cannot be evaluated below ~eps * |k| in floats, so an
     # absolute criterion would be unattainable.
-    res_scale = max(1.0, float(np.max(np.abs(target))))
-    t = _project(np.asarray(start, dtype=float))
-    residual_vec = forward_K(t) - target
-    residual = float(np.max(np.abs(residual_vec))) / res_scale
-    iterations = 0
-    stalled = 0
-    while residual > tol_res and iterations < max_iter and stalled < 3:
-        iterations += 1
-        J = jacobian(t)
-        try:
-            step = np.linalg.solve(J, residual_vec)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, residual_vec, rcond=None)
-        improved = False
-        scale = 1.0
-        for _ in range(30):
-            candidate = _project(t - scale * step)
-            cand_vec = forward_K(candidate) - target
-            cand_res = float(np.max(np.abs(cand_vec))) / res_scale
-            if cand_res < residual:
-                t, residual_vec, residual = candidate, cand_vec, cand_res
-                improved = True
-                break
-            scale *= 0.5
-        stalled = 0 if improved else stalled + 1
-    return InversionResult(
-        success=residual <= tol_res,
-        t=tuple(float(x) for x in t),
-        residual=residual,
-        iterations=iterations,
-        start_index=start_index,
-    )
+    targets = np.asarray(targets, dtype=float)
+    res_scale = np.fmax(1.0, np.max(np.abs(targets), axis=1))
+    t = _project(np.array(starts, dtype=float))
+    vec = _weights(t)[:, :-1] - targets
+    residual = np.max(np.abs(vec), axis=1) / res_scale
+    iterations = np.zeros(len(t), dtype=int)
+    stalled = np.zeros(len(t), dtype=int)
+    while True:
+        rows = np.flatnonzero((residual > tol_res) & (iterations < max_iter) & (stalled < 3))
+        if not rows.size:
+            break
+        iterations[rows] += 1
+        step = _steps(_jacobian(t[rows]), vec[rows])
+        candidates = _project(t[rows, None] - BACKTRACK[:, None] * step[:, None])
+        cand_vec = _weights(candidates)[..., :-1] - targets[rows, None]
+        cand_res = np.max(np.abs(cand_vec), axis=2) / res_scale[rows, None]
+        better = cand_res < residual[rows, None]
+        improved = np.any(better, axis=1)
+        moved, scale = rows[improved], np.argmax(better, axis=1)[improved]
+        t[moved] = candidates[improved, scale]
+        vec[moved] = cand_vec[improved, scale]
+        residual[moved] = cand_res[improved, scale]
+        stalled[rows] = np.where(improved, 0, stalled[rows] + 1)
+    return t, residual, iterations, residual <= tol_res
+
+
+def _results(t, residual, iterations, success, first_index: int = 0) -> list[InversionResult]:
+    """One InversionResult per row of _newton's output; start_index counts
+    from first_index."""
+    return [
+        InversionResult(
+            success=bool(ok),
+            t=tuple(float(x) for x in row),
+            residual=float(res),
+            iterations=int(its),
+            start_index=index,
+        )
+        for index, (row, res, its, ok) in enumerate(zip(t, residual, iterations, success), first_index)
+    ]
+
+
+def newton_from_default_start(
+    targets, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
+) -> list[InversionResult]:
+    """Newton from the default start t_i = i/s on every row of the
+    sign-checked targets (T, s-1) at once; start_index 0."""
+    targets = np.asarray(targets, dtype=float)
+    s = targets.shape[1] + 1
+    starts = np.broadcast_to(np.arange(1, s) / s, targets.shape)
+    return _results(*_newton(targets, starts, tol_res, max_iter))
+
+
+def newton_from_roots(
+    target: np.ndarray, roots, first: InversionResult, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
+) -> InversionResult:
+    """Newton from each root in D the power-sum engine reported, all at
+    once: the result of the first root that converges, start_index i for the
+    i-th, else the failed attempt of least residual, first (the default-start
+    attempt) included."""
+    if not roots:
+        return first
+    targets = np.broadcast_to(target, (len(roots), target.size))
+    attempts = _results(*_newton(targets, roots, tol_res, max_iter), first_index=1)
+    return next((a for a in attempts if a.success), min([first, *attempts], key=lambda a: a.residual))
 
 
 def no_preimage(k, solution=None) -> str | None:
@@ -183,39 +250,25 @@ def no_preimage(k, solution=None) -> str | None:
     return "every root of the power-sum system lies outside D"
 
 
-def invert_with(
-    target: np.ndarray, solution, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
-) -> InversionResult:
-    """The inversion path for a sign-checked target. A caller that passes a
-    PowerSumSolution has applied no_preimage; with None, the engine runs
-    (only if s <= ENGINE_MAX_S) when Newton from the default start fails,
-    and no_preimage is applied here. Returns the first converged result
-    (start_index 0 from the default start, i from the i-th root in D), else
-    the default-start attempt with method "no_preimage", else the failed
-    attempt of least residual."""
-    first = _newton(target, np.arange(1, target.size + 1) / (target.size + 1), 0, tol_res, max_iter)
+def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
+    """The inversion path for k_target, sign-checked here: success =
+    (residual <= tol_res), relative to max(1, max|k|). When the default
+    start fails, the engine runs on the one tuple (only if s <=
+    ENGINE_MAX_S); method "no_preimage" marks a proven none, else Newton
+    runs from the roots in D it reports."""
+    target = check_sign_pattern(k_target)
+    (first,) = newton_from_default_start(target[None], tol_res, max_iter)
     if first.success:
         return first
-    if solution is None:
-        if target.size < ENGINE_MAX_S:
-            from .powersum import solve_power_sums  # so a default-start success never loads it
-            solution = solve_power_sums([target])[0]
-        if no_preimage(target, solution) is not None:
-            return replace(first, method="no_preimage")
-    best = first
-    for start_index, root in enumerate(solution.roots if solution is not None else (), start=1):
-        result = _newton(target, root, start_index, tol_res, max_iter)
-        if result.success:
-            return result
-        if result.residual < best.residual:
-            best = result
-    return best
+    solution = None
+    if target.size < ENGINE_MAX_S:
+        from .powersum import solve_power_sums  # so a default-start success never loads it
 
-
-def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
-    """invert_with on a sign-checked k_target: success = (residual <= tol_res),
-    relative to max(1, max|k|); method "no_preimage" marks a proven none."""
-    return invert_with(check_sign_pattern(k_target), None, tol_res, max_iter)
+        (solution,) = solve_power_sums([target])
+    if no_preimage(target, solution) is not None:
+        return replace(first, method="no_preimage")
+    roots = solution.roots if solution is not None else ()
+    return newton_from_roots(target, roots, first, tol_res, max_iter)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,7 @@ ROOT_TOL = 1e-11  # last Newton update at sigma = 0 of a converged root, relativ
 COALESCE_TOL = 1e-4  # endpoints with |x_i - x_j| / |x| below this are singular or at infinity
 INSIDE = 100.0  # a root in D lies this many estimated errors inside D
 SEPARATION_TOL = 1e-6  # paths closer than this at S_CHECK, relative to |x|, have merged
+GAP_BLOCK = 2**20  # pairwise endpoint differences a verdict holds at once (16 MiB)
 
 
 @dataclass(frozen=True)
@@ -368,6 +369,16 @@ def _distance_to_domain(t: np.ndarray) -> float:
     return float(math.sqrt(float(np.sum(t.imag**2) + np.sum((t.real - proj) ** 2))))
 
 
+def _gap_rows(x: np.ndarray):
+    """The matrix of distances |x_i - x_j| between the rows of x, as blocks
+    (lo, rows lo, lo + 1, ... of it). A block takes at most GAP_BLOCK
+    coordinate differences, so memory stays bounded for any number of
+    paths, and its entries are those of the whole matrix."""
+    step = max(1, GAP_BLOCK // max(1, x.size))
+    for lo in range(0, len(x), step):
+        yield lo, np.linalg.norm(x[lo : lo + step, None, :] - x[None, :, :], axis=2)
+
+
 def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
     """Sort one tuple's path endpoints into roots in D and points outside D.
 
@@ -386,9 +397,12 @@ def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
     ended = np.isfinite(x_end).all(axis=1)
     complete = bool(ended.all())
     if complete:
-        gaps = np.linalg.norm(x_check[:, None, :] - x_check[None, :, :], axis=2)
-        np.fill_diagonal(gaps, np.inf)
-        complete = bool(np.all(gaps > SEPARATION_TOL * (1.0 + _norms(x_check.T))[:, None]))
+        limit = SEPARATION_TOL * (1.0 + _norms(x_check.T))
+        for lo, gaps in _gap_rows(x_check):
+            gaps[np.arange(len(gaps)), np.arange(lo, lo + len(gaps))] = np.inf
+            if not np.all(gaps > limit[lo : lo + len(gaps), None]):
+                complete = False
+                break
     y, err = x_end[ended], err_end[ended]
     with np.errstate(all="ignore"):
         t = y[:, 1:] / y[:, :1]
@@ -402,9 +416,11 @@ def _verdict(x_check, x_end, err_end) -> PowerSumSolution:
     if np.any(~(distances > err[regular])):
         complete = False
     kept = t[inside | regular]
-    gaps = np.linalg.norm(kept[:, None, :] - kept[None, :, :], axis=2)
-    if np.any(np.tril(gaps <= SEPARATION_TOL * (1.0 + np.linalg.norm(kept, axis=1))[:, None], -1)):
-        complete = False
+    limit = SEPARATION_TOL * (1.0 + np.linalg.norm(kept, axis=1))
+    for lo, gaps in _gap_rows(kept):
+        if np.any(np.tril(gaps <= limit[lo : lo + len(gaps), None], lo - 1)):
+            complete = False
+            break
     return PowerSumSolution(
         roots=tuple(sorted(tuple(float(v) for v in row.real) for row in t[inside])),
         margin=float(distances.min()) if distances.size else None,

@@ -8,12 +8,16 @@ to normalized squared distances yields the complete list of candidate
 distance systems.
 
 Realizing a catalog decides each tuple by the inversion path of
-fewdist.inverse, with the roots of its power-sum system
+fewdist.inverse, run on many tuples at once. Newton from the default start
+t_i = i/s runs on every tuple with k_1 > 1 in one batch; only the tuples it
+leaves go, in one batch, to the power-sum system
 (fewdist.powersum.solve_power_sums), whose roots in D are exactly the
-tuple's preimages, computed for the whole catalog at once:
+tuple's preimages:
 
 - realized: Newton, from the default start or else from a root in D of the
-  system, converges and round-trips; `t` and `residual` are Newton's;
+  system, converges and round-trips; `t` and `residual` are Newton's. A
+  round trip from the default start is final: the system is not solved for
+  that tuple;
 - unrealizable: k_1 = 1, or every homotopy path was accounted for and none
   ends in D; `margin` is then the distance from the nearest nonsingular root
   outside D to the closure of D, absent when every root is singular or at
@@ -22,6 +26,10 @@ tuple's preimages, computed for the whole catalog at once:
   paths merged, or an endpoint could not be placed inside or outside D),
   and Newton from the default start and from every root it reported in D
   did not converge.
+
+Only realize_catalog imports numpy and fewdist.inverse, and it imports
+the engine only when some tuple is left for it, so listing a catalog loads
+none of them.
 """
 
 from __future__ import annotations
@@ -29,23 +37,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bounds import TheoremContext, theorem_context
 from .defaults import DEFAULT_BOX_CAP
 from .errors import BoxOverflowError, ParameterError
-from .inverse import forward_K, invert_with, no_preimage
-from .powersum import solve_power_sums
 
 
 @dataclass(frozen=True)
 class TupleEntry:
     k: tuple[int, ...]
     k_last: int
-    # raw | realized (Newton converged from the default start or a root in D:
-    # t, residual) | unrealizable (k_1 = 1, or no homotopy path ends in D:
-    # margin, the distance from D of the nearest nonsingular root, when one
-    # exists) | newton_failed (homotopy undecided and Newton did not converge)
+    # raw | realized (Newton round-tripped from the default start, tried on
+    # every tuple first, or else from a root in D: t, residual) |
+    # unrealizable (k_1 = 1, or no homotopy path ends in D: margin, the
+    # distance from D of the nearest nonsingular root, when one exists) |
+    # newton_failed (homotopy undecided and Newton did not converge)
     status: str
     t: tuple[float, ...] | None = None
     residual: float | None = None
@@ -129,16 +134,36 @@ def realize_catalog(
 ) -> CandidateCatalog:
     """Decide every tuple; statuses become realized / unrealizable / newton_failed.
 
-    Every tuple with k_1 > 1 goes to one batched solve_power_sums call. A
-    tuple no_preimage decides is unrealizable, with its note and margin,
-    without Newton; every other one takes invert_with with its solution, and
-    is realized when the forward map returns k within round_trip_tol, else
-    newton_failed with the best residual.
+    Newton runs from the default start on every tuple with k_1 > 1 at once;
+    a tuple it converges on is realized when the forward map returns k
+    within round_trip_tol. The tuples left go to one batched
+    solve_power_sums call. A tuple no_preimage decides is unrealizable, with
+    its note and margin; every other one takes Newton from the roots in D of
+    its solution, and is realized when that round-trips, else newton_failed
+    with the best residual.
     """
+    import numpy as np
+
+    from .inverse import forward_K, newton_from_default_start, newton_from_roots, no_preimage
+
+    def round_trips(result, k) -> bool:
+        return result.success and np.max(np.abs(forward_K(result.t) - k)) <= round_trip_tol
+
     hard = [entry.k for entry in catalog.entries if entry.k[0] > 1]
-    solutions = dict(zip(hard, solve_power_sums(hard)))
+    targets = np.array(hard, dtype=float).reshape(len(hard), catalog.s - 1)
+    firsts = dict(zip(hard, newton_from_default_start(targets, tol_res)))
+    left = [k for k in hard if not round_trips(firsts[k], k)]
+    solutions = {}
+    if left:
+        from .powersum import solve_power_sums
+
+        solutions = dict(zip(left, solve_power_sums(left)))
     realized = []
     for entry in catalog.entries:
+        first = firsts.get(entry.k)
+        if first is not None and entry.k not in solutions:
+            realized.append(replace(entry, status="realized", t=first.t, residual=first.residual))
+            continue
         solution = solutions.get(entry.k)
         note = no_preimage(entry.k, solution)
         if note is not None:
@@ -146,8 +171,8 @@ def realize_catalog(
             realized.append(replace(entry, status="unrealizable", note=note, margin=margin))
             continue
         k = np.asarray(entry.k, dtype=float)
-        result = invert_with(k, solution, tol_res=tol_res)
-        if result.success and np.max(np.abs(forward_K(result.t) - k)) <= round_trip_tol:
+        result = newton_from_roots(k, solution.roots, first, tol_res)
+        if round_trips(result, k):
             realized.append(replace(entry, status="realized", t=result.t, residual=result.residual))
             continue
         note = f"no start converged below {tol_res}"

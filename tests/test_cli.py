@@ -379,8 +379,21 @@ class TestLazyImports:
 
     def test_enumerate_loads_no_point_set_code(self):
         loaded = self.loaded_after("enumerate", "-d", "10", "-s", "3", "--realize")
-        assert "fewdist.powersum" in loaded
+        assert "fewdist.inverse" in loaded
         assert not loaded & {"fewdist.pointset", "fewdist.ratios", "fewdist.certificate", "fewdist.embed"}
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            (("-d", "3", "-s", "5"), {"fewdist.powersum", "fewdist.inverse", "numpy"}),
+            (("-d", "10", "-s", "3", "--realize"), {"fewdist.powersum"}),
+        ],
+    )
+    def test_enumerate_loads_the_engine_only_for_tuples_newton_leaves(self, argv, unloaded):
+        # Listing a catalog inverts nothing; at (10, 3) Newton from the
+        # default start realizes every k_1 >= 2 tuple, so no tuple is left
+        # for the power-sum engine.
+        assert not self.loaded_after("enumerate", *argv) & unloaded
 
     @pytest.mark.parametrize("argv", [("-s", "3", "-k", "6,-8"), ("-s", "4", "-k", "4,-6,4")])
     def test_invert_loads_the_engine_only_when_newton_fails(self, argv):

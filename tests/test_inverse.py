@@ -18,8 +18,10 @@ from fewdist import (
 )
 from fewdist import inverse, powersum
 from fewdist.errors import InvalidSignError, NoSolutionError, ParameterError, SingularTupleError
-from fewdist.inverse import _check_domain, _weights
+from fewdist.inverse import InversionResult
+from fewdist.lagrange import lagrange_weights
 from fewdist.powersum import solve_power_sums
+from fewdist.search import enumerate_tuples, realize_catalog
 
 
 def sample_interior(rng, s, gap=1e-2):
@@ -75,13 +77,18 @@ class TestForwardMap:
             forward_K(np.asarray(bad, dtype=float))
 
 
+def _reference_weights(arr):
+    """The one-tuple forward map the row code replaced: L_i(0) on (t, 1)."""
+    return np.array(lagrange_weights(arr.tolist() + [1.0], 0.0))
+
+
 def jacobian_loop(t):
     """The entry-by-entry Jacobian that jacobian() replaced, kept as the
     reference for its operation order."""
-    arr = _check_domain(t)
+    arr = np.asarray(t, dtype=float)
     s1 = arr.size
     full = np.append(arr, 1.0)
-    K = _weights(arr)[:-1]
+    K = _reference_weights(arr)[:-1]
     diff = full[:, None] - full[None, :]
     np.fill_diagonal(diff, np.inf)
     inv = 1.0 / diff
@@ -196,7 +203,7 @@ class TestNewtonInversion:
         # root in D does.
         t = np.array([0.1235, 0.2873, 0.2889])
         k = forward_K(t)
-        assert not inverse._newton(k, np.arange(1, 4) / 4, 0, 1e-10, 100).success
+        assert not _reference_newton(k, np.arange(1, 4) / 4, 0, 1e-10, 100).success
         res = invert_K(k)
         assert res.success and res.method == "newton"
         assert res.start_index >= 1
@@ -322,3 +329,173 @@ class TestPowerSumHomotopy:
         with pytest.raises(InvalidSignError):
             solve_power_sums([(2, 3)])
         assert solve_power_sums([]) == []
+
+
+# The one-tuple damped Newton that the row code replaced, kept as the
+# reference for its operations: its Jacobian, its projection into D and its
+# loop over the backtracking scales.
+
+
+def _reference_jacobian(arr):
+    s1 = arr.size
+    full = np.append(arr, 1.0)
+    K = _reference_weights(arr)[:-1]
+    diff = full[:, None] - full[None, :]
+    np.fill_diagonal(diff, np.inf)
+    inv = 1.0 / diff
+    J = K[:, None] * (arr[:, None] / arr[None, :]) * inv[:s1, :s1]
+    J[np.diag_indices(s1)] = K * np.sum(np.ascontiguousarray(inv.T), axis=1)[:s1]
+    return J
+
+
+def _reference_project(t):
+    out = np.clip(t, inverse.PROJECT_GAP, 1.0 - inverse.PROJECT_GAP)
+    for i in range(1, out.size):
+        if out[i] < out[i - 1] + inverse.PROJECT_GAP:
+            out[i] = out[i - 1] + inverse.PROJECT_GAP
+    if out[-1] > 1.0 - inverse.PROJECT_GAP:
+        out[-1] = 1.0 - inverse.PROJECT_GAP
+        for i in range(out.size - 2, -1, -1):
+            if out[i] > out[i + 1] - inverse.PROJECT_GAP:
+                out[i] = out[i + 1] - inverse.PROJECT_GAP
+    return out
+
+
+def _reference_newton(target, start, start_index, tol_res, max_iter, jacobian_of=_reference_jacobian):
+    res_scale = max(1.0, float(np.max(np.abs(target))))
+    t = _reference_project(np.asarray(start, dtype=float))
+    residual_vec = _reference_weights(t)[:-1] - target
+    residual = float(np.max(np.abs(residual_vec))) / res_scale
+    iterations = 0
+    stalled = 0
+    while residual > tol_res and iterations < max_iter and stalled < 3:
+        iterations += 1
+        J = jacobian_of(t)
+        try:
+            step = np.linalg.solve(J, residual_vec)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(J, residual_vec, rcond=None)
+        improved = False
+        scale = 1.0
+        for _ in range(30):
+            candidate = _reference_project(t - scale * step)
+            cand_vec = _reference_weights(candidate)[:-1] - target
+            cand_res = float(np.max(np.abs(cand_vec))) / res_scale
+            if cand_res < residual:
+                t, residual_vec, residual = candidate, cand_vec, cand_res
+                improved = True
+                break
+            scale *= 0.5
+        stalled = 0 if improved else stalled + 1
+    return InversionResult(
+        success=residual <= tol_res,
+        t=tuple(float(x) for x in t),
+        residual=residual,
+        iterations=iterations,
+        start_index=start_index,
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@st.composite
+def newton_rows(draw):
+    """(targets, starts) of T rows for s = 2..8: targets K(t) of random
+    points of D, some with tight pairs, and sign-patterned tuples, most of
+    which have no preimage; starts at the default start, at random points
+    of D, or anywhere in [-0.5, 1.5] (projected into D)."""
+    s, T = draw(st.integers(2, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = (-1.0) ** np.arange(s - 1)
+    targets, starts = [], []
+    for _ in range(T):
+        kind = draw(st.sampled_from(["image", "tight", "tuple"]))
+        if kind == "tuple":
+            targets.append(signs * np.round(1.0 + 12.0 * rng.random(s - 1)))
+        else:
+            t = np.sort(rng.uniform(0.01, 0.99, s - 1))
+            if kind == "tight" and s > 2:
+                t[1] = t[0] + 10.0 ** rng.uniform(-6, -3)
+                t = np.sort(np.minimum(t, 0.999))
+            targets.append(_reference_weights(t)[:-1])
+        where = draw(st.sampled_from(["default", "inside", "anywhere"]))
+        if where == "default":
+            starts.append(np.arange(1, s) / s)
+        elif where == "inside":
+            starts.append(np.sort(rng.random(s - 1)))
+        else:
+            starts.append(rng.uniform(-0.5, 1.5, s - 1))
+    return np.array(targets), np.array(starts)
+
+
+def assert_rows_match_reference(targets, starts, tol_res, max_iter, jacobian_of=_reference_jacobian):
+    t, residual, iterations, success = inverse._newton(targets, starts, tol_res, max_iter)
+    for row, (target, start) in enumerate(zip(targets, starts)):
+        ref = _reference_newton(target, start, 0, tol_res, max_iter, jacobian_of)
+        assert same_bits(t[row], ref.t)
+        assert same_bits(residual[row], ref.residual)
+        assert iterations[row] == ref.iterations
+        assert success[row] == ref.success
+
+
+class TestRowNewton:
+    """inverse._newton runs every row as _reference_newton runs one tuple,
+    bit for bit."""
+
+    @given(newton_rows(), st.sampled_from([1e-10, 1e-13, 1e-6, -1.0]), st.sampled_from([0, 1, 4, 30, 100]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_the_one_tuple_reference(self, rows, tol_res, max_iter):
+        targets, starts = rows
+        with np.errstate(all="ignore"):
+            assert_rows_match_reference(targets, starts, tol_res, max_iter)
+
+    @given(newton_rows(), st.sampled_from([1e-10, 1e-6]), st.sampled_from([1, 4, 100]))
+    @settings(max_examples=40, deadline=None)
+    def test_singular_jacobian_rows_take_least_squares(self, rows, tol_res, max_iter):
+        # A zero first column wherever t_1 < 0.3 makes LAPACK refuse those
+        # rows' systems; they take the least-squares step, the rest solve.
+        targets, starts = rows
+
+        def singular(J, t):
+            J[t[..., 0] < 0.3, ..., 0] = 0.0
+            return J
+
+        jacobian = inverse._jacobian
+        try:
+            inverse._jacobian = lambda t: singular(jacobian(t), t)
+            with np.errstate(all="ignore"):
+                assert_rows_match_reference(
+                    targets, starts, tol_res, max_iter, lambda t: singular(_reference_jacobian(t), t)
+                )
+        finally:
+            inverse._jacobian = jacobian
+
+    def test_a_batch_with_singular_rows_solves_the_others(self):
+        J = np.array([np.eye(2), np.zeros((2, 2)), [[2.0, 1.0], [1.0, 3.0]]])
+        vec = np.array([[1.0, 2.0], [1.0, 1.0], [3.0, 4.0]])
+        steps = inverse._steps(J, vec)
+        assert same_bits(steps[0], np.linalg.solve(J[0], vec[0]))
+        assert same_bits(steps[1], np.linalg.lstsq(J[1], vec[1], rcond=None)[0])
+        assert same_bits(steps[2], np.linalg.solve(J[2], vec[2]))
+
+    def test_engine_gets_only_the_tuples_the_default_start_leaves(self, monkeypatch):
+        asked = []
+        solve = powersum.solve_power_sums
+
+        def recorder(ks):
+            asked.extend(ks)
+            return solve(ks)
+
+        monkeypatch.setattr(powersum, "solve_power_sums", recorder)
+        catalog = realize_catalog(enumerate_tuples(4, 4))
+        default = np.arange(1, 4) / 4
+        left = [
+            e.k
+            for e in catalog.entries
+            if e.k[0] > 1 and not _reference_newton(np.array(e.k, dtype=float), default, 0, 1e-10, 100).success
+        ]
+        assert len(left) == 40
+        assert asked == left

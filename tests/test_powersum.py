@@ -207,3 +207,32 @@ def test_results_do_not_depend_on_the_tuple_order(default_schedule):
     assert [s.complete for s in default_schedule] == [True] * len(SCHEDULE_TUPLES)
     assert [len(s.roots) for s in default_schedule] == [0, 0, 0, 1, 1]
     assert default_schedule[0].margin is None and math.isfinite(default_schedule[1].margin)
+
+
+@pytest.mark.parametrize("merged_at_check", [None, (0, 119), (64, 63)])
+@pytest.mark.parametrize("repeated_end", [None, (2, 117), (119, 0)])
+@pytest.mark.parametrize("block", [None, 1, 50 * 120 * 6])
+def test_verdict_in_row_blocks_matches_one_block(monkeypatch, merged_at_check, repeated_end, block):
+    # P = 120 endpoints, the path count at s = 6: roots in D, real points
+    # outside it, complex and coalescing ones. The pairwise gaps are taken
+    # GAP_BLOCK differences at a time: one row of the gap matrix, 50 rows of
+    # the check points' (120 x 6 coordinates each), or all rows at once.
+    rng = np.random.default_rng(11)
+    t = np.sort(rng.uniform(0.05, 0.95, (120, 5)), axis=1).astype(complex)
+    t[30:60] += rng.uniform(-1.0, 1.0, (30, 5))
+    t[60:90] += 1j * rng.uniform(0.1, 1.0, (30, 5))
+    t[90:100, 1] = t[90:100, 0]
+    x_end = rng.uniform(0.5, 2.0, 120)[:, None] * np.concatenate([np.ones((120, 1)), t], axis=1)
+    err_end = np.full(120, 1e-14)
+    x_check = rng.standard_normal((120, 6)) + 1j * rng.standard_normal((120, 6))
+    if merged_at_check:
+        i, j = merged_at_check
+        x_check[i] = x_check[j] + 1e-9
+    if repeated_end:
+        i, j = repeated_end
+        x_end[i] = x_end[j] * 3.0
+    expected = _reference_verdict(x_check, x_end, err_end)
+    assert len(expected.roots) >= 20 and expected.complete == (not merged_at_check and not repeated_end)
+    if block is not None:
+        monkeypatch.setattr(powersum, "GAP_BLOCK", block)
+    assert _verdict(x_check, x_end, err_end) == expected

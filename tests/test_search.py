@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewdist import inverse, jsonio, search
+from fewdist import inverse, jsonio, powersum
 from fewdist.cli import run
 from fewdist.errors import BoxOverflowError, ParameterError
 from fewdist.inverse import forward_K
@@ -245,18 +245,19 @@ class TestPowerSumDecisions:
         assert tally.decided == tally.attempted == 80
 
     def test_root_in_domain_is_polished_when_newton_fails(self, monkeypatch):
-        # Newton from the default start is made to fail (no step, and a
-        # tolerance no residual meets; t = (1/3, 2/3) is itself the default
-        # start for (3, -3)), so every realized tuple must come from Newton
-        # started at the engine's root in D.
+        # Newton from the default start, the first and batched call, is made
+        # to fail (no step, and a tolerance no residual meets; t = (1/3, 2/3)
+        # is itself the default start for (3, -3)), so every realized tuple
+        # must come from Newton started at the engine's root in D.
         newton = inverse._newton
         starts = []
 
-        def newton_failing_from_the_default_start(target, start, start_index, tol_res, max_iter):
-            starts.append(start_index)
-            if start_index == 0:
-                return newton(target, start, start_index, -1.0, 0)
-            return newton(target, start, start_index, tol_res, max_iter)
+        def newton_failing_from_the_default_start(targets, rows, tol_res, max_iter):
+            if not starts:  # every tuple from the default start, start index 0
+                starts.extend([0] * len(rows))
+                return newton(targets, rows, -1.0, 0)
+            starts.extend(range(1, len(rows) + 1))  # one tuple from its roots in D
+            return newton(targets, rows, tol_res, max_iter)
 
         monkeypatch.setattr(inverse, "_newton", newton_failing_from_the_default_start)
         catalog = realize_catalog(enumerate_tuples(10, 3))
@@ -271,7 +272,7 @@ class TestPowerSumDecisions:
         def incomplete(ks):
             return [PowerSumSolution(roots=(), margin=None, complete=False) for _ in ks]
 
-        monkeypatch.setattr(search, "solve_power_sums", incomplete)
+        monkeypatch.setattr(powersum, "solve_power_sums", incomplete)
         catalog = realize_catalog(enumerate_tuples(10, 3))
         assert catalog.counts()["realized"] == 15
         failed = realize_catalog(CandidateCatalog(
