@@ -15,16 +15,28 @@ determinant
 
 which never vanishes on D, so Newton iteration inverts K locally.
 
-Inversion takes one path. Damped Newton runs from the default start
-t_i = i/s; if it fails, k has no preimage when k_1 <= 1 (K_1 > 1 strictly on
-D) or when the power-sum engine (fewdist.powersum) accounts for every root
-and finds none in D; otherwise Newton runs again from each root in D the
-engine reports, and a tuple none of them inverts stays undecided.
+K is a diffeomorphism of D onto the open polyhedron
 
-Newton runs on rows, many tuples or starts at once
-(newton_from_default_start on a catalog, newton_from_roots on one tuple's
-roots): the map, its Jacobian and the projection into D take a leading axis
-of points, and forward_K and jacobian are their one-point case. A row's
+    P = { k : (-1)**(a-1) * (S_a - 1) > 0, a = 1..s-1 },  S_a = k_1 + ... + k_a,
+
+so the partial sums of a realizable tuple alternate strictly around 1
+(for s = 2, k > 1). Necessity: h = P_f - 1, with P_f the interpolant of the
+indicator of the first a nodes, has h(0) = S_a - 1; Rolle places all s - 2
+roots of h' in (t_1, t_a) and (t_{a+1}, t_s), which fixes the sign of h(0).
+Sufficiency and uniqueness: as t leaves D with K bounded, the nodes tending
+to 0 carry total weight 1 and every other cluster weight 0, so some S_a
+tends to 1; K is proper onto the convex P and a local diffeomorphism, hence
+a bijection (Hadamard-Caccioppoli).
+
+Inversion takes one path. Damped Newton runs from the default start
+t_i = i/s; if it fails, k has no preimage when it lies outside P
+(no_preimage, an exact test), and otherwise Newton follows the segment from
+K(default start) to k in the coordinates u_a = log((-1)**(a-1) (S_a - 1)),
+which map P onto R^(s-1), so every point of the path has a preimage.
+
+Newton runs on rows, many tuples at once (newton_from_default_start on a
+catalog): the map, its Jacobian and the projection into D take a leading
+axis of points, and forward_K and jacobian are their one-point case. A row's
 arithmetic does not depend on the other rows.
 """
 
@@ -32,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,18 +53,19 @@ from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_basis
 
 PROJECT_GAP = 1e-9
 DEFAULT_TOL_RES = 1e-10
-ENGINE_MAX_S = 6  # one tuple's (s-1)! engine paths: 0.3 s at s = 6, 0.8 s at s = 7, 6 s at s = 8
 BACKTRACK = 0.5 ** np.arange(30)  # the damped step's scales 1, 1/2, ..., 2**-29
+FIRST_STEP = 0.125  # the continuation's first step along its path
+MIN_STEP = 2.0**-20  # the continuation gives up when its step falls below this
 
 
 def _check_domain(t) -> np.ndarray:
     arr = np.asarray(t, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ParameterError("t must be a 1-d sequence with at least one entry")
-    full = np.append(arr, 1.0)
-    if full[0] <= DOMAIN_EPS:
+    if arr.ndim < 1 or arr.size < 1:
+        raise ParameterError("t must be a sequence, or rows of sequences, with at least one entry")
+    full = _nodes(arr)
+    if np.min(full[..., 0]) <= DOMAIN_EPS:
         raise ParameterError(f"t_1 must exceed {DOMAIN_EPS}")
-    if np.min(np.diff(full)) <= DOMAIN_EPS:
+    if np.min(np.diff(full, axis=-1)) <= DOMAIN_EPS:
         raise ParameterError(f"t must be strictly increasing below 1 with gaps > {DOMAIN_EPS}")
     return arr
 
@@ -69,8 +83,8 @@ def _weights(t: np.ndarray) -> np.ndarray:
 
 
 def forward_K(t) -> np.ndarray:
-    """K_1..K_{s-1} at t; the sign of K_i is (-1)**(i-1)."""
-    return _weights(_check_domain(t))[:-1]
+    """K_1..K_{s-1} at t, or at each row of t; the sign of K_i is (-1)**(i-1)."""
+    return _weights(_check_domain(t))[..., :-1]
 
 
 def forward_K_full(t) -> np.ndarray:
@@ -197,18 +211,17 @@ def _newton(targets, starts, tol_res: float, max_iter: int):
     return t, residual, iterations, residual <= tol_res
 
 
-def _results(t, residual, iterations, success, first_index: int = 0) -> list[InversionResult]:
-    """One InversionResult per row of _newton's output; start_index counts
-    from first_index."""
+def _results(t, residual, iterations, success) -> list[InversionResult]:
+    """One InversionResult per row of _newton's output, started at index 0."""
     return [
         InversionResult(
             success=bool(ok),
             t=tuple(float(x) for x in row),
             residual=float(res),
             iterations=int(its),
-            start_index=index,
+            start_index=0,
         )
-        for index, (row, res, its, ok) in enumerate(zip(t, residual, iterations, success), first_index)
+        for row, res, its, ok in zip(t, residual, iterations, success)
     ]
 
 
@@ -216,59 +229,82 @@ def newton_from_default_start(
     targets, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
 ) -> list[InversionResult]:
     """Newton from the default start t_i = i/s on every row of the
-    sign-checked targets (T, s-1) at once; start_index 0."""
+    sign-checked targets (T, s-1) at once."""
     targets = np.asarray(targets, dtype=float)
     s = targets.shape[1] + 1
     starts = np.broadcast_to(np.arange(1, s) / s, targets.shape)
     return _results(*_newton(targets, starts, tol_res, max_iter))
 
 
-def newton_from_roots(
-    target: np.ndarray, roots, first: InversionResult, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
+def no_preimage(k) -> str | None:
+    """Why k has no preimage in D, else None: the first a, if any, at which
+    the partial sum S_a = k_1 + ... + k_a fails (-1)**(a-1) (S_a - 1) > 0.
+    The sums are exact, in integers or in the Fractions of floats."""
+    total, sign = 0, 1
+    for a, value in enumerate(k, 1):
+        total += value if isinstance(value, int) else Fraction(value)
+        if sign * (total - 1) <= 0:
+            sums = "{0}_1" if a == 1 else f"{{0}}_1 + ... + {{0}}_{a}"
+            side = ">" if sign > 0 else "<"
+            K, k_sum = sums.format("K"), sums.format("k")
+            return f"{K} {side} 1 strictly on the domain; {k_sum} = {total} has no preimage"
+        sign = -sign
+    return None
+
+
+def _log_sums(k: np.ndarray) -> np.ndarray:
+    """u_a = log((-1)**(a-1) (S_a - 1)), coordinates that map P onto R^(s-1)."""
+    signs = (-1.0) ** np.arange(k.size)
+    return np.log(signs * (np.cumsum(k) - 1.0))
+
+
+def _from_log_sums(u: np.ndarray) -> np.ndarray:
+    signs = (-1.0) ** np.arange(u.size)
+    return np.diff(1.0 + signs * np.exp(u), prepend=0.0)
+
+
+def continue_from_default_start(
+    target: np.ndarray, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
 ) -> InversionResult:
-    """Newton from each root in D the power-sum engine reported, all at
-    once: the result of the first root that converges, start_index i for the
-    i-th, else the failed attempt of least residual, first (the default-start
-    attempt) included."""
-    if not roots:
-        return first
-    targets = np.broadcast_to(target, (len(roots), target.size))
-    attempts = _results(*_newton(targets, roots, tol_res, max_iter), first_index=1)
-    return next((a for a in attempts if a.success), min([first, *attempts], key=lambda a: a.residual))
-
-
-def no_preimage(k, solution=None) -> str | None:
-    """Why k provably has no preimage in D, else None: k_1 <= 1, as K_1 > 1
-    strictly on D, or a PowerSumSolution that accounted for every path and
-    found no root in D (solution None: the engine was not run)."""
-    if k[0] <= 1:
-        return "K_1 > 1 strictly on the domain; k_1 = 1 has no preimage"
-    if solution is None or not solution.complete or solution.roots:
-        return None
-    if solution.margin is None:
-        return "every root of the power-sum system is singular or at infinity"
-    return "every root of the power-sum system lies outside D"
+    """Newton along the segment from K(default start) to the target, a tuple
+    of P, in log partial-sum coordinates: each point of the segment has a
+    preimage, which _newton corrects to from the last one. A step that does
+    not converge is halved, one that does doubles the next. Returns the
+    final Newton's result with method "continuation" and every corrector
+    iteration counted, or a failure once the step falls below MIN_STEP."""
+    s1 = target.size
+    t = np.arange(1, s1 + 1) / (s1 + 1)
+    u0 = _log_sums(_weights(t)[:-1])
+    direction = _log_sums(target) - u0
+    tau, step, total = 0.0, FIRST_STEP, 0
+    while step >= MIN_STEP:
+        nxt = min(1.0, tau + step)
+        k = target if nxt == 1.0 else _from_log_sums(u0 + nxt * direction)
+        t_next, residual, iterations, success = _newton(k[None], t[None], tol_res, max_iter)
+        total += int(iterations[0])
+        if not success[0]:
+            step /= 2
+            continue
+        if nxt == 1.0:
+            (result,) = _results(t_next, residual, iterations, success)
+            return replace(result, iterations=total, method="continuation")
+        tau, t, step = nxt, t_next[0], 2 * step
+    (result,) = _results(*_newton(target[None], t[None], tol_res, 0))
+    return replace(result, iterations=total, method="continuation")
 
 
 def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
     """The inversion path for k_target, sign-checked here: success =
     (residual <= tol_res), relative to max(1, max|k|). When the default
-    start fails, the engine runs on the one tuple (only if s <=
-    ENGINE_MAX_S); method "no_preimage" marks a proven none, else Newton
-    runs from the roots in D it reports."""
+    start fails, method "no_preimage" marks a tuple outside P, and any
+    other tuple takes the continuation."""
     target = check_sign_pattern(k_target)
     (first,) = newton_from_default_start(target[None], tol_res, max_iter)
     if first.success:
         return first
-    solution = None
-    if target.size < ENGINE_MAX_S:
-        from .powersum import solve_power_sums  # so a default-start success never loads it
-
-        (solution,) = solve_power_sums([target])
-    if no_preimage(target, solution) is not None:
+    if no_preimage(target) is not None:
         return replace(first, method="no_preimage")
-    roots = solution.roots if solution is not None else ()
-    return newton_from_roots(target, roots, first, tol_res, max_iter)
+    return continue_from_default_start(target, tol_res, max_iter)
 
 
 @dataclass(frozen=True)

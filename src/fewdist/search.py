@@ -7,29 +7,19 @@ obeys the same constraints. Enumerating the box and inverting each tuple back
 to normalized squared distances yields the complete list of candidate
 distance systems.
 
-Realizing a catalog decides each tuple by the inversion path of
-fewdist.inverse, run on many tuples at once. Newton from the default start
-t_i = i/s runs on every tuple with k_1 > 1 in one batch; only the tuples it
-leaves go, in one batch, to the power-sum system
-(fewdist.powersum.solve_power_sums), whose roots in D are exactly the
-tuple's preimages:
+Realizing a catalog decides each tuple by the partial-sum theorem of
+fewdist.inverse: a tuple has a preimage exactly when its partial sums
+S_a = k_1 + ... + k_a alternate strictly around 1, and then only one.
 
-- realized: Newton, from the default start or else from a root in D of the
-  system, converges and round-trips; `t` and `residual` are Newton's. A
-  round trip from the default start is final: the system is not solved for
-  that tuple;
-- unrealizable: k_1 = 1, or every homotopy path was accounted for and none
-  ends in D; `margin` is then the distance from the nearest nonsingular root
-  outside D to the closure of D, absent when every root is singular or at
-  infinity;
-- newton_failed: the homotopy left the tuple undecided (a path failed, two
-  paths merged, or an endpoint could not be placed inside or outside D),
-  and Newton from the default start and from every root it reported in D
-  did not converge.
+- unrealizable: some S_a is on the wrong side of 1, an exact integer test;
+  the note names the first such a and S_a;
+- realized: Newton from the default start t_i = i/s, run in batches on the
+  other tuples, or else the continuation from it, converges and
+  round-trips; `t` and `residual` are Newton's;
+- newton_failed: neither converged, although the tuple has a preimage.
 
-Only realize_catalog imports numpy and fewdist.inverse, and it imports
-the engine only when some tuple is left for it, so listing a catalog loads
-none of them.
+Only realize_catalog imports numpy and fewdist.inverse, so listing a
+catalog loads neither.
 """
 
 from __future__ import annotations
@@ -41,21 +31,21 @@ from .bounds import TheoremContext, theorem_context
 from .defaults import DEFAULT_BOX_CAP
 from .errors import BoxOverflowError, ParameterError
 
+NEWTON_CHUNK = 4096  # catalog rows Newton runs at once; bounds its memory
+
 
 @dataclass(frozen=True)
 class TupleEntry:
     k: tuple[int, ...]
     k_last: int
-    # raw | realized (Newton round-tripped from the default start, tried on
-    # every tuple first, or else from a root in D: t, residual) |
-    # unrealizable (k_1 = 1, or no homotopy path ends in D: margin, the
-    # distance from D of the nearest nonsingular root, when one exists) |
-    # newton_failed (homotopy undecided and Newton did not converge)
+    # raw | realized (Newton from the default start, or else the
+    # continuation, round-tripped: t, residual) | unrealizable (a partial
+    # sum on the wrong side of 1: note) | newton_failed (a preimage exists
+    # but neither converged: residual, note)
     status: str
     t: tuple[float, ...] | None = None
     residual: float | None = None
     note: str | None = None
-    margin: float | None = None
 
     def to_dict(self) -> dict:
         out = {"k": list(self.k), "k_last": self.k_last, "status": self.status}
@@ -65,8 +55,6 @@ class TupleEntry:
             out["residual"] = float(self.residual)
         if self.note is not None:
             out["note"] = self.note
-        if self.margin is not None:
-            out["margin"] = float(self.margin)
         return out
 
 
@@ -134,49 +122,45 @@ def realize_catalog(
 ) -> CandidateCatalog:
     """Decide every tuple; statuses become realized / unrealizable / newton_failed.
 
-    Newton runs from the default start on every tuple with k_1 > 1 at once;
-    a tuple it converges on is realized when the forward map returns k
-    within round_trip_tol. The tuples left go to one batched
-    solve_power_sums call. A tuple no_preimage decides is unrealizable, with
-    its note and margin; every other one takes Newton from the roots in D of
-    its solution, and is realized when that round-trips, else newton_failed
-    with the best residual.
+    A tuple outside P (no_preimage) is unrealizable. Newton runs from the
+    default start on the others, NEWTON_CHUNK rows at a time; a tuple it
+    converges on is realized when the forward map returns k within
+    round_trip_tol. A tuple it leaves takes the continuation, and is
+    realized when that round-trips, else newton_failed with its residual.
     """
     import numpy as np
 
-    from .inverse import forward_K, newton_from_default_start, newton_from_roots, no_preimage
+    from .inverse import continue_from_default_start, forward_K, newton_from_default_start, no_preimage
 
-    def round_trips(result, k) -> bool:
-        return result.success and np.max(np.abs(forward_K(result.t) - k)) <= round_trip_tol
-
-    hard = [entry.k for entry in catalog.entries if entry.k[0] > 1]
-    targets = np.array(hard, dtype=float).reshape(len(hard), catalog.s - 1)
-    firsts = dict(zip(hard, newton_from_default_start(targets, tol_res)))
-    left = [k for k in hard if not round_trips(firsts[k], k)]
-    solutions = {}
-    if left:
-        from .powersum import solve_power_sums
-
-        solutions = dict(zip(left, solve_power_sums(left)))
+    notes = {entry.k: no_preimage(entry.k) for entry in catalog.entries}
+    inside = [k for k, note in notes.items() if note is None]
+    firsts = {}
+    for start in range(0, len(inside), NEWTON_CHUNK):
+        chunk = inside[start : start + NEWTON_CHUNK]
+        targets = np.array(chunk, dtype=float)
+        results = newton_from_default_start(targets, tol_res)
+        # _newton keeps every iterate PROJECT_GAP inside D, where forward_K accepts it.
+        errors = np.max(np.abs(forward_K([r.t for r in results]) - targets), axis=1)
+        for k, result, error in zip(chunk, results, errors):
+            if result.success and error <= round_trip_tol:
+                firsts[k] = result
     realized = []
     for entry in catalog.entries:
-        first = firsts.get(entry.k)
-        if first is not None and entry.k not in solutions:
-            realized.append(replace(entry, status="realized", t=first.t, residual=first.residual))
-            continue
-        solution = solutions.get(entry.k)
-        note = no_preimage(entry.k, solution)
+        note = notes[entry.k]
         if note is not None:
-            margin = None if solution is None else solution.margin
-            realized.append(replace(entry, status="unrealizable", note=note, margin=margin))
+            realized.append(replace(entry, status="unrealizable", note=note))
             continue
-        k = np.asarray(entry.k, dtype=float)
-        result = newton_from_roots(k, solution.roots, first, tol_res)
-        if round_trips(result, k):
-            realized.append(replace(entry, status="realized", t=result.t, residual=result.residual))
-            continue
-        note = f"no start converged below {tol_res}"
-        realized.append(replace(entry, status="newton_failed", residual=result.residual, note=note))
+        result = firsts.get(entry.k)
+        if result is None:
+            k = np.asarray(entry.k, dtype=float)
+            result = continue_from_default_start(k, tol_res)
+            if not (result.success and np.max(np.abs(forward_K(result.t) - k)) <= round_trip_tol):
+                note = f"the continuation did not converge below {tol_res}"
+                realized.append(
+                    replace(entry, status="newton_failed", residual=result.residual, note=note)
+                )
+                continue
+        realized.append(replace(entry, status="realized", t=result.t, residual=result.residual))
     return CandidateCatalog(
         d=catalog.d, s=catalog.s, context=catalog.context, stage="realized", entries=tuple(realized)
     )

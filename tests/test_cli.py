@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewdist import construct_johnson, construct_named
+from fewdist import construct_johnson, construct_named, inverse
 from fewdist.cli import run
 
 GOLDEN_BOUNDS = (
@@ -111,11 +111,11 @@ class TestGoldenOutput:
         golden = (GOLDEN_DIR / "enumerate_10_3_realize.txt").read_text()
         assert capsys.readouterr().out == golden
 
-    def test_enumerate_homotopy_exact_bytes(self, capsys):
-        # Pins the power-sum solver's own bytes: 40 of the 80 tuples are
-        # decided by the homotopy, 39 of them with a printed margin.
+    def test_enumerate_partial_sum_exact_bytes(self, capsys):
+        # Pins the partial-sum notes: 40 of the 80 tuples have k_1 >= 2 and
+        # are unrealizable by a later partial sum.
         assert run(["enumerate", "-d", "4", "-s", "4", "--realize"]) == 0
-        golden = (GOLDEN_DIR / "enumerate_4_4_realize_homotopy.txt").read_text()
+        golden = (GOLDEN_DIR / "enumerate_4_4_realize_partial_sums.txt").read_text()
         assert capsys.readouterr().out == golden
 
     def test_bounds_exact_bytes(self, capsys):
@@ -330,10 +330,15 @@ class TestExitCodes:
             "error: squared distances overflow: a point norm is above about 6.7e153"
         ]
 
-    def test_numerical_failure_is_exit_3_with_json(self, capsys):
-        # The engine leaves this tuple undecided and Newton converges from
-        # neither the default start nor a root: undecided is exit 3.
-        rc = run(["invert", "-s", "6", "-k", "2,-6,6,-1,8"])
+    def test_numerical_failure_is_exit_3_with_json(self, capsys, monkeypatch):
+        # A tuple in P that neither Newton from the default start nor the
+        # continuation inverts (both made to fail here) is undecided: exit 3.
+        newton = inverse.newton_from_default_start
+        monkeypatch.setattr(inverse, "newton_from_default_start", lambda k, tol, its: newton(k, -1.0, 0))
+        monkeypatch.setattr(
+            inverse, "continue_from_default_start", lambda k, tol, its: newton(k[None], -1.0, 0)[0]
+        )
+        rc = run(["invert", "-s", "4", "-k", "4,-6,4"])
         assert rc == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["success"] is False
@@ -342,13 +347,15 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "s,k",
         [
-            # The engine accounts for every root and finds none in D.
+            # k_1 + k_2 = 6 > 1.
             ("4", "13,-7,8"),
-            # The engine alone is incomplete here (its root t = 0 lies on the
-            # boundary of D); K_1 > 1 on D decides it.
+            # k_1 = 1.
             ("2", "1"),
-            # Above the engine's cap, k_1 <= 1 still decides without it.
             ("12", ",".join(["1"] + ["-1", "1"] * 5)),
+            # k_1 + k_2 = 2 at s = 12, and k_1 + ... + k_4 = 1 at s = 6: no
+            # longer undecided (exit 3).
+            ("12", ",".join(["3"] + ["-1", "1"] * 5)),
+            ("6", "2,-6,6,-1,8"),
         ],
     )
     def test_proven_no_preimage_is_exit_0(self, capsys, s, k):
@@ -382,30 +389,9 @@ class TestLazyImports:
         assert "fewdist.inverse" in loaded
         assert not loaded & {"fewdist.pointset", "fewdist.ratios", "fewdist.certificate", "fewdist.embed"}
 
-    @pytest.mark.parametrize(
-        "argv, unloaded",
-        [
-            (("-d", "3", "-s", "5"), {"fewdist.powersum", "fewdist.inverse", "numpy"}),
-            (("-d", "10", "-s", "3", "--realize"), {"fewdist.powersum"}),
-        ],
-    )
-    def test_enumerate_loads_the_engine_only_for_tuples_newton_leaves(self, argv, unloaded):
-        # Listing a catalog inverts nothing; at (10, 3) Newton from the
-        # default start realizes every k_1 >= 2 tuple, so no tuple is left
-        # for the power-sum engine.
-        assert not self.loaded_after("enumerate", *argv) & unloaded
-
-    @pytest.mark.parametrize("argv", [("-s", "3", "-k", "6,-8"), ("-s", "4", "-k", "4,-6,4")])
-    def test_invert_loads_the_engine_only_when_newton_fails(self, argv):
-        # The closed form (s = 3) and Newton from the default start (s = 4)
-        # decide these tuples, so the power-sum engine is never imported.
-        assert "fewdist.powersum" not in self.loaded_after("invert", *argv)
-
-    def test_invert_runs_no_engine_above_its_path_cap(self):
-        # At s = 12 the engine would track 11! paths. Newton from the default
-        # start fails on this tuple, which must stay a quick exit 3.
-        k = ",".join(["3"] + ["-1", "1"] * 5)
-        assert "fewdist.powersum" not in self.loaded_after("invert", "-s", "12", "-k", k, rc=3)
+    def test_listing_a_catalog_loads_no_numpy(self):
+        # Listing a catalog inverts nothing.
+        assert not self.loaded_after("enumerate", "-d", "3", "-s", "5") & {"fewdist.inverse", "numpy"}
 
     def test_bounds_loads_no_numpy(self):
         assert "numpy" not in self.loaded_after("bounds", "--setting", "euclidean", "-d", "10", "-s", "3")

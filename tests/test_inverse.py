@@ -1,6 +1,8 @@
-"""Forward ratio map, analytic Jacobian, Newton, closed-form and homotopy inversion."""
+"""Forward ratio map, analytic Jacobian, the partial-sum rule, and Newton,
+continuation and closed-form inversion."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,12 +18,10 @@ from fewdist import (
     jacobian,
     jacobian_det_closed,
 )
-from fewdist import inverse, powersum
+from fewdist import inverse
 from fewdist.errors import InvalidSignError, NoSolutionError, ParameterError, SingularTupleError
-from fewdist.inverse import InversionResult
+from fewdist.inverse import InversionResult, no_preimage
 from fewdist.lagrange import lagrange_weights
-from fewdist.powersum import solve_power_sums
-from fewdist.search import enumerate_tuples, realize_catalog
 
 
 def sample_interior(rng, s, gap=1e-2):
@@ -102,18 +102,6 @@ def jacobian_loop(t):
     return J
 
 
-def interior_points(gap):
-    """Strategy: (s, t) with s = 3..5 and t in D, every gap (0 and 1
-    included) at least `gap`."""
-
-    def build(draw_s):
-        return st.lists(
-            st.floats(min_value=gap, max_value=1.0 - gap), min_size=draw_s - 1, max_size=draw_s - 1
-        ).map(lambda xs: (draw_s, np.sort(np.array(xs))))
-
-    return st.integers(min_value=3, max_value=5).flatmap(build)
-
-
 def has_gaps(t, gap):
     return np.min(np.diff(np.concatenate(([0.0], t, [1.0])))) >= gap
 
@@ -157,6 +145,71 @@ class TestJacobian:
                 assert jacobian_det_closed(sample_interior(rng, s)) != 0.0
 
 
+def exact_K(t):
+    """K_1..K_s at the rational point t, in Fractions."""
+    nodes = [*t, Fraction(1)]
+    return [
+        math.prod(tj / (tj - ti) for j, tj in enumerate(nodes) if j != i) for i, ti in enumerate(nodes)
+    ]
+
+
+rational_points = st.integers(min_value=2, max_value=9).flatmap(
+    lambda s: st.sets(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda x: 0 < x < 1),
+        min_size=s - 1,
+        max_size=s - 1,
+    ).map(sorted)
+)
+
+
+ON_D = "strictly on the domain; "
+
+
+class TestPartialSumRule:
+    """no_preimage(k) is None exactly on P = { (-1)**(a-1) (S_a - 1) > 0 }."""
+
+    @given(rational_points)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_images_lie_strictly_in_P(self, t):
+        K = exact_K(t)
+        assert sum(K) == 1
+        assert no_preimage(K[:-1]) is None
+        for a in range(1, len(K)):
+            assert (-1) ** (a - 1) * (sum(K[:a]) - 1) > 0
+
+    @pytest.mark.parametrize(
+        "k, note",
+        [
+            # a = 1: the k_1 <= 1 rule, in its former words.
+            ((1, -1, 2), "K_1 > 1 strictly on the domain; k_1 = 1 has no preimage"),
+            # S_2 = 1 exactly: a limit point of K(D), so only a strict test rejects it.
+            ((5, -4, 1, -2), "K_1 + ... + K_2 < 1 " + ON_D + "k_1 + ... + k_2 = 1 has no preimage"),
+            # S_2 > 1.
+            ((3,) + (-1, 1) * 5, "K_1 + ... + K_2 < 1 " + ON_D + "k_1 + ... + k_2 = 2 has no preimage"),
+            # Only an odd a > 1 is violated: S_3 = 1, S_5 = 1, or S_3 = 3/4 in floats.
+            ((3, -3, 1, -1), "K_1 + ... + K_3 > 1 " + ON_D + "k_1 + ... + k_3 = 1 has no preimage"),
+            ((3, -3, 2, -2, 1, -1), "K_1 + ... + K_5 > 1 " + ON_D + "k_1 + ... + k_5 = 1 has no preimage"),
+            ((2.0, -1.5, 0.25), "K_1 + ... + K_3 > 1 " + ON_D + "k_1 + ... + k_3 = 3/4 has no preimage"),
+            # Only a = s - 1, the sign of k_s, is violated: S_4 = 1 at s = 6.
+            ((2, -6, 6, -1, 8), "K_1 + ... + K_4 < 1 " + ON_D + "k_1 + ... + k_4 = 1 has no preimage"),
+        ],
+    )
+    def test_names_the_first_violated_partial_sum(self, k, note):
+        assert no_preimage(k) == note
+
+    @pytest.mark.parametrize("k", [(2,), (3, -3), (6, -8), (3, -3, 3), (2, -5, 5), (4, -6, 4, -2)])
+    def test_accepts_tuples_in_P(self, k):
+        assert no_preimage(k) is None
+        assert invert_K(np.array(k, dtype=float)).success
+
+    def test_float_sums_are_exact(self):
+        # Both partial sums S_3 round to 1.0 in floats; exactly, the first
+        # exceeds 1 and the second falls short of it.
+        assert 1.5 - 0.6 + 0.1 == 1.7 - 0.9 + 0.2 == 1.0
+        assert no_preimage((1.5, -0.6, 0.1)) is None
+        assert no_preimage((1.7, -0.9, 0.2)).startswith("K_1 + ... + K_3 > 1 strictly on the domain")
+
+
 class TestNewtonInversion:
     @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
     def test_round_trip(self, s):
@@ -189,25 +242,29 @@ class TestNewtonInversion:
             invert_K(np.array([2.0, 0.0]))
 
     def test_single_start_still_converges_on_easy_case(self, monkeypatch):
-        # The default start alone decides (3, -3): the engine is never asked.
-        def no_engine(ks):
-            raise AssertionError(f"power-sum engine asked for {ks}")
+        # The default start alone decides (3, -3): the continuation is never run.
+        def no_continuation(*args):
+            raise AssertionError(f"continuation asked for {args}")
 
-        monkeypatch.setattr(powersum, "solve_power_sums", no_engine)
+        monkeypatch.setattr(inverse, "continue_from_default_start", no_continuation)
         res = invert_K(np.array([3.0, -3.0]))
-        assert res.success and res.start_index == 0
+        assert res.success and res.start_index == 0 and res.method == "newton"
 
-    def test_engine_root_starts_newton_when_the_default_start_fails(self):
-        # A tight pair near t = 0.288 gives k ~ (3.495, -191.0, 188.5), from
-        # which Newton at t_i = i/4 does not converge; the engine's single
-        # root in D does.
+    def test_no_preimage_is_decided_by_the_rule_at_every_s(self):
+        # k_1 + ... + k_4 = 1 at s = 6, and k_1 + k_2 = 2 at s = 12.
+        for k in ([2, -6, 6, -1, 8], [3] + [-1, 1] * 5):
+            res = invert_K(np.array(k, dtype=float))
+            assert not res.success and res.method == "no_preimage"
+
+    def test_continuation_fails_cleanly(self, monkeypatch):
+        # A corrector that never converges halves the step down to MIN_STEP.
+        newton = inverse._newton
+        monkeypatch.setattr(inverse, "_newton", lambda k, t, tol, its: newton(k, t, -1.0, min(its, 1)))
         t = np.array([0.1235, 0.2873, 0.2889])
-        k = forward_K(t)
-        assert not _reference_newton(k, np.arange(1, 4) / 4, 0, 1e-10, 100).success
-        res = invert_K(k)
-        assert res.success and res.method == "newton"
-        assert res.start_index >= 1
-        assert np.max(np.abs(np.asarray(res.t) - t)) < 1e-8
+        res = inverse.continue_from_default_start(forward_K(t))
+        assert not res.success and res.method == "continuation"
+        assert np.isfinite(res.residual) and res.residual > 0.0
+
 
     def test_result_serialization(self):
         d = invert_K(np.array([2.0])).to_dict()
@@ -221,6 +278,46 @@ class TestNewtonInversion:
             "branches",
         }
         assert d["success"] and d["t"] == [0.5]
+
+
+# Default-start failures of a stress set: 2,000 points t of D per s = 3..12,
+# every gap (0 and 1 included) at least 1e-3, drawn by sorting
+# np.random.default_rng(5).random(s - 1) and keeping the points that qualify.
+# Newton from the default start fails on 56 of their images K(t); the
+# continuation inverts all 56. These are six of them, from s = 3 to 12 and
+# |k| up to 2.8e12, with a tight pair near t = 0.288 that Newton at
+# t_i = i/4 does not invert.
+CONTINUATION_CASES = [
+    [0.1235, 0.2873, 0.2889],
+    [0.1760530431912667, 0.17799460385488652],
+    [0.08132127560642088, 0.10061441112560321, 0.10275913142405535, 0.1086975293077499,
+     0.3935595468460552, 0.7357840124919083, 0.9059771653222297],
+    [0.022372326115435603, 0.10099315318732838, 0.1426246390045246, 0.1844032847403172,
+     0.18565941102511452, 0.23214538148427988, 0.23856211372574398, 0.618502174957759,
+     0.7079957447129502],
+    [0.6077649167121827, 0.6204842553527964, 0.851023283728938, 0.8520323418487726,
+     0.8801171714445335, 0.8814670464901162, 0.9013447321229192, 0.9176222261706796,
+     0.9601165405378891, 0.9971197542686863],
+    [0.0073532527276396475, 0.06996855456212625, 0.1150198152355476, 0.21198232247709292,
+     0.3055871665889419, 0.3071296698560346, 0.3097804883509171, 0.34631374011850524,
+     0.5595186012121349, 0.5958257999604021, 0.7730333594927737],
+]
+
+
+class TestContinuation:
+    @pytest.mark.parametrize("t", CONTINUATION_CASES, ids=lambda t: f"s{len(t) + 1}")
+    def test_inverts_default_start_failures_to_their_t(self, t):
+        t = np.array(t)
+        k = forward_K(t)
+        (first,) = inverse.newton_from_default_start(k[None])
+        assert not first.success
+        res = invert_K(k)
+        assert res.success and res.method == "continuation"
+        # Within 1e-8, or within the move of t that rounding k to doubles
+        # alone can cause (6e-8 for the s = 12 case).
+        eps = np.finfo(float).eps
+        rounding = np.max(np.abs(np.linalg.inv(jacobian(t)))) * t.size * np.max(np.abs(k)) * eps
+        assert np.max(np.abs(np.asarray(res.t) - t)) <= max(1e-8, rounding)
 
 
 class TestClosedForm:
@@ -263,72 +360,6 @@ class TestAutoInversion:
     def test_newton_for_other_sizes(self):
         res = invert_auto([2.0])
         assert res.method == "newton" and res.success
-
-
-class TestPowerSumHomotopy:
-    """solve_power_sums finds every preimage in D of k = K(t): forward then
-    inverse returns t, and nothing else in D (uniqueness)."""
-
-    @given(interior_points(1e-3))
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_and_uniqueness(self, case):
-        s, t = case
-        assume(has_gaps(t, 1e-3))
-        k = forward_K(t)
-        (solution,) = solve_power_sums([k])
-        # Every root reported lies at t; a complete verdict also proves that
-        # t is the only preimage. An ill-conditioned cluster may leave the
-        # verdict incomplete, which realize_catalog then hands to Newton.
-        assert len(solution.roots) <= 1
-        if solution.complete:
-            assert len(solution.roots) == 1
-        # Within 1e-8, or within 100 times the move of t that rounding k to
-        # doubles alone can cause (near t = 0 that exceeds 1e-8 for tight
-        # clusters, e.g. t = (0.001, 0.002, 0.003, 0.004)).
-        eps = np.finfo(float).eps
-        rounding = np.max(np.abs(np.linalg.inv(jacobian(t)))) * (s - 1) * np.max(np.abs(k)) * eps
-        for root in solution.roots:
-            assert np.max(np.abs(np.asarray(root) - t)) <= max(1e-8, 100 * rounding)
-
-    def test_round_trip_rate_on_a_fixed_sample(self):
-        rng = np.random.default_rng(20)
-        cases = []
-        while len(cases) < 150:
-            t = np.sort(rng.random(rng.integers(2, 5)))
-            if has_gaps(t, 1e-3):
-                cases.append(t)
-        by_length = {}
-        for t in cases:
-            by_length.setdefault(t.size, []).append(t)
-        exact = 0
-        for ts in by_length.values():
-            for t, solution in zip(ts, solve_power_sums([forward_K(t) for t in ts])):
-                if solution.complete and len(solution.roots) == 1:
-                    exact += np.max(np.abs(np.asarray(solution.roots[0]) - t)) <= 1e-8
-        assert exact >= 147
-
-    def test_no_preimage_tuples_are_complete_and_rootless(self):
-        # Newton failures the ROADMAP names; sympy confirms no real root in D.
-        for solution in solve_power_sums([(13, -7, 8), (12, -1, 3), (9, -4, 7)]):
-            assert solution.complete
-            assert solution.roots == ()
-            assert solution.margin > 0.0
-
-    def test_two_distance_tuple(self):
-        # F_1 = k_1 t_1 + 1 - k_1 = 0 has the single root t_1 = 1 - 1/k_1.
-        (solution,) = solve_power_sums([(4,)])
-        assert solution.complete
-        (root,) = solution.roots
-        assert root == pytest.approx((0.75,), abs=1e-12)
-
-    def test_repeats_exactly(self):
-        ks = [(3, -4, 2), (2, -1, 1), (4, -2, 3)]
-        assert solve_power_sums(ks) == solve_power_sums(ks)
-
-    def test_sign_validation(self):
-        with pytest.raises(InvalidSignError):
-            solve_power_sums([(2, 3)])
-        assert solve_power_sums([]) == []
 
 
 # The one-tuple damped Newton that the row code replaced, kept as the
@@ -480,22 +511,3 @@ class TestRowNewton:
         assert same_bits(steps[0], np.linalg.solve(J[0], vec[0]))
         assert same_bits(steps[1], np.linalg.lstsq(J[1], vec[1], rcond=None)[0])
         assert same_bits(steps[2], np.linalg.solve(J[2], vec[2]))
-
-    def test_engine_gets_only_the_tuples_the_default_start_leaves(self, monkeypatch):
-        asked = []
-        solve = powersum.solve_power_sums
-
-        def recorder(ks):
-            asked.extend(ks)
-            return solve(ks)
-
-        monkeypatch.setattr(powersum, "solve_power_sums", recorder)
-        catalog = realize_catalog(enumerate_tuples(4, 4))
-        default = np.arange(1, 4) / 4
-        left = [
-            e.k
-            for e in catalog.entries
-            if e.k[0] > 1 and not _reference_newton(np.array(e.k, dtype=float), default, 0, 1e-10, 100).success
-        ]
-        assert len(left) == 40
-        assert asked == left

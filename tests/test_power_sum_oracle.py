@@ -1,15 +1,17 @@
-"""An exact oracle for fewdist.powersum: sympy's lex Groebner basis.
+"""An exact oracle for the partial-sum rule: sympy's lex Groebner basis.
 
 sympy is a test-only dependency; nothing under src/ imports it. For a tuple
-k the power-sum system sum_i k_i t_i^m + k_s = 0 (m = 1..s-1) is solved
+k the power-sum system sum_i k_i t_i^m + k_s = 0 (m = 1..s-1), whose roots
+in D are exactly the preimages of k under the forward map, is solved
 symbolically, its real solutions are recovered level by level from the
-triangular lex basis at 50 digits, and the ones in D are counted. The
-homotopy must find the same number of roots in D, and decide every tuple.
+triangular lex basis at 50 digits, and the ones in D are counted. There must
+be exactly one when no_preimage(k) is None (k in P), and none otherwise.
 """
 
+import numpy as np
 import pytest
 
-from fewdist.powersum import solve_power_sums
+from fewdist.inverse import invert_K, no_preimage
 
 sp = pytest.importorskip("sympy")
 
@@ -48,11 +50,11 @@ def real_roots_in_domain(k):
 
 
 TUPLES = [
-    # Multistart Newton failures named in the ROADMAP: no root in D.
+    # Multistart Newton failures named in the ROADMAP: k_1 + k_2 > 1.
     (13, -7, 8),
     (12, -1, 3),
     (9, -4, 7),
-    # (4, 4) tuples: realized ones, a double-root-only one, and failures.
+    # (4, 4) tuples: ones in P, one with only double roots, and ones outside P.
     (2, -5, 5),
     (3, -3, 3),
     (5, -5, 5),
@@ -64,10 +66,12 @@ TUPLES = [
 
 
 @pytest.mark.parametrize("k", TUPLES)
-def test_homotopy_counts_roots_in_domain_like_groebner(k):
+def test_rule_counts_roots_in_domain_like_groebner(k):
     exact = real_roots_in_domain(k)
-    (solution,) = solve_power_sums([k])
-    assert solution.complete
-    assert len(solution.roots) == len(exact)
-    for found, expected in zip(solution.roots, sorted(exact)):
-        assert found == pytest.approx(expected, abs=1e-9)
+    if no_preimage(k) is not None:
+        assert exact == []
+        return
+    (root,) = exact
+    result = invert_K(np.array(k, dtype=float))
+    assert result.success
+    assert result.t == pytest.approx(root, abs=1e-9)

@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewdist import inverse, jsonio, powersum
+from fewdist import inverse, jsonio, search
 from fewdist.cli import run
 from fewdist.errors import BoxOverflowError, ParameterError
 from fewdist.inverse import forward_K
-from fewdist.powersum import PowerSumSolution
 from fewdist.search import (
     CandidateCatalog,
     TupleEntry,
@@ -191,9 +190,10 @@ def realized_4_4():
     return run_cli(ARGV_4_4)
 
 
-class TestPowerSumDecisions:
+class TestPartialSumDecisions:
     """(4, 4) has 80 tuples. Before the power-sum homotopy, 40 of them ended
-    newton_failed; tests/golden/enumerate_4_4_realize.txt is that stdout."""
+    newton_failed; tests/golden/enumerate_4_4_realize.txt is that stdout.
+    The partial-sum rule now proves each of them unrealizable."""
 
     def test_realized_entries_unchanged_and_failures_decided(self, realized_4_4):
         code, stdout = realized_4_4
@@ -202,7 +202,7 @@ class TestPowerSumDecisions:
         golden = json.loads(golden_text)
         payload = json.loads(stdout)
         assert [e["k"] for e in payload["entries"]] == [e["k"] for e in golden["entries"]]
-        singular_only = []
+        decided = 0
         for old, new in zip(golden["entries"], payload["entries"]):
             if old["status"] == "realized":
                 # Byte for byte: the entry's serialization sits in the old stdout.
@@ -210,17 +210,12 @@ class TestPowerSumDecisions:
                 assert new == old
             elif old["status"] == "newton_failed":
                 assert new["status"] == "unrealizable"
-                if "margin" in new:
-                    assert new["margin"] > 0.0
-                    assert new["note"] == "every root of the power-sum system lies outside D"
-                else:
-                    singular_only.append(new["k"])
+                assert new["note"] == inverse.no_preimage(tuple(new["k"]))
+                assert new["note"].startswith("K_1 + ... + K_")
+                decided += 1
             else:
                 assert new == old
-        # (2, -1, 1): F has only the double roots t = (0, 0, 1) and (1, 1, 0)
-        # (sympy's eliminant is t_1^2 (t_1 - 1)^2) and two at infinity, so no
-        # root is nonsingular and there is no margin to report.
-        assert singular_only == [[2, -1, 1]]
+        assert decided == 40
         assert payload["counts"] == {
             "total": 80,
             "realized": 30,
@@ -244,47 +239,47 @@ class TestPowerSumDecisions:
         assert tally.failed == 0
         assert tally.decided == tally.attempted == 80
 
-    def test_root_in_domain_is_polished_when_newton_fails(self, monkeypatch):
-        # Newton from the default start, the first and batched call, is made
-        # to fail (no step, and a tolerance no residual meets; t = (1/3, 2/3)
-        # is itself the default start for (3, -3)), so every realized tuple
-        # must come from Newton started at the engine's root in D.
-        newton = inverse._newton
-        starts = []
+    def test_newton_runs_only_on_tuples_in_P(self, monkeypatch):
+        asked = []
+        newton = inverse.newton_from_default_start
 
-        def newton_failing_from_the_default_start(targets, rows, tol_res, max_iter):
-            if not starts:  # every tuple from the default start, start index 0
-                starts.extend([0] * len(rows))
-                return newton(targets, rows, -1.0, 0)
-            starts.extend(range(1, len(rows) + 1))  # one tuple from its roots in D
-            return newton(targets, rows, tol_res, max_iter)
+        def recorder(targets, tol_res):
+            asked.extend(tuple(int(v) for v in row) for row in targets)
+            return newton(targets, tol_res)
 
-        monkeypatch.setattr(inverse, "_newton", newton_failing_from_the_default_start)
+        monkeypatch.setattr(inverse, "newton_from_default_start", recorder)
+        catalog = realize_catalog(enumerate_tuples(4, 4))
+        assert asked == [e.k for e in catalog.entries if e.status == "realized"]
+        assert len(asked) == 30
+
+    def test_chunked_newton_is_bit_identical_to_one_batch(self, monkeypatch):
+        one_batch = realize_catalog(enumerate_tuples(4, 4))
+        monkeypatch.setattr(search, "NEWTON_CHUNK", 7)
+        chunked = realize_catalog(enumerate_tuples(4, 4))
+        # Entries compare their floats exactly; 30 tuples in P make 5 chunks.
+        assert chunked.entries == one_batch.entries
+
+    def test_continuation_realizes_what_the_default_start_leaves(self, monkeypatch):
+        # Newton from the default start is made to fail on every row (no
+        # step, and a tolerance no residual meets), so every realized tuple
+        # must come from the continuation.
+        newton = inverse.newton_from_default_start
+        monkeypatch.setattr(inverse, "newton_from_default_start", lambda k, tol_res: newton(k, -1.0, 0))
         catalog = realize_catalog(enumerate_tuples(10, 3))
         entry = {e.k: e for e in catalog.entries}[(3, -3)]
         assert entry.status == "realized"
         assert np.allclose(entry.t, (1.0 / 3.0, 2.0 / 3.0), atol=1e-10)
         assert entry.residual <= 1e-10
         assert catalog.counts()["realized"] == 15
-        assert starts.count(1) == 15
 
-    def test_incomplete_tuples_fall_back_to_newton(self, monkeypatch):
-        def incomplete(ks):
-            return [PowerSumSolution(roots=(), margin=None, complete=False) for _ in ks]
-
-        monkeypatch.setattr(powersum, "solve_power_sums", incomplete)
+    def test_a_tuple_the_continuation_fails_on_is_newton_failed(self, monkeypatch):
+        newton = inverse.newton_from_default_start
+        monkeypatch.setattr(inverse, "newton_from_default_start", lambda k, tol_res: newton(k, -1.0, 0))
+        monkeypatch.setattr(
+            inverse, "continue_from_default_start", lambda k, tol_res: newton(k[None], -1.0, 0)[0]
+        )
         catalog = realize_catalog(enumerate_tuples(10, 3))
-        assert catalog.counts()["realized"] == 15
-        failed = realize_catalog(CandidateCatalog(
-            d=4, s=4, context=catalog.context, stage="enumerated",
-            entries=(TupleEntry(k=(3, -1, 1), k_last=-2, status="raw"),),
-        ))
-        (entry,) = failed.entries
-        assert entry.status == "newton_failed"
-        assert entry.margin is None and entry.residual > 0.0
-
-    def test_unrealizable_entry_dict_carries_margin(self):
-        entry = TupleEntry(k=(3, -1, 1), k_last=-2, status="unrealizable", note="n", margin=0.25)
-        assert entry.to_dict() == {
-            "k": [3, -1, 1], "k_last": -2, "status": "unrealizable", "note": "n", "margin": 0.25,
-        }
+        assert catalog.counts() == {"total": 21, "realized": 0, "unrealizable": 6, "newton_failed": 15}
+        entry = {e.k: e for e in catalog.entries}[(3, -3)]
+        assert entry.t is None and entry.residual > 0.0
+        assert entry.note == "the continuation did not converge below 1e-10"
