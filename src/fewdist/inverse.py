@@ -118,8 +118,10 @@ def _jacobian(t: np.ndarray) -> np.ndarray:
 
 
 def jacobian_det_closed(t) -> float:
-    """det J = (s-1)! * prod_i K_i / (1 - t_i), evaluated directly."""
+    """det J = (s-1)! * prod_i K_i / (1 - t_i), evaluated directly at one point."""
     arr = _check_domain(t)
+    if arr.ndim != 1:
+        raise ParameterError("t must be one point, a 1-d sequence")
     K = forward_K(arr)
     det = float(math.factorial(arr.size))
     for ki, ti in zip(K, arr):
@@ -244,10 +246,9 @@ def no_preimage(k) -> str | None:
     for a, value in enumerate(k, 1):
         total += value if isinstance(value, int) else Fraction(value)
         if sign * (total - 1) <= 0:
-            sums = "{0}_1" if a == 1 else f"{{0}}_1 + ... + {{0}}_{a}"
+            sums = "K_1" if a == 1 else f"K_1 + ... + K_{a}"
             side = ">" if sign > 0 else "<"
-            K, k_sum = sums.format("K"), sums.format("k")
-            return f"{K} {side} 1 strictly on the domain; {k_sum} = {total} has no preimage"
+            return f"{sums} {side} 1 strictly on the domain; {sums.lower()} = {total} has no preimage"
         sign = -sign
     return None
 

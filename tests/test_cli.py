@@ -372,12 +372,12 @@ class TestLazyImports:
     resolve on first use."""
 
     @staticmethod
-    def loaded_after(*argv, rc=0):
+    def loaded_after(*argv):
         code = (
             "import contextlib, io, sys\n"
             "from fewdist.cli import run\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert run({list(argv)!r}) == {rc}\n"
+            f"    assert run({list(argv)!r}) == 0\n"
             "print(' '.join(sorted(sys.modules)))"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

@@ -69,6 +69,18 @@ class TestForwardMap:
             for _ in range(50):
                 assert forward_K(sample_interior(rng, s))[0] > 1.0
 
+    def test_rows_match_single_points_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for s in range(2, 7):
+            rows = np.array([sample_interior(rng, s) for _ in range(20)])
+            K = forward_K(rows)
+            assert K.shape == rows.shape
+            assert all(same_bits(K[i], forward_K(row)) for i, row in enumerate(rows))
+            with pytest.raises(ParameterError):
+                forward_K(np.vstack([rows, [np.linspace(0.0, 0.5, s - 1)]]))
+        with pytest.raises(ParameterError):
+            jacobian_det_closed(rows)
+
     @pytest.mark.parametrize(
         "bad", [[0.5, 0.4], [0.0, 0.5], [0.5, 1.0], [-0.1], [0.3, 0.3]]
     )
