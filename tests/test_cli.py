@@ -344,6 +344,16 @@ class TestExitCodes:
         assert payload["success"] is False
         assert payload["method"] == "newton"
 
+    def test_continuation_inversion_is_exit_0(self, capsys):
+        # A tuple in P that Newton from the default start leaves is inverted
+        # by the continuation, back to the t it came from.
+        t = [0.1235, 0.2873, 0.2889]
+        k = inverse.forward_K(t)
+        assert run(["invert", "-s", "4", "-k", ",".join(map(repr, k.tolist()))]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["success"] is True and payload["method"] == "continuation"
+        assert np.max(np.abs(np.array(payload["t"]) - t)) < 1e-8
+
     @pytest.mark.parametrize(
         "s,k",
         [

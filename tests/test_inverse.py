@@ -21,7 +21,7 @@ from fewdist import (
 from fewdist import inverse
 from fewdist.errors import InvalidSignError, NoSolutionError, ParameterError, SingularTupleError
 from fewdist.inverse import InversionResult, no_preimage
-from fewdist.lagrange import lagrange_weights
+from fewdist.lagrange import check_sign_pattern, lagrange_weights
 
 
 def sample_interior(rng, s, gap=1e-2):
@@ -214,6 +214,34 @@ class TestPartialSumRule:
         assert no_preimage(k) is None
         assert invert_K(np.array(k, dtype=float)).success
 
+    @pytest.mark.parametrize(
+        "s, a", [(s, a) for s in range(2, 8) for a in range(1, s)], ids=lambda v: str(v)
+    )
+    def test_each_partial_sum_bounds_P(self, s, a):
+        # Partial sums 3, -1, 3, -1, ... lie in P; S_a alone is moved onto
+        # 1, past it, or kept on its side: only the last is in P.
+        def with_sum_at_a(value):
+            sums = [3.0 if b % 2 else -1.0 for b in range(1, s)]
+            sums[a - 1] = value
+            return np.diff(sums, prepend=0.0)
+
+        inside, past = (1.5, 0.5) if a % 2 else (0.5, 1.5)
+        sums = "K_1" if a == 1 else f"K_1 + ... + K_{a}"
+        side = ">" if a % 2 else "<"
+        for value, shown in ((1.0, "1"), (past, str(Fraction(past)))):
+            k = with_sum_at_a(value)
+            note = f"{sums} {side} 1 {ON_D}{sums.lower()} = {shown} has no preimage"
+            assert no_preimage(k) == note
+        # S_a = 1 is a limit point of K(D), which Newton may come within its
+        # tolerance of; a tuple past it is decided by the rule.
+        res = invert_K(with_sum_at_a(past))
+        assert not res.success and res.method == "no_preimage"
+        k = with_sum_at_a(inside)
+        assert no_preimage(k) is None
+        res = invert_K(k)
+        assert res.success
+        assert np.max(np.abs(forward_K(res.t) - k)) <= 1e-10 * max(1.0, np.max(np.abs(k)))
+
     def test_float_sums_are_exact(self):
         # Both partial sums S_3 round to 1.0 in floats; exactly, the first
         # exceeds 1 and the second falls short of it.
@@ -313,6 +341,13 @@ CONTINUATION_CASES = [
     [0.0073532527276396475, 0.06996855456212625, 0.1150198152355476, 0.21198232247709292,
      0.3055871665889419, 0.3071296698560346, 0.3097804883509171, 0.34631374011850524,
      0.5595186012121349, 0.5958257999604021, 0.7730333594927737],
+    # Three more of the same kind, at the sizes above leave out (s = 6, 7, 9).
+    [0.0022859789189788593, 0.8930607519742237, 0.8995648359608155, 0.9626518987619347,
+     0.9816872983219613],
+    [0.041209850179512286, 0.5337997189186628, 0.5362267204388502, 0.6535439616905504,
+     0.827684717786648, 0.9574887923797216],
+    [0.001586257017490933, 0.28631255845576886, 0.4350967385140402, 0.4497944290285968,
+     0.4611674403746019, 0.5587435365971047, 0.6475790010594709, 0.788487801100912],
 ]
 
 
@@ -330,6 +365,40 @@ class TestContinuation:
         eps = np.finfo(float).eps
         rounding = np.max(np.abs(np.linalg.inv(jacobian(t)))) * t.size * np.max(np.abs(k)) * eps
         assert np.max(np.abs(np.asarray(res.t) - t)) <= max(1e-8, rounding)
+
+    @given(
+        st.lists(
+            st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=1, max_size=11
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_log_sums_map_R_into_P(self, u):
+        # Every point of the continuation's segment is a tuple of P, with the
+        # sign pattern, and its coordinates come back.
+        u = np.array(u)
+        k = inverse._from_log_sums(u)
+        assert no_preimage(k) is None
+        check_sign_pattern(k)
+        assert np.allclose(inverse._log_sums(k), u, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6, 8])
+    def test_log_sums_round_trip_on_images(self, s):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            k = forward_K(sample_interior(rng, s))
+            back = inverse._from_log_sums(inverse._log_sums(k))
+            assert np.allclose(back, k, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 8])
+    def test_agrees_with_the_default_start_where_both_converge(self, s):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            k = forward_K(sample_interior(rng, s, gap=5e-2))
+            (first,) = inverse.newton_from_default_start(k[None])
+            res = inverse.continue_from_default_start(k)
+            assert first.success and res.success and res.method == "continuation"
+            assert res.iterations >= first.iterations > 0
+            assert np.max(np.abs(np.asarray(res.t) - np.asarray(first.t))) < 1e-9
 
 
 class TestClosedForm:
