@@ -28,22 +28,22 @@ to 0 carry total weight 1 and every other cluster weight 0, so some S_a
 tends to 1; K is proper onto the convex P and a local diffeomorphism, hence
 a bijection (Hadamard-Caccioppoli).
 
-Inversion takes one path. Damped Newton runs from the default start
-t_i = i/s; if it fails, k has no preimage when it lies outside P
-(no_preimage, an exact test), and otherwise Newton follows the segment from
-K(default start) to k in the coordinates u_a = log((-1)**(a-1) (S_a - 1)),
-which map P onto R^(s-1), so every point of the path has a preimage.
+Inversion takes one path. A tuple outside P has no preimage (no_preimage,
+an exact test), and no Newton iteration runs on it. On tuples of P,
+invert_rows runs damped Newton from the default start t_i = i/s, then, on
+each row Newton leaves, follows the segment from K(default start) to k in
+the coordinates u_a = log((-1)**(a-1) (S_a - 1)), which map P onto
+R^(s-1), so every point of the path has a preimage.
 
-Newton runs on rows, many tuples at once (newton_from_default_start on a
-catalog): the map, its Jacobian and the projection into D take a leading
-axis of points, and forward_K and jacobian are their one-point case. A row's
+The map, its Jacobian and the projection into D take a leading axis of
+points, and forward_K and jacobian are their one-point case. A row's
 arithmetic does not depend on the other rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -56,6 +56,7 @@ DEFAULT_TOL_RES = 1e-10
 BACKTRACK = 0.5 ** np.arange(30)  # the damped step's scales 1, 1/2, ..., 2**-29
 FIRST_STEP = 0.125  # the continuation's first step along its path
 MIN_STEP = 2.0**-20  # the continuation gives up when its step falls below this
+NEWTON_CHUNK = 4096  # rows Newton runs at once; bounds its memory
 
 
 def _check_domain(t) -> np.ndarray:
@@ -213,7 +214,7 @@ def _newton(targets, starts, tol_res: float, max_iter: int):
     return t, residual, iterations, residual <= tol_res
 
 
-def _results(t, residual, iterations, success) -> list[InversionResult]:
+def _results(t, residual, iterations, success, method: str = "newton") -> list[InversionResult]:
     """One InversionResult per row of _newton's output, started at index 0."""
     return [
         InversionResult(
@@ -222,20 +223,16 @@ def _results(t, residual, iterations, success) -> list[InversionResult]:
             residual=float(res),
             iterations=int(its),
             start_index=0,
+            method=method,
         )
         for row, res, its, ok in zip(t, residual, iterations, success)
     ]
 
 
-def newton_from_default_start(
-    targets, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
-) -> list[InversionResult]:
-    """Newton from the default start t_i = i/s on every row of the
-    sign-checked targets (T, s-1) at once."""
-    targets = np.asarray(targets, dtype=float)
-    s = targets.shape[1] + 1
-    starts = np.broadcast_to(np.arange(1, s) / s, targets.shape)
-    return _results(*_newton(targets, starts, tol_res, max_iter))
+def _default_start(targets: np.ndarray) -> np.ndarray:
+    """t_i = i/s for each row of targets."""
+    s = targets.shape[-1] + 1
+    return np.broadcast_to(np.arange(1, s) / s, targets.shape)
 
 
 def no_preimage(k) -> str | None:
@@ -264,17 +261,14 @@ def _from_log_sums(u: np.ndarray) -> np.ndarray:
     return np.diff(1.0 + signs * np.exp(u), prepend=0.0)
 
 
-def continue_from_default_start(
-    target: np.ndarray, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100
-) -> InversionResult:
+def _continue(target: np.ndarray, tol_res: float, max_iter: int) -> InversionResult:
     """Newton along the segment from K(default start) to the target, a tuple
     of P, in log partial-sum coordinates: each point of the segment has a
     preimage, which _newton corrects to from the last one. A step that does
     not converge is halved, one that does doubles the next. Returns the
     final Newton's result with method "continuation" and every corrector
     iteration counted, or a failure once the step falls below MIN_STEP."""
-    s1 = target.size
-    t = np.arange(1, s1 + 1) / (s1 + 1)
+    t = _default_start(target)
     u0 = _log_sums(_weights(t)[:-1])
     direction = _log_sums(target) - u0
     tau, step, total = 0.0, FIRST_STEP, 0
@@ -287,25 +281,34 @@ def continue_from_default_start(
             step /= 2
             continue
         if nxt == 1.0:
-            (result,) = _results(t_next, residual, iterations, success)
-            return replace(result, iterations=total, method="continuation")
+            return _results(t_next, residual, [total], success, "continuation")[0]
         tau, t, step = nxt, t_next[0], 2 * step
-    (result,) = _results(*_newton(target[None], t[None], tol_res, 0))
-    return replace(result, iterations=total, method="continuation")
+    t_last, residual, _, success = _newton(target[None], t[None], tol_res, 0)
+    return _results(t_last, residual, [total], success, "continuation")[0]
+
+
+def invert_rows(targets, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> list[InversionResult]:
+    """Invert each row of targets (T, s-1), sign-checked tuples that
+    no_preimage puts in P: Newton from the default start, NEWTON_CHUNK rows
+    at a time, then the continuation on each row it leaves. success =
+    (residual <= tol_res), relative to max(1, max|k|)."""
+    targets = np.asarray(targets, dtype=float)
+    results = []
+    for start in range(0, len(targets), NEWTON_CHUNK):
+        chunk = targets[start : start + NEWTON_CHUNK]
+        results.extend(_results(*_newton(chunk, _default_start(chunk), tol_res, max_iter)))
+    return [r if r.success else _continue(k, tol_res, max_iter) for k, r in zip(targets, results)]
 
 
 def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
-    """The inversion path for k_target, sign-checked here: success =
-    (residual <= tol_res), relative to max(1, max|k|). When the default
-    start fails, method "no_preimage" marks a tuple outside P, and any
-    other tuple takes the continuation."""
-    target = check_sign_pattern(k_target)
-    (first,) = newton_from_default_start(target[None], tol_res, max_iter)
-    if first.success:
-        return first
-    if no_preimage(target) is not None:
-        return replace(first, method="no_preimage")
-    return continue_from_default_start(target, tol_res, max_iter)
+    """The inversion path for k_target, sign-checked here. A tuple outside P
+    gets method "no_preimage": the default start and its residual, with no
+    Newton iteration. A tuple in P is inverted by invert_rows."""
+    target = check_sign_pattern(k_target)[None]
+    if no_preimage(target[0]) is None:
+        return invert_rows(target, tol_res, max_iter)[0]
+    t, residual, iterations, _ = _newton(target, _default_start(target), tol_res, 0)
+    return _results(t, residual, iterations, [False], "no_preimage")[0]
 
 
 @dataclass(frozen=True)
@@ -354,9 +357,9 @@ def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
 
 
 def invert_auto(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
-    """Closed form for s = 3 when regular, else the inversion path (invert_K)."""
+    """Closed form for s = 3 tuples of P where it is regular, else invert_K."""
     target = check_sign_pattern(k_target)
-    if target.size == 2:
+    if target.size == 2 and no_preimage(target) is None:
         try:
             closed = invert_s3_closed(float(target[0]), float(target[1]))
             return InversionResult(

@@ -13,10 +13,10 @@ S_a = k_1 + ... + k_a alternate strictly around 1, and then only one.
 
 - unrealizable: some S_a is on the wrong side of 1, an exact integer test;
   the note names the first such a and S_a;
-- realized: Newton from the default start t_i = i/s, run in batches on the
-  other tuples, or else the continuation from it, converges and
-  round-trips; `t` and `residual` are Newton's;
-- newton_failed: neither converged, although the tuple has a preimage.
+- realized: fewdist.inverse.invert_rows, run once on the other tuples
+  (Newton from the default start t_i = i/s, then the continuation on the
+  tuples it leaves), converges and round-trips; `t` and `residual` are its;
+- newton_failed: it did not, although the tuple has a preimage.
 
 Only realize_catalog imports numpy and fewdist.inverse, so listing a
 catalog loads neither.
@@ -25,23 +25,20 @@ catalog loads neither.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bounds import TheoremContext, theorem_context
 from .defaults import DEFAULT_BOX_CAP
 from .errors import BoxOverflowError, ParameterError
 
-NEWTON_CHUNK = 4096  # catalog rows Newton runs at once; bounds its memory
+ROUND_TRIP_TOL = 1e-8  # how far forward_K of a realized t may land from k
 
 
 @dataclass(frozen=True)
 class TupleEntry:
     k: tuple[int, ...]
     k_last: int
-    # raw | realized (Newton from the default start, or else the
-    # continuation, round-tripped: t, residual) | unrealizable (a partial
-    # sum on the wrong side of 1: note) | newton_failed (a preimage exists
-    # but neither converged: residual, note)
+    # raw | realized (t, residual) | unrealizable (note) | newton_failed (residual, note)
     status: str
     t: tuple[float, ...] | None = None
     residual: float | None = None
@@ -115,54 +112,39 @@ def enumerate_tuples(d: int, s: int, cap: int = DEFAULT_BOX_CAP) -> CandidateCat
     return CandidateCatalog(d=d, s=s, context=context, stage="enumerated", entries=tuple(entries))
 
 
-def realize_catalog(
-    catalog: CandidateCatalog,
-    tol_res: float = 1e-10,
-    round_trip_tol: float = 1e-8,
-) -> CandidateCatalog:
+def realize_catalog(catalog: CandidateCatalog) -> CandidateCatalog:
     """Decide every tuple; statuses become realized / unrealizable / newton_failed.
 
-    A tuple outside P (no_preimage) is unrealizable. Newton runs from the
-    default start on the others, NEWTON_CHUNK rows at a time; a tuple it
-    converges on is realized when the forward map returns k within
-    round_trip_tol. A tuple it leaves takes the continuation, and is
-    realized when that round-trips, else newton_failed with its residual.
+    A tuple outside P (no_preimage) is unrealizable. invert_rows inverts the
+    others in one call; a tuple is realized when it converged and the
+    forward map returns k within ROUND_TRIP_TOL, else newton_failed with
+    its residual.
     """
     import numpy as np
 
-    from .inverse import continue_from_default_start, forward_K, newton_from_default_start, no_preimage
+    from .inverse import DEFAULT_TOL_RES, forward_K, invert_rows, no_preimage
 
-    notes = {entry.k: no_preimage(entry.k) for entry in catalog.entries}
-    inside = [k for k, note in notes.items() if note is None]
-    firsts = {}
-    for start in range(0, len(inside), NEWTON_CHUNK):
-        chunk = inside[start : start + NEWTON_CHUNK]
-        targets = np.array(chunk, dtype=float)
-        results = newton_from_default_start(targets, tol_res)
-        # _newton keeps every iterate PROJECT_GAP inside D, where forward_K accepts it.
-        errors = np.max(np.abs(forward_K([r.t for r in results]) - targets), axis=1)
-        for k, result, error in zip(chunk, results, errors):
-            if result.success and error <= round_trip_tol:
-                firsts[k] = result
-    realized = []
-    for entry in catalog.entries:
-        note = notes[entry.k]
-        if note is not None:
-            realized.append(replace(entry, status="unrealizable", note=note))
-            continue
-        result = firsts.get(entry.k)
-        if result is None:
-            k = np.asarray(entry.k, dtype=float)
-            result = continue_from_default_start(k, tol_res)
-            if not (result.success and np.max(np.abs(forward_K(result.t) - k)) <= round_trip_tol):
-                note = f"the continuation did not converge below {tol_res}"
-                realized.append(
-                    replace(entry, status="newton_failed", residual=result.residual, note=note)
-                )
-                continue
-        realized.append(replace(entry, status="realized", t=result.t, residual=result.residual))
+    notes = [no_preimage(entry.k) for entry in catalog.entries]
+    inside = [entry.k for entry, note in zip(catalog.entries, notes) if note is None]
+    targets = np.array(inside, dtype=float)
+    results = invert_rows(targets)
+    # _newton keeps every iterate PROJECT_GAP inside D, where forward_K accepts it.
+    errors = np.max(np.abs(forward_K([r.t for r in results]) - targets), axis=1) if inside else []
+    decided = zip(results, errors)
+    entries = []
+    for entry, note in zip(catalog.entries, notes):
+        status, t, residual = "unrealizable", None, None
+        if note is None:
+            result, error = next(decided)
+            residual = result.residual
+            if result.success and error <= ROUND_TRIP_TOL:
+                status, t = "realized", result.t
+            else:
+                status = "newton_failed"
+                note = f"the continuation did not converge below {DEFAULT_TOL_RES}"
+        entries.append(TupleEntry(entry.k, entry.k_last, status, t, residual, note))
     return CandidateCatalog(
-        d=catalog.d, s=catalog.s, context=catalog.context, stage="realized", entries=tuple(realized)
+        d=catalog.d, s=catalog.s, context=catalog.context, stage="realized", entries=tuple(entries)
     )
 
 

@@ -332,17 +332,14 @@ class TestExitCodes:
 
     def test_numerical_failure_is_exit_3_with_json(self, capsys, monkeypatch):
         # A tuple in P that neither Newton from the default start nor the
-        # continuation inverts (both made to fail here) is undecided: exit 3.
-        newton = inverse.newton_from_default_start
-        monkeypatch.setattr(inverse, "newton_from_default_start", lambda k, tol, its: newton(k, -1.0, 0))
-        monkeypatch.setattr(
-            inverse, "continue_from_default_start", lambda k, tol, its: newton(k[None], -1.0, 0)[0]
-        )
+        # continuation inverts (every Newton made to fail here) is undecided: exit 3.
+        newton = inverse._newton
+        monkeypatch.setattr(inverse, "_newton", lambda k, t, tol, its: newton(k, t, -1.0, 0))
         rc = run(["invert", "-s", "4", "-k", "4,-6,4"])
         assert rc == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload["success"] is False
-        assert payload["method"] == "newton"
+        assert payload["method"] == "continuation"
 
     def test_continuation_inversion_is_exit_0(self, capsys):
         # A tuple in P that Newton from the default start leaves is inverted
@@ -366,6 +363,13 @@ class TestExitCodes:
             # longer undecided (exit 3).
             ("12", ",".join(["3"] + ["-1", "1"] * 5)),
             ("6", "2,-6,6,-1,8"),
+            # Some S_a = 1 exactly, a limit point of K(D) that Newton from
+            # the default start came within its tolerance of: no longer
+            # reported as a success.
+            ("3", "3,-2"),
+            ("4", "3,-4,2"),
+            ("5", "3,-4,4,-2"),
+            ("7", "3,-4,2,-2,4,-4"),
         ],
     )
     def test_proven_no_preimage_is_exit_0(self, capsys, s, k):
@@ -374,7 +378,10 @@ class TestExitCodes:
         assert payload["success"] is False
         assert payload["method"] == "no_preimage"
         assert set(payload) == set(json.loads(GOLDEN_INVERT))
-        assert payload["start_index"] == 0 and payload["iterations"] > 0
+        # The rule decides before Newton: t is the default start i/s, unmoved.
+        assert payload["start_index"] == 0 and payload["iterations"] == 0
+        n = int(s)
+        assert payload["t"] == [float(f"{i / n:.12g}") for i in range(1, n)]
 
 
 class TestLazyImports:

@@ -232,10 +232,10 @@ class TestPartialSumRule:
             k = with_sum_at_a(value)
             note = f"{sums} {side} 1 {ON_D}{sums.lower()} = {shown} has no preimage"
             assert no_preimage(k) == note
-        # S_a = 1 is a limit point of K(D), which Newton may come within its
-        # tolerance of; a tuple past it is decided by the rule.
-        res = invert_K(with_sum_at_a(past))
-        assert not res.success and res.method == "no_preimage"
+            # S_a = 1 is a limit point of K(D), which Newton may come within
+            # its tolerance of: invert_K decides by the rule before Newton.
+            res = invert_K(k)
+            assert not res.success and res.method == "no_preimage"
         k = with_sum_at_a(inside)
         assert no_preimage(k) is None
         res = invert_K(k)
@@ -286,7 +286,7 @@ class TestNewtonInversion:
         def no_continuation(*args):
             raise AssertionError(f"continuation asked for {args}")
 
-        monkeypatch.setattr(inverse, "continue_from_default_start", no_continuation)
+        monkeypatch.setattr(inverse, "_continue", no_continuation)
         res = invert_K(np.array([3.0, -3.0]))
         assert res.success and res.start_index == 0 and res.method == "newton"
 
@@ -301,7 +301,7 @@ class TestNewtonInversion:
         newton = inverse._newton
         monkeypatch.setattr(inverse, "_newton", lambda k, t, tol, its: newton(k, t, -1.0, min(its, 1)))
         t = np.array([0.1235, 0.2873, 0.2889])
-        res = inverse.continue_from_default_start(forward_K(t))
+        res = inverse._continue(forward_K(t), inverse.DEFAULT_TOL_RES, 100)
         assert not res.success and res.method == "continuation"
         assert np.isfinite(res.residual) and res.residual > 0.0
 
@@ -351,13 +351,19 @@ CONTINUATION_CASES = [
 ]
 
 
+def default_start_newton(k):
+    """Newton from the default start alone on the tuple k."""
+    row = k[None]
+    start = inverse._default_start(row)
+    return inverse._results(*inverse._newton(row, start, inverse.DEFAULT_TOL_RES, 100))[0]
+
+
 class TestContinuation:
     @pytest.mark.parametrize("t", CONTINUATION_CASES, ids=lambda t: f"s{len(t) + 1}")
     def test_inverts_default_start_failures_to_their_t(self, t):
         t = np.array(t)
         k = forward_K(t)
-        (first,) = inverse.newton_from_default_start(k[None])
-        assert not first.success
+        assert not default_start_newton(k).success
         res = invert_K(k)
         assert res.success and res.method == "continuation"
         # Within 1e-8, or within the move of t that rounding k to doubles
@@ -394,8 +400,8 @@ class TestContinuation:
         rng = np.random.default_rng(3)
         for _ in range(5):
             k = forward_K(sample_interior(rng, s, gap=5e-2))
-            (first,) = inverse.newton_from_default_start(k[None])
-            res = inverse.continue_from_default_start(k)
+            first = default_start_newton(k)
+            res = inverse._continue(k, inverse.DEFAULT_TOL_RES, 100)
             assert first.success and res.success and res.method == "continuation"
             assert res.iterations >= first.iterations > 0
             assert np.max(np.abs(np.asarray(res.t) - np.asarray(first.t))) < 1e-9

@@ -50,7 +50,7 @@ def real_roots_in_domain(k):
 
 
 TUPLES = [
-    # Multistart Newton failures named in the ROADMAP: k_1 + k_2 > 1.
+    # Outside P, with k_1 + k_2 > 1.
     (13, -7, 8),
     (12, -1, 3),
     (9, -4, 7),

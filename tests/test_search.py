@@ -241,31 +241,57 @@ class TestPartialSumDecisions:
 
     def test_newton_runs_only_on_tuples_in_P(self, monkeypatch):
         asked = []
-        newton = inverse.newton_from_default_start
+        newton = inverse._newton
 
-        def recorder(targets, tol_res):
+        def recorder(targets, starts, tol_res, max_iter):
             asked.extend(tuple(int(v) for v in row) for row in targets)
-            return newton(targets, tol_res)
+            return newton(targets, starts, tol_res, max_iter)
 
-        monkeypatch.setattr(inverse, "newton_from_default_start", recorder)
+        monkeypatch.setattr(inverse, "_newton", recorder)
         catalog = realize_catalog(enumerate_tuples(4, 4))
         assert asked == [e.k for e in catalog.entries if e.status == "realized"]
         assert len(asked) == 30
 
+    @pytest.mark.parametrize("k", [(3, -2), (3, -4, 2), (1, -1, 2), (2, -6, 6, -1, 8)])
+    def test_invert_K_runs_no_newton_iteration_outside_P(self, monkeypatch, k):
+        # S_a = 1 or past it: the rule decides before Newton, which is asked
+        # only for the default start's residual.
+        asked = []
+        newton = inverse._newton
+
+        def recorder(targets, starts, tol_res, max_iter):
+            asked.append(max_iter)
+            return newton(targets, starts, tol_res, max_iter)
+
+        monkeypatch.setattr(inverse, "_newton", recorder)
+        res = inverse.invert_K(np.array(k, dtype=float))
+        assert res.method == "no_preimage" and res.iterations == 0
+        assert asked == [0]
+
     def test_chunked_newton_is_bit_identical_to_one_batch(self, monkeypatch):
         one_batch = realize_catalog(enumerate_tuples(4, 4))
-        monkeypatch.setattr(search, "NEWTON_CHUNK", 7)
+        monkeypatch.setattr(inverse, "NEWTON_CHUNK", 7)
         chunked = realize_catalog(enumerate_tuples(4, 4))
         # Entries compare their floats exactly; 30 tuples in P make 5 chunks.
         assert chunked.entries == one_batch.entries
 
     def test_continuation_realizes_what_the_default_start_leaves(self, monkeypatch):
-        # Newton from the default start is made to fail on every row (no
-        # step, and a tolerance no residual meets), so every realized tuple
-        # must come from the continuation.
-        newton = inverse.newton_from_default_start
-        monkeypatch.setattr(inverse, "newton_from_default_start", lambda k, tol_res: newton(k, -1.0, 0))
+        # Newton from the default start, the first and only batched call, is
+        # made to fail on every row (no step, and a tolerance no residual
+        # meets), so every realized tuple must come from the continuation.
+        batches = []
+        newton = inverse._newton
+
+        def failing_batch(targets, starts, tol_res, max_iter):
+            if not batches:
+                batches.append(len(targets))
+                return newton(targets, starts, -1.0, 0)
+            assert len(targets) == 1
+            return newton(targets, starts, tol_res, max_iter)
+
+        monkeypatch.setattr(inverse, "_newton", failing_batch)
         catalog = realize_catalog(enumerate_tuples(10, 3))
+        assert batches == [15]
         entry = {e.k: e for e in catalog.entries}[(3, -3)]
         assert entry.status == "realized"
         assert np.allclose(entry.t, (1.0 / 3.0, 2.0 / 3.0), atol=1e-10)
@@ -273,11 +299,9 @@ class TestPartialSumDecisions:
         assert catalog.counts()["realized"] == 15
 
     def test_a_tuple_the_continuation_fails_on_is_newton_failed(self, monkeypatch):
-        newton = inverse.newton_from_default_start
-        monkeypatch.setattr(inverse, "newton_from_default_start", lambda k, tol_res: newton(k, -1.0, 0))
-        monkeypatch.setattr(
-            inverse, "continue_from_default_start", lambda k, tol_res: newton(k[None], -1.0, 0)[0]
-        )
+        # Every Newton, from the default start and along the continuation, fails.
+        newton = inverse._newton
+        monkeypatch.setattr(inverse, "_newton", lambda k, t, tol, its: newton(k, t, -1.0, 0))
         catalog = realize_catalog(enumerate_tuples(10, 3))
         assert catalog.counts() == {"total": 21, "realized": 0, "unrealizable": 6, "newton_failed": 15}
         entry = {e.k: e for e in catalog.entries}[(3, -3)]
