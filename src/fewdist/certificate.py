@@ -8,11 +8,13 @@ the polynomials span a space of dimension at most N_cap, rank(M) <= N_cap,
 which pins the spectrum of A and forces k to be a bounded integer once the
 set is large enough. The pair values and classes are pointset's memoized
 ones, which the ratios read too. The checks are numerical, with measured slacks.
+Spectra come from a range basis a setting's classes share, or from M's dense
+spectrum, which the Seidel companion's is read off, each within a Weyl bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,9 +22,11 @@ from .bounds import SETTING_TABLE, TheoremContext, dim_poly_space, setting_row, 
 from .errors import InputError, NumericalError, ParameterError
 from .lagrange import lagrange_basis
 from .pointset import (
+    _TILE,
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
+    _memoized,
     antipodal_structure,
     distance_profile,
     inner_product_matrix,
@@ -55,6 +59,8 @@ class IndicatorMatrix:
     x_size: int
     d_eff: int
     s: int
+    # (point set, tol) M was read on: it keys the range basis its setting shares.
+    source: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -110,21 +116,33 @@ def indicator_matrix(
     if row.signed:
         matrix *= pairs / values[i0]
     d_eff = effective_dimension(ps, setting, tol_rank)
-    # The adjacency has a zero diagonal, where k is subtracted instead.
-    deviation = matrix - adjacency
-    deviation[np.diag_indices_from(deviation)] -= k
+    n = len(matrix)
+    deviation = []
+    for rows, out in _row_blocks(n):
+        np.subtract(matrix[rows], adjacency[rows], out=out)
+        # The adjacency has a zero diagonal, where k is subtracted instead.
+        out.flat[rows.start :: n + 1] -= k
+        deviation.append(np.max(np.abs(out, out=out)))
     return IndicatorMatrix(
         matrix=matrix,
         setting=setting,
         class_index=class_index,
         k_claimed=float(k),
         adjacency=adjacency,
-        max_decomposition_dev=float(np.max(np.abs(deviation, out=deviation))),
+        max_decomposition_dev=float(np.max(deviation)),
         n_cap=dim_poly_space(row.space, d_eff, s - row.degree_offset),
         x_size=ps.n,
         d_eff=d_eff,
         s=s,
+        source=(ps, tol),
     )
+
+
+def _row_blocks(n: int):
+    """(rows, out) per block of _TILE rows of an n x n array, out one buffer's view."""
+    buf = np.empty((min(_TILE, n), n))
+    for start in range(0, n, _TILE):
+        yield slice(start, start + _TILE), buf[: n - start]
 
 
 def numeric_rank(matrix, tol_rank: float = DEFAULT_TOL_RANK) -> int:
@@ -210,23 +228,24 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     n = arr.shape[0]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("sign matrix must be square")
-    # The entry checks share one n x n buffer.
-    buf = np.subtract(arr, arr.T)
-    if np.max(np.abs(buf, out=buf)) > entry_tol:
+    # Row blocks through one block buffer; the maxima are taken over all
+    # blocks, so a NaN propagates as in one np.max.
+    asymmetry, off_integer, magnitude = [], [], []
+    for rows, out in _row_blocks(n):
+        asymmetry.append(np.max(np.abs(np.subtract(arr[rows], arr[:, rows].T, out=out), out=out)))
+        # Off the diagonal: distance to the nearest integer, then that integer.
+        np.round(arr[rows], out=out)
+        out -= arr[rows]
+        out.flat[rows.start :: n + 1] = 0.0
+        off_integer.append(np.max(np.abs(out, out=out)))
+        np.abs(np.round(arr[rows], out=out), out=out)
+        out.flat[rows.start :: n + 1] = 0.0
+        magnitude.append(np.max(out))
+    if np.max(asymmetry) > entry_tol:
         raise InputError("sign matrix must be symmetric")
     if np.max(np.abs(np.diag(arr))) > entry_tol:
         raise InputError("sign matrix must have zero diagonal")
-    # Off the diagonal: distance to the nearest integer, then that integer.
-    np.round(arr, out=buf)
-    buf -= arr
-    np.abs(buf, out=buf)
-    buf.flat[:: n + 1] = 0.0
-    if np.max(buf) > entry_tol:
-        raise InputError("off-diagonal entries must be 0 or +-1")
-    np.round(arr, out=buf)
-    np.abs(buf, out=buf)
-    buf.flat[:: n + 1] = 0.0
-    if np.max(buf) > 1:
+    if np.max(off_integer) > entry_tol or np.max(magnitude) > 1:
         raise InputError("off-diagonal entries must be 0 or +-1")
     if not (1 <= m <= n):
         raise ParameterError(f"multiplicity m must be in [1, n], got {m}")
@@ -282,38 +301,76 @@ def _sketched_counts(im: IndicatorMatrix, scale, shift, expected_e, tol_rank, cl
     B = Q^T M Q. Then M = Q B Q^T + E, so by Weyl's inequality the spectrum of
     M is eig(B) and n - l zeros, each within ||E|| of the exact one. As 1 is in
     range(Q), the companion scale*M - shift*J is Q (scale*B - shift*c c^T) Q^T
-    with c = Q^T 1, up to scale*E and the part of J outside range(Q).
+    with c = Q^T 1, up to scale*E and the part of J outside range(Q). A
+    setting's classes lie in one polynomial space, so the first one sketched
+    leaves its Q on the point set, by (setting, tol, width), for the others to
+    try first; a class that Q leaves undecided takes its own.
     """
     m = im.matrix
-    n = im.n
-    width = im.n_cap + SKETCH_OVERSAMPLING + 1
+    n, width = im.n, im.n_cap + SKETCH_OVERSAMPLING + 1
     if width >= n:
         return None
-    basis = np.empty((n, width))
-    basis[:, 0] = 1.0
-    gaussian = np.random.default_rng(SKETCH_SEED).standard_normal((n, width - 1))
-    np.matmul(m, gaussian, out=basis[:, 1:])
-    del gaussian
-    q = np.linalg.qr(basis)[0]
-    del basis
-    b = (q.T @ m) @ q
-    b = (b + b.T) / 2.0
-    residual = (q @ b) @ q.T
-    np.subtract(m, residual, out=residual)
-    err = float(np.linalg.norm(residual))
-    del residual
-    c = q.sum(axis=0)
-    off = float(np.linalg.norm(1.0 - q @ c))
-    # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
-    companion_err = scale * err + shift * off * (2.0 * np.sqrt(n) + off)
-    zeros = np.zeros(n - width)
-    eig = np.concatenate([np.linalg.eigvalsh(b), zeros])
-    if shift:
-        companion_eig = np.concatenate([np.linalg.eigvalsh(scale * b - shift * np.outer(c, c)), zeros])
+    own = []
+
+    def sketch():
+        basis = np.empty((n, width))
+        basis[:, 0] = 1.0
+        gaussian = np.random.default_rng(SKETCH_SEED).standard_normal((n, width - 1))
+        np.matmul(m, gaussian, out=basis[:, 1:])
+        del gaussian
+        own.append(np.linalg.qr(basis)[0])
+        return own[0]
+
+    if im.source is None:
+        q = sketch()
     else:
-        companion_eig = scale * eig
-    companion_eig += expected_e
-    return _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, (err, companion_err))
+        ps, tol = im.source
+        q = _memoized(ps, ("range_basis", im.setting, tol, width), sketch)
+    while True:
+        b = (q.T @ m) @ q
+        b = (b + b.T) / 2.0
+        qb = q @ b
+        squares = 0.0
+        for rows, out in _row_blocks(n):
+            np.subtract(m[rows], np.matmul(qb[rows], q.T, out=out), out=out)
+            squares += float(np.vdot(out, out))
+        err = float(np.sqrt(squares))
+        c = q.sum(axis=0)
+        off = float(np.linalg.norm(1.0 - q @ c))
+        # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
+        companion_err = scale * err + shift * off * (2.0 * np.sqrt(n) + off)
+        zeros = np.zeros(n - width)
+        eig = np.concatenate([np.linalg.eigvalsh(b), zeros])
+        if shift:
+            companion_eig = np.concatenate([np.linalg.eigvalsh(scale * b - shift * np.outer(c, c)), zeros])
+        else:
+            companion_eig = scale * eig
+        companion_eig += expected_e
+        counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, (err, companion_err))
+        if counts is not None or own:
+            return counts
+        q = sketch()  # the shared Q left a count undecided: this class's own
+
+
+def _seidel_spectrum(m: np.ndarray, eig: np.ndarray, expected_e: float):
+    """The spectrum of 2M - J + e*I read off eig = eig(M), and the errors
+    _counts takes: none on eig, a bound on the companion's distance from exact.
+
+    With u = 1/sqrt(n), mu = u^T M u (the mean row sum) and r = M u - mu*u,
+    orthogonal to u, M' = M - r u^T - u r^T has ||M - M'|| = ||r|| and the
+    eigenvector u, eigenvalue mu, so its companion has the spectrum
+    2*eig(M') + e with mu taken to 2*mu - n + e. eig(M) lies within ||r|| of
+    eig(M') (Weyl), so does its eigenvalue nearest mu, and dropping that one
+    leaves the rest within 3||r|| of the rest of eig(M'). The companions of
+    M and M' differ by 2||r||: 8||r|| in all, plus eigvalsh's error, doubled.
+    """
+    n = eig.size
+    sums = m.sum(axis=1)
+    mu = float(sums.mean())
+    companion_eig = 2.0 * eig + expected_e
+    companion_eig[np.argmin(np.abs(eig - mu))] = 2.0 * mu - n + expected_e
+    slack = EIGVALSH_SLACK * n * np.finfo(float).eps * float(np.max(np.abs(eig)))
+    return companion_eig, (0.0, 2.0 * (4.0 * np.linalg.norm(sums - mu) / np.sqrt(n) + slack))
 
 
 @dataclass(frozen=True)
@@ -344,30 +401,10 @@ class CertificateVerdict:
     all_passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "class_index": self.class_index,
-            "n": self.n,
-            "x_size": self.x_size,
-            "context": self.context.to_dict(),
-            "hypothesis_met": self.hypothesis_met,
-            "decomposition_dev": float(self.decomposition_dev),
-            "rank": self.rank,
-            "rank_cap": self.rank_cap,
-            "rank_ok": self.rank_ok,
-            "zero_multiplicity": self.zero_multiplicity,
-            "zero_required": self.zero_required,
-            "zero_applicable": self.zero_applicable,
-            "zero_ok": self.zero_ok,
-            "k_value": float(self.k_value),
-            "k_rounded": self.k_rounded,
-            "integrality_dev": float(self.integrality_dev),
-            "integral_ok": self.integral_ok,
-            "ratio_bound": self.ratio_bound,
-            "bound_ok": self.bound_ok,
-            "companion": self.companion,
-            "all_passed": self.all_passed,
-        }
+        # Every field in declaration order, the context as its own dict.
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["context"] = self.context.to_dict()
+        return out
 
 
 def verify_key_lemma(
@@ -386,9 +423,10 @@ def verify_key_lemma(
     eigenvalue with multiplicity >= n - N_cap - 1 (resp. n - N_cap) and
     satisfies the 0/+-1 eigenvalue inequality.
 
-    When n >= 2*N_cap both spectra come from a sketch of the range of M (rank
-    <= N_cap), and from dense eigvalsh only if its residual leaves a count
-    undecided; the counts are the same either way.
+    Both spectra come from a sketch of the range of M (rank <= N_cap, the
+    setting's shared sketch first) when n >= 2*N_cap, else from M's dense
+    spectrum, which the Seidel companion's is read off. Dense eigvalsh decides
+    any count their bounds leave open, so the counts are the same either way.
     """
     if context is None:
         context = theorem_context(im.setting, im.d_eff, im.s)
@@ -422,12 +460,15 @@ def verify_key_lemma(
     if counts is None:
         # M and its companion are built exactly symmetric: no symmetrising copy.
         eig = _eigvalsh(im.matrix)
+        # M - kI has M's spectrum shifted by -k; the Seidel companion's is
+        # read off M's within a bound.
         if signed:
-            # The spectrum of M - kI is M's shifted by -k: no second decomposition.
-            companion_eig = eig + expected_e
+            companion_eig, errors = eig + expected_e, None
         else:
-            companion_eig = _eigvalsh(companion_matrix)
-        counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol)
+            companion_eig, errors = _seidel_spectrum(im.matrix, eig, expected_e)
+        counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors)
+    if counts is None:
+        counts = _counts(eig, _eigvalsh(companion_matrix), expected_e, tol_rank, cluster_tol)
     rank, zero_multiplicity, measured_mult = counts
     zero_ok = (zero_multiplicity >= im.n_cap) if zero_applicable else True
     required_mult = n - im.n_cap - int(shift)

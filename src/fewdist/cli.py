@@ -195,6 +195,7 @@ def _cmd_certify(args) -> int:
         for index in indices:
             im = indicator_matrix(ps, index, setting, args.tol, tol_rank=args.tol_rank)
             verdicts.append(verify_key_lemma(im, tol_int=args.tol_int, tol_rank=args.tol_rank))
+            del im  # before the next class's matrix is built: one n x n matrix at a time
     payload = {
         "n": ps.n,
         "settings": settings,

@@ -181,8 +181,9 @@ def _steps(J: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def _newton(targets, starts, tol_res: float, max_iter: int):
     """Damped Newton on forward_K - target for each row of targets, of shape
     (T, s-1), from the same row of starts. A step is halved up to 29 times
-    until the residual decreases: all 30 scales are evaluated at once and
-    each row takes its first improving one. Iterates are projected back into
+    until the residual decreases: the full step is tried on every row, the
+    shorter scales at once on the rows it fails, and each row takes its first
+    improving scale. Iterates are projected back into
     the open simplex. Returns t, residual, iterations and success per row;
     a row's values do not depend on the other rows."""
     # Residuals are measured relative to the target scale: for large |k| the
@@ -200,17 +201,20 @@ def _newton(targets, starts, tol_res: float, max_iter: int):
         if not rows.size:
             break
         iterations[rows] += 1
+        stalled[rows] += 1
         step = _steps(_jacobian(t[rows]), vec[rows])
-        candidates = _project(t[rows, None] - BACKTRACK[:, None] * step[:, None])
-        cand_vec = _weights(candidates)[..., :-1] - targets[rows, None]
-        cand_res = np.max(np.abs(cand_vec), axis=2) / res_scale[rows, None]
-        better = cand_res < residual[rows, None]
-        improved = np.any(better, axis=1)
-        moved, scale = rows[improved], np.argmax(better, axis=1)[improved]
-        t[moved] = candidates[improved, scale]
-        vec[moved] = cand_vec[improved, scale]
-        residual[moved] = cand_res[improved, scale]
-        stalled[rows] = np.where(improved, 0, stalled[rows] + 1)
+        for scales in (BACKTRACK[:1], BACKTRACK[1:]):
+            candidates = _project(t[rows, None] - scales[:, None] * step[:, None])
+            cand_vec = _weights(candidates)[..., :-1] - targets[rows, None]
+            cand_res = np.max(np.abs(cand_vec), axis=2) / res_scale[rows, None]
+            better = cand_res < residual[rows, None]
+            improved = np.any(better, axis=1)
+            moved, scale = rows[improved], np.argmax(better, axis=1)[improved]
+            t[moved] = candidates[improved, scale]
+            vec[moved] = cand_vec[improved, scale]
+            residual[moved] = cand_res[improved, scale]
+            stalled[moved] = 0
+            rows, step = rows[~improved], step[~improved]
     return t, residual, iterations, residual <= tol_res
 
 

@@ -20,7 +20,7 @@ from fewdist import (
     verify_key_lemma,
     verify_sign_matrix_bound,
 )
-from fewdist import certificate, construct_johnson
+from fewdist import certificate, construct_johnson, pointset
 from fewdist.bounds import theorem_context
 from fewdist.certificate import (
     DEFAULT_CLUSTER_TOL,
@@ -56,18 +56,41 @@ def spectral_counts(verdict):
 
 
 @contextlib.contextmanager
-def recorded_eigvalsh_shapes():
-    """Record the shape of every matrix np.linalg.eigvalsh decomposes."""
+def recorded_shapes(name="eigvalsh"):
+    """Record the shape of every matrix np.linalg.<name> decomposes."""
     shapes = []
-    real = np.linalg.eigvalsh
+    real = getattr(np.linalg, name)
 
     def recording(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return real(a, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "eigvalsh", recording)
+        mp.setattr(np.linalg, name, recording)
         yield shapes
+
+
+def planted_matrix(rng, eigenvalues, first=None):
+    """A symmetric matrix with these eigenvalues and random eigenvectors; the
+    first eigenvector is along first, if given."""
+    n = len(eigenvalues)
+    columns = rng.standard_normal((n, n))
+    if first is not None:
+        columns[:, 0] = first
+    vectors = np.linalg.qr(columns)[0]
+    matrix = (vectors * eigenvalues) @ vectors.T
+    return (matrix + matrix.T) / 2.0
+
+
+def hand_built(matrix, setting, k, n_cap, source=None):
+    """An IndicatorMatrix around any symmetric matrix, and its theorem context."""
+    n = len(matrix)
+    im = IndicatorMatrix(
+        matrix=matrix, setting=setting, class_index=2, k_claimed=k,
+        adjacency=np.zeros((n, n), dtype=np.int8), max_decomposition_dev=0.0,
+        n_cap=n_cap, x_size=n, d_eff=2, s=4, source=source,
+    )
+    return im, dataclasses.replace(theorem_context(setting, 2, 4), N=n_cap)
 
 
 def random_sign_matrix(rng, n):
@@ -238,6 +261,11 @@ class TestJohnsonCertificates:
         assert v.rank + v.zero_multiplicity == 165
 
 
+def e8_part(e8):
+    """The first 200 of e8's 240 roots: no class of it is a regular graph."""
+    return PointSet(dimension=8, points=e8.points[:200])
+
+
 class TestE8Certificates:
     def test_variant_one_is_tight(self, e8):
         for index, k in ((1, -3), (2, 4)):
@@ -268,19 +296,26 @@ class TestE8Certificates:
         # e8's half set has n = 120 >= 2 N_cap: both spectra come from the
         # rank-N_cap sketch, with no n x n decomposition.
         im = indicator_matrix(e8, index, setting)
-        with recorded_eigvalsh_shapes() as shapes:
+        with recorded_shapes() as shapes:
             v = verify_key_lemma(im)
         assert (im.n, im.n) not in shapes
         assert spectral_counts(v) == dense_counts(im)
-        # On the dense path M - kI has M's spectrum shifted by -k: the signed
-        # rows decompose once, the Seidel companion of the unsigned rows a
-        # second time.
+        # On the dense path M - kI has M's spectrum shifted by -k, and the
+        # Seidel companion's is read off M's: one decomposition each where M's
+        # row sums agree (e8's classes are regular graphs). Where they do not
+        # (200 of e8's points), the bound leaves the counts undecided and the
+        # Seidel companion is decomposed a second time.
         signed = setting in certificate.SIGNED_SETTINGS
-        im = indicator_matrix(hypercube_4, 2, setting) if signed else indicator_matrix(e8, 1, "euclidean")
-        with recorded_eigvalsh_shapes() as shapes:
-            v = verify_key_lemma(im)
-        assert shapes.count((im.n, im.n)) == (1 if signed else 2)
-        assert spectral_counts(v) == dense_counts(im)
+        if signed:
+            cases = [(hypercube_4, 2, setting, 1)]
+        else:
+            cases = [(e8, 1, "euclidean", 1), (e8_part(e8), 1, "euclidean", 2)]
+        for ps, index, name, decompositions in cases:
+            im = indicator_matrix(ps, index, name)
+            with recorded_shapes() as shapes:
+                v = verify_key_lemma(im)
+            assert shapes.count((im.n, im.n)) == decompositions
+            assert spectral_counts(v) == dense_counts(im)
         if signed:
             e = v.companion["expected_eigenvalue"]
             eig = np.linalg.eigvalsh(im.matrix - im.k_claimed * np.eye(im.n))
@@ -387,7 +422,7 @@ class TestRangeSketch:
         for ps, index, setting in cases:
             im = indicator_matrix(ps, index, setting)
             assert im.n >= 2 * im.n_cap
-            with recorded_eigvalsh_shapes() as shapes:
+            with recorded_shapes() as shapes:
                 v = verify_key_lemma(im)
             assert shapes and (im.n, im.n) not in shapes
             assert max(shapes) <= (im.n_cap + SKETCH_OVERSAMPLING + 1,) * 2
@@ -398,11 +433,52 @@ class TestRangeSketch:
         # rank 105: the residual leaves the counts undecided.
         im = dataclasses.replace(indicator_matrix(johnson_14_3, 1, "euclidean"), n_cap=60)
         context = dataclasses.replace(theorem_context("euclidean", im.d_eff, im.s), N=60)
-        with recorded_eigvalsh_shapes() as shapes:
+        with recorded_shapes() as shapes:
             v = verify_key_lemma(im, context)
         assert (im.n, im.n) in shapes
         assert spectral_counts(v) == dense_counts(im) == (105, 350, 350)
         assert not v.rank_ok
+
+    def test_one_range_basis_per_setting(self):
+        # certify --setting all on a fresh johnson(14, 3), which no earlier
+        # test has left a basis on: the first class's decides every class.
+        ps = construct_johnson(14, 3)
+        with recorded_shapes("qr") as qrs:
+            for setting in applicable_certificate_settings(ps):
+                for index in class_index_range(ps, setting):
+                    im = indicator_matrix(ps, index, setting)
+                    with recorded_shapes() as shapes:
+                        v = verify_key_lemma(im)
+                    assert (im.n, im.n) not in shapes
+                    assert spectral_counts(v) == dense_counts(im)
+        assert len(qrs) == 1
+
+    def test_a_class_outside_the_shared_range_takes_its_own_sketch(self):
+        n, n_cap = 80, 10
+        width = n_cap + SKETCH_OVERSAMPLING + 1
+        rng = np.random.default_rng(3)
+        source = (PointSet(dimension=1, points=np.arange(n, dtype=float)[:, None]), 1e-6)
+
+        def case(rank):
+            planted = np.zeros(n)
+            planted[:rank] = rng.uniform(0.1, 1.0, rank) * rng.choice([-1.0, 1.0], rank)
+            return hand_built(planted_matrix(rng, planted), "euclidean", 1.5, n_cap, source)
+
+        first = case(n_cap)
+        narrower = (
+            dataclasses.replace(first[0], n_cap=n_cap - 1),
+            dataclasses.replace(first[1], N=n_cap - 1),
+        )
+        # (class, dense decomposition): the first class leaves its basis; one
+        # with another range takes its own sketch; one of rank above the
+        # width then goes dense; and a basis of another width is not reused,
+        # although it holds the range.
+        for (im, context), dense in ((first, False), (case(n_cap), False), (case(width + 4), True), (narrower, False)):
+            with recorded_shapes("qr") as qrs, recorded_shapes() as shapes:
+                v = verify_key_lemma(im, context)
+            assert qrs == [(n, im.n_cap + SKETCH_OVERSAMPLING + 1)]
+            assert ((n, n) in shapes) == dense
+            assert spectral_counts(v) == dense_counts(im)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -428,17 +504,9 @@ class TestRangeSketch:
         for pos, (threshold, factor) in enumerate(near):
             rel = DEFAULT_TOL_RANK * n if threshold == "rank" else DEFAULT_CLUSTER_TOL
             planted[r + pos] = factor * rel
-        vectors = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        matrix = (vectors * planted) @ vectors.T
-        matrix = (matrix + matrix.T) / 2.0
         setting = "antipodal_even_v2" if signed else "euclidean"
-        im = IndicatorMatrix(
-            matrix=matrix, setting=setting, class_index=2, k_claimed=k,
-            adjacency=np.zeros((n, n), dtype=np.int8), max_decomposition_dev=0.0,
-            n_cap=n_cap, x_size=n, d_eff=2, s=4,
-        )
-        context = dataclasses.replace(theorem_context(setting, 2, 4), N=n_cap)
-        with recorded_eigvalsh_shapes() as shapes:
+        im, context = hand_built(planted_matrix(rng, planted), setting, k, n_cap)
+        with recorded_shapes() as shapes:
             v = verify_key_lemma(im, context)
         assert spectral_counts(v) == dense_counts(im)
         dense = (n, n) in shapes
@@ -449,15 +517,80 @@ class TestRangeSketch:
             assert not dense  # every eigenvalue is far from every threshold
 
 
+class TestSeidelFromM:
+    """On the dense path the Seidel companion's spectrum is read off M's, and
+    the companion is decomposed only where that bound leaves a count undecided."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(6, 40),
+        rank=st.integers(1, 40),
+        near=st.lists(st.sampled_from(NEAR_THRESHOLDS), max_size=4),
+        offset=st.sampled_from([0.0, 1e-7, 1e-6, 2e-6, 1e-3, 1.0]),
+        eps=st.sampled_from([0.0, 1e-12, 1e-6, 1e-2]),
+        k=st.floats(-4.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_match_the_dense_reference(self, n, rank, near, offset, eps, k, seed):
+        # 1 is an eigenvector of M with the eigenvalue mu = n (1 + offset) / 2,
+        # which puts the companion's eigenvalue on 1 offset * n from e, at or
+        # near the multiplicity threshold; the other planted eigenvalues are
+        # scaled to mu, the largest. Then M is perturbed by eps.
+        rng = np.random.default_rng(seed)
+        mu = n * (1.0 + offset) / 2.0
+        r = max(min(rank, n - len(near)), 1)
+        planted = np.zeros(n)
+        planted[:r] = mu * rng.uniform(1e-3, 1.0, r) * rng.choice([-1.0, 1.0], r)
+        planted[0] = mu
+        for pos, (threshold, factor) in enumerate(near):
+            rel = DEFAULT_TOL_RANK * n if threshold == "rank" else DEFAULT_CLUSTER_TOL
+            planted[r + pos] = factor * rel * mu
+        noise = rng.standard_normal((n, n))
+        matrix = planted_matrix(rng, planted, first=np.ones(n)) + eps * (noise + noise.T) / 2.0
+        im, context = hand_built(matrix, "euclidean", k, n)  # n < 2 N_cap: the dense path
+        gates = []
+        counts = certificate._counts
+
+        def recorded(*args):
+            gates.append(counts(*args))
+            return gates[-1]
+
+        with recorded_shapes() as shapes, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certificate, "_counts", recorded)
+            v = verify_key_lemma(im, context)
+        assert spectral_counts(v) == dense_counts(im)
+        assert shapes.count((n, n)) == len(gates) == 1 + (gates[0] is None)
+        event("companion decomposed" if gates[0] is None else "read off M")
+
+    def test_bound_covers_the_eigenvalue_dropped_for_mu(self):
+        # M couples 1 to a unit w orthogonal to it with weight rho, at
+        # diagonals mu and mu + delta, delta < 0 small: r = rho w, and of
+        # eig(M)'s mu + delta/2 +- sqrt(delta^2/4 + rho^2) the one nearer mu is
+        # dropped. The kept one sits about 2 rho + 4 rho^2 / n from the
+        # companion's exact eigenvalue: beyond Weyl's 2 ||r|| alone.
+        n, mu, delta, rho, e = 20, 3.0, -1e-4, 0.1, -5.0
+        rng = np.random.default_rng(4)
+        planted = np.concatenate([[mu, mu + delta], rng.uniform(-1.0, 1.0, n - 2)])
+        vectors = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))[0]
+        u, w = vectors[:, 0], vectors[:, 1]
+        matrix = (vectors * planted) @ vectors.T + rho * (np.outer(u, w) + np.outer(w, u))
+        matrix = (matrix + matrix.T) / 2.0
+        estimate, (_, bound) = certificate._seidel_spectrum(matrix, np.linalg.eigvalsh(matrix), e)
+        exact = np.linalg.eigvalsh(2.0 * matrix - 1.0 + e * np.eye(n))
+        deviation = np.max(np.abs(np.sort(estimate) - exact))
+        assert 2.0 * rho * 1.005 < deviation <= bound
+
+
 class TestEntryCheckMemory:
     def test_sign_matrix_checks_use_one_buffer(self, johnson_14_3, traced_peak):
-        # arr - arr.T, the off-diagonal gather and off - round(off) took
-        # three float n^2 temporaries at once.
+        # The entry checks run a block of rows at a time through one block
+        # buffer, not through an n x n one.
         im = indicator_matrix(johnson_14_3, 1, "euclidean")
         companion = 2.0 * im.matrix - 1.0 - 5.0 * np.eye(im.n)
         assert verify_sign_matrix_bound(companion, -5.0, 350)["ok"]
         n = im.n
-        assert traced_peak(verify_sign_matrix_bound, companion, -5.0, 350) < 1.25 * 8 * n * n
+        block = 8 * min(pointset._TILE, n) * n
+        assert traced_peak(verify_sign_matrix_bound, companion, -5.0, 350) < 1.25 * block
 
     def test_indicator_spectrum_makes_no_symmetric_copy(self, johnson_14_3, traced_peak):
         im = indicator_matrix(johnson_14_3, 1, "euclidean")
@@ -467,10 +600,12 @@ class TestEntryCheckMemory:
         assert traced_peak(eigen_multiplicities, im.matrix) > 8 * n * n
 
     def test_dense_companion_spectrum_makes_no_symmetric_copy(self, e8, monkeypatch, traced_peak):
-        # e8's euclidean rows (n = 240 < 2 N_cap) take the dense path. The
-        # Seidel companion is built exactly symmetric, so it goes to eigvalsh
-        # as it is; eigen_multiplicities would first copy it into (a + a^T)/2.
-        im = indicator_matrix(e8, 1, "euclidean")
+        # 200 of e8's points (n = 200 < 2 N_cap) take the dense path, and the
+        # bound read off M's spectrum leaves the Seidel companion's counts
+        # undecided. The companion is built exactly symmetric, so it goes to
+        # eigvalsh as it is; eigen_multiplicities would first copy it into
+        # (a + a^T)/2.
+        im = indicator_matrix(e8_part(e8), 1, "euclidean")
         n = im.n
         spectra = []
         real = certificate._eigvalsh
