@@ -28,7 +28,7 @@ def lagrange_weights(nodes, x0: float) -> list[float]:
 def lagrange_basis(nodes, i: int, X) -> np.ndarray:
     """L_i (0-based i) on the float nodes, evaluated entry by entry on X."""
     out = np.ones_like(X, dtype=float)
-    factor = np.empty_like(out)  # one scratch array for every factor
+    factor = np.empty_like(out)  # one buffer for every factor
     for j, vj in enumerate(nodes):
         if j != i:
             out *= np.divide(np.subtract(X, vj, out=factor), nodes[i] - vj, out=factor)
