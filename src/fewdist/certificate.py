@@ -8,8 +8,9 @@ the polynomials span a space of dimension at most N_cap, rank(M) <= N_cap,
 which pins the spectrum of A and forces k to be a bounded integer once the
 set is large enough. The pair values and classes are pointset's memoized
 ones, which the ratios read too. The checks are numerical, with measured slacks.
-Spectra come from a range basis a setting's classes share, or from M's dense
-spectrum, which the Seidel companion's is read off, each within a Weyl bound.
+Spectra come from one rule on two views of M: B = Q^T M Q on a range basis
+a setting's classes share, then M itself. On each view the companion's
+spectrum is read off the view's own, within a Weyl bound.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bounds import SETTING_TABLE, TheoremContext, dim_poly_space, setting_row, theorem_context
+from .defaults import DEFAULT_TOL_INT
 from .errors import InputError, NumericalError, ParameterError
 from .lagrange import lagrange_basis
 from .pointset import (
@@ -33,7 +35,7 @@ from .pointset import (
     inner_product_profile,
     squared_distance_matrix,
 )
-from .ratios import applicable_settings, class_ratios, effective_dimension
+from .ratios import class_ratios, effective_dimension
 
 DEFAULT_CLUSTER_TOL = 1e-6
 # Columns of the range sketch beyond N_cap, and the seed of its Gaussian test matrix.
@@ -225,9 +227,9 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     both (typically from eigen_multiplicities).
     """
     arr = np.asarray(matrix, dtype=float)
-    n = arr.shape[0]
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("sign matrix must be square")
+    n = arr.shape[0]
     # Row blocks through one block buffer; the maxima are taken over all
     # blocks, so a NaN propagates as in one np.max.
     asymmetry, off_integer, magnitude = [], [], []
@@ -293,24 +295,20 @@ def _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors=None):
     return n - below[0], below[1], below[2]
 
 
-def _sketched_counts(im: IndicatorMatrix, scale, shift, expected_e, tol_rank, cluster_tol):
-    """_counts from a sketch of the range of M, or None when the sketch is not
-    narrower than M or leaves a count undecided.
+def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
+    """M's view B = Q^T M Q on its setting's range basis Q, with c = Q^T 1,
+    B's companion and the errors _counts takes; None when Q is not narrower.
 
-    Q = orth([1, M @ Omega]) with Omega Gaussian n x (N_cap + p), and
-    B = Q^T M Q. Then M = Q B Q^T + E, so by Weyl's inequality the spectrum of
-    M is eig(B) and n - l zeros, each within ||E|| of the exact one. As 1 is in
-    range(Q), the companion scale*M - shift*J is Q (scale*B - shift*c c^T) Q^T
-    with c = Q^T 1, up to scale*E and the part of J outside range(Q). A
-    setting's classes lie in one polynomial space, so the first one sketched
-    leaves its Q on the point set, by (setting, tol, width), for the others to
-    try first; a class that Q leaves undecided takes its own.
+    Q = orth([1, M @ Omega]) with Omega Gaussian n x (N_cap + p). Then
+    M = Q B Q^T + E, so by Weyl's inequality the spectrum of M is eig(B) and
+    n - l zeros, each within ||E|| of the exact one. As 1 is in range(Q), the
+    companion scale*M - shift*J + e*I is Q (scale*B - shift*c c^T + e*I) Q^T
+    + e*(I - Q Q^T), up to scale*E and the part of J outside range(Q).
     """
     m = im.matrix
     n, width = im.n, im.n_cap + SKETCH_OVERSAMPLING + 1
     if width >= n:
         return None
-    own = []
 
     def sketch():
         basis = np.empty((n, width))
@@ -318,59 +316,71 @@ def _sketched_counts(im: IndicatorMatrix, scale, shift, expected_e, tol_rank, cl
         gaussian = np.random.default_rng(SKETCH_SEED).standard_normal((n, width - 1))
         np.matmul(m, gaussian, out=basis[:, 1:])
         del gaussian
-        own.append(np.linalg.qr(basis)[0])
-        return own[0]
+        return np.linalg.qr(basis)[0]
 
     if im.source is None:
         q = sketch()
-    else:
+    else:  # a setting's classes share one polynomial space, so one Q
         ps, tol = im.source
         q = _memoized(ps, ("range_basis", im.setting, tol, width), sketch)
-    while True:
-        b = (q.T @ m) @ q
-        b = (b + b.T) / 2.0
-        qb = q @ b
-        squares = 0.0
-        for rows, out in _row_blocks(n):
-            np.subtract(m[rows], np.matmul(qb[rows], q.T, out=out), out=out)
-            squares += float(np.vdot(out, out))
-        err = float(np.sqrt(squares))
-        c = q.sum(axis=0)
-        off = float(np.linalg.norm(1.0 - q @ c))
-        # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
-        companion_err = scale * err + shift * off * (2.0 * np.sqrt(n) + off)
-        zeros = np.zeros(n - width)
-        eig = np.concatenate([np.linalg.eigvalsh(b), zeros])
-        if shift:
-            companion_eig = np.concatenate([np.linalg.eigvalsh(scale * b - shift * np.outer(c, c)), zeros])
-        else:
-            companion_eig = scale * eig
-        companion_eig += expected_e
-        counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, (err, companion_err))
-        if counts is not None or own:
-            return counts
-        q = sketch()  # the shared Q left a count undecided: this class's own
+    b = (q.T @ m) @ q
+    b = (b + b.T) / 2.0
+    qb = q @ b
+    squares = 0.0
+    for rows, out in _row_blocks(n):
+        np.subtract(m[rows], np.matmul(qb[rows], q.T, out=out), out=out)
+        squares += float(np.vdot(out, out))
+    err = float(np.sqrt(squares))
+    c = q.sum(axis=0)
+    off = float(np.linalg.norm(1.0 - q @ c))
+    companion = scale * b - shift * np.outer(c, c)
+    companion.flat[:: width + 1] += expected_e
+    # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
+    return b, c, companion, (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off))
 
 
-def _seidel_spectrum(m: np.ndarray, eig: np.ndarray, expected_e: float):
-    """The spectrum of 2M - J + e*I read off eig = eig(M), and the errors
-    _counts takes: none on eig, a bound on the companion's distance from exact.
+def _read_off(x, c, eig, scale, shift, expected_e):
+    """The spectrum of scale*X - shift*c c^T + e*I read off eig = eig(X),
+    padded with zeros, and a bound on its distance from the exact one.
 
-    With u = 1/sqrt(n), mu = u^T M u (the mean row sum) and r = M u - mu*u,
-    orthogonal to u, M' = M - r u^T - u r^T has ||M - M'|| = ||r|| and the
-    eigenvector u, eigenvalue mu, so its companion has the spectrum
-    2*eig(M') + e with mu taken to 2*mu - n + e. eig(M) lies within ||r|| of
-    eig(M') (Weyl), so does its eigenvalue nearest mu, and dropping that one
-    leaves the rest within 3||r|| of the rest of eig(M'). The companions of
-    M and M' differ by 2||r||: 8||r|| in all, plus eigvalsh's error, doubled.
+    Padded, eig is the spectrum of X~ = Q X Q^T for any orthonormal Q, whose
+    all-ones direction Q c has |Q c| = |c|, so the argument holds on X~. With
+    u = c/|c|, mu = u^T X u and r = X u - mu*u, orthogonal to u,
+    X' = X - r u^T - u r^T has ||X - X'|| = ||r|| and the eigenvector u,
+    eigenvalue mu, so its companion has the spectrum scale*eig(X') + e with
+    mu taken to scale*mu - shift*|c|^2 + e. eig(X) lies within ||r|| of
+    eig(X') (Weyl), so does its eigenvalue nearest mu, and dropping that one
+    leaves the rest within 3||r|| of the rest of eig(X'). The companions of X
+    and X' differ by scale*||r||: 4*scale*||r|| in all, plus eigvalsh's error.
     """
-    n = eig.size
-    sums = m.sum(axis=1)
-    mu = float(sums.mean())
-    companion_eig = 2.0 * eig + expected_e
-    companion_eig[np.argmin(np.abs(eig - mu))] = 2.0 * mu - n + expected_e
-    slack = EIGVALSH_SLACK * n * np.finfo(float).eps * float(np.max(np.abs(eig)))
-    return companion_eig, (0.0, 2.0 * (4.0 * np.linalg.norm(sums - mu) / np.sqrt(n) + slack))
+    norm2 = float(c @ c)
+    u = c / np.sqrt(norm2)
+    xu = x @ u
+    mu = float(u @ xu)
+    companion_eig = scale * eig + expected_e
+    companion_eig[np.argmin(np.abs(eig - mu))] = scale * mu - shift * norm2 + expected_e
+    slack = EIGVALSH_SLACK * eig.size * np.finfo(float).eps * float(np.max(np.abs(eig)))
+    return companion_eig, scale * (4.0 * float(np.linalg.norm(xu - mu * u)) + slack)
+
+
+def _view_counts(view, n, scale, shift, expected_e, tol_rank, cluster_tol):
+    """_counts on one view (X, c, companion, errors) of M, None where a count
+    stays open: eig(X) padded with zeros to n, the companion's spectrum read
+    off it, and the view's own companion decomposed only where the read-off
+    leaves a count open. errors is None on M itself: there every count is decided.
+    """
+    x, c, companion, errors = view
+    pad = np.zeros(n - len(x))
+    eig = np.concatenate([_eigvalsh(x), pad])
+    if not shift:  # M - kI: M's spectrum shifted
+        return _counts(eig, scale * eig + expected_e, expected_e, tol_rank, cluster_tol, errors)
+    companion_eig, bound = _read_off(x, c, eig, scale, shift, expected_e)
+    err, companion_err = errors or (0.0, 0.0)
+    counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, (err, companion_err + bound))
+    if counts is None:
+        companion_eig = np.concatenate([_eigvalsh(companion), pad + expected_e])
+        counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -410,7 +420,7 @@ class CertificateVerdict:
 def verify_key_lemma(
     im: IndicatorMatrix,
     context: TheoremContext | None = None,
-    tol_int: float = 1e-6,
+    tol_int: float = DEFAULT_TOL_INT,
     tol_rank: float = DEFAULT_TOL_RANK,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
 ) -> CertificateVerdict:
@@ -423,10 +433,12 @@ def verify_key_lemma(
     eigenvalue with multiplicity >= n - N_cap - 1 (resp. n - N_cap) and
     satisfies the 0/+-1 eigenvalue inequality.
 
-    Both spectra come from a sketch of the range of M (rank <= N_cap, the
-    setting's shared sketch first) when n >= 2*N_cap, else from M's dense
-    spectrum, which the Seidel companion's is read off. Dense eigvalsh decides
-    any count their bounds leave open, so the counts are the same either way.
+    Both spectra come from one rule on at most two views of M: first
+    B = Q^T M Q on the setting's range basis (rank <= N_cap) when
+    n >= 2*N_cap and the basis is narrower than M, then M itself. On each the
+    companion's spectrum is read off the view's, and the view's own
+    companion is decomposed only where a count stays open. M's view decides
+    every count B's leaves open, so the counts are dense eigvalsh's.
     """
     if context is None:
         context = theorem_context(im.setting, im.d_eff, im.s)
@@ -450,25 +462,16 @@ def verify_key_lemma(
     signed = im.setting in SIGNED_SETTINGS
     scale, shift = (1.0, 0.0) if signed else (2.0, 1.0)
     expected_e = -(scale * k - shift)
-    counts = None
-    if zero_applicable:
-        counts = _sketched_counts(im, scale, shift, expected_e, tol_rank, cluster_tol)
-    # Built in place without dense J and I.
+    rule = (n, scale, shift, expected_e, tol_rank, cluster_tol)
+    view = _range_view(im, scale, shift, expected_e) if zero_applicable else None
+    counts = None if view is None else _view_counts(view, *rule)
+    # Built in place without dense J and I, and exactly symmetric, as M is:
+    # eigvalsh takes both without a symmetrising copy.
     companion_matrix = scale * im.matrix
     companion_matrix -= shift
     companion_matrix.flat[:: n + 1] += expected_e
     if counts is None:
-        # M and its companion are built exactly symmetric: no symmetrising copy.
-        eig = _eigvalsh(im.matrix)
-        # M - kI has M's spectrum shifted by -k; the Seidel companion's is
-        # read off M's within a bound.
-        if signed:
-            companion_eig, errors = eig + expected_e, None
-        else:
-            companion_eig, errors = _seidel_spectrum(im.matrix, eig, expected_e)
-        counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors)
-    if counts is None:
-        counts = _counts(eig, _eigvalsh(companion_matrix), expected_e, tol_rank, cluster_tol)
+        counts = _view_counts((im.matrix, np.ones(n), companion_matrix, None), *rule)
     rank, zero_multiplicity, measured_mult = counts
     zero_ok = (zero_multiplicity >= im.n_cap) if zero_applicable else True
     required_mult = n - im.n_cap - int(shift)
@@ -521,13 +524,6 @@ def verify_key_lemma(
         companion=companion,
         all_passed=all(checks),
     )
-
-
-def applicable_certificate_settings(
-    ps: PointSet, tol: float = DEFAULT_TOL, tol_rank: float = DEFAULT_TOL_RANK
-) -> list[str]:
-    """Certificate settings this set supports: ratios.applicable_settings."""
-    return applicable_settings(ps, tol, tol_rank)
 
 
 def class_index_range(ps: PointSet, setting: str, tol: float = DEFAULT_TOL) -> range:

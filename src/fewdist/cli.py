@@ -13,7 +13,8 @@ import json
 import sys
 
 from .bounds import FAMILIES, SETTINGS, theorem_context
-from .defaults import DEFAULT_BOX_CAP, DEFAULT_TOL, NAMED_CONSTRUCTIONS
+from .defaults import DEFAULT_BOX_CAP, DEFAULT_MAX_ITER, DEFAULT_TOL, DEFAULT_TOL_INT
+from .defaults import DEFAULT_TOL_PSD, DEFAULT_TOL_RANK, DEFAULT_TOL_RES, NAMED_CONSTRUCTIONS
 from .errors import FewdistError, InputError, NumericalError, ParameterError, PointFileError
 from .jsonio import dumps
 
@@ -82,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", parents=[common], help="invert a ratio tuple to normalized distances")
     p.add_argument("-s", type=int, required=True)
     p.add_argument("-k", required=True, help="comma-separated k_1..k_{s-1}")
-    p.add_argument("--tol-res", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--tol-res", type=float, default=DEFAULT_TOL_RES)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_invert)
 
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed-check", parents=[common], help="realizability of a distance or Gram matrix")
     p.add_argument("matrixfile")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--tol-psd", type=float, default=1e-8)
+    p.add_argument("--tol-psd", type=float, default=DEFAULT_TOL_PSD)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_embed_check)
 
@@ -172,17 +173,12 @@ def _cmd_ratios(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .certificate import (
-        applicable_certificate_settings,
-        class_index_range,
-        indicator_matrix,
-        verify_key_lemma,
-    )
+    from .certificate import class_index_range, indicator_matrix, verify_key_lemma
     from .pointset import load_points
-    from .ratios import choose_settings
+    from .ratios import applicable_settings, choose_settings
 
     ps = load_points(args.pointfile)
-    applicable = applicable_certificate_settings(ps, args.tol, args.tol_rank)
+    applicable = applicable_settings(ps, args.tol, args.tol_rank)
     settings = choose_settings(applicable, args.setting)
     if args.class_index != "all":
         try:
@@ -267,7 +263,7 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-GLOBAL_DEFAULTS = {"tol_int": 1e-6, "tol_rank": 1e-8, "json_pretty": False}
+GLOBAL_DEFAULTS = {"tol_int": DEFAULT_TOL_INT, "tol_rank": DEFAULT_TOL_RANK, "json_pretty": False}
 
 
 def run(argv=None) -> int:

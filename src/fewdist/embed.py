@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_TOL_PSD
 from .errors import InputError, NumericalError, SizeMismatchError
 from .pointset import PointSet, squared_distance_matrix
 
-DEFAULT_TOL_PSD = 1e-8
 DEFAULT_CONGRUENCE_TOL = 1e-8
 DEFAULT_NODE_CAP = 10**6
 

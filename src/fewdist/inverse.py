@@ -48,11 +48,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .defaults import DEFAULT_MAX_ITER, DEFAULT_TOL_RES
 from .errors import NoSolutionError, ParameterError, SingularTupleError
 from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_basis
 
 PROJECT_GAP = 1e-9
-DEFAULT_TOL_RES = 1e-10
 BACKTRACK = 0.5 ** np.arange(30)  # the damped step's scales 1, 1/2, ..., 2**-29
 FIRST_STEP = 0.125  # the continuation's first step along its path
 MIN_STEP = 2.0**-20  # the continuation gives up when its step falls below this
@@ -291,7 +291,9 @@ def _continue(target: np.ndarray, tol_res: float, max_iter: int) -> InversionRes
     return _results(t_last, residual, [total], success, "continuation")[0]
 
 
-def invert_rows(targets, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> list[InversionResult]:
+def invert_rows(
+    targets, tol_res: float = DEFAULT_TOL_RES, max_iter: int = DEFAULT_MAX_ITER
+) -> list[InversionResult]:
     """Invert each row of targets (T, s-1), sign-checked tuples that
     no_preimage puts in P: Newton from the default start, NEWTON_CHUNK rows
     at a time, then the continuation on each row it leaves. success =
@@ -304,7 +306,7 @@ def invert_rows(targets, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) 
     return [r if r.success else _continue(k, tol_res, max_iter) for k, r in zip(targets, results)]
 
 
-def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
+def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = DEFAULT_MAX_ITER) -> InversionResult:
     """The inversion path for k_target, sign-checked here. A tuple outside P
     gets method "no_preimage": the default start and its residual, with no
     Newton iteration. A tuple in P is inverted by invert_rows."""
@@ -360,7 +362,9 @@ def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
     raise NoSolutionError(f"no branch combination inverts ({k1!r}, {k2!r})")
 
 
-def invert_auto(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = 100) -> InversionResult:
+def invert_auto(
+    k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = DEFAULT_MAX_ITER
+) -> InversionResult:
     """Closed form for s = 3 tuples of P where it is regular, else invert_K."""
     target = check_sign_pattern(k_target)
     if target.size == 2 and no_preimage(target) is None:

@@ -22,6 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from .bounds import FAMILIES, SETTING_TABLE, TheoremContext, setting_row, theorem_context
+from .defaults import DEFAULT_TOL_INT
 from .errors import (
     DegenerateValuesError,
     InputError,
@@ -41,8 +42,6 @@ from .pointset import (
     linear_dimension,
     on_unit_sphere,
 )
-
-DEFAULT_TOL_INT = 1e-6
 
 
 def _check_strictly_increasing(values, what: str) -> list[float]:

@@ -25,7 +25,6 @@ from fewdist import (
 )
 from fewdist.bounds import ratio_bound_U
 from fewdist.certificate import (
-    applicable_certificate_settings,
     class_index_range,
     eigen_multiplicities,
     indicator_matrix,
@@ -46,7 +45,7 @@ from fewdist.inverse import (
 )
 from fewdist.jsonio import dumps
 from fewdist.pointset import affine_dimension, squared_distance_matrix
-from fewdist.ratios import analyze
+from fewdist.ratios import analyze, applicable_settings
 from fewdist.search import enumerate_tuples, realize_catalog
 
 
@@ -93,7 +92,7 @@ def test_criterion_1_johnson_pipeline():
 def test_criterion_2_certificate_rank_caps(bundled_sets):
     checks = 0
     for name, ps in bundled_sets.items():
-        for setting in applicable_certificate_settings(ps):
+        for setting in applicable_settings(ps):
             for class_index in class_index_range(ps, setting):
                 im = indicator_matrix(ps, class_index, setting)
                 if im.s < 2:

@@ -25,11 +25,11 @@ from fewdist.bounds import theorem_context
 from fewdist.certificate import (
     DEFAULT_CLUSTER_TOL,
     SKETCH_OVERSAMPLING,
-    applicable_certificate_settings,
     class_index_range,
 )
 from fewdist.defaults import DEFAULT_TOL_RANK
-from fewdist.errors import NumericalError, ParameterError
+from fewdist.errors import InputError, NumericalError, ParameterError
+from fewdist.ratios import applicable_settings
 
 
 def dense_counts(im, tol_rank=DEFAULT_TOL_RANK, cluster_tol=DEFAULT_CLUSTER_TOL):
@@ -141,15 +141,15 @@ class TestIndicatorMatrix:
         assert list(class_index_range(e8, "antipodal_even_v2")) == [2]
 
     def test_applicable_settings(self, johnson_10_3, e8, icosahedron):
-        assert applicable_certificate_settings(johnson_10_3) == ["euclidean"]
-        assert applicable_certificate_settings(e8) == [
+        assert applicable_settings(johnson_10_3) == ["euclidean"]
+        assert applicable_settings(e8) == [
             "euclidean",
             "spherical",
             "antipodal_even_v1",
             "antipodal_even_v2",
         ]
         # Odd antipodal families need s >= 5; the icosahedron has s = 3.
-        assert applicable_certificate_settings(icosahedron) == ["euclidean", "spherical"]
+        assert applicable_settings(icosahedron) == ["euclidean", "spherical"]
 
 
 def chained_antipodal_set():
@@ -386,6 +386,11 @@ class TestSignMatrixBound:
         with pytest.raises(Exception):
             verify_sign_matrix_bound(m, 2.0, 1)
 
+    @pytest.mark.parametrize("matrix", [np.float64(0.0), np.zeros(3), np.zeros((2, 3))])
+    def test_rejects_a_non_square_input(self, matrix):
+        with pytest.raises(InputError, match="sign matrix must be square"):
+            verify_sign_matrix_bound(matrix, 0.0, 1)
+
     def test_random_sign_matrices_respect_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -444,7 +449,7 @@ class TestRangeSketch:
         # test has left a basis on: the first class's decides every class.
         ps = construct_johnson(14, 3)
         with recorded_shapes("qr") as qrs:
-            for setting in applicable_certificate_settings(ps):
+            for setting in applicable_settings(ps):
                 for index in class_index_range(ps, setting):
                     im = indicator_matrix(ps, index, setting)
                     with recorded_shapes() as shapes:
@@ -453,32 +458,72 @@ class TestRangeSketch:
                     assert spectral_counts(v) == dense_counts(im)
         assert len(qrs) == 1
 
-    def test_a_class_outside_the_shared_range_takes_its_own_sketch(self):
+    def test_a_class_outside_the_shared_range_goes_to_m(self):
         n, n_cap = 80, 10
         width = n_cap + SKETCH_OVERSAMPLING + 1
         rng = np.random.default_rng(3)
         source = (PointSet(dimension=1, points=np.arange(n, dtype=float)[:, None]), 1e-6)
 
         def case(rank):
+            # 1 is an eigenvector, so M's own view reads the Seidel spectrum off M's.
             planted = np.zeros(n)
             planted[:rank] = rng.uniform(0.1, 1.0, rank) * rng.choice([-1.0, 1.0], rank)
-            return hand_built(planted_matrix(rng, planted), "euclidean", 1.5, n_cap, source)
+            return hand_built(planted_matrix(rng, planted, first=np.ones(n)), "euclidean", 1.5, n_cap, source)
 
         first = case(n_cap)
         narrower = (
             dataclasses.replace(first[0], n_cap=n_cap - 1),
             dataclasses.replace(first[1], N=n_cap - 1),
         )
-        # (class, dense decomposition): the first class leaves its basis; one
-        # with another range takes its own sketch; one of rank above the
-        # width then goes dense; and a basis of another width is not reused,
-        # although it holds the range.
-        for (im, context), dense in ((first, False), (case(n_cap), False), (case(width + 4), True), (narrower, False)):
+        # (class, qr calls, n x n decompositions): the first class leaves its
+        # basis; one with another range, or of rank above the width, goes
+        # straight to M with no sketch of its own; and a basis of another
+        # width is not reused, although it holds the range.
+        for (im, context), sketches, dense in (
+            (first, 1, 0), (case(n_cap), 0, 1), (case(width + 4), 0, 1), (narrower, 1, 0)
+        ):
             with recorded_shapes("qr") as qrs, recorded_shapes() as shapes:
                 v = verify_key_lemma(im, context)
-            assert qrs == [(n, im.n_cap + SKETCH_OVERSAMPLING + 1)]
-            assert ((n, n) in shapes) == dense
+            assert qrs == [(n, im.n_cap + SKETCH_OVERSAMPLING + 1)] * sketches
+            assert shapes.count((n, n)) == dense
             assert spectral_counts(v) == dense_counts(im)
+
+    def test_a_regular_class_decomposes_only_b(self, johnson_14_3):
+        # certify --setting all: every class of johnson(14, 3) is a regular
+        # graph, so the Seidel spectrum is read off B's, B's companion is not
+        # decomposed, and no n x n matrix is.
+        for setting in applicable_settings(johnson_14_3):
+            for index in class_index_range(johnson_14_3, setting):
+                im = indicator_matrix(johnson_14_3, index, setting)
+                width = im.n_cap + SKETCH_OVERSAMPLING + 1
+                with recorded_shapes() as shapes:
+                    v = verify_key_lemma(im)
+                assert shapes == [(width, width)]
+                assert spectral_counts(v) == dense_counts(im)
+
+    def test_a_non_regular_class_decomposes_b_companion(self):
+        # 500 of johnson(16, 3)'s 560 points: no class is a regular graph, so
+        # the read-off leaves the companion's count open, and B's companion
+        # (width x width) decides it, with no n x n decomposition.
+        full = construct_johnson(16, 3)
+        rows = np.sort(np.random.default_rng(0).choice(full.n, 500, replace=False))
+        ps = PointSet(dimension=full.dimension, points=full.points[rows])
+        for index in class_index_range(ps, "euclidean"):
+            im = indicator_matrix(ps, index, "euclidean")
+            width = im.n_cap + SKETCH_OVERSAMPLING + 1
+            with recorded_shapes() as shapes:
+                v = verify_key_lemma(im)
+            assert shapes == [(width, width)] * 2
+            assert spectral_counts(v) == dense_counts(im)
+
+    def test_a_failed_decomposition_is_a_numerical_error(self):
+        # The sketch path's eigvalsh fails on a NaN: NumericalError, which
+        # the CLI maps to exit 3, not numpy's LinAlgError.
+        matrix = planted_matrix(np.random.default_rng(6), np.r_[np.ones(5), np.zeros(75)])
+        matrix[3, 4] = matrix[4, 3] = np.nan
+        im, context = hand_built(matrix, "euclidean", 1.5, 10)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            verify_key_lemma(im, context)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -563,22 +608,29 @@ class TestSeidelFromM:
         event("companion decomposed" if gates[0] is None else "read off M")
 
     def test_bound_covers_the_eigenvalue_dropped_for_mu(self):
-        # M couples 1 to a unit w orthogonal to it with weight rho, at
-        # diagonals mu and mu + delta, delta < 0 small: r = rho w, and of
-        # eig(M)'s mu + delta/2 +- sqrt(delta^2/4 + rho^2) the one nearer mu is
-        # dropped. The kept one sits about 2 rho + 4 rho^2 / n from the
+        # The view X (M itself with c = 1 at width n = 20, then B = Q^T M Q
+        # with c = Q^T 1) couples u = c/|c| to a unit w orthogonal to it with
+        # weight rho, at diagonals mu and mu + delta, delta < 0 small: r = rho w,
+        # and of eig(X)'s mu + delta/2 +- sqrt(delta^2/4 + rho^2) the one nearer
+        # mu is dropped. The kept one sits about 2 rho + 4 rho^2 / n from the
         # companion's exact eigenvalue: beyond Weyl's 2 ||r|| alone.
         n, mu, delta, rho, e = 20, 3.0, -1e-4, 0.1, -5.0
         rng = np.random.default_rng(4)
-        planted = np.concatenate([[mu, mu + delta], rng.uniform(-1.0, 1.0, n - 2)])
-        vectors = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))[0]
-        u, w = vectors[:, 0], vectors[:, 1]
-        matrix = (vectors * planted) @ vectors.T + rho * (np.outer(u, w) + np.outer(w, u))
-        matrix = (matrix + matrix.T) / 2.0
-        estimate, (_, bound) = certificate._seidel_spectrum(matrix, np.linalg.eigvalsh(matrix), e)
-        exact = np.linalg.eigvalsh(2.0 * matrix - 1.0 + e * np.eye(n))
-        deviation = np.max(np.abs(np.sort(estimate) - exact))
-        assert 2.0 * rho * 1.005 < deviation <= bound
+        for width in (n, 12):
+            c = np.ones(n)
+            if width < n:  # Q: orthonormal, 1 in its range, c not along an axis
+                q = np.linalg.qr(np.column_stack([c, rng.standard_normal((n, width - 1))]))[0]
+                c = (q @ np.linalg.qr(rng.standard_normal((width, width)))[0]).T @ c
+            planted = np.concatenate([[mu, mu + delta], rng.uniform(-1.0, 1.0, width - 2)])
+            vectors = np.linalg.qr(np.column_stack([c, rng.standard_normal((width, width - 1))]))[0]
+            u, w = vectors[:, 0], vectors[:, 1]
+            x = (vectors * planted) @ vectors.T + rho * (np.outer(u, w) + np.outer(w, u))
+            x = (x + x.T) / 2.0
+            pad = np.zeros(n - width)
+            estimate, bound = certificate._read_off(x, c, np.r_[np.linalg.eigvalsh(x), pad], 2.0, 1.0, e)
+            exact = np.r_[np.linalg.eigvalsh(2.0 * x - np.outer(c, c) + e * np.eye(width)), pad + e]
+            deviation = np.max(np.abs(np.sort(estimate) - np.sort(exact)))
+            assert 2.0 * rho * 1.005 < deviation <= bound, width
 
 
 class TestEntryCheckMemory:

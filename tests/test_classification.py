@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 
 import fewdist.pointset as pointset
 from fewdist import PointSet, construct_johnson, construct_named
-from fewdist.certificate import (
-    applicable_certificate_settings,
-    class_index_range,
-    indicator_matrix,
-    numeric_rank,
-    verify_key_lemma,
-)
+from fewdist.certificate import class_index_range, indicator_matrix, numeric_rank, verify_key_lemma
 from fewdist.errors import AmbiguousGroupingError, DuplicatePointError
 from fewdist.pointset import (
     _cluster_sorted,
@@ -35,6 +29,7 @@ from fewdist.pointset import (
     is_antipodal,
     squared_distance_matrix,
 )
+from fewdist.ratios import applicable_settings
 
 
 def reference_cluster_sorted(values, tol, relative):
@@ -372,7 +367,7 @@ class TestClassifiedOnce:
 
         monkeypatch.setattr(pointset, "_group_pairs", counting)
         ps = construct_named("hypercube", d=5)
-        for setting in applicable_certificate_settings(ps):
+        for setting in applicable_settings(ps):
             for index in class_index_range(ps, setting):
                 verify_key_lemma(indicator_matrix(ps, index, setting))
         assert sorted(calls) == [False, True]
@@ -393,7 +388,7 @@ class TestClassifiedOnce:
 )
 def test_key_lemma_rank_matches_numeric_rank(request, name):
     ps = request.getfixturevalue(name)
-    for setting in applicable_certificate_settings(ps):
+    for setting in applicable_settings(ps):
         for index in class_index_range(ps, setting):
             im = indicator_matrix(ps, index, setting)
             assert verify_key_lemma(im).rank == numeric_rank(im.matrix)

@@ -7,6 +7,7 @@ the cardinality hypothesis met, 2 usage or input error, 3 numerical failure.
 """
 
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -15,8 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewdist import construct_johnson, construct_named, inverse
+from fewdist import cli, construct_johnson, construct_named, inverse
+from fewdist.certificate import indicator_matrix, verify_key_lemma
 from fewdist.cli import run
+from fewdist.embed import euclidean_embeddable, spherical_embeddable
+from fewdist.pointset import distance_profile, inner_product_profile
+from fewdist.ratios import analyze
+from fewdist.search import enumerate_tuples
 
 GOLDEN_BOUNDS = (
     '{"setting":"euclidean","d":10,"s":3,"N":77,'
@@ -382,6 +388,44 @@ class TestExitCodes:
         assert payload["start_index"] == 0 and payload["iterations"] == 0
         n = int(s)
         assert payload["t"] == [float(f"{i / n:.12g}") for i in range(1, n)]
+
+
+# (handler, argv, {parsed flag: the library functions that take it}).
+SHARED_DEFAULTS = [
+    ("_cmd_profile", ["profile", "p.json"], {"tol": [distance_profile, inner_product_profile]}),
+    ("_cmd_ratios", ["ratios", "p.json"], {"tol": [analyze], "tol_int": [analyze], "tol_rank": [analyze]}),
+    (
+        "_cmd_certify",
+        ["certify", "p.json"],
+        {
+            "tol": [indicator_matrix],
+            "tol_int": [verify_key_lemma],
+            "tol_rank": [indicator_matrix, verify_key_lemma],
+        },
+    ),
+    (
+        "_cmd_invert",
+        ["invert", "-s", "3", "-k", "1"],
+        {"tol_res": [inverse.invert_auto], "max_iter": [inverse.invert_auto]},
+    ),
+    ("_cmd_enumerate", ["enumerate", "-d", "3", "-s", "3"], {"cap": [enumerate_tuples]}),
+    (
+        "_cmd_embed_check",
+        ["embed-check", "m.json", "-d", "2"],
+        {"tol_psd": [euclidean_embeddable, spherical_embeddable]},
+    ),
+]
+
+
+class TestSharedDefaults:
+    @pytest.mark.parametrize("handler,argv,flags", SHARED_DEFAULTS, ids=[c[0] for c in SHARED_DEFAULTS])
+    def test_each_parsed_default_is_the_library_default(self, monkeypatch, handler, argv, flags):
+        parsed = []
+        monkeypatch.setattr(cli, handler, lambda args: parsed.append(args) or 0)
+        assert run(argv) == 0
+        for flag, functions in flags.items():
+            for fn in functions:
+                assert getattr(parsed[0], flag) == inspect.signature(fn).parameters[flag].default, (flag, fn)
 
 
 class TestLazyImports:

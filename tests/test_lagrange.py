@@ -17,7 +17,6 @@ from fewdist import construct_johnson, construct_named
 from fewdist.bounds import SETTING_TABLE, theorem_context
 from fewdist.certificate import (
     SIGNED_SETTINGS,
-    applicable_certificate_settings,
     class_index_range,
     indicator_matrix,
 )
@@ -31,6 +30,7 @@ from fewdist.pointset import (
 )
 from fewdist.ratios import (
     antipodal_even_ratios,
+    applicable_settings,
     antipodal_odd_ratios,
     euclidean_ratios,
     spherical_ratios,
@@ -257,7 +257,7 @@ def indicators(request):
     ps = FIVE_SETS[request.param]()
     found = [
         (setting, index, indicator_matrix(ps, index, setting))
-        for setting in applicable_certificate_settings(ps)
+        for setting in applicable_settings(ps)
         for index in class_index_range(ps, setting)
     ]
     return ps, found
