@@ -563,8 +563,9 @@ class TestRangeSketch:
 
 
 class TestSeidelFromM:
-    """On the dense path the Seidel companion's spectrum is read off M's, and
-    the companion is decomposed only where that bound leaves a count undecided."""
+    """On each view (B, or M on the dense path) the Seidel companion's spectrum
+    is read off the view's, and the view's companion is decomposed only where
+    that bound leaves a count undecided."""
 
     @settings(max_examples=150, deadline=None)
     @given(
