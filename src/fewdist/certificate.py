@@ -30,6 +30,7 @@ from .pointset import (
     PointSet,
     _memoized,
     antipodal_structure,
+    class_adjacency,
     distance_profile,
     inner_product_matrix,
     inner_product_profile,
@@ -72,19 +73,19 @@ class IndicatorMatrix:
 def _pair_classes(ps: PointSet, row, i0: int, tol: float):
     """The memoized pair values row's indicator is read on, and the profile's
     class i0 on them: on the half set, +beta plus (signed: minus) -beta."""
-    if row.family == "euclidean":
-        return squared_distance_matrix(ps), distance_profile(ps, tol).adjacency[i0]
-    profile = inner_product_profile(ps, tol)
-    if row.family == "spherical":
-        return inner_product_matrix(ps), profile.adjacency[i0]
+    euclidean = row.family == "euclidean"
+    pairs = (squared_distance_matrix if euclidean else inner_product_matrix)(ps)
+    profile = (distance_profile if euclidean else inner_product_profile)(ps, tol)
+    if row.family != "antipodal":
+        return pairs, class_adjacency(pairs, profile.tops, i0)
     structure = antipodal_structure(ps, tol)
-    half = np.ix_(structure.rows, structure.rows)
+    pairs = pairs[np.ix_(structure.rows, structure.rows)]
     p = profile.s - len(structure.beta_abs) + i0
-    adjacency = profile.adjacency[p][half]
+    adjacency = class_adjacency(pairs, profile.tops, p)
     if profile.s - p != p:
-        minus = profile.adjacency[profile.s - p][half]
+        minus = class_adjacency(pairs, profile.tops, profile.s - p)
         adjacency = adjacency - minus if row.signed else adjacency + minus
-    return inner_product_matrix(ps)[half], adjacency
+    return pairs, adjacency
 
 
 def indicator_matrix(
@@ -96,9 +97,9 @@ def indicator_matrix(
 ) -> IndicatorMatrix:
     """Evaluate the class indicator polynomial (bounds.Setting) at all point pairs.
 
-    The adjacency is the profile's class, read-only and shared for the
-    euclidean and spherical rows. The antipodal matrices run over the half
-    set, where class j is the profile's +beta_j and -beta_j. class_index is 1-based
+    The adjacency is the profile's class, read off the memoized pair values
+    by class_adjacency. The antipodal matrices run over the half set, where
+    class j is the profile's +beta_j and -beta_j. class_index is 1-based
     within the setting's own index range: 1..s for euclidean/spherical,
     1..(s-1)/2 for the odd antipodal variants, 1..s/2 for the even variant 1
     and 2..s/2 for the even variant 2 (the zero class has no variant-2 ratio).

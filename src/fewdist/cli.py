@@ -178,23 +178,27 @@ def _cmd_certify(args) -> int:
     from .ratios import applicable_settings, choose_settings
 
     ps = load_points(args.pointfile)
-    applicable = applicable_settings(ps, args.tol, args.tol_rank)
-    settings = choose_settings(applicable, args.setting)
+    settings = choose_settings(applicable_settings(ps, args.tol, args.tol_rank), args.setting)
+    indices = {setting: class_index_range(ps, setting, args.tol) for setting in settings}
     if args.class_index != "all":
         try:
-            chosen = [int(args.class_index)]
+            chosen = int(args.class_index)
         except ValueError as exc:
             raise InputError(f"--class must be an integer or 'all': {exc}") from exc
+        ranges = ", ".join(f"[{r.start}, {r.stop - 1}] for {name}" for name, r in indices.items())
+        # The class is certified in each chosen setting that has it.
+        indices = {name: [chosen] for name, r in indices.items() if chosen in r}
+        if not indices:
+            raise ParameterError(f"class index {chosen} out of range {ranges}")
     verdicts = []
-    for setting in settings:
-        indices = class_index_range(ps, setting, args.tol) if args.class_index == "all" else chosen
-        for index in indices:
+    for setting, chosen_indices in indices.items():
+        for index in chosen_indices:
             im = indicator_matrix(ps, index, setting, args.tol, tol_rank=args.tol_rank)
             verdicts.append(verify_key_lemma(im, tol_int=args.tol_int, tol_rank=args.tol_rank))
             del im  # before the next class's matrix is built: one n x n matrix at a time
     payload = {
         "n": ps.n,
-        "settings": settings,
+        "settings": list(indices),
         "verdicts": [v.to_dict() for v in verdicts],
         "all_passed": all(v.all_passed for v in verdicts),
     }

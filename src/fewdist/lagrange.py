@@ -40,6 +40,8 @@ def check_sign_pattern(k) -> np.ndarray:
     arr = np.asarray(k, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ParameterError("k must be a 1-d sequence with at least one entry")
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("k must be finite")
     for i, value in enumerate(arr):
         want_positive = i % 2 == 0
         if value == 0.0 or (value > 0.0) != want_positive:

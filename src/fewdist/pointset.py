@@ -9,8 +9,8 @@ Each pair matrix and profile is computed once per point set and tolerance
 and kept on the point set (read-only), so every caller shares one pass.
 Classifying n points holds one float n x n pair matrix (a unit-norm set
 keeps its Gram matrix too), one sorted copy of its n(n-1)/2 values above
-the diagonal (freed before the classes are built) and one int8 n x n
-adjacency per class; every other temporary is a tile or a fixed-size chunk.
+the diagonal (freed before the class means are taken) and one bool n x n
+mask of the class at hand; every other temporary is a tile or a chunk.
 The duplicate-point and antipodal checks never build an n x n x d array;
 they screen pairs by a Gram product taken a block of rows at a time and run
 the exact coordinate test only on the pairs that pass the screen.
@@ -193,10 +193,12 @@ def _points_from_json(text: str) -> PointSet:
     if len(lengths) != 1 or any(not isinstance(r, list) for r in rows):
         raise DimensionMismatchError("every point must be an array of one shared length")
     dim = payload.get("dimension", lengths.pop() if lengths else 0)
-    if not isinstance(dim, int):
+    if not isinstance(dim, int) or isinstance(dim, bool):
         raise PointFileError('"dimension" must be an integer')
     labels = payload.get("labels")
     if labels is not None:
+        if not isinstance(labels, list):
+            raise PointFileError('"labels" must be an array')
         labels = tuple(str(x) for x in labels)
     try:
         arr = np.asarray(rows, dtype=float)
@@ -309,51 +311,41 @@ def _cluster_sorted(values: np.ndarray, tol: float, relative: bool) -> np.ndarra
 
 
 def _group_pairs(matrix: np.ndarray, tol: float, relative: bool):
-    """Classes of the values above the diagonal: (means, counts, adjacencies).
-
-    The lower triangle is never read, since a Gram matrix need not be
-    exactly symmetric: each class is found on the upper triangle and its
-    adjacency mirrored. A class mean is np.mean over its values in row-major
-    order.
-    """
-    n = matrix.shape[0]
-    values = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for i in range(n - 1):
-        values[pos:pos + n - 1 - i] = matrix[i, i + 1:]
-        pos += n - 1 - i
+    """Classes of the values above the diagonal: (means, counts, tops), with
+    tops the largest value of each class but the last. The lower triangle is
+    never read, since a Gram matrix need not be exactly symmetric. A class
+    mean is np.mean over its values in row-major order."""
+    values = np.concatenate([row[i + 1:] for i, row in enumerate(matrix[:-1])])
     values.sort()
     _stable_zero_ends(matrix, values)
-    cuts = _cluster_sorted(values, tol, relative)
-    # The largest value of every class but the last.
-    tops = values[cuts]
+    tops = _read_only(values[_cluster_sorted(values, tol, relative)])
     del values
-    adjacency = [np.zeros((n, n), dtype=bool) for _ in range(cuts.size + 1)]
-    for rows, cols in _tile_pairs(n):
-        tile = matrix[rows, cols]
-        # Pairs above the top of every class handled so far.
-        above = np.ones(tile.shape, dtype=bool)
-        for top, adj in zip(tops, adjacency):
-            at_most = tile <= top
-            np.logical_and(at_most, above, out=adj[rows, cols])
-            np.logical_not(at_most, out=above)
-        adjacency[-1][rows, cols] = above
-        if rows == cols:
-            on_or_below = np.tri(tile.shape[0], dtype=bool)
-            for adj in adjacency:
-                adj[rows, cols][on_or_below] = False
     reps, counts = [], []
-    for adj in adjacency:
-        members = matrix[adj]
+    for c in range(tops.size + 1):
+        members = matrix[_upper_class(matrix, tops, c)]
         reps.append(float(np.mean(members)))
         counts.append(members.size)
         del members
-        for rows, cols in _tile_pairs(n):
-            if rows == cols:
-                adj[rows, cols] |= adj[rows, cols].T
-            else:
-                adj[cols, rows] = adj[rows, cols].T
-    return reps, counts, [_read_only(adj.view(np.int8)) for adj in adjacency]
+    return reps, counts, tops
+
+
+def _upper_class(matrix: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
+    """Bool n x n mask of the pairs above the diagonal in class c (0-based):
+    the values v with tops[c-1] < v <= tops[c], unbounded past either end."""
+    low, high = (tops[c - 1] if c else -np.inf), (tops[c] if c < len(tops) else np.inf)
+    mask = np.zeros(matrix.shape, dtype=bool)
+    for rows, cols in _tile_pairs(len(matrix)):
+        tile = matrix[rows, cols]
+        np.logical_and(tile > low, tile <= high, out=mask[rows, cols])
+        if rows == cols:
+            mask[rows, cols][np.tri(tile.shape[0], dtype=bool)] = False
+    return mask
+
+
+def class_adjacency(matrix: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
+    """Class c's int8 0/1 adjacency: the profile's tops on its pair matrix's upper triangle."""
+    upper = _upper_class(matrix, tops, c)
+    return (upper | upper.T).view(np.int8)
 
 
 def _stable_zero_ends(matrix: np.ndarray, values: np.ndarray) -> None:
@@ -379,12 +371,12 @@ def _first_zero(rows) -> float:
 
 @dataclass(frozen=True)
 class DistanceProfile:
-    """Classes of squared pair distances: an s-distance structure."""
+    """Classes of squared pair distances (an s-distance structure) and their tops."""
 
     s: int
     squared_distances: tuple[float, ...]
     pair_counts: tuple[int, ...]
-    adjacency: tuple[np.ndarray, ...]
+    tops: np.ndarray
     tol: float
 
     def to_dict(self) -> dict:
@@ -401,12 +393,12 @@ def distance_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> DistanceProfile:
 
 
 def _distance_profile(ps: PointSet, tol: float) -> DistanceProfile:
-    reps, counts, adjacency = _group_pairs(squared_distance_matrix(ps), tol, relative=True)
+    reps, counts, tops = _group_pairs(squared_distance_matrix(ps), tol, relative=True)
     return DistanceProfile(
         s=len(reps),
         squared_distances=tuple(reps),
         pair_counts=tuple(counts),
-        adjacency=tuple(adjacency),
+        tops=tops,
         tol=tol,
     )
 
@@ -418,7 +410,7 @@ class InnerProductProfile:
     s: int
     inner_products: tuple[float, ...]
     pair_counts: tuple[int, ...]
-    adjacency: tuple[np.ndarray, ...]
+    tops: np.ndarray
     contains_minus_one: bool
     antipodal: bool
     tol: float
@@ -455,7 +447,7 @@ def inner_product_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> InnerProduc
 def _inner_product_profile(ps: PointSet, tol: float) -> InnerProductProfile:
     if not on_unit_sphere(ps, tol):
         raise NotOnSphereError(f"points deviate from unit norm by {_unit_norm_deviation(ps):.3e}")
-    reps, counts, adjacency = _group_pairs(inner_product_matrix(ps), tol, relative=False)
+    reps, counts, tops = _group_pairs(inner_product_matrix(ps), tol, relative=False)
     antipodal, _ = is_antipodal(ps, tol)
     contains_minus_one = bool(abs(reps[0] + 1.0) <= 10.0 * max(tol, 1e-12))
     if reps[-1] >= 1.0 - 1e-12:
@@ -464,7 +456,7 @@ def _inner_product_profile(ps: PointSet, tol: float) -> InnerProductProfile:
         s=len(reps),
         inner_products=tuple(reps),
         pair_counts=tuple(counts),
-        adjacency=tuple(adjacency),
+        tops=tops,
         contains_minus_one=contains_minus_one,
         antipodal=antipodal,
         tol=tol,

@@ -135,6 +135,17 @@ class TestIndicatorMatrix:
         with pytest.raises(ParameterError):
             indicator_matrix(johnson_10_3, 1, "galactic")
 
+    def test_antipodal_setting_of_the_other_parity(self, e8):
+        with pytest.raises(ParameterError, match="set has even parity, requested antipodal_odd_v1"):
+            indicator_matrix(e8, 1, "antipodal_odd_v1")
+
+    def test_context_must_match_the_matrix(self, johnson_10_3):
+        im = indicator_matrix(johnson_10_3, 1, "euclidean")
+        with pytest.raises(ParameterError, match="context setting 'spherical' does not match"):
+            verify_key_lemma(im, theorem_context("spherical", im.d_eff, im.s))
+        with pytest.raises(ParameterError, match=f"does not match the matrix space dimension {im.n_cap}"):
+            verify_key_lemma(im, theorem_context("euclidean", im.d_eff + 1, im.s))
+
     def test_class_index_range(self, johnson_10_3, e8):
         assert list(class_index_range(johnson_10_3, "euclidean")) == [1, 2, 3]
         assert list(class_index_range(e8, "antipodal_even_v1")) == [1, 2]
@@ -385,6 +396,16 @@ class TestSignMatrixBound:
         m = np.array([[0.0, 2.0], [2.0, 0.0]])
         with pytest.raises(Exception):
             verify_sign_matrix_bound(m, 2.0, 1)
+
+    def test_rejects_an_asymmetric_input(self):
+        m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(InputError, match="sign matrix must be symmetric"):
+            verify_sign_matrix_bound(m, 1.0, 1)
+
+    @pytest.mark.parametrize("m", [0, 3, -1])
+    def test_rejects_a_multiplicity_outside_1_to_n(self, m):
+        with pytest.raises(ParameterError, match=r"multiplicity m must be in \[1, n\]"):
+            verify_sign_matrix_bound(np.array([[0.0, 1.0], [1.0, 0.0]]), 1.0, m)
 
     @pytest.mark.parametrize("matrix", [np.float64(0.0), np.zeros(3), np.zeros((2, 3))])
     def test_rejects_a_non_square_input(self, matrix):

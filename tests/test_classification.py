@@ -8,6 +8,7 @@ the same class ids and count, the same error messages, the same duplicate
 pair, the same partner array and the same bits.
 """
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -23,13 +24,14 @@ from fewdist.pointset import (
     _cluster_sorted,
     _group_pairs,
     _squared_distances,
+    class_adjacency,
     distance_profile,
     inner_product_matrix,
     inner_product_profile,
     is_antipodal,
     squared_distance_matrix,
 )
-from fewdist.ratios import applicable_settings
+from fewdist.ratios import analyze, applicable_settings
 
 
 def reference_cluster_sorted(values, tol, relative):
@@ -132,15 +134,18 @@ def cluster_ids(values, tol, relative):
     return np.cumsum(ids, out=ids), cuts.size + 1
 
 
-def assert_same_classes(got, want):
-    """Two _group_pairs outcomes agree: error type and message, or every bit."""
+def assert_same_classes(got, want, matrix):
+    """Two _group_pairs outcomes on matrix agree: error type and message, or
+    every bit, with the classes of got's tops read by class_adjacency."""
     if isinstance(want[0], type):
         assert got == want
         return
     assert got[0] == want[0]
     assert got[1] == want[1]
-    assert len(got[2]) == len(want[2])
-    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got[2], want[2]))
+    assert len(got[2]) + 1 == len(want[2])
+    for c, b in enumerate(want[2]):
+        a = class_adjacency(matrix, got[2], c)
+        assert np.array_equal(a, b) and a.dtype == b.dtype
 
 
 def duplicate_message(pts):
@@ -205,7 +210,7 @@ class TestClusterSortedMatchesReference:
             for relative, tol in ((True, 1e-9), (False, 1e-9), (True, 0.05)):
                 got = outcome(_group_pairs, matrix, tol, relative)
                 want = outcome(reference_group_pairs, matrix, tol, relative)
-                assert_same_classes(got, want)
+                assert_same_classes(got, want, matrix)
 
 
 class TestPairMatrixMatchesReference:
@@ -242,9 +247,10 @@ class TestGroupingEdgeCases:
             [[1, 0.5, 0.9, 0.2], [0.5 + 2**-53, 1, 0.2, 0.2], [0.9, 0.2, 1, 0.2], [0.2, 0.2, 0.2, 1]]
         )
         got = _group_pairs(gram, 1e-9, False)
-        assert_same_classes(got, reference_group_pairs(gram, 1e-9, False))
+        assert_same_classes(got, reference_group_pairs(gram, 1e-9, False), gram)
         assert got[0] == [0.2, 0.5, 0.9]
-        for adj in got[2]:
+        for c in range(len(got[0])):
+            adj = class_adjacency(gram, got[2], c)
             assert np.array_equal(adj, adj.T)
 
     @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
@@ -270,7 +276,7 @@ class TestGroupingEdgeCases:
         tile = data.draw(TILES)
         with mock.patch.object(pointset, "_TILE", tile):
             got = outcome(_group_pairs, matrix, 1e-9, False)
-        assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False))
+            assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False), matrix)
 
 
 @st.composite
@@ -351,7 +357,7 @@ class TestClassifiedOnce:
         assert distance_profile(ps, 1e-6) is not dp
         assert squared_distance_matrix(ps) is squared_distance_matrix(ps)
         with pytest.raises(ValueError):
-            dp.adjacency[0][0, 1] = 0
+            dp.tops[0] = 0.0
         with pytest.raises(ValueError):
             is_antipodal(ps)[1][0] = 0
         with pytest.raises(ValueError):
@@ -376,11 +382,36 @@ class TestClassifiedOnce:
         "setting,profile", [("euclidean", distance_profile), ("spherical", inner_product_profile)]
     )
     def test_indicator_adjacency_is_the_profiles(self, e8, setting, profile):
+        pairs = squared_distance_matrix(e8) if setting == "euclidean" else inner_product_matrix(e8)
         for index in class_index_range(e8, setting):
             im = indicator_matrix(e8, index, setting)
-            assert np.shares_memory(im.adjacency, profile(e8).adjacency[index - 1])
+            want = class_adjacency(pairs, profile(e8).tops, index - 1)
+            assert np.array_equal(im.adjacency, want)
         assert inner_product_matrix(e8) is inner_product_matrix(e8)
         assert not inner_product_matrix(e8).flags.writeable
+
+
+def arrays_in(value):
+    """Every numpy array in value, looking into tuples, lists and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from arrays_in(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from arrays_in(getattr(value, f.name))
+
+
+def test_profiles_hold_no_pair_classes():
+    # After a full analysis the memo keeps the pair matrix and the class
+    # tops, but no n x n bool or int8 array of class members.
+    ps = construct_johnson(16, 4)
+    analyze(ps, all_settings=True)
+    assert distance_profile(ps).s == 4
+    held = [a for v in ps._memo.values() for a in arrays_in(v)]
+    assert any(a.shape == (ps.n, ps.n) for a in held)
+    assert not any(a.shape == (ps.n, ps.n) and a.dtype in (np.bool_, np.int8) for a in held)
 
 
 @pytest.mark.parametrize(
@@ -415,8 +446,8 @@ def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
 
 
 def test_grouping_memory_is_a_sort_buffer_then_the_adjacencies(johnson_14_4, traced_peak):
-    # Here 4n^2 bytes of sorted values, then four int8 adjacencies of n^2
-    # bytes; the argsort order, gathered copy and id arrays took 22.5n^2.
+    # Here 4n^2 bytes of sorted values, then one bool mask of n^2 bytes and
+    # its members; the argsort order, gathered copy and id arrays took 22.5n^2.
     matrix = squared_distance_matrix(johnson_14_4)
     n = johnson_14_4.n
     assert traced_peak(_group_pairs, matrix, 1e-9, True) < 12 * n * n
@@ -429,3 +460,13 @@ def test_indicator_memory_is_the_basis_and_one_deviation(johnson_14_4, traced_pe
     indicator_matrix(johnson_14_4, 1, "euclidean")
     n = johnson_14_4.n
     assert traced_peak(indicator_matrix, johnson_14_4, 1, "euclidean") < 2.5 * 8 * n * n
+
+
+def test_profile_memory_is_independent_of_the_class_count(traced_peak):
+    # Random points give one class per pair, s = 1,770. Profiles that held
+    # an int8 n x n adjacency per class took s n^2 bytes, here 6.4 MB; the
+    # means and counts themselves are Python tuples of about 30 n^2 bytes.
+    ps = PointSet(dimension=3, points=np.random.default_rng(0).random((60, 3)))
+    n = ps.n
+    assert traced_peak(distance_profile, ps) < 64 * n * n
+    assert distance_profile(ps).s == n * (n - 1) // 2

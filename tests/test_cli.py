@@ -20,6 +20,7 @@ from fewdist import cli, construct_johnson, construct_named, inverse
 from fewdist.certificate import indicator_matrix, verify_key_lemma
 from fewdist.cli import run
 from fewdist.embed import euclidean_embeddable, spherical_embeddable
+from fewdist.jsonio import dumps
 from fewdist.pointset import distance_profile, inner_product_profile
 from fewdist.ratios import analyze
 from fewdist.search import enumerate_tuples
@@ -208,6 +209,25 @@ class TestSubcommands:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["verdicts"]) == 1
 
+    def test_certify_class_in_the_settings_that_have_it(self, golden_point_files, capsys):
+        # antipodal_even_v2 has no class 1 on e8: the class is certified in
+        # antipodal_even_v1 alone, with the bytes of the all-classes run.
+        path = str(golden_point_files["e8_roots"])
+        assert run(["certify", path]) == 0
+        every = json.loads(capsys.readouterr().out)
+        assert run(["certify", path, "--class", "1"]) == 0
+        out = capsys.readouterr().out
+        payload = json.loads(out)
+        assert payload["settings"] == ["antipodal_even_v1"]
+        assert len(payload["verdicts"]) == 1
+        want = [v for v in every["verdicts"] if v["setting"] == "antipodal_even_v1"][0]
+        assert want["class_index"] == 1
+        assert dumps(payload["verdicts"][0]) == dumps(want)
+        assert run(["certify", path, "--class", "1", "--setting", "all"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["settings"] == ["euclidean", "spherical", "antipodal_even_v1"]
+        assert [v["class_index"] for v in payload["verdicts"]] == [1, 1, 1]
+
     def test_enumerate_realized(self, capsys):
         assert run(["enumerate", "-d", "10", "-s", "3", "--realize"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -286,6 +306,51 @@ class TestExitCodes:
     def test_certify_class_out_of_range(self, square_file, capsys):
         assert run(["certify", square_file, "--class", "99"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_certify_class_must_be_an_integer(self, square_file, capsys):
+        assert run(["certify", square_file, "--class", "x"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--class must be an integer or 'all'" in captured.err
+
+    @pytest.mark.parametrize("setting", ["auto", "all"])
+    def test_certify_class_out_of_range_in_every_setting(self, golden_point_files, capsys, setting):
+        argv = ["certify", str(golden_point_files["e8_roots"]), "--class", "5", "--setting", setting]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: class index 5 out of range [1, 2] for antipodal_even_v1, [2, 2] for antipodal_even_v2\n"
+            if setting == "auto" else
+            "error: class index 5 out of range [1, 4] for euclidean, [1, 4] for spherical, "
+            "[1, 2] for antipodal_even_v1, [2, 2] for antipodal_even_v2\n"
+        )
+
+    @pytest.mark.parametrize("k", ["inf,-1", "2,nan", "2,-inf", "nan,-1"])
+    def test_invert_non_finite_ratios(self, capsys, k):
+        assert run(["invert", "-s", "3", "-k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be finite\n"
+
+    @pytest.mark.parametrize("extra", ['"labels": 5', '"labels": "abc"', '"dimension": true'])
+    def test_malformed_point_json_is_exit_2(self, tmp_path, capsys, extra):
+        path = tmp_path / "bad.json"
+        path.write_text('{"points": [[0, 0], [1, 0], [0, 1]], ' + extra + "}")
+        assert run(["profile", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be an" in captured.err
+
+    def test_eigensolver_failure_in_certify_is_exit_3(self, square_file, capsys, monkeypatch):
+        def fail(arr):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        assert run(["certify", square_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: eigendecomposition failed: Eigenvalues did not converge\n"
+        )
 
     def test_embed_check_unknown_kind(self, tmp_path, capsys):
         path = tmp_path / "odd.json"

@@ -281,6 +281,16 @@ class TestNewtonInversion:
         with pytest.raises(InvalidSignError):
             invert_K(np.array([2.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "k",
+        [[math.inf, -1.0], [2.0, math.nan], [2.0, -math.inf], [math.nan, -1.0], [3.0, -3.0, math.inf]],
+    )
+    def test_non_finite_ratios_are_refused(self, k):
+        with pytest.raises(ParameterError, match="k must be finite"):
+            check_sign_pattern(k)
+        with pytest.raises(ParameterError, match="k must be finite"):
+            invert_auto(k)
+
     def test_single_start_still_converges_on_easy_case(self, monkeypatch):
         # The default start alone decides (3, -3): the continuation is never run.
         def no_continuation(*args):

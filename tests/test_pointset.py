@@ -1,5 +1,6 @@
 """Point set loading, class profiles, antipodal structure, constructions."""
 
+import io
 import json
 from math import comb, sqrt
 
@@ -26,7 +27,13 @@ from fewdist.errors import (
     ParameterError,
     PointFileError,
 )
-from fewdist.pointset import affine_dimension, linear_dimension, on_unit_sphere, squared_distance_matrix
+from fewdist.pointset import (
+    affine_dimension,
+    class_adjacency,
+    linear_dimension,
+    on_unit_sphere,
+    squared_distance_matrix,
+)
 
 GOLDEN = (1 + sqrt(5)) / 2
 
@@ -101,6 +108,42 @@ class TestLoadPoints:
         ps = load_points(path, fmt="csv")
         assert ps.n == 2
 
+    @pytest.mark.parametrize(
+        "source",
+        [
+            b'{"points": [[0, 0], [3, 4]]}',
+            io.StringIO('{"points": [[0, 0], [3, 4]]}'),
+            io.BytesIO(b'{"points": [[0, 0], [3, 4]]}'),
+        ],
+    )
+    def test_bytes_and_streams(self, source):
+        ps = load_points(source, fmt="json")
+        assert ps.n == 2 and ps.dimension == 2
+        assert squared_distance_matrix(ps)[0, 1] == 25.0
+
+    def test_bytes_need_a_format(self):
+        with pytest.raises(PointFileError, match="cannot infer format"):
+            load_points(b"0,0\n1,0\n")
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ('"labels": 5', '"labels" must be an array'),
+            ('"labels": "abc"', '"labels" must be an array'),
+            ('"labels": {"a": 1}', '"labels" must be an array'),
+            ('"dimension": true', '"dimension" must be an integer'),
+            ('"dimension": 2.0', '"dimension" must be an integer'),
+        ],
+    )
+    def test_malformed_labels_and_dimension(self, extra, message):
+        text = '{"points": [[0, 0], [3, 4]], ' + extra + "}"
+        with pytest.raises(PointFileError, match=message):
+            load_points(text.encode(), fmt="json")
+
+    def test_labels_array_is_kept(self):
+        ps = load_points(b'{"points": [[0, 0], [3, 4]], "labels": ["a", 7]}', fmt="json")
+        assert ps.labels == ("a", "7")
+
 
 class TestDistanceProfile:
     def test_unit_square(self, unit_square):
@@ -121,9 +164,11 @@ class TestDistanceProfile:
 
     def test_adjacency_partitions_pairs(self, unit_square):
         dp = distance_profile(unit_square)
-        total = sum(a.sum() for a in dp.adjacency)
+        pairs = squared_distance_matrix(unit_square)
+        adjacency = [class_adjacency(pairs, dp.tops, c) for c in range(dp.s)]
+        total = sum(a.sum() for a in adjacency)
         assert total == 2 * comb(4, 2)
-        stacked = np.sum(dp.adjacency, axis=0)
+        stacked = np.sum(adjacency, axis=0)
         assert np.array_equal(stacked + np.eye(4, dtype=stacked.dtype), np.ones((4, 4)))
 
     def test_isometry_invariance(self, johnson_10_3):
@@ -178,6 +223,13 @@ class TestSphereAndAntipodal:
         ipp = inner_product_profile(icosahedron)
         assert ipp.s == 3
         assert np.allclose(ipp.inner_products, (-1.0, -1 / sqrt(5), 1 / sqrt(5)), atol=1e-12)
+
+    def test_inner_product_at_one_is_a_duplicate(self):
+        # 1e-7 apart passes the point check at 1e-9, but the inner product
+        # cos(1e-7) is within 1e-12 of 1.
+        ps = PointSet(dimension=2, points=[[1.0, 0.0], [np.cos(1e-7), np.sin(1e-7)]])
+        with pytest.raises(DuplicatePointError, match="an inner product class sits at 1"):
+            inner_product_profile(ps)
 
     def test_pentagon_inner_products(self, pentagon):
         ipp = inner_product_profile(pentagon)

@@ -71,6 +71,10 @@ class TestEuclidean:
         c = 2.0**m
         assert euclidean_ratios(tuple(v * c for v in vals)) == euclidean_ratios(tuple(vals))
 
+    def test_rejects_an_empty_list(self):
+        with pytest.raises(ParameterError, match="need at least one value"):
+            euclidean_ratios([])
+
     def test_rejects_non_increasing(self):
         with pytest.raises(DegenerateValuesError):
             euclidean_ratios((4.0, 2.0))
@@ -111,6 +115,22 @@ class TestAntipodal:
     def test_even_requires_leading_zero(self):
         with pytest.raises((ParameterError, DegenerateValuesError, InputError)):
             antipodal_even_ratios((0.25, 0.5), 1)
+
+    @pytest.mark.parametrize("ratios", [antipodal_odd_ratios, antipodal_even_ratios])
+    @pytest.mark.parametrize("variant", [0, 3])
+    def test_variant_must_be_one_or_two(self, ratios, variant):
+        with pytest.raises(ParameterError, match=f"variant must be 1 or 2, got {variant}"):
+            ratios((0.0, 0.5), variant)
+
+    @pytest.mark.parametrize("beta", [(0.0, 0.5), (-0.5, 0.5), (0.5, 1.0), (0.5, 1.5)])
+    def test_odd_values_lie_in_the_open_unit_interval(self, beta):
+        with pytest.raises(ParameterError, match=r"must lie strictly in \(0, 1\)"):
+            antipodal_odd_ratios(beta, 1)
+
+    @pytest.mark.parametrize("beta", [(0.0, 1.0), (0.0, 0.5, 2.0)])
+    def test_even_values_lie_below_one(self, beta):
+        with pytest.raises(ParameterError, match="must lie below 1"):
+            antipodal_even_ratios(beta, 2)
 
     def test_odd_synthetic(self):
         v1 = antipodal_odd_ratios((1 / 3, 2 / 3), 1)
