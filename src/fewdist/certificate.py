@@ -8,14 +8,16 @@ the polynomials span a space of dimension at most N_cap, rank(M) <= N_cap,
 which pins the spectrum of A and forces k to be a bounded integer once the
 set is large enough. The pair values and classes are pointset's memoized
 ones, which the ratios read too. The checks are numerical, with measured slacks.
-Spectra come from one rule on two views of M: B = Q^T M Q on a range basis
-a setting's classes share, then M itself. On each view the companion's
+Spectra come from one rule on two views of M: B = Q^T M Q, with Q an
+orthonormal basis of the polynomials in the point coordinates that hold
+every indicator of a setting, then M itself. On each view the companion's
 spectrum is read off the view's own, within a Weyl bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -39,9 +41,6 @@ from .pointset import (
 from .ratios import class_ratios, effective_dimension
 
 DEFAULT_CLUSTER_TOL = 1e-6
-# Columns of the range sketch beyond N_cap, and the seed of its Gaussian test matrix.
-SKETCH_OVERSAMPLING = 8
-SKETCH_SEED = 0
 # Multiple of n * eps * max|eigenvalue| allowed for eigvalsh's backward error.
 EIGVALSH_SLACK = 64
 
@@ -296,34 +295,46 @@ def _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors=None):
     return n - below[0], below[1], below[2]
 
 
+def _range_basis(ps: PointSet, im: IndicatorMatrix, tol: float):
+    """Orthonormal Q with every class indicator of im's setting in its range,
+    from the coordinates alone; None unless narrower than M. The pair value
+    is bilinear in the lifted points (1, x), plus |x|^2 in the euclidean
+    rows, with x (centred there) on its top d_eff right singular vectors; so
+    each row of M, of degree D = s - degree_offset in it, lies in the span
+    Phi of the products of D lifted columns. range(Phi) lies in range(Q) for
+    Q of an uncut QR, even where Phi is rank-deficient (as on a sphere)."""
+    row = setting_row(im.setting)
+    euclidean = row.family == "euclidean"
+    x = antipodal_structure(ps, tol).half.points if row.family == "antipodal" else ps.points
+    x = x - np.mean(x, axis=0) if euclidean else x
+    x = x @ np.linalg.svd(x, full_matrices=False)[2][: im.d_eff].T
+    lifted = [np.ones(len(x)), *x.T] + ([np.einsum("ij,ij->i", x, x)] if euclidean else [])
+    products = list(combinations_with_replacement(lifted, im.s - row.degree_offset))
+    if len(products) >= len(x):
+        return None
+    phi = np.ones((len(x), len(products)), order="F")
+    for column, factors in zip(phi.T, products):
+        for factor in factors:
+            column *= factor
+    return np.linalg.qr(phi)[0]
+
+
 def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
     """M's view B = Q^T M Q on its setting's range basis Q, with c = Q^T 1,
-    B's companion and the errors _counts takes; None when Q is not narrower.
+    B's companion and the errors _counts takes; None without a basis.
 
-    Q = orth([1, M @ Omega]) with Omega Gaussian n x (N_cap + p). Then
     M = Q B Q^T + E, so by Weyl's inequality the spectrum of M is eig(B) and
     n - l zeros, each within ||E|| of the exact one. As 1 is in range(Q), the
     companion scale*M - shift*J + e*I is Q (scale*B - shift*c c^T + e*I) Q^T
     + e*(I - Q Q^T), up to scale*E and the part of J outside range(Q).
     """
-    m = im.matrix
-    n, width = im.n, im.n_cap + SKETCH_OVERSAMPLING + 1
-    if width >= n:
+    if im.source is None:  # a hand-built M: no coordinates to build Q from
         return None
-
-    def sketch():
-        basis = np.empty((n, width))
-        basis[:, 0] = 1.0
-        gaussian = np.random.default_rng(SKETCH_SEED).standard_normal((n, width - 1))
-        np.matmul(m, gaussian, out=basis[:, 1:])
-        del gaussian
-        return np.linalg.qr(basis)[0]
-
-    if im.source is None:
-        q = sketch()
-    else:  # a setting's classes share one polynomial space, so one Q
-        ps, tol = im.source
-        q = _memoized(ps, ("range_basis", im.setting, tol, width), sketch)
+    ps, tol = im.source  # a setting's classes share one polynomial space, so one Q
+    q = _memoized(ps, ("range_basis", im.setting, tol, im.d_eff), lambda: _range_basis(ps, im, tol))
+    if q is None:
+        return None
+    m, n, width = im.matrix, im.n, q.shape[1]
     b = (q.T @ m) @ q
     b = (b + b.T) / 2.0
     qb = q @ b
@@ -435,11 +446,11 @@ def verify_key_lemma(
     satisfies the 0/+-1 eigenvalue inequality.
 
     Both spectra come from one rule on at most two views of M: first
-    B = Q^T M Q on the setting's range basis (rank <= N_cap) when
-    n >= 2*N_cap and the basis is narrower than M, then M itself. On each the
-    companion's spectrum is read off the view's, and the view's own
-    companion is decomposed only where a count stays open. M's view decides
-    every count B's leaves open, so the counts are dense eigvalsh's.
+    B = Q^T M Q on the setting's polynomial range basis Q (from the
+    coordinates) when n >= 2*N_cap and Q is narrower than M, then M itself.
+    On each the companion's spectrum is read off the view's, and the view's
+    own companion is decomposed only where a count stays open. M's view
+    decides every count B's leaves open, so the counts are dense eigvalsh's.
     """
     if context is None:
         context = theorem_context(im.setting, im.d_eff, im.s)

@@ -22,6 +22,17 @@ from .jsonio import dumps
 # the package than it needs.
 
 
+def _nonnegative(convert):
+    """An argparse type: convert, then refuse NaN, infinities and negatives."""
+    def parse(text):
+        value = convert(text)
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid float value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The global flags accept both positions (before and after a subcommand).
     # Subparsers re-parse into a fresh namespace and copy every attribute
@@ -29,12 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
     # main parser; SUPPRESS keeps unset flags out of that copy, and run()
     # fills the real defaults after parsing. set_defaults is unusable for
     # this: it rewrites the shared actions' defaults in place.
+    tolerance = _nonnegative(float)
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument(
-        "--tol-int", type=float, default=argparse.SUPPRESS, help="integrality tolerance"
+        "--tol-int", type=tolerance, default=argparse.SUPPRESS, help="integrality tolerance"
     )
     common.add_argument(
-        "--tol-rank", type=float, default=argparse.SUPPRESS, help="numeric rank tolerance"
+        "--tol-rank", type=tolerance, default=argparse.SUPPRESS, help="numeric rank tolerance"
     )
     common.add_argument(
         "--json-pretty", action="store_true", default=argparse.SUPPRESS, help="indent JSON output"
@@ -57,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", parents=[common], help="distance / inner-product class profile")
     p.add_argument("pointfile")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_profile)
 
@@ -65,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pointfile")
     p.add_argument("--setting", choices=("auto", *FAMILIES), default="auto")
     p.add_argument("--all", action="store_true", help="report every applicable setting")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument(
         "-d", "--dimension", type=int, default=None, help="override the effective dimension"
     )
@@ -76,15 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pointfile")
     p.add_argument("--setting", choices=("auto", "all", *FAMILIES), default="auto")
     p.add_argument("--class", dest="class_index", default="all", help="1-based index or 'all'")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("invert", parents=[common], help="invert a ratio tuple to normalized distances")
     p.add_argument("-s", type=int, required=True)
     p.add_argument("-k", required=True, help="comma-separated k_1..k_{s-1}")
-    p.add_argument("--tol-res", type=float, default=DEFAULT_TOL_RES)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    p.add_argument("--tol-res", type=tolerance, default=DEFAULT_TOL_RES)
+    p.add_argument("--max-iter", type=_nonnegative(int), default=DEFAULT_MAX_ITER)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_invert)
 
@@ -99,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed-check", parents=[common], help="realizability of a distance or Gram matrix")
     p.add_argument("matrixfile")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--tol-psd", type=float, default=DEFAULT_TOL_PSD)
+    p.add_argument("--tol-psd", type=tolerance, default=DEFAULT_TOL_PSD)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_embed_check)
 

@@ -27,6 +27,8 @@ def check_squared_distance_matrix(matrix) -> np.ndarray:
         raise InputError("squared-distance matrix must be square")
     if arr.shape[0] < 2:
         raise InputError("squared-distance matrix needs at least 2 rows")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("matrix entries must be finite")
     scale = max(1.0, float(np.max(np.abs(arr))))
     if np.max(np.abs(arr - arr.T)) > 1e-9 * scale:
         raise InputError("squared-distance matrix must be symmetric")
@@ -102,6 +104,8 @@ def spherical_embeddable(matrix, d: int, tol_psd: float = DEFAULT_TOL_PSD) -> Em
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("Gram matrix must be square")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("matrix entries must be finite")
     if np.max(np.abs(np.diag(arr) - 1.0)) > 1e-9:
         raise InputError("Gram matrix must have a unit diagonal")
     if np.max(np.abs(arr - arr.T)) > 1e-9:
@@ -159,13 +163,7 @@ def congruent(
         for j in candidates[i]:
             if used[j]:
                 continue
-            ok = True
-            for prev_depth in range(depth):
-                p = order[prev_depth]
-                if abs(dx[i, p] - dy[j, assignment[p]]) > atol:
-                    ok = False
-                    break
-            if not ok:
+            if any(abs(dx[i, p] - dy[j, assignment[p]]) > atol for p in order[:depth]):
                 continue
             assignment[i] = j
             used[j] = True

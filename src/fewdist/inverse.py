@@ -352,9 +352,7 @@ def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
         for s2, sign2 in ((1.0, "+"), (-1.0, "-")):
             t1 = (k1 * shift + s1 * root) / (k1 * scale)
             t2 = (k2 * shift + s2 * root) / (k2 * scale)
-            if not (DOMAIN_EPS < t1 < t2 < 1.0 - DOMAIN_EPS):
-                continue
-            if (t2 - t1) <= DOMAIN_EPS:
+            if not (DOMAIN_EPS < t1 < t2 < 1.0 - DOMAIN_EPS) or (t2 - t1) <= DOMAIN_EPS:
                 continue
             residual = float(np.max(np.abs(forward_K([t1, t2]) - [k1, k2])))
             if residual <= 1e-9:

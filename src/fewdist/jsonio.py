@@ -15,9 +15,8 @@ from fractions import Fraction
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite value in JSON payload: {x!r}")
-    text = format(float(x), ".12g")
     # ".12g" may drop the decimal point entirely; that is still a JSON number.
-    return text
+    return format(float(x), ".12g")
 
 
 def _write(obj, parts: list[str], indent: int | None, level: int) -> None:

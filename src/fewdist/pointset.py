@@ -574,12 +574,8 @@ def construct_johnson(d: int, s: int) -> PointSet:
     """
     if s < 1 or 2 * s > d + 1:
         raise ParameterError(f"johnson family needs 1 <= s <= (d+1)/2, got d={d}, s={s}")
-    rows = []
-    for support in itertools.combinations(range(d + 1), s):
-        row = [0.0] * (d + 1)
-        for idx in support:
-            row[idx] = 1.0
-        rows.append(row)
+    supports = itertools.combinations(range(d + 1), s)
+    rows = [[float(k in support) for k in range(d + 1)] for support in supports]
     return PointSet(dimension=d + 1, points=np.asarray(rows))
 
 

@@ -290,15 +290,10 @@ class AnalysisReport:
             "selected": self.selected,
             "reports": [r.to_dict() for r in self.reports],
         }
-        if self.rational is not None:
-            rational = dict(self.rational)
-            rational["values"] = [
-                f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
-                for v in rational.get("values", [])
-            ]
-            out["rational_inner_products"] = rational
-        else:
-            out["rational_inner_products"] = None
+        rational = self.rational
+        if rational is not None:  # its values are Fractions, written as "p/q"
+            rational = {**rational, "values": [f"{v.numerator}/{v.denominator}" for v in rational["values"]]}
+        out["rational_inner_products"] = rational
         return out
 
 

@@ -94,19 +94,12 @@ def enumerate_tuples(d: int, s: int, cap: int = DEFAULT_BOX_CAP) -> CandidateCat
             f"enumeration box holds {box} tuples, above the cap of {cap}; "
             "raise the cap explicitly to proceed"
         )
-    axes = []
-    for i in range(s - 1):
-        if i % 2 == 0:
-            axes.append(range(1, bound + 1))
-        else:
-            axes.append(range(-bound, 0))
+    axes = [range(1, bound + 1) if i % 2 == 0 else range(-bound, 0) for i in range(s - 1)]
     want_positive_last = (s - 1) % 2 == 0
     entries = []
     for combo in itertools.product(*axes):
         k_last = 1 - sum(combo)
-        if k_last == 0 or abs(k_last) > bound:
-            continue
-        if (k_last > 0) != want_positive_last:
+        if k_last == 0 or abs(k_last) > bound or (k_last > 0) != want_positive_last:
             continue
         entries.append(TupleEntry(k=tuple(combo), k_last=k_last, status="raw"))
     return CandidateCatalog(d=d, s=s, context=context, stage="enumerated", entries=tuple(entries))

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,19 +23,16 @@ from fewdist import (
 )
 from fewdist import certificate, construct_johnson, pointset
 from fewdist.bounds import theorem_context
-from fewdist.certificate import (
-    DEFAULT_CLUSTER_TOL,
-    SKETCH_OVERSAMPLING,
-    class_index_range,
-)
+from fewdist.certificate import DEFAULT_CLUSTER_TOL, class_index_range
 from fewdist.defaults import DEFAULT_TOL_RANK
 from fewdist.errors import InputError, NumericalError, ParameterError
+from fewdist.lagrange import lagrange_basis
 from fewdist.ratios import applicable_settings
 
 
 def dense_counts(im, tol_rank=DEFAULT_TOL_RANK, cluster_tol=DEFAULT_CLUSTER_TOL):
     """(rank, zero multiplicity, companion multiplicity) as verify_key_lemma
-    counted them before the range sketch: from dense n x n decompositions."""
+    counts them on M's own view: from dense n x n decompositions."""
     n, k = im.n, im.k_claimed
     eig = np.linalg.eigvalsh(im.matrix)
     magnitudes = np.abs(eig)
@@ -82,13 +80,13 @@ def planted_matrix(rng, eigenvalues, first=None):
     return (matrix + matrix.T) / 2.0
 
 
-def hand_built(matrix, setting, k, n_cap, source=None):
+def hand_built(matrix, setting, k, n_cap, source=None, d_eff=2, s=4):
     """An IndicatorMatrix around any symmetric matrix, and its theorem context."""
     n = len(matrix)
     im = IndicatorMatrix(
         matrix=matrix, setting=setting, class_index=2, k_claimed=k,
         adjacency=np.zeros((n, n), dtype=np.int8), max_decomposition_dev=0.0,
-        n_cap=n_cap, x_size=n, d_eff=2, s=4, source=source,
+        n_cap=n_cap, x_size=n, d_eff=d_eff, s=s, source=source,
     )
     return im, dataclasses.replace(theorem_context(setting, 2, 4), N=n_cap)
 
@@ -305,24 +303,25 @@ class TestE8Certificates:
     @pytest.mark.parametrize("index,setting", [(2, "antipodal_even_v2"), (2, "antipodal_even_v1")])
     def test_signed_companion_reuses_the_spectrum(self, e8, hypercube_4, index, setting):
         # e8's half set has n = 120 >= 2 N_cap: both spectra come from the
-        # rank-N_cap sketch, with no n x n decomposition.
+        # range basis, with no n x n decomposition.
         im = indicator_matrix(e8, index, setting)
         with recorded_shapes() as shapes:
             v = verify_key_lemma(im)
         assert (im.n, im.n) not in shapes
         assert spectral_counts(v) == dense_counts(im)
-        # On the dense path M - kI has M's spectrum shifted by -k, and the
+        # On M's view M - kI has M's spectrum shifted by -k, and the
         # Seidel companion's is read off M's: one decomposition each where M's
         # row sums agree (e8's classes are regular graphs). Where they do not
         # (200 of e8's points), the bound leaves the counts undecided and the
-        # Seidel companion is decomposed a second time.
+        # Seidel companion is decomposed a second time. hypercube(4)'s half
+        # set would take a 5-column basis: without a source it takes M's view.
         signed = setting in certificate.SIGNED_SETTINGS
         if signed:
             cases = [(hypercube_4, 2, setting, 1)]
         else:
             cases = [(e8, 1, "euclidean", 1), (e8_part(e8), 1, "euclidean", 2)]
         for ps, index, name, decompositions in cases:
-            im = indicator_matrix(ps, index, name)
+            im = dataclasses.replace(indicator_matrix(ps, index, name), source=None)
             with recorded_shapes() as shapes:
                 v = verify_key_lemma(im)
             assert shapes.count((im.n, im.n)) == decompositions
@@ -437,10 +436,30 @@ NEAR_THRESHOLDS = [
 ] + [("zero", 1e-8)]
 
 
+def basis_width(im):
+    """The column count of the range basis verify_key_lemma takes for im."""
+    ps, tol = im.source
+    return certificate._range_basis(ps, im, tol).shape[1]
+
+
+@functools.lru_cache(maxsize=None)
+def basis_source(n, signed):
+    """A random point set whose range basis has 20 columns on n rows: n points
+    of the plane for the euclidean row (d_eff 2, s 4: D = 3 in (1, x, |x|^2)),
+    or n unit vectors of R^3 and their negatives for the signed antipodal row
+    (d_eff 3, s 6: D = 3 in (1, x), rank-deficient on the sphere)."""
+    rng = np.random.default_rng(n)
+    if not signed:
+        return PointSet(dimension=2, points=rng.standard_normal((n, 2)))
+    half = rng.standard_normal((n, 3))
+    half /= np.linalg.norm(half, axis=1)[:, None]
+    return PointSet(dimension=3, points=np.vstack([half, -half]))
+
+
 class TestRangeSketch:
-    """verify_key_lemma reads both spectra off a rank-N_cap sketch when
-    n >= 2 N_cap, and falls back to dense eigvalsh when the sketch's
-    residual leaves a count undecided."""
+    """verify_key_lemma reads both spectra off B = Q^T M Q on the setting's
+    polynomial range basis Q when n >= 2 N_cap, and falls back to dense
+    eigvalsh when the residual leaves a count undecided."""
 
     def test_sketch_path_runs_no_dense_decomposition(self, johnson_14_3, e8):
         cases = [(johnson_14_3, index, "euclidean") for index in (1, 2, 3)]
@@ -451,19 +470,26 @@ class TestRangeSketch:
             with recorded_shapes() as shapes:
                 v = verify_key_lemma(im)
             assert shapes and (im.n, im.n) not in shapes
-            assert max(shapes) <= (im.n_cap + SKETCH_OVERSAMPLING + 1,) * 2
+            assert max(shapes) <= (basis_width(im),) * 2
             assert spectral_counts(v) == dense_counts(im)
+        # (1, x) on e8's half set, and products of two of them.
+        assert [basis_width(indicator_matrix(e8, 2, s)) for s in ("antipodal_even_v2", "antipodal_even_v1")] == [9, 45]
 
     def test_residual_gate_falls_back_to_dense(self, johnson_14_3):
-        # With N_cap lowered to 60 the sketch is 69 columns wide, but M has
-        # rank 105: the residual leaves the counts undecided.
-        im = dataclasses.replace(indicator_matrix(johnson_14_3, 1, "euclidean"), n_cap=60)
-        context = dataclasses.replace(theorem_context("euclidean", im.d_eff, im.s), N=60)
+        # M plus a rank-40 part orthogonal to the basis: the residual leaves
+        # the counts undecided, and M's view finds rank 145 > N_cap = 135.
+        im = indicator_matrix(johnson_14_3, 1, "euclidean")
+        q = certificate._range_basis(johnson_14_3, im, pointset.DEFAULT_TOL)
+        rng = np.random.default_rng(2)
+        outside = rng.standard_normal((im.n, 40))
+        outside = np.linalg.qr(outside - q @ (q.T @ outside))[0]
+        part = (outside * rng.uniform(0.5, 1.0, 40)) @ outside.T
+        im = dataclasses.replace(im, matrix=im.matrix + (part + part.T) / 2.0)
         with recorded_shapes() as shapes:
-            v = verify_key_lemma(im, context)
+            v = verify_key_lemma(im)
         assert (im.n, im.n) in shapes
-        assert spectral_counts(v) == dense_counts(im) == (105, 350, 350)
-        assert not v.rank_ok
+        assert spectral_counts(v) == dense_counts(im)
+        assert v.rank == 145 and not v.rank_ok
 
     def test_one_range_basis_per_setting(self):
         # certify --setting all on a fresh johnson(14, 3), which no earlier
@@ -479,67 +505,119 @@ class TestRangeSketch:
                     assert spectral_counts(v) == dense_counts(im)
         assert len(qrs) == 1
 
+    def test_no_random_numbers(self, monkeypatch):
+        # The basis comes from the coordinates: certify --setting all on a
+        # fresh johnson(14, 3) draws nothing.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        ps = construct_johnson(14, 3)
+        for setting in applicable_settings(ps):
+            for index in class_index_range(ps, setting):
+                im = indicator_matrix(ps, index, setting)
+                with recorded_shapes() as shapes:
+                    v = verify_key_lemma(im)
+                assert (im.n, im.n) not in shapes
+                assert spectral_counts(v) == dense_counts(im)
+
+    @pytest.mark.parametrize("transform", ["rotated", "scaled up and shifted", "scaled down"])
+    def test_isometries_and_scalings_keep_the_basis_view(self, johnson_14_3, transform):
+        points = johnson_14_3.points
+        if transform == "rotated":
+            points = points @ np.linalg.qr(np.random.default_rng(8).standard_normal((15, 15)))[0]
+        elif transform == "scaled up and shifted":
+            points = points * 1000.0 + 1e3
+        else:
+            points = points * 1e-3
+        ps = PointSet(dimension=15, points=points)
+        for index in class_index_range(ps, "euclidean"):
+            im = indicator_matrix(ps, index, "euclidean")
+            with recorded_shapes() as shapes:
+                v = verify_key_lemma(im)
+            assert shapes == [(136, 136)]
+            assert spectral_counts(v) == dense_counts(im)
+
+    def test_the_basis_holds_an_indicator_off_the_origin(self):
+        # 60 points on a hyperplane that misses the origin: the basis needs
+        # the centring and the |x|^2 column to hold M, a degree-2 polynomial
+        # in the squared distance (15 columns from (1, x, |x|^2), d_eff = 3).
+        points = np.random.default_rng(9).standard_normal((60, 4))
+        points[:, 3] = 5.0
+        ps = PointSet(dimension=4, points=points)
+        pairs = pointset.squared_distance_matrix(ps)
+        matrix = lagrange_basis([0.5, 2.0, 4.0], 1, pairs)
+        im, _ = hand_built(matrix, "euclidean", 1.0, 10, (ps, pointset.DEFAULT_TOL), d_eff=3, s=3)
+        b, _, _, (err, _) = certificate._range_view(im, 2.0, 1.0, -1.0)
+        assert b.shape == (15, 15)
+        assert err < 1e-12 * np.linalg.norm(matrix)
+
     def test_a_class_outside_the_shared_range_goes_to_m(self):
-        n, n_cap = 80, 10
-        width = n_cap + SKETCH_OVERSAMPLING + 1
+        n, n_cap, tol = 80, 10, 1e-6
         rng = np.random.default_rng(3)
-        source = (PointSet(dimension=1, points=np.arange(n, dtype=float)[:, None]), 1e-6)
+        ps = PointSet(dimension=2, points=rng.standard_normal((n, 2)))
+        q = certificate._range_basis(ps, hand_built(np.eye(n), "euclidean", 1.5, n_cap)[0], tol)
+        width = q.shape[1]
+        assert width == 20  # products of 3 of (1, x, y, x^2 + y^2)
 
-        def case(rank):
-            # 1 is an eigenvector, so M's own view reads the Seidel spectrum off M's.
-            planted = np.zeros(n)
+        def case(rank, inside, source=(ps, tol)):
+            # 1 is an eigenvector, so M's own view reads the Seidel spectrum
+            # off M's; inside, M's range lies in the basis.
+            planted = np.zeros(width if inside else n)
             planted[:rank] = rng.uniform(0.1, 1.0, rank) * rng.choice([-1.0, 1.0], rank)
-            return hand_built(planted_matrix(rng, planted, first=np.ones(n)), "euclidean", 1.5, n_cap, source)
+            if inside:
+                matrix = q @ planted_matrix(rng, planted, first=q.T @ np.ones(n)) @ q.T
+                matrix = (matrix + matrix.T) / 2.0
+            else:
+                matrix = planted_matrix(rng, planted, first=np.ones(n))
+            return hand_built(matrix, "euclidean", 1.5, n_cap, source)
 
-        first = case(n_cap)
-        narrower = (
-            dataclasses.replace(first[0], n_cap=n_cap - 1),
-            dataclasses.replace(first[1], N=n_cap - 1),
-        )
         # (class, qr calls, n x n decompositions): the first class leaves its
         # basis; one with another range, or of rank above the width, goes
-        # straight to M with no sketch of its own; and a basis of another
-        # width is not reused, although it holds the range.
-        for (im, context), sketches, dense in (
-            (first, 1, 0), (case(n_cap), 0, 1), (case(width + 4), 0, 1), (narrower, 1, 0)
+        # straight to M with no basis of its own; and the basis of another
+        # key (here the tolerance) is built anew, although it is the same Q.
+        for (im, context), bases, dense in (
+            (case(n_cap, True), 1, 0),
+            (case(n_cap, False), 0, 1),
+            (case(width + 4, False), 0, 1),
+            (case(n_cap, True, (ps, 2 * tol)), 1, 0),
         ):
             with recorded_shapes("qr") as qrs, recorded_shapes() as shapes:
                 v = verify_key_lemma(im, context)
-            assert qrs == [(n, im.n_cap + SKETCH_OVERSAMPLING + 1)] * sketches
+            assert qrs == [(n, width)] * bases
             assert shapes.count((n, n)) == dense
             assert spectral_counts(v) == dense_counts(im)
 
     def test_a_regular_class_decomposes_only_b(self, johnson_14_3):
         # certify --setting all: every class of johnson(14, 3) is a regular
         # graph, so the Seidel spectrum is read off B's, B's companion is not
-        # decomposed, and no n x n matrix is.
+        # decomposed, and no n x n matrix is. The basis has C(17, 2) = 136
+        # columns: products of two of (1, x, |x|^2) with x in R^14.
         for setting in applicable_settings(johnson_14_3):
             for index in class_index_range(johnson_14_3, setting):
                 im = indicator_matrix(johnson_14_3, index, setting)
-                width = im.n_cap + SKETCH_OVERSAMPLING + 1
                 with recorded_shapes() as shapes:
                     v = verify_key_lemma(im)
-                assert shapes == [(width, width)]
+                assert shapes == [(136, 136)] == [(basis_width(im),) * 2]
                 assert spectral_counts(v) == dense_counts(im)
 
     def test_a_non_regular_class_decomposes_b_companion(self):
         # 500 of johnson(16, 3)'s 560 points: no class is a regular graph, so
         # the read-off leaves the companion's count open, and B's companion
-        # (width x width) decides it, with no n x n decomposition.
+        # (width x width, C(19, 2) = 171) decides it, with no n x n decomposition.
         full = construct_johnson(16, 3)
         rows = np.sort(np.random.default_rng(0).choice(full.n, 500, replace=False))
         ps = PointSet(dimension=full.dimension, points=full.points[rows])
         for index in class_index_range(ps, "euclidean"):
             im = indicator_matrix(ps, index, "euclidean")
-            width = im.n_cap + SKETCH_OVERSAMPLING + 1
             with recorded_shapes() as shapes:
                 v = verify_key_lemma(im)
-            assert shapes == [(width, width)] * 2
+            assert shapes == [(171, 171)] * 2
             assert spectral_counts(v) == dense_counts(im)
 
     def test_a_failed_decomposition_is_a_numerical_error(self):
-        # The sketch path's eigvalsh fails on a NaN: NumericalError, which
-        # the CLI maps to exit 3, not numpy's LinAlgError.
+        # M's view's eigvalsh fails on a NaN: NumericalError, which the CLI
+        # maps to exit 3, not numpy's LinAlgError.
         matrix = planted_matrix(np.random.default_rng(6), np.r_[np.ones(5), np.zeros(75)])
         matrix[3, 4] = matrix[4, 3] = np.nan
         im, context = hand_built(matrix, "euclidean", 1.5, 10)
@@ -550,8 +628,8 @@ class TestRangeSketch:
     @given(
         n_cap=st.integers(2, 10),
         extra=st.integers(0, 30),
-        rank_offset=st.integers(-8, 14),
-        near=st.lists(st.sampled_from(NEAR_THRESHOLDS), max_size=4),
+        rank_offset=st.integers(-19, 6),
+        near=st.lists(st.tuples(st.sampled_from(NEAR_THRESHOLDS), st.booleans()), max_size=4),
         signed=st.booleans(),
         k=st.floats(-4.0, 4.0),
         seed=st.integers(0, 2**32 - 1),
@@ -560,26 +638,40 @@ class TestRangeSketch:
         self, n_cap, extra, rank_offset, near, signed, k, seed
     ):
         # M = kI + A is any symmetric matrix here: planted rank r below or
-        # above N_cap, some eigenvalues near the thresholds, random eigenvectors.
-        n = max(2 * n_cap, n_cap + SKETCH_OVERSAMPLING + 2) + extra
-        r = min(max(n_cap + rank_offset, 1), n - len(near))
+        # above the basis width, with random eigenvectors in the basis's range
+        # (the first ones) and outside it (the rest), and some eigenvalues
+        # near the thresholds, in the range or outside it as drawn.
+        width = 20
+        n = width + 2 + extra
+        r = min(max(width + rank_offset, 1), n - len(near))
         rng = np.random.default_rng(seed)
+        setting, d_eff, s = ("antipodal_even_v2", 3, 6) if signed else ("euclidean", 2, 4)
+        ps, tol = basis_source(n, signed), pointset.DEFAULT_TOL
+        im, context = hand_built(np.zeros((n, n)), setting, k, n_cap, (ps, tol), d_eff, s)
+        q = certificate._range_basis(ps, im, tol)
+        assert q.shape == (n, width)
+        full = np.linalg.qr(np.column_stack([q, rng.standard_normal((n, n - width))]))[0]
+        vectors = np.column_stack([
+            full[:, :width] @ np.linalg.qr(rng.standard_normal((width, width)))[0], full[:, width:]
+        ])
         planted = np.zeros(n)
-        planted[:r] = rng.uniform(1e-3, 1.0, r) * rng.choice([-1.0, 1.0], r)
+        slots = list(range(n))  # the first width slots lie in range(Q)
+        for _ in range(r):
+            planted[slots.pop(0)] = rng.uniform(1e-3, 1.0) * rng.choice([-1.0, 1.0])
         planted[0] = 1.0
-        for pos, (threshold, factor) in enumerate(near):
+        for (threshold, factor), inside in near:
             rel = DEFAULT_TOL_RANK * n if threshold == "rank" else DEFAULT_CLUSTER_TOL
-            planted[r + pos] = factor * rel
-        setting = "antipodal_even_v2" if signed else "euclidean"
-        im, context = hand_built(planted_matrix(rng, planted), setting, k, n_cap)
+            planted[slots.pop(0 if inside else -1)] = factor * rel
+        matrix = (vectors * planted) @ vectors.T
+        im = dataclasses.replace(im, matrix=(matrix + matrix.T) / 2.0)
         with recorded_shapes() as shapes:
             v = verify_key_lemma(im, context)
         assert spectral_counts(v) == dense_counts(im)
         dense = (n, n) in shapes
-        event("dense fallback" if dense else "sketch")
-        if r > n_cap + SKETCH_OVERSAMPLING:
-            assert dense  # the sketch cannot hold the range: the gate must fall back
-        elif r <= n_cap and not near:
+        event("dense fallback" if dense else "basis")
+        if r > width:
+            assert dense  # the basis cannot hold the range: the gate must fall back
+        elif not near:
             assert not dense  # every eigenvalue is far from every threshold
 
 

@@ -38,7 +38,7 @@ GOLDEN_INVERT = (
 # hypercube(5) is the one set that runs the odd antipodal settings, and the
 # icosahedron is spherical without an antipodal setting.
 # johnson(14,3) (n = 455, N_cap = 135) is the set whose euclidean verdicts
-# come from the rank-N_cap sketch.
+# come from the 136-column polynomial range basis.
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SETS = {
     "e8_roots": lambda: construct_named("e8_roots"),
@@ -351,6 +351,59 @@ class TestExitCodes:
         assert captured.err == (
             "numerical failure: eigendecomposition failed: Eigenvalues did not converge\n"
         )
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["profile", "{points}"], "--tol"),
+            (["ratios", "{points}"], "--tol"),
+            (["ratios", "{points}"], "--tol-int"),
+            (["certify", "{points}"], "--tol"),
+            (["certify", "{points}"], "--tol-rank"),
+            (["embed-check", "{gram}", "-d", "8"], "--tol-psd"),
+            (["invert", "-s", "4", "-k", "3,-3,2"], "--tol-res"),
+            (["invert", "-s", "4", "-k", "3,-3,2"], "--max-iter"),
+        ],
+    )
+    def test_numeric_flags_refuse_non_finite_and_negative(
+        self, square_file, e8_gram_file, capsys, argv, flag, bad
+    ):
+        argv = [a.format(points=square_file, gram=e8_gram_file) for a in argv]
+        assert run([*argv, f"{flag}={bad}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # --max-iter takes integers only, so "nan" and "inf" are not integers.
+        reason = "invalid int value" if flag == "--max-iter" and bad != "-1" else "must be finite and >= 0"
+        assert f"argument {flag}: {reason}" in captured.err
+
+    def test_global_tolerances_refuse_nan_before_the_subcommand(self, square_file, capsys):
+        assert run(["--tol-rank", "nan", "certify", square_file]) == 2
+        assert "argument --tol-rank: must be finite and >= 0, got 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "{points}", "--tol", "0"],
+            ["ratios", "{points}", "--tol-int", "0"],
+            ["embed-check", "{gram}", "-d", "8", "--tol-psd", "0"],
+            ["invert", "-s", "3", "-k", "3,-1", "--tol-res", "0", "--max-iter", "0"],
+        ],
+    )
+    def test_zero_stays_a_valid_tolerance(self, square_file, e8_gram_file, capsys, argv):
+        assert run([a.format(points=square_file, gram=e8_gram_file) for a in argv]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("kind", ["", '"kind": "gram", '])
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_embed_check_non_finite_entries_are_exit_2(self, tmp_path, capsys, kind, entry):
+        path = tmp_path / "nan.json"
+        diagonal = "1" if kind else "0"
+        path.write_text(f'{{{kind}"matrix": [[{diagonal}, {entry}], [{entry}, {diagonal}]]}}')
+        assert run(["embed-check", str(path), "-d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix entries must be finite\n"
 
     def test_embed_check_unknown_kind(self, tmp_path, capsys):
         path = tmp_path / "odd.json"

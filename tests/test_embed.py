@@ -70,6 +70,14 @@ class TestMatrixValidation:
         with pytest.raises(InputError, match="positive"):
             check_squared_distance_matrix([[0.0, -1.0], [-1.0, 0.0]])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        matrix = [[0.0, entry], [entry, 0.0]]
+        with pytest.raises(InputError, match="matrix entries must be finite"):
+            check_squared_distance_matrix(matrix)
+        with pytest.raises(InputError, match="matrix entries must be finite"):
+            euclidean_embeddable(matrix, 2)
+
 
 class TestDoubleCentering:
     def test_two_points(self):
@@ -177,6 +185,11 @@ class TestSphericalEmbeddable:
     def test_rejects_nonsquare(self):
         with pytest.raises(InputError, match="square"):
             spherical_embeddable(np.ones((2, 3)), 2)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, entry):
+        with pytest.raises(InputError, match="matrix entries must be finite"):
+            spherical_embeddable(np.array([[1.0, entry], [entry, 1.0]]), 2)
 
 
 class TestCongruent:
