@@ -491,9 +491,14 @@ class TestRangeSketch:
         assert spectral_counts(v) == dense_counts(im)
         assert v.rank == 145 and not v.rank_ok
 
-    def test_one_range_basis_per_setting(self):
+    def test_one_range_basis_per_setting(self, monkeypatch):
         # certify --setting all on a fresh johnson(14, 3), which no earlier
         # test has left a basis on: the first class's decides every class.
+        # The basis comes from the coordinates, so nothing is drawn at random.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a random generator was created")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         ps = construct_johnson(14, 3)
         with recorded_shapes("qr") as qrs:
             for setting in applicable_settings(ps):
@@ -504,22 +509,6 @@ class TestRangeSketch:
                     assert (im.n, im.n) not in shapes
                     assert spectral_counts(v) == dense_counts(im)
         assert len(qrs) == 1
-
-    def test_no_random_numbers(self, monkeypatch):
-        # The basis comes from the coordinates: certify --setting all on a
-        # fresh johnson(14, 3) draws nothing.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a random generator was created")
-
-        monkeypatch.setattr(np.random, "default_rng", refuse)
-        ps = construct_johnson(14, 3)
-        for setting in applicable_settings(ps):
-            for index in class_index_range(ps, setting):
-                im = indicator_matrix(ps, index, setting)
-                with recorded_shapes() as shapes:
-                    v = verify_key_lemma(im)
-                assert (im.n, im.n) not in shapes
-                assert spectral_counts(v) == dense_counts(im)
 
     @pytest.mark.parametrize("transform", ["rotated", "scaled up and shifted", "scaled down"])
     def test_isometries_and_scalings_keep_the_basis_view(self, johnson_14_3, transform):
