@@ -15,10 +15,6 @@ from types import MappingProxyType
 
 from .errors import ParameterError
 
-POLY_SPACE_KINDS = ("P_full", "P_sphere", "P_star_sphere", "W_space")
-
-CARDINALITY_KINDS = ("euclidean_bbs", "spherical_dgs", "antipodal_dgs")
-
 
 def _comb(n: int, k: int) -> int:
     # comb with the usual convention C(n, k) = 0 for k < 0 or k > n.
@@ -47,34 +43,21 @@ def dim_poly_space(kind: str, d: int, l: int) -> int:
 def ratio_bound_U(N: int) -> int:
     """Largest integer u with u <= 1/2 + sqrt(N^2/(2N-2) + 1/4), exactly.
 
-    Equivalent integer test: (2u-1)^2 * (N-1) <= 2*N^2 + N - 1.
+    Equivalent integer test: (2u-1)^2 * (N-1) <= 2*N^2 + N - 1. As (2u-1)^2
+    is an integer, that is (2u-1)^2 <= (2*N^2 + N - 1) // (N-1), so
+    2u - 1 <= isqrt of it.
     """
     if N < 2:
         raise ParameterError(f"ratio bound needs N >= 2, got {N}")
-    rhs = 2 * N * N + N - 1
-
-    def ok(u: int) -> bool:
-        return (2 * u - 1) ** 2 * (N - 1) <= rhs
-
-    u = (isqrt(rhs // (N - 1)) + 1) // 2
-    u = max(u, 1)
-    while ok(u + 1):
-        u += 1
-    while u > 1 and not ok(u):
-        u -= 1
-    return u
+    return (isqrt((2 * N * N + N - 1) // (N - 1)) + 1) // 2
 
 
 def antipodal_ratio_bound(N: int) -> int:
-    """Largest integer u with u^2 <= 2*N^2/(N+1), exactly."""
+    """Largest integer u with u^2 <= 2*N^2/(N+1), exactly: as u^2 is an
+    integer, u^2 <= (2*N^2) // (N+1)."""
     if N < 1:
         raise ParameterError(f"antipodal ratio bound needs N >= 1, got {N}")
-    u = isqrt((2 * N * N) // (N + 1))
-    while (u + 1) ** 2 * (N + 1) <= 2 * N * N:
-        u += 1
-    while u > 0 and u * u * (N + 1) > 2 * N * N:
-        u -= 1
-    return u
+    return isqrt((2 * N * N) // (N + 1))
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ from .defaults import DEFAULT_TOL_INT
 from .errors import InputError, NumericalError, ParameterError
 from .lagrange import lagrange_basis
 from .pointset import (
-    _TILE,
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
     _memoized,
+    _row_blocks,
+    _valid_tol,
     antipodal_structure,
     class_adjacency,
     distance_profile,
@@ -120,11 +121,11 @@ def indicator_matrix(
     d_eff = effective_dimension(ps, setting, tol_rank)
     n = len(matrix)
     deviation = []
-    for rows, out in _row_blocks(n):
-        np.subtract(matrix[rows], adjacency[rows], out=out)
+    for rows in _row_blocks(n):
+        block = np.subtract(matrix[rows], adjacency[rows])
         # The adjacency has a zero diagonal, where k is subtracted instead.
-        out.flat[rows.start :: n + 1] -= k
-        deviation.append(np.max(np.abs(out, out=out)))
+        block.flat[rows.start :: n + 1] -= k
+        deviation.append(np.max(np.abs(block, out=block)))
     return IndicatorMatrix(
         matrix=matrix,
         setting=setting,
@@ -140,15 +141,9 @@ def indicator_matrix(
     )
 
 
-def _row_blocks(n: int):
-    """(rows, out) per block of _TILE rows of an n x n array, out one buffer's view."""
-    buf = np.empty((min(_TILE, n), n))
-    for start in range(0, n, _TILE):
-        yield slice(start, start + _TILE), buf[: n - start]
-
-
 def numeric_rank(matrix, tol_rank: float = DEFAULT_TOL_RANK) -> int:
     """Count singular values above tol_rank * n * sigma_max."""
+    _valid_tol("tol_rank", tol_rank)
     if isinstance(matrix, IndicatorMatrix):
         rank = numeric_rank(matrix.matrix, tol_rank)
         if rank > matrix.n_cap:
@@ -194,6 +189,7 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
 
 def eigen_multiplicities(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumReport:
     """Cluster the spectrum by gaps above cluster_tol * max|eigenvalue|."""
+    _valid_tol("cluster_tol", cluster_tol)
     if isinstance(matrix, IndicatorMatrix):
         arr = matrix.matrix  # built exactly symmetric
     else:
@@ -230,11 +226,12 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("sign matrix must be square")
     n = arr.shape[0]
-    # Row blocks through one block buffer; the maxima are taken over all
-    # blocks, so a NaN propagates as in one np.max.
+    # One buffer per row block, freed before the next; the maxima are taken
+    # over all blocks, so a NaN propagates as in one np.max.
     asymmetry, off_integer, magnitude = [], [], []
-    for rows, out in _row_blocks(n):
-        asymmetry.append(np.max(np.abs(np.subtract(arr[rows], arr[:, rows].T, out=out), out=out)))
+    for rows in _row_blocks(n):
+        out = np.subtract(arr[rows], arr[:, rows].T)
+        asymmetry.append(np.max(np.abs(out, out=out)))
         # Off the diagonal: distance to the nearest integer, then that integer.
         np.round(arr[rows], out=out)
         out -= arr[rows]
@@ -243,6 +240,7 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
         np.abs(np.round(arr[rows], out=out), out=out)
         out.flat[rows.start :: n + 1] = 0.0
         magnitude.append(np.max(out))
+        del out
     if np.max(asymmetry) > entry_tol:
         raise InputError("sign matrix must be symmetric")
     if np.max(np.abs(np.diag(arr))) > entry_tol:
@@ -339,9 +337,10 @@ def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
     b = (b + b.T) / 2.0
     qb = q @ b
     squares = 0.0
-    for rows, out in _row_blocks(n):
-        np.subtract(m[rows], np.matmul(qb[rows], q.T, out=out), out=out)
-        squares += float(np.vdot(out, out))
+    for rows in _row_blocks(n):
+        block = qb[rows] @ q.T
+        np.subtract(m[rows], block, out=block)
+        squares += float(np.vdot(block, block))
     err = float(np.sqrt(squares))
     c = q.sum(axis=0)
     off = float(np.linalg.norm(1.0 - q @ c))
@@ -467,13 +466,14 @@ def verify_key_lemma(
     zero_applicable = n >= 2 * im.n_cap
     k_rounded = int(round(k))
     integrality_dev = abs(k - k_rounded)
-    integral_ok = integrality_dev <= tol_int
+    integral_ok = integrality_dev <= _valid_tol("tol_int", tol_int)
     bound_ok = abs(k_rounded) <= context.ratio_bound
 
     # M - kI for the signed rows, else the Seidel matrix 2M - J - (2k-1)I.
     signed = im.setting in SIGNED_SETTINGS
     scale, shift = (1.0, 0.0) if signed else (2.0, 1.0)
     expected_e = -(scale * k - shift)
+    tol_rank, cluster_tol = _valid_tol("tol_rank", tol_rank), _valid_tol("cluster_tol", cluster_tol)
     rule = (n, scale, shift, expected_e, tol_rank, cluster_tol)
     view = _range_view(im, scale, shift, expected_e) if zero_applicable else None
     counts = None if view is None else _view_counts(view, *rule)

@@ -207,7 +207,7 @@ def _cmd_certify(args) -> int:
         for index in chosen_indices:
             im = indicator_matrix(ps, index, setting, args.tol, tol_rank=args.tol_rank)
             verdicts.append(verify_key_lemma(im, tol_int=args.tol_int, tol_rank=args.tol_rank))
-            del im  # before the next class's matrix is built: one n x n matrix at a time
+            del im  # before the next M: n x n, only M and verify_key_lemma's companion at once
     payload = {
         "n": ps.n,
         "settings": list(indices),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .defaults import DEFAULT_TOL_PSD
 from .errors import InputError, NumericalError, SizeMismatchError
-from .pointset import PointSet, squared_distance_matrix
+from .pointset import PointSet, _valid_tol, squared_distance_matrix
 
 DEFAULT_CONGRUENCE_TOL = 1e-8
 DEFAULT_NODE_CAP = 10**6
@@ -69,6 +69,7 @@ class EmbeddingVerdict:
 
 
 def _verdict_from_gram(G: np.ndarray, d: int, tol_psd: float) -> EmbeddingVerdict:
+    _valid_tol("tol_psd", tol_psd)
     try:
         eigvals, eigvecs = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:

@@ -334,10 +334,11 @@ class ClosedFormResult:
 def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
     """Closed-form inversion for s = 3 targets (k1 > 0 > k2).
 
-    t_i = (k_i*(k1+k2-1) + sigma_i*sqrt(k1*k2*(k1+k2-1))) / (k_i*(k1+k2));
-    the reference derivation prints '+' for both radicals, but worked targets
-    need mixed signs, so all four combinations are tried and validated by a
-    forward round trip within 1e-9.
+    With sigma = k1 + k2 - 1, S = k1 + k2 and R = k1*k2*sigma, every t in D
+    has sqrt(R) = t1*t2 / ((1-t1)(t2-t1)(1-t2)) and
+    t_i = (k_i*sigma + sgn(k_i)*sqrt(R)) / (k_i*S): the branch (+, -) of the
+    two radicals. That branch alone is computed, then checked against the
+    domain and by a forward round trip within 1e-9.
     """
     check_sign_pattern([k1, k2])
     if abs(k1 + k2) < 1e-12:
@@ -348,16 +349,13 @@ def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
     root = math.sqrt(radicand)
     shift = k1 + k2 - 1.0
     scale = k1 + k2
-    for s1, sign1 in ((1.0, "+"), (-1.0, "-")):
-        for s2, sign2 in ((1.0, "+"), (-1.0, "-")):
-            t1 = (k1 * shift + s1 * root) / (k1 * scale)
-            t2 = (k2 * shift + s2 * root) / (k2 * scale)
-            if not (DOMAIN_EPS < t1 < t2 < 1.0 - DOMAIN_EPS) or (t2 - t1) <= DOMAIN_EPS:
-                continue
-            residual = float(np.max(np.abs(forward_K([t1, t2]) - [k1, k2])))
-            if residual <= 1e-9:
-                return ClosedFormResult(t=(t1, t2), branches=(sign1, sign2), residual=residual)
-    raise NoSolutionError(f"no branch combination inverts ({k1!r}, {k2!r})")
+    t1 = (k1 * shift + root) / (k1 * scale)
+    t2 = (k2 * shift - root) / (k2 * scale)
+    if DOMAIN_EPS < t1 < t2 < 1.0 - DOMAIN_EPS and (t2 - t1) > DOMAIN_EPS:
+        residual = float(np.max(np.abs(forward_K([t1, t2]) - [k1, k2])))
+        if residual <= 1e-9:
+            return ClosedFormResult(t=(t1, t2), branches=("+", "-"), residual=residual)
+    raise NoSolutionError(f"the closed form does not invert ({k1!r}, {k2!r})")
 
 
 def invert_auto(

@@ -10,7 +10,9 @@ and kept on the point set (read-only), so every caller shares one pass.
 Classifying n points holds one float n x n pair matrix (a unit-norm set
 keeps its Gram matrix too), one sorted copy of its n(n-1)/2 values above
 the diagonal (freed before the class means are taken) and one bool n x n
-mask of the class at hand; every other temporary is a tile or a chunk.
+mask of the class at hand. Every other temporary is one block of
+_row_blocks: rows of an array taken at most _BLOCK_BUDGET entries at a
+time, in row-major order, which is also the order the class means sum in.
 The duplicate-point and antipodal checks never build an n x n x d array;
 they screen pairs by a Gram product taken a block of rows at a time and run
 the exact coordinate test only on the pairs that pass the screen.
@@ -89,8 +91,18 @@ class PointSet:
         return out
 
 
-# Row blocks of the Gram screen hold about this many pair entries each.
-_BLOCK_ENTRIES = 1 << 19
+# Entries of one block of _row_blocks: every pass over an n x n array
+# (and over the sorted pair values) keeps its temporaries to about this size.
+_BLOCK_BUDGET = 1 << 16
+
+
+def _row_blocks(n: int, width: int | None = None):
+    """Slices of consecutive rows that cover rows 0..n of an n x width array
+    (width n by default) in order, each of at most max(_BLOCK_BUDGET, width)
+    entries."""
+    step = max(1, _BLOCK_BUDGET // (n if width is None else width))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
@@ -113,22 +125,26 @@ def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
     x = pts / unit
     sq = np.einsum("ij,ij->i", x, x)
     bound = 2.0 * dim * (atol / unit) ** 2 + 4.0 * (dim + 2) * np.finfo(float).eps * np.max(sq)
-    step = max(1, _BLOCK_ENTRIES // n)
-    chunk = max(1, _BLOCK_ENTRIES // dim)
-    for start in range(0, n, step):
-        block = x[start:start + step] @ x.T
+    for rows in _row_blocks(n):
+        block = x[rows] @ x.T
         block *= 2.0 * sign
-        block += sq[start:start + step, None]
+        block += sq[rows, None]
         block += sq[None, :]
         i, j = np.nonzero(block <= bound)
         del block
-        i += start
+        i += rows.start
         dist = np.empty(i.size)
-        for pos in range(0, i.size, chunk):
-            a, b = i[pos:pos + chunk], j[pos:pos + chunk]
-            dist[pos:pos + chunk] = np.max(np.abs(pts[a] + sign * pts[b]), axis=1)
+        for part in _row_blocks(i.size, dim):
+            dist[part] = np.max(np.abs(pts[i[part]] + sign * pts[j[part]]), axis=1)
         keep = dist <= atol
         yield i[keep], j[keep], dist[keep]
+
+
+def _valid_tol(name: str, value: float) -> float:
+    """value, unless it is NaN, infinite or negative: then ParameterError."""
+    if not 0 <= value < math.inf:
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def _memoized(ps: PointSet, key: tuple, compute):
@@ -240,45 +256,27 @@ def inner_product_matrix(ps: PointSet) -> np.ndarray:
 
 def _squared_distances(ps: PointSet) -> np.ndarray:
     # a_ij = max(|x_i|^2 + |x_j|^2 - 2<x_i, x_j>, 0) with a zero diagonal,
-    # symmetrised as (a_ij + a_ji) / 2. Each tile and its mirror are read
-    # from the doubled Gram matrix and then overwritten in it, so the result
-    # needs no second n x n buffer.
+    # symmetrised as (a_ij + a_ji) / 2. Each row block from the diagonal
+    # rightward and its mirror strip are read from the doubled Gram matrix
+    # and then overwritten in it, so the result needs no second n x n buffer.
     g = ps.points @ ps.points.T
     sq = np.diag(g).copy()
     g *= 2.0
-    for rows, cols in _tile_pairs(ps.n):
-        upper = _clipped_tile(sq, g, rows, cols)
-        if rows == cols:
-            np.fill_diagonal(upper, 0.0)
-            upper = upper + upper.T
-        else:
-            upper += _clipped_tile(sq, g, cols, rows).T
+    for rows in _row_blocks(ps.n):
+        cols = slice(rows.start, None)
+        upper = _clipped(sq, g, rows, cols)
+        upper += _clipped(sq, g, cols, rows).T
+        np.fill_diagonal(upper, 0.0)
         upper /= 2.0
         g[rows, cols] = upper
         g[cols, rows] = upper.T
     return g
 
 
-def _clipped_tile(sq: np.ndarray, g2: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    tile = sq[rows, None] + sq[None, cols]
-    tile -= g2[rows, cols]
-    return np.maximum(tile, 0.0, out=tile)
-
-
-# The pair matrix is built and classified in square tiles this wide.
-_TILE = 256
-
-
-def _tile_pairs(n: int):
-    """(rows, cols) slices of every tile on or above the diagonal of an
-    n x n matrix; a diagonal tile has rows == cols."""
-    for start in range(0, n, _TILE):
-        for col in range(start, n, _TILE):
-            yield slice(start, start + _TILE), slice(col, col + _TILE)
-
-
-# Gaps between sorted values are taken this many at a time.
-_CHUNK = 1 << 16
+def _clipped(sq: np.ndarray, g2: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    part = sq[rows, None] + sq[None, cols]
+    part -= g2[rows, cols]
+    return np.maximum(part, 0.0, out=part)
 
 
 def _cluster_sorted(values: np.ndarray, tol: float, relative: bool) -> np.ndarray:
@@ -286,11 +284,12 @@ def _cluster_sorted(values: np.ndarray, tol: float, relative: bool) -> np.ndarra
     p after which a new cluster starts. Adjacent values chain when their gap
     is below tol, and a gap below 10*tol between two clusters is an
     ambiguity error. The gap from a to b is (b-a)/max(|a|,|b|), or
-    (b-a)/max(1,|a|,|b|) when not relative. Gaps are taken in chunks that
+    (b-a)/max(1,|a|,|b|) when not relative. Gaps are taken in blocks that
     overlap by one value, so the temporaries stay small."""
     cuts = [np.zeros(0, dtype=np.intp)]
-    for start in range(0, len(values) - 1, _CHUNK):
-        part = values[start:start + _CHUNK + 1]
+    for block in _row_blocks(len(values) - 1, 1):
+        start = block.start
+        part = values[start:block.stop + 1]
         mags = np.abs(part)
         denom = np.maximum(mags[:-1], mags[1:])
         if not relative:
@@ -334,11 +333,12 @@ def _upper_class(matrix: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
     the values v with tops[c-1] < v <= tops[c], unbounded past either end."""
     low, high = (tops[c - 1] if c else -np.inf), (tops[c] if c < len(tops) else np.inf)
     mask = np.zeros(matrix.shape, dtype=bool)
-    for rows, cols in _tile_pairs(len(matrix)):
-        tile = matrix[rows, cols]
-        np.logical_and(tile > low, tile <= high, out=mask[rows, cols])
-        if rows == cols:
-            mask[rows, cols][np.tri(tile.shape[0], dtype=bool)] = False
+    for rows in _row_blocks(len(matrix)):
+        block = matrix[rows, rows.start:]
+        out = mask[rows, rows.start:]
+        np.logical_and(block > low, block <= high, out=out)
+        # Clear the block's own triangle: the diagonal and the pairs below it.
+        out[:, : len(out)][np.tri(len(out), dtype=bool)] = False
     return mask
 
 
@@ -389,7 +389,7 @@ class DistanceProfile:
 
 def distance_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> DistanceProfile:
     """Group all pair squared distances into classes at relative tolerance tol."""
-    return _memoized(ps, ("distance", tol), lambda: _distance_profile(ps, tol))
+    return _memoized(ps, ("distance", _valid_tol("tol", tol)), lambda: _distance_profile(ps, tol))
 
 
 def _distance_profile(ps: PointSet, tol: float) -> DistanceProfile:
@@ -432,7 +432,7 @@ def _unit_norm_deviation(ps: PointSet) -> float:
 
 
 def on_unit_sphere(ps: PointSet, tol: float = DEFAULT_TOL) -> bool:
-    return _unit_norm_deviation(ps) <= max(tol, 1e-12)
+    return _unit_norm_deviation(ps) <= max(_valid_tol("tol", tol), 1e-12)
 
 
 def inner_product_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> InnerProductProfile:
@@ -441,7 +441,7 @@ def inner_product_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> InnerProduc
     Inner products straddle 0, so grouping uses |a-b| <= tol * max(1,|a|,|b|)
     rather than a purely relative gap.
     """
-    return _memoized(ps, ("inner_product", tol), lambda: _inner_product_profile(ps, tol))
+    return _memoized(ps, ("inner_product", _valid_tol("tol", tol)), lambda: _inner_product_profile(ps, tol))
 
 
 def _inner_product_profile(ps: PointSet, tol: float) -> InnerProductProfile:
@@ -469,7 +469,7 @@ def is_antipodal(ps: PointSet, tol: float = DEFAULT_TOL):
     The partner of x_i is the first j minimising max_k |x_ik + x_jk|; that
     minimum must be within max(tol, 1e-12) * max(1, max|x|).
     """
-    return _memoized(ps, ("antipodal", tol), lambda: _is_antipodal(ps, tol))
+    return _memoized(ps, ("antipodal", _valid_tol("tol", tol)), lambda: _is_antipodal(ps, tol))
 
 
 def _is_antipodal(ps: PointSet, tol: float):
@@ -523,7 +523,8 @@ class AntipodalStructure:
 
 def antipodal_structure(ps: PointSet, tol: float = DEFAULT_TOL) -> AntipodalStructure:
     """Validate antipodal class structure and extract the |beta| values."""
-    return _memoized(ps, ("antipodal_structure", tol), lambda: _antipodal_structure(ps, tol))
+    key = ("antipodal_structure", _valid_tol("tol", tol))
+    return _memoized(ps, key, lambda: _antipodal_structure(ps, tol))
 
 
 def _antipodal_structure(ps: PointSet, tol: float) -> AntipodalStructure:
@@ -560,6 +561,7 @@ def linear_dimension(ps: PointSet, tol_rank: float = DEFAULT_TOL_RANK) -> int:
 
 
 def _rank(matrix: np.ndarray, tol_rank: float) -> int:
+    _valid_tol("tol_rank", tol_rank)
     sv = np.linalg.svd(matrix, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0

@@ -35,6 +35,7 @@ from .pointset import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
+    _valid_tol,
     affine_dimension,
     antipodal_structure,
     distance_profile,
@@ -145,10 +146,11 @@ def applicable_settings(
     if not on_unit_sphere(ps, tol):
         return settings
     settings.append("spherical")
+    # Outside the try: a ParameterError for tol_rank must not be taken for an s out of range.
+    d = d_override if d_override is not None else linear_dimension(ps, tol_rank)
     try:
         structure = antipodal_structure(ps, tol)
         rows = [r.name for r in SETTING_TABLE.values() if r.parity == structure.parity]
-        d = d_override if d_override is not None else linear_dimension(ps, tol_rank)
         theorem_context(rows[0], d, structure.s)
         settings.extend(rows)
     except (NotAntipodalError, ParameterError):
@@ -189,6 +191,7 @@ def rational_inner_products(
         pairs = [(v2, v1) for v1, v2 in zip(v1_ratios[1:], v2_ratios)]
     else:
         raise ParameterError(f"parity must be 'odd' or 'even', got {parity!r}")
+    _valid_tol("tol_int", tol_int)
     out = []
     for num, den in pairs:
         n_int, d_int = round(num), round(den)
@@ -249,6 +252,7 @@ class RatioReport:
 
 
 def _make_report(setting, context, n, indices, k_values, tol_int, with_sum=False) -> RatioReport:
+    _valid_tol("tol_int", tol_int)
     rounded = tuple(int(round(k)) for k in k_values)
     dev = tuple(abs(k - r) for k, r in zip(k_values, rounded))
     return RatioReport(

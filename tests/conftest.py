@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,21 @@ def bundled_sets(johnson_10_3, e8, pentagon, icosahedron, cross_polytope_4, hype
         "simplex_5": simplex_5,
         "unit_square": unit_square,
     }
+
+
+@pytest.fixture
+def bench_module(monkeypatch):
+    """A function that loads bench/<name>.py, changing nothing under bench/."""
+
+    def load(name):
+        path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture

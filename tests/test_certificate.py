@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import functools
+import json
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fewdist import (
     verify_key_lemma,
     verify_sign_matrix_bound,
 )
-from fewdist import certificate, construct_johnson, pointset
+from fewdist import certificate, cli, construct_johnson, pointset
 from fewdist.bounds import theorem_context
 from fewdist.certificate import DEFAULT_CLUSTER_TOL, class_index_range
 from fewdist.defaults import DEFAULT_TOL_RANK
@@ -744,7 +745,7 @@ class TestEntryCheckMemory:
         companion = 2.0 * im.matrix - 1.0 - 5.0 * np.eye(im.n)
         assert verify_sign_matrix_bound(companion, -5.0, 350)["ok"]
         n = im.n
-        block = 8 * min(pointset._TILE, n) * n
+        block = 8 * (pointset._BLOCK_BUDGET // n) * n  # 144 rows at n = 455
         assert traced_peak(verify_sign_matrix_bound, companion, -5.0, 350) < 1.25 * block
 
     def test_indicator_spectrum_makes_no_symmetric_copy(self, johnson_14_3, traced_peak):
@@ -778,3 +779,18 @@ class TestEntryCheckMemory:
         assert tuple(real(companion)) == eigen_multiplicities(companion).eigenvalues
         assert traced_peak(real, companion) < 0.25 * 8 * n * n
         assert traced_peak(eigen_multiplicities, companion) > 8 * n * n
+
+
+class TestBlockBudget:
+    @pytest.mark.parametrize("name", ["johnson_10_3", "e8"])
+    def test_certify_verdicts_do_not_depend_on_the_budget(self, name, request, tmp_path, capsys, monkeypatch):
+        # johnson(10,3)'s verdicts come from B's view, e8's from M's. At
+        # budget 1 every pass takes one row, or one sorted gap, at a time.
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(request.getfixturevalue(name).to_dict()))
+        outputs = []
+        for budget in (pointset._BLOCK_BUDGET, 1):
+            monkeypatch.setattr(pointset, "_BLOCK_BUDGET", budget)
+            code = cli.run(["certify", str(path), "--setting", "all"])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]

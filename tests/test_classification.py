@@ -172,21 +172,20 @@ def sorted_values(draw):
     return np.sort(np.asarray(values)), tol
 
 
-# Tile widths and gap-chunk lengths: the smallest ones put boundaries
-# between nearly every pair of values.
-TILES = st.sampled_from([1, 2, 3, 7, pointset._TILE])
-CHUNKS = st.sampled_from([1, 2, 5, pointset._CHUNK])
+# Entry budgets of one row block: the smallest ones put block boundaries
+# between nearly every pair of rows and of sorted values.
+BUDGETS = st.sampled_from([1, 2, 3, 5, 7, 64, pointset._BLOCK_BUDGET])
 
 
 class TestClusterSortedMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(sorted_values(), st.booleans(), CHUNKS)
-    def test_same_ids_count_and_errors(self, drawn, relative, chunk):
+    @given(sorted_values(), st.booleans(), BUDGETS)
+    def test_same_ids_count_and_errors(self, drawn, relative, budget):
         values, tol = drawn
         if relative:
             values = np.abs(values)
             values.sort()
-        with mock.patch.object(pointset, "_CHUNK", chunk):
+        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
             got = outcome(cluster_ids, values, tol, relative)
         want = outcome(reference_cluster_sorted, values, tol, relative)
         if isinstance(want[0], type):
@@ -196,15 +195,15 @@ class TestClusterSortedMatchesReference:
             assert got[1] == want[1]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1), TILES, CHUNKS)
-    def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed, tile, chunk):
+    @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1), BUDGETS)
+    def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed, budget):
         # Small integer coordinates give few distinct squared distances,
         # so classes hold many pairs and their means exercise summation order.
         rng = np.random.default_rng(seed)
         pts = np.unique(rng.integers(-3, 4, size=(n, d)), axis=0) * rng.choice([1.0, 0.1, 1e3])
         assume(len(pts) >= 2)
         ps = PointSet(dimension=d, points=pts)
-        with mock.patch.object(pointset, "_TILE", tile), mock.patch.object(pointset, "_CHUNK", chunk):
+        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
             matrix = _squared_distances(ps)
             assert matrix.tobytes() == reference_squared_distances(ps).tobytes()
             for relative, tol in ((True, 1e-9), (False, 1e-9), (True, 0.05)):
@@ -221,16 +220,16 @@ class TestPairMatrixMatchesReference:
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.0, 1e3, 1e8]),
         st.sampled_from([1.0, 1e-4, 1e200]),
-        TILES,
+        BUDGETS,
     )
-    def test_pair_matrix_bits_on_random_sets(self, n, d, seed, offset, spread, tile):
+    def test_pair_matrix_bits_on_random_sets(self, n, d, seed, offset, spread, budget):
         # A large common offset makes |x_i|^2 + |x_j|^2 - 2<x_i, x_j> cancel
         # to values that can round below 0; a spread of 1e200 overflows.
         rng = np.random.default_rng(seed)
         pts = offset + spread * rng.normal(size=(n, d))
         assume(duplicate_message(pts) is None)
         ps = PointSet(dimension=d, points=pts)
-        with mock.patch.object(pointset, "_TILE", tile), np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget), np.errstate(over="ignore", invalid="ignore"):
             assert _squared_distances(ps).tobytes() == reference_squared_distances(ps).tobytes()
 
 
@@ -273,8 +272,8 @@ class TestGroupingEdgeCases:
         # Lower and upper triangles are drawn independently.
         entries = data.draw(st.lists(NEAR_ZERO, min_size=n * n, max_size=n * n))
         matrix = np.asarray(entries).reshape(n, n)
-        tile = data.draw(TILES)
-        with mock.patch.object(pointset, "_TILE", tile):
+        budget = data.draw(BUDGETS)
+        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
             got = outcome(_group_pairs, matrix, 1e-9, False)
             assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False), matrix)
 
@@ -339,13 +338,23 @@ class TestPairChecksMatchReference:
 
     def test_small_blocks_give_the_same_answers(self, monkeypatch, e8):
         # One row per block: the row-major order across blocks must hold.
-        monkeypatch.setattr(pointset, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 1)
         pts = np.array(e8.points)
         pts[200] = pts[17] + 1e-13
         pts[100] = pts[3]
         assert duplicate_message(pts) == reference_duplicate_message(pts)
         ok, partner = is_antipodal(PointSet(dimension=8, points=e8.points))
         assert ok and np.array_equal(partner, reference_is_antipodal(np.array(e8.points), 1e-9)[1])
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [2, 255, 256, 1330, pointset._BLOCK_BUDGET + 1])
+    def test_blocks_cover_the_rows_in_order_within_the_budget(self, n):
+        # The helper takes only n: no n x n array is built.
+        blocks = list(pointset._row_blocks(n))
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n
+        assert all(0 < (b.stop - b.start) * n <= max(pointset._BLOCK_BUDGET, n) for b in blocks)
 
 
 class TestClassifiedOnce:

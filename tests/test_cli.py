@@ -584,3 +584,23 @@ class TestLazyImports:
         assert set(fewdist.__all__) <= set(dir(fewdist))
         with pytest.raises(AttributeError):
             fewdist.no_such_name  # noqa: B018
+
+
+class TestBenchOutputGate:
+    def test_pointsets_commands_pass_the_bench_check(self, tmp_path, capsys, bench_module):
+        # The bench's 7 pointsets commands, in process, on unseeded construct
+        # output: the bench's seeded point order and signed coordinate
+        # permutation are isometries, so the verdicts do not depend on them.
+        checks, workloads = bench_module("checks"), bench_module("workloads")
+        paths = {}
+        for key, args in workloads.POINT_SETS.items():
+            paths[key] = str(tmp_path / f"{key}.json")
+            assert run(["construct", *args, "-o", paths[key]]) == 0
+        capsys.readouterr()
+        references = checks.load_reference()["workloads"]["pointsets"]["commands"]
+        assert [tuple(r["argv"]) for r in references] == list(workloads.WORKLOADS["pointsets"].commands)
+        for reference in references:
+            argv = [paths[a[1:-1]] if a.startswith("{") else a for a in reference["argv"]]
+            code = run(argv)
+            tally = checks.check_command(argv, code, capsys.readouterr().out, reference)
+            assert tally.failed == 0 and tally.decided == tally.attempted > 0, reference["argv"]

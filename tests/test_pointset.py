@@ -7,6 +7,7 @@ from math import comb, sqrt
 import numpy as np
 import pytest
 
+from fewdist import certificate, embed, ratios
 from fewdist import (
     PointSet,
     antipodal_structure,
@@ -371,3 +372,56 @@ class TestConstructions:
         a = construct_named("e8_roots")
         b = construct_named("e8_roots")
         assert np.array_equal(a.points, b.points)
+
+
+# Each library entry point that takes a tolerance, called with value as that
+# tolerance on the cross polytope (unit-norm, antipodal, with exact pair
+# values). Unchecked, a NaN tol once grouped e8's pairs into one class, -1.0
+# into 28,680, and a NaN tol_psd called simplex(4) unembeddable.
+TOLERANCE_CALLS = {
+    "distance_profile": lambda ps, v: distance_profile(ps, v),
+    "inner_product_profile": lambda ps, v: inner_product_profile(ps, v),
+    "on_unit_sphere": lambda ps, v: on_unit_sphere(ps, v),
+    "is_antipodal": lambda ps, v: is_antipodal(ps, v),
+    "half_set": lambda ps, v: half_set(ps, v),
+    "antipodal_structure": lambda ps, v: antipodal_structure(ps, v),
+    "affine_dimension": lambda ps, v: affine_dimension(ps, v),
+    "linear_dimension": lambda ps, v: linear_dimension(ps, v),
+    "class_ratios tol": lambda ps, v: ratios.class_ratios(ps, "spherical", v),
+    "effective_dimension": lambda ps, v: ratios.effective_dimension(ps, "euclidean", v),
+    "applicable_settings tol": lambda ps, v: ratios.applicable_settings(ps, tol=v),
+    "applicable_settings tol_rank": lambda ps, v: ratios.applicable_settings(ps, tol_rank=v),
+    "analyze tol": lambda ps, v: ratios.analyze(ps, tol=v),
+    "analyze tol_int": lambda ps, v: ratios.analyze(ps, tol_int=v),
+    "analyze tol_rank": lambda ps, v: ratios.analyze(ps, tol_rank=v),
+    "rational_inner_products": lambda ps, v: ratios.rational_inner_products([2.0], [1.0], "odd", v),
+    "indicator_matrix tol": lambda ps, v: certificate.indicator_matrix(ps, 1, "euclidean", v),
+    "indicator_matrix tol_rank": lambda ps, v: certificate.indicator_matrix(ps, 1, "euclidean", tol_rank=v),
+    "numeric_rank": lambda ps, v: certificate.numeric_rank(np.eye(3), v),
+    "eigen_multiplicities": lambda ps, v: certificate.eigen_multiplicities(np.eye(3), v),
+    "verify_key_lemma tol_int": lambda ps, v: certificate.verify_key_lemma(
+        certificate.indicator_matrix(ps, 1, "euclidean"), tol_int=v
+    ),
+    "verify_key_lemma tol_rank": lambda ps, v: certificate.verify_key_lemma(
+        certificate.indicator_matrix(ps, 1, "euclidean"), tol_rank=v
+    ),
+    "verify_key_lemma cluster_tol": lambda ps, v: certificate.verify_key_lemma(
+        certificate.indicator_matrix(ps, 1, "euclidean"), cluster_tol=v
+    ),
+    "euclidean_embeddable": lambda ps, v: embed.euclidean_embeddable(squared_distance_matrix(ps), 4, v),
+    "spherical_embeddable": lambda ps, v: embed.spherical_embeddable(ps.points @ ps.points.T, 4, v),
+}
+
+
+class TestLibraryTolerances:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("call", TOLERANCE_CALLS)
+    def test_nan_infinities_and_negatives_are_refused(self, call, value):
+        # A fresh set each time, so no memoized profile answers first.
+        ps = construct_named("cross_polytope", d=4)
+        with pytest.raises(ParameterError, match=r"must be finite and >= 0, got (nan|inf|-1\.0)"):
+            TOLERANCE_CALLS[call](ps, value)
+
+    @pytest.mark.parametrize("call", TOLERANCE_CALLS)
+    def test_zero_stays_valid(self, call):
+        TOLERANCE_CALLS[call](construct_named("cross_polytope", d=4), 0.0)

@@ -9,11 +9,9 @@ under the forward ratio map, leaving 15 realizable distance systems.
 """
 
 import contextlib
-import importlib.util
 import io
 import itertools
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -223,12 +221,9 @@ class TestPartialSumDecisions:
             "newton_failed": 0,
         }
 
-    def test_bench_output_check_passes(self, realized_4_4, monkeypatch):
+    def test_bench_output_check_passes(self, realized_4_4, bench_module):
         # The benchmark's own output gate, read from bench/ without changing it.
-        spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
-        checks = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, checks)
-        spec.loader.exec_module(checks)
+        checks = bench_module("checks")
         (reference,) = [
             command
             for command in checks.load_reference()["workloads"]["catalog"]["commands"]
