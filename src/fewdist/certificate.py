@@ -23,7 +23,7 @@ import numpy as np
 
 from .bounds import SETTING_TABLE, TheoremContext, dim_poly_space, setting_row, theorem_context
 from .defaults import DEFAULT_TOL_INT
-from .errors import InputError, NumericalError, ParameterError
+from .errors import InputError, NumericalError, ParameterError, _valid_tol
 from .lagrange import lagrange_basis
 from .pointset import (
     DEFAULT_TOL,
@@ -31,7 +31,6 @@ from .pointset import (
     PointSet,
     _memoized,
     _row_blocks,
-    _valid_tol,
     antipodal_structure,
     class_adjacency,
     distance_profile,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_TOL_PSD
-from .errors import InputError, NumericalError, SizeMismatchError
-from .pointset import PointSet, _valid_tol, squared_distance_matrix
+from .errors import InputError, NumericalError, SizeMismatchError, _valid_tol
+from .pointset import PointSet, squared_distance_matrix
 
 DEFAULT_CONGRUENCE_TOL = 1e-8
 DEFAULT_NODE_CAP = 10**6
@@ -126,6 +126,7 @@ def congruent(
     node_cap nodes. The identity assignment is tried first, so comparing a
     set against a reordering-free realization of itself is immediate.
     """
+    _valid_tol("tol", tol)
     if x.n != y.n:
         raise SizeMismatchError(f"point counts differ: {x.n} vs {y.n}")
     dx = squared_distance_matrix(x)

@@ -1,7 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the tolerance check that raises one.
 
 InputError subclasses map to CLI exit code 2, NumericalError to exit code 3.
 """
+
+import math
 
 
 class FewdistError(Exception):
@@ -66,3 +68,10 @@ class NoSolutionError(FewdistError):
 
 class NumericalError(FewdistError):
     """A matrix decomposition or solve failed."""
+
+
+def _valid_tol(name: str, value: float) -> float:
+    """value, unless it is NaN, infinite or negative: then ParameterError."""
+    if not 0 <= value < math.inf:
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+    return value

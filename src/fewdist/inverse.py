@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .defaults import DEFAULT_MAX_ITER, DEFAULT_TOL_RES
-from .errors import NoSolutionError, ParameterError, SingularTupleError
+from .errors import NoSolutionError, ParameterError, SingularTupleError, _valid_tol
 from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_basis
 
 PROJECT_GAP = 1e-9
@@ -298,6 +298,7 @@ def invert_rows(
     no_preimage puts in P: Newton from the default start, NEWTON_CHUNK rows
     at a time, then the continuation on each row it leaves. success =
     (residual <= tol_res), relative to max(1, max|k|)."""
+    tol_res, max_iter = _valid_tol("tol_res", tol_res), _valid_tol("max_iter", max_iter)
     targets = np.asarray(targets, dtype=float)
     results = []
     for start in range(0, len(targets), NEWTON_CHUNK):
@@ -310,6 +311,7 @@ def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = DEFAULT
     """The inversion path for k_target, sign-checked here. A tuple outside P
     gets method "no_preimage": the default start and its residual, with no
     Newton iteration. A tuple in P is inverted by invert_rows."""
+    tol_res, max_iter = _valid_tol("tol_res", tol_res), _valid_tol("max_iter", max_iter)
     target = check_sign_pattern(k_target)[None]
     if no_preimage(target[0]) is None:
         return invert_rows(target, tol_res, max_iter)[0]
@@ -362,6 +364,7 @@ def invert_auto(
     k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = DEFAULT_MAX_ITER
 ) -> InversionResult:
     """Closed form for s = 3 tuples of P where it is regular, else invert_K."""
+    tol_res, max_iter = _valid_tol("tol_res", tol_res), _valid_tol("max_iter", max_iter)
     target = check_sign_pattern(k_target)
     if target.size == 2 and no_preimage(target) is None:
         try:

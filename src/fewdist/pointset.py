@@ -8,11 +8,13 @@ everything downstream consumes those classes.
 Each pair matrix and profile is computed once per point set and tolerance
 and kept on the point set (read-only), so every caller shares one pass.
 Classifying n points holds one float n x n pair matrix (a unit-norm set
-keeps its Gram matrix too), one sorted copy of its n(n-1)/2 values above
-the diagonal (freed before the class means are taken) and one bool n x n
-mask of the class at hand. Every other temporary is one block of
-_row_blocks: rows of an array taken at most _BLOCK_BUDGET entries at a
-time, in row-major order, which is also the order the class means sum in.
+keeps its Gram matrix too) and no sorted copy or class mask: grouping walks
+the values above the diagonal twice, one block of _row_blocks at a time
+(rows of an array taken at most _BLOCK_BUDGET entries at a time, in
+row-major order). The first walk cuts each block's sorted values into
+intervals and merges them into classes; the second sums each class in
+np.mean's order, so a class mean is np.mean's, bit for bit. Only
+class_adjacency, which certify calls for one class, builds an n x n mask.
 The duplicate-point and antipodal checks never build an n x n x d array;
 they screen pairs by a Gram product taken a block of rows at a time and run
 the exact coordinate test only on the pairs that pass the screen.
@@ -39,6 +41,7 @@ from .errors import (
     NotOnSphereError,
     ParameterError,
     PointFileError,
+    _valid_tol,
 )
 
 
@@ -138,13 +141,6 @@ def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
             dist[part] = np.max(np.abs(pts[i[part]] + sign * pts[j[part]]), axis=1)
         keep = dist <= atol
         yield i[keep], j[keep], dist[keep]
-
-
-def _valid_tol(name: str, value: float) -> float:
-    """value, unless it is NaN, infinite or negative: then ParameterError."""
-    if not 0 <= value < math.inf:
-        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
 
 
 def _memoized(ps: PointSet, key: tuple, compute):
@@ -279,53 +275,160 @@ def _clipped(sq: np.ndarray, g2: np.ndarray, rows: slice, cols: slice) -> np.nda
     return np.maximum(part, 0.0, out=part)
 
 
-def _cluster_sorted(values: np.ndarray, tol: float, relative: bool) -> np.ndarray:
-    """Single-linkage clusters of ascending values, as the ascending positions
-    p after which a new cluster starts. Adjacent values chain when their gap
-    is below tol, and a gap below 10*tol between two clusters is an
-    ambiguity error. The gap from a to b is (b-a)/max(|a|,|b|), or
-    (b-a)/max(1,|a|,|b|) when not relative. Gaps are taken in blocks that
-    overlap by one value, so the temporaries stay small."""
-    cuts = [np.zeros(0, dtype=np.intp)]
-    for block in _row_blocks(len(values) - 1, 1):
-        start = block.start
-        part = values[start:block.stop + 1]
-        mags = np.abs(part)
-        denom = np.maximum(mags[:-1], mags[1:])
-        if not relative:
-            np.maximum(denom, 1.0, out=denom)
-        gaps = np.diff(part)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gaps /= denom
-        found = np.flatnonzero(gaps > tol)
-        narrow = found[gaps[found] <= 10.0 * tol]
-        if narrow.size:
-            pos = start + narrow[0]
-            raise AmbiguousGroupingError(
-                f"values {float(values[pos])!r} and {float(values[pos + 1])!r} are separated by "
-                "less than 10x tol; no stable class split exists at this tolerance"
-            )
-        cuts.append(found + start)
-    return np.concatenate(cuts)
+def _gaps(a: np.ndarray, b: np.ndarray, relative: bool) -> np.ndarray:
+    """(b-a)/max(|a|,|b|), or (b-a)/max(1,|a|,|b|) when not relative."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (b - a) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 0.0 if relative else 1.0)
+
+
+def _intervals(v: np.ndarray, tol: float, relative: bool):
+    """v sorted and cut where the gap is above tol or the sign turns: (lo, hi, count) per interval."""
+    v = np.sort(v)
+    step = np.flatnonzero(v[1:] != v[:-1])
+    a, b = v[step], v[step + 1]
+    ends = np.append(step[(_gaps(a, b, relative) > tol) | ((a < 0) & (b >= 0))], v.size - 1)
+    return v[ends - np.diff(ends, prepend=-1) + 1], v[ends], np.diff(ends, prepend=-1)
+
+
+def _cut_and_merge(blocks, tol: float, relative: bool, zero):
+    """Single-linkage classes at tol of the values in blocks (1-d arrays in
+    row-major order): (tops, counts). Each block's intervals, by lower end,
+    join the class before unless more than tol above its largest value. That
+    gives the cuts of one global sort: within one sign a gap only grows as
+    its ends move apart. A gap below 10*tol between classes is an ambiguity
+    error; zero(last) gives the first (or last) zero in row-major order, the
+    one a stable sort puts at a cut."""
+    parts = (_intervals(v, tol, relative) for v in blocks if v.size)
+    lo, hi, count = (np.concatenate(x) for x in zip(*parts))
+    order = np.argsort(lo, kind="stable")
+    lo, top, count = lo[order], np.maximum.accumulate(hi[order]), count[order]
+    del order, hi
+    gaps = _gaps(top[:-1], lo[1:], relative)
+    cuts = np.flatnonzero((lo[1:] > top[:-1]) & (gaps > tol))
+    narrow = cuts[gaps[cuts] <= 10.0 * tol]
+    if narrow.size:
+        left, right = top[narrow[0]], lo[narrow[0] + 1]
+        raise AmbiguousGroupingError(
+            f"values {float(left or zero(True))!r} and {float(right or zero(False))!r} are separated "
+            "by less than 10x tol; no stable class split exists at this tolerance"
+        )
+    tops = top[cuts]
+    if np.any(tops == 0):
+        tops[tops == 0] = zero(True)
+    return tops, np.add.reduceat(count, np.insert(cuts + 1, 0, 0))
+
+
+def _starts(sizes: np.ndarray) -> np.ndarray:
+    return np.cumsum(sizes) - sizes
+
+
+def _pairwise_tree(slot: np.ndarray, counts: np.ndarray):
+    """numpy's pairwise tree over each class (class c's values at slots
+    slot[c] on, 8 to a row), top-down: per level, the split flags and each
+    leaf's first row and size. A run of n > 128 values splits at (n//16)*8."""
+    start, size = slot, counts
+    while start.size:
+        split = size > 128
+        yield split, start[~split] >> 3, size[~split]
+        start, size = start[split], size[split]
+        half = (size >> 4) << 3
+        start, size = np.stack((start, start + half), 1).ravel(), np.stack((half, size - half), 1).ravel()
+
+
+def _pairwise_layout(counts: np.ndarray):
+    """Where _lane_sums keeps the partial sums: (slot, dest, base, size).
+    Class c takes slots from slot[c], 8 to a row. A buffer of this size holds
+    each class's last n%8 values, then from base a row of 8 lanes per leaf
+    with rows, in row order; dest[row] is where that row's first slot goes."""
+    slot, tail = 8 * _starts((counts + 7) >> 3), counts & 7
+    base = 8 + (int(tail.sum()) & ~7)
+    slots = slot[-1] + counts[-1]
+    dest = np.zeros((slots + 7) >> 3, dtype=np.int32 if slots < 2**30 else np.intp)
+    for _, row, size in _pairwise_tree(slot, counts):
+        dest[row[size >= 8]] = 1
+    # The running count of leaf starts is each row's leaf, in row order.
+    size = base + 8 * int(np.cumsum(dest, out=dest)[-1:].sum())
+    dest *= 8
+    dest += base - 8
+    dest[(slot + counts)[tail > 0] >> 3] = _starts(tail)[tail > 0]
+    return slot, dest, base, size
+
+
+def _lane_sums(blocks, tops: np.ndarray, slot: np.ndarray, dest: np.ndarray, flat: np.ndarray) -> None:
+    """np.add.at adds each value of blocks, in order, to flat at
+    dest[s >> 3] + (s & 7), s the next slot of its class, counted in slot."""
+    for vals in blocks:
+        if tops.size < 8:  # comparisons and counts beat a binary search, and sort by radix
+            labels = sum((vals > top for top in tops), np.zeros(vals.size, dtype=np.uint8))
+            k = np.array([np.count_nonzero(labels == c) for c in range(slot.size)])
+        else:
+            labels = np.searchsorted(tops, vals, side="left")
+            k = np.bincount(labels, minlength=slot.size)
+        vals = vals[np.argsort(labels, kind="stable")]
+        del labels
+        q = np.repeat(slot - np.cumsum(k) + k, k)
+        q += np.arange(vals.size)
+        slot += k
+        lane = q & 7
+        q >>= 3
+        lane += dest[q]
+        np.add.at(flat, lane, vals)
+        del vals, q, lane
+
+
+def _class_sums(blocks, tops: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.add.reduce over each class's values in blocks (1-d arrays in
+    row-major order), bit for bit; class c holds the counts[c] values v with
+    tops[c-1] < v <= tops[c]. That is 0.0 plus numpy's pairwise sum, whose
+    leaves add their rows of 8 in 8 lanes, join the lanes as
+    ((0+1)+(2+3))+((4+5)+(6+7)) and add their last n%8 values one by one. A
+    lane that gets a 0.0, or nothing, changes at most the sign of a zero
+    sum, which the final 0.0 undoes."""
+    slot, dest, base, size = _pairwise_layout(counts)
+    flat = np.zeros(size)
+    _lane_sums(blocks, tops, slot.copy(), dest, flat)
+    del dest
+    lanes = flat[base:].reshape(-1, 8)
+    for step in (1, 2, 4):
+        lanes[:, ::2 * step] += lanes[:, step::2 * step]
+    del lanes
+    flat = np.concatenate((flat[:base], flat[base::8]))  # the trailing values, then each leaf's sum
+    splits, row, length = zip(*_pairwise_tree(slot, counts))
+    row, length = np.concatenate(row), np.concatenate(length)
+    leaf = np.zeros(length.size)
+    leaf[np.flatnonzero(length >= 8)[np.argsort(row[length >= 8])]] = flat[base:]
+    last = np.flatnonzero(length & 7)[np.argsort(row[(length & 7) > 0])]  # each class's last leaf
+    np.add.at(leaf, np.repeat(last, length[last] & 7), flat[: int((counts & 7).sum())])
+    below, ends = None, np.cumsum([np.count_nonzero(~split) for split in splits])
+    for split, part in zip(reversed(splits), reversed(np.split(leaf, ends[:-1]))):
+        below, value = np.empty(split.size), below
+        below[~split] = part
+        if value is not None:
+            below[split] = value[0::2] + value[1::2]
+    return 0.0 + below
 
 
 def _group_pairs(matrix: np.ndarray, tol: float, relative: bool):
     """Classes of the values above the diagonal: (means, counts, tops), with
     tops the largest value of each class but the last. The lower triangle is
-    never read, since a Gram matrix need not be exactly symmetric. A class
-    mean is np.mean over its values in row-major order."""
-    values = np.concatenate([row[i + 1:] for i, row in enumerate(matrix[:-1])])
-    values.sort()
-    _stable_zero_ends(matrix, values)
-    tops = _read_only(values[_cluster_sorted(values, tol, relative)])
-    del values
-    reps, counts = [], []
-    for c in range(tops.size + 1):
-        members = matrix[_upper_class(matrix, tops, c)]
-        reps.append(float(np.mean(members)))
-        counts.append(members.size)
-        del members
-    return reps, counts, tops
+    never read, since a Gram matrix need not be exactly symmetric. Two passes
+    over _row_blocks and no n x n temporary: one finds the classes, one sums
+    them in np.mean's order, so each mean is np.mean over the class's values
+    in row-major order, bit for bit."""
+    n = len(matrix)
+
+    def blocks():
+        for rows in _row_blocks(n):
+            yield np.concatenate([row[i + 1:] for i, row in enumerate(matrix[rows], rows.start)])
+
+    def zero(last: bool) -> float:
+        if last:
+            return _first_zero(matrix[i, :i:-1] for i in reversed(range(n - 1)))
+        return _first_zero(matrix[i, i + 1:] for i in range(n - 1))
+
+    tops, counts = _cut_and_merge(blocks(), tol, relative, zero)
+    sums = _class_sums(blocks(), tops, counts)
+    return [float(x) / c for x, c in zip(sums, counts.tolist())], counts.tolist(), _read_only(tops)
 
 
 def _upper_class(matrix: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
@@ -346,20 +449,6 @@ def class_adjacency(matrix: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
     """Class c's int8 0/1 adjacency: the profile's tops on its pair matrix's upper triangle."""
     upper = _upper_class(matrix, tops, c)
     return (upper | upper.T).view(np.int8)
-
-
-def _stable_zero_ends(matrix: np.ndarray, values: np.ndarray) -> None:
-    """Give the first and last zero of the sorted values the signs a stable
-    sort gives them. np.sort orders -0.0 and 0.0 arbitrarily, and an
-    ambiguity error prints the value on each side of a cut, so a zero there
-    must be the first (or last) zero above the diagonal in row-major order."""
-    first = np.searchsorted(values, 0.0, side="left")
-    last = np.searchsorted(values, 0.0, side="right") - 1
-    if first > last:
-        return
-    rows = range(matrix.shape[0] - 1)
-    values[first] = _first_zero(matrix[i, i + 1:] for i in rows)
-    values[last] = _first_zero(matrix[i, :i:-1] for i in reversed(rows))
 
 
 def _first_zero(rows) -> float:

@@ -29,13 +29,13 @@ from .errors import (
     NotAntipodalError,
     NotOnSphereError,
     ParameterError,
+    _valid_tol,
 )
 from .lagrange import lagrange_weights
 from .pointset import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
-    _valid_tol,
     affine_dimension,
     antipodal_structure,
     distance_profile,

@@ -21,7 +21,8 @@ from fewdist import PointSet, construct_johnson, construct_named
 from fewdist.certificate import class_index_range, indicator_matrix, numeric_rank, verify_key_lemma
 from fewdist.errors import AmbiguousGroupingError, DuplicatePointError
 from fewdist.pointset import (
-    _cluster_sorted,
+    _class_sums,
+    _cut_and_merge,
     _group_pairs,
     _squared_distances,
     class_adjacency,
@@ -126,12 +127,16 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def cluster_ids(values, tol, relative):
-    """_cluster_sorted's cuts as per-value class ids and a class count."""
-    cuts = _cluster_sorted(values, tol, relative)
-    ids = np.zeros(len(values), dtype=int)
-    ids[cuts + 1] = 1
-    return np.cumsum(ids, out=ids), cuts.size + 1
+def merged_ids(values, tol, relative):
+    """_cut_and_merge's classes of values, fed in blocks of _row_blocks in
+    the given (row-major) order, as class ids of the stably sorted values
+    and a class count."""
+    zeros = values[values == 0]
+    blocks = [values[part] for part in pointset._row_blocks(len(values), 1)]
+    tops, counts = _cut_and_merge(blocks, tol, relative, lambda last: zeros[-1 if last else 0])
+    ids = np.searchsorted(tops, np.sort(values), side="left")
+    assert np.array_equal(np.bincount(ids, minlength=len(counts)), counts)
+    return ids, len(counts)
 
 
 def assert_same_classes(got, want, matrix):
@@ -179,15 +184,16 @@ BUDGETS = st.sampled_from([1, 2, 3, 5, 7, 64, pointset._BLOCK_BUDGET])
 
 class TestClusterSortedMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(sorted_values(), st.booleans(), BUDGETS)
-    def test_same_ids_count_and_errors(self, drawn, relative, budget):
+    @given(sorted_values(), st.booleans(), BUDGETS, st.integers(0, 2**32 - 1))
+    def test_same_ids_count_and_errors(self, drawn, relative, budget, seed):
+        # Shuffled, so each block's intervals interleave with the others'.
         values, tol = drawn
         if relative:
             values = np.abs(values)
-            values.sort()
+        values = np.random.default_rng(seed).permutation(values)
         with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
-            got = outcome(cluster_ids, values, tol, relative)
-        want = outcome(reference_cluster_sorted, values, tol, relative)
+            got = outcome(merged_ids, values, tol, relative)
+        want = outcome(reference_cluster_sorted, np.sort(values, kind="stable"), tol, relative)
         if isinstance(want[0], type):
             assert got == want
         else:
@@ -210,6 +216,53 @@ class TestClusterSortedMatchesReference:
                 got = outcome(_group_pairs, matrix, tol, relative)
                 want = outcome(reference_group_pairs, matrix, tol, relative)
                 assert_same_classes(got, want, matrix)
+
+
+def pinned_lengths():
+    """Every length up to 1,100, then 8k +- 1 and 2^k +- 1 up to about 10^6."""
+    eights = [8 * k + d for k in (200, 1_000, 12_500, 125_000) for d in (-1, 1)]
+    return [*range(1101), *eights, *(2**k + d for k in range(11, 21) for d in (-1, 0, 1))]
+
+
+class TestClassSumsMatchNumpy:
+    # The class sums follow np.add.reduce's pairwise order, so a numpy whose
+    # summation order changes fails here rather than moving the goldens.
+    @pytest.mark.parametrize("tops", [np.empty(0), np.full(8, -np.inf)], ids=["comparisons", "binary_search"])
+    def test_sums_are_np_add_reduce_bit_for_bit(self, tops):
+        rng = np.random.default_rng(7)
+        counts = np.zeros(tops.size + 1, dtype=np.intp)
+        for n in pinned_lengths():
+            wide = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)
+            wide[rng.random(n) < 0.05] = rng.choice([0.0, -0.0])
+            for x in (wide, rng.normal(size=n), np.full(n, -0.0)):
+                counts[-1] = n
+                blocks = np.array_split(x, max(1, n // 5000))
+                got = _class_sums(blocks, tops, counts)[-1]
+                assert got.tobytes() == np.add.reduce(x).tobytes(), n
+
+    @pytest.mark.parametrize("budget", [pointset._BLOCK_BUDGET, 64])
+    @pytest.mark.parametrize(
+        "build,relative",
+        [
+            (lambda: construct_johnson(14, 3), True),
+            (lambda: construct_named("e8_roots"), False),
+            (lambda: construct_named("hypercube", d=9), True),
+        ],
+        ids=["johnson_14_3", "e8_roots", "hypercube_9"],
+    )
+    def test_large_classes_match_the_reference(self, build, relative, budget, monkeypatch):
+        # Rotated, so each class's values differ in their last bits: classes
+        # of 8k to 50k pairs in johnson(14,3), e8's inner products, and the
+        # 9 classes of hypercube(9), which take the binary search. At budget
+        # 64 each block is one row, so leaves of the pairwise sum span blocks.
+        ps = build()
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(ps.dimension, ps.dimension)))
+        rotated = PointSet(dimension=ps.dimension, points=ps.points @ q)
+        matrix = squared_distance_matrix(rotated) if relative else inner_product_matrix(rotated)
+        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", budget)
+        want = reference_group_pairs(matrix, 1e-9, relative)
+        assert max(want[1]) > 10_000
+        assert_same_classes(_group_pairs(matrix, 1e-9, relative), want, matrix)
 
 
 class TestPairMatrixMatchesReference:
@@ -454,12 +507,32 @@ def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
     assert traced_peak(_squared_distances, johnson_14_4) < 10 * n * n
 
 
-def test_grouping_memory_is_a_sort_buffer_then_the_adjacencies(johnson_14_4, traced_peak):
-    # Here 4n^2 bytes of sorted values, then one bool mask of n^2 bytes and
-    # its members; the argsort order, gathered copy and id arrays took 22.5n^2.
+def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
+    # A block's temporaries, a row table and a row of 8 lanes per leaf of the
+    # pairwise sum, about 1.6n^2 bytes here. A sorted copy of the values
+    # (4n^2) and a bool mask per class (n^2) took 5.1n^2; the argsort order,
+    # gathered copy and id arrays before them took 22.5n^2.
     matrix = squared_distance_matrix(johnson_14_4)
     n = johnson_14_4.n
-    assert traced_peak(_group_pairs, matrix, 1e-9, True) < 12 * n * n
+    assert traced_peak(_group_pairs, matrix, 1e-9, True) < 2.5 * n * n
+
+
+@pytest.mark.parametrize(
+    "ps,s",
+    [
+        (construct_johnson(10, 3), 3),
+        (PointSet(dimension=3, points=np.random.default_rng(0).random((60, 3))), 1770),
+    ],
+    ids=["johnson_10_3", "random_60"],
+)
+def test_grouping_walks_the_row_blocks_twice(monkeypatch, ps, s):
+    # Once to find the classes and once to sum them, whatever s is; a pass
+    # per class took s + 1 walks.
+    matrix, calls = squared_distance_matrix(ps), []
+    walk = pointset._row_blocks
+    monkeypatch.setattr(pointset, "_row_blocks", lambda *args: calls.append(args) or walk(*args))
+    assert len(_group_pairs(matrix, 1e-13, True)[0]) == s
+    assert calls == [(ps.n,), (ps.n,)]
 
 
 def test_indicator_memory_is_the_basis_and_one_deviation(johnson_14_4, traced_peak):

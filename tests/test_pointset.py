@@ -7,7 +7,7 @@ from math import comb, sqrt
 import numpy as np
 import pytest
 
-from fewdist import certificate, embed, ratios
+from fewdist import certificate, embed, inverse, ratios
 from fewdist import (
     PointSet,
     antipodal_structure,
@@ -409,6 +409,14 @@ TOLERANCE_CALLS = {
         certificate.indicator_matrix(ps, 1, "euclidean"), cluster_tol=v
     ),
     "euclidean_embeddable": lambda ps, v: embed.euclidean_embeddable(squared_distance_matrix(ps), 4, v),
+    "congruent": lambda ps, v: embed.congruent(ps, ps, tol=v),
+    # (6, -8) = K(1/2, 3/4): Newton inverts it, and the closed form for s = 3.
+    "invert_rows tol_res": lambda ps, v: inverse.invert_rows([[6.0, -8.0]], tol_res=v),
+    "invert_rows max_iter": lambda ps, v: inverse.invert_rows([[6.0, -8.0]], max_iter=v),
+    "invert_K tol_res": lambda ps, v: inverse.invert_K([6.0, -8.0], tol_res=v),
+    "invert_K max_iter": lambda ps, v: inverse.invert_K([6.0, -8.0], max_iter=v),
+    "invert_auto tol_res": lambda ps, v: inverse.invert_auto([6.0, -8.0], tol_res=v),
+    "invert_auto max_iter": lambda ps, v: inverse.invert_auto([6.0, -8.0], max_iter=v),
     "spherical_embeddable": lambda ps, v: embed.spherical_embeddable(ps.points @ ps.points.T, 4, v),
 }
 
