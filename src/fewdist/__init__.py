@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "errors": ("FewdistError", "InputError", "NumericalError"),
     "inverse": (
-        "ClosedFormResult", "InversionResult", "forward_K", "forward_K_full", "invert_K",
-        "invert_auto", "invert_s3_closed", "jacobian", "jacobian_det_closed",
+        "InversionResult", "forward_K", "forward_K_full", "invert_K", "invert_auto",
+        "invert_s3_closed", "jacobian", "jacobian_det_closed",
     ),
     "pointset": (
         "AntipodalStructure", "DistanceProfile", "InnerProductProfile", "PointSet",

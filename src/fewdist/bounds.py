@@ -9,7 +9,7 @@ error would flip the answer.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb, isqrt
 from types import MappingProxyType
 
@@ -72,14 +72,7 @@ class TheoremContext:
     ratio_bound: int
 
     def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "d": self.d,
-            "s": self.s,
-            "N": self.N,
-            "cardinality_threshold": self.cardinality_threshold,
-            "ratio_bound": self.ratio_bound,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

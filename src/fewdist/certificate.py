@@ -16,7 +16,7 @@ spectrum is read off the view's own, within a Weyl bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -421,10 +421,7 @@ class CertificateVerdict:
     all_passed: bool
 
     def to_dict(self) -> dict:
-        # Every field in declaration order, the context as its own dict.
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["context"] = self.context.to_dict()
-        return out
+        return asdict(self)
 
 
 def verify_key_lemma(

@@ -9,7 +9,6 @@ tuple `invert` leaves undecided.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bounds import FAMILIES, SETTINGS, theorem_context
@@ -249,14 +248,9 @@ def _cmd_embed_check(args) -> int:
     import numpy as np
 
     from .embed import euclidean_embeddable, spherical_embeddable
+    from .pointset import _json_value, _read_source
 
-    try:
-        with open(args.matrixfile, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise PointFileError(f"cannot read {args.matrixfile}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise PointFileError(f"invalid JSON: {exc}") from exc
+    payload = _json_value(_read_source(args.matrixfile)[0])
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise PointFileError('matrix JSON must be an object with a "matrix" array')
     kind = payload.get("kind", "squared_distance")

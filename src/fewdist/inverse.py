@@ -319,28 +319,15 @@ def invert_K(k_target, tol_res: float = DEFAULT_TOL_RES, max_iter: int = DEFAULT
     return _results(t, residual, iterations, [False], "no_preimage")[0]
 
 
-@dataclass(frozen=True)
-class ClosedFormResult:
-    t: tuple[float, float]
-    branches: tuple[str, str]
-    residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "t": [float(x) for x in self.t],
-            "branches": list(self.branches),
-            "residual": float(self.residual),
-        }
-
-
-def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
+def invert_s3_closed(k1: float, k2: float) -> InversionResult:
     """Closed-form inversion for s = 3 targets (k1 > 0 > k2).
 
     With sigma = k1 + k2 - 1, S = k1 + k2 and R = k1*k2*sigma, every t in D
     has sqrt(R) = t1*t2 / ((1-t1)(t2-t1)(1-t2)) and
     t_i = (k_i*sigma + sgn(k_i)*sqrt(R)) / (k_i*S): the branch (+, -) of the
     two radicals. That branch alone is computed, then checked against the
-    domain and by a forward round trip within 1e-9.
+    domain and by a forward round trip within 1e-9. The result has method
+    "closed_form", no iterations and start_index -1.
     """
     check_sign_pattern([k1, k2])
     if abs(k1 + k2) < 1e-12:
@@ -356,7 +343,7 @@ def invert_s3_closed(k1: float, k2: float) -> ClosedFormResult:
     if DOMAIN_EPS < t1 < t2 < 1.0 - DOMAIN_EPS and (t2 - t1) > DOMAIN_EPS:
         residual = float(np.max(np.abs(forward_K([t1, t2]) - [k1, k2])))
         if residual <= 1e-9:
-            return ClosedFormResult(t=(t1, t2), branches=("+", "-"), residual=residual)
+            return InversionResult(True, (t1, t2), residual, 0, -1, "closed_form", ("+", "-"))
     raise NoSolutionError(f"the closed form does not invert ({k1!r}, {k2!r})")
 
 
@@ -368,16 +355,7 @@ def invert_auto(
     target = check_sign_pattern(k_target)
     if target.size == 2 and no_preimage(target) is None:
         try:
-            closed = invert_s3_closed(float(target[0]), float(target[1]))
-            return InversionResult(
-                success=True,
-                t=closed.t,
-                residual=closed.residual,
-                iterations=0,
-                start_index=-1,
-                method="closed_form",
-                branches=closed.branches,
-            )
+            return invert_s3_closed(float(target[0]), float(target[1]))
         except (SingularTupleError, NoSolutionError):
             pass
     return invert_K(k_target, tol_res=tol_res, max_iter=max_iter)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 
 def format_float(x: float) -> str:
@@ -24,8 +23,6 @@ def _write(obj, parts: list[str], indent: int | None, level: int) -> None:
         parts.append("null" if obj is None else ("true" if obj else "false"))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, Fraction):
-        parts.append(json.dumps(f"{obj.numerator}/{obj.denominator}"))
     elif isinstance(obj, int):
         parts.append(str(obj))
     elif isinstance(obj, float):

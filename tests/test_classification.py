@@ -240,6 +240,26 @@ class TestClassSumsMatchNumpy:
                 got = _class_sums(blocks, tops, counts)[-1]
                 assert got.tobytes() == np.add.reduce(x).tobytes(), n
 
+    def test_blocks_count_only_the_classes_they_hold(self, monkeypatch):
+        # Nearly every pair value of random points is its own class, so at
+        # budget 64 (one row a block) a block holds a few dozen of the 3,160
+        # classes, and no block may pass np.repeat more counts than values.
+        matrix = squared_distance_matrix(PointSet(dimension=3, points=np.random.default_rng(7).random((80, 3))))
+        want = reference_group_pairs(matrix, 1e-13, True)
+        repeat, calls = np.repeat, []
+
+        def counted(a, repeats, *args, **kwargs):
+            calls.append((np.size(repeats), int(np.sum(repeats))))
+            return repeat(a, repeats, *args, **kwargs)
+
+        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 64)
+        monkeypatch.setattr(np, "repeat", counted)
+        got = _group_pairs(matrix, 1e-13, True)
+        monkeypatch.undo()
+        assert len(got[1]) > 3000 and len(calls) > 70
+        assert all(size <= held for size, held in calls)
+        assert_same_classes(got, want, matrix)
+
     @pytest.mark.parametrize("budget", [pointset._BLOCK_BUDGET, 64])
     @pytest.mark.parametrize(
         "build,relative",

@@ -273,6 +273,17 @@ class TestExitCodes:
         assert run(["profile", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name,argv",
+        [("p.json", ["profile"]), ("p.csv", ["profile"]), ("m.json", ["embed-check", "-d", "2"])],
+    )
+    def test_non_utf8_file_is_exit_2(self, tmp_path, capsys, name, argv):
+        path = tmp_path / name
+        path.write_bytes(b"0,0\n1,\xff\n")
+        assert run([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: input is not UTF-8 text")
+
     def test_ragged_rows(self, tmp_path, capsys):
         path = tmp_path / "ragged.json"
         path.write_text('{"points": [[0, 0], [1]]}')

@@ -422,6 +422,10 @@ class TestClosedForm:
         res = invert_s3_closed(6.0, -8.0)
         assert res.t == pytest.approx((0.5, 0.75), abs=1e-12)
         assert res.branches == ("+", "-")
+        # The InversionResult invert_auto returns, with the keys invert prints.
+        assert res == invert_auto([6.0, -8.0])
+        assert (res.success, res.iterations, res.start_index, res.method) == (True, 0, -1, "closed_form")
+        assert list(res.to_dict()) == ["success", "t", "residual", "iterations", "start_index", "method", "branches"]
 
     def test_round_trip_against_newton(self):
         rng = np.random.default_rng(8)
@@ -430,6 +434,7 @@ class TestClosedForm:
             k = forward_K(t)
             res = invert_s3_closed(float(k[0]), float(k[1]))
             assert np.max(np.abs(np.asarray(res.t) - t)) < 1e-9
+            assert res == invert_auto(k)
 
     def test_singular_diagonal(self):
         # k1 + k2 = 0 collapses the quadratic; the formula cannot apply.

@@ -68,6 +68,13 @@ class TestPointSet:
         with pytest.raises(ValueError):
             unit_square.points[0, 0] = 5.0
 
+    def test_caller_array_stays_writeable(self):
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ps = PointSet(dimension=2, points=x)
+        assert x.flags.writeable and ps.points is not x
+        x[0, 0] = 5.0
+        assert ps.points[0, 0] == 0.0
+
     def test_label_length_checked(self):
         with pytest.raises(InputError):
             PointSet(dimension=1, points=np.array([[0.0], [1.0]]), labels=("a",))
@@ -121,6 +128,11 @@ class TestLoadPoints:
         ps = load_points(source, fmt="json")
         assert ps.n == 2 and ps.dimension == 2
         assert squared_distance_matrix(ps)[0, 1] == 25.0
+
+    @pytest.mark.parametrize("source", [b'{"points": [[0, 0], [3, \xff4]]}', io.BytesIO(b"\xff")])
+    def test_non_utf8_input_rejected(self, source):
+        with pytest.raises(PointFileError, match="not UTF-8"):
+            load_points(source, fmt="json")
 
     def test_bytes_need_a_format(self):
         with pytest.raises(PointFileError, match="cannot infer format"):
