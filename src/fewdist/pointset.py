@@ -178,18 +178,20 @@ def load_points(source, fmt: str | None = None) -> PointSet:
 
 def _read_source(source) -> tuple[str, str | None]:
     """The UTF-8 text of a path, bytes or stream, and the format a path's suffix names."""
-    try:
-        if isinstance(source, bytes) or hasattr(source, "read"):
-            data = source if isinstance(source, bytes) else source.read()
-            return (data.decode("utf-8") if isinstance(data, bytes) else data), None
-        path = os.fspath(source)
+    if isinstance(source, bytes) or hasattr(source, "read"):
+        data = source if isinstance(source, bytes) else source.read()
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return fh.read(), {".json": "json", ".csv": "csv"}.get(os.path.splitext(path)[1].lower())
-        except OSError as exc:
-            raise PointFileError(f"cannot read {path}: {exc}") from exc
+            return (data.decode("utf-8") if isinstance(data, bytes) else data), None
+        except UnicodeDecodeError as exc:
+            raise PointFileError(f"input is not UTF-8 text: {exc}") from exc
+    path = os.fspath(source)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read(), {".json": "json", ".csv": "csv"}.get(os.path.splitext(path)[1].lower())
+    except OSError as exc:
+        raise PointFileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
-        raise PointFileError(f"input is not UTF-8 text: {exc}") from exc
+        raise PointFileError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _json_value(text: str):
@@ -365,20 +367,19 @@ def _pairwise_layout(counts: np.ndarray):
 def _lane_sums(blocks, tops: np.ndarray, slot: np.ndarray, dest: np.ndarray, flat: np.ndarray) -> None:
     """np.add.at adds each value of blocks, in order, to flat at
     dest[s >> 3] + (s & 7), s the next slot of its class, counted in slot."""
-    for vals in blocks:
+    for vals in filter(np.size, blocks):  # skips empty blocks; unlike a genexpr, keeps none alive
         if tops.size < 8:  # uint8 labels and a radix sort: 0.4-1.1 ms a block, 1.8-4.7 by searchsorted
             labels = sum((vals > top for top in tops), np.zeros(vals.size, dtype=np.uint8))
-            order, present = np.argsort(labels, kind="stable"), slice(None)
-            k = np.bincount(labels, minlength=slot.size)
-            start = _starts(k)
-        else:  # only the classes the block holds: the runs of its sorted labels
+        else:
             labels = np.searchsorted(tops, vals, side="left")
-            order = np.argsort(labels, kind="stable")
-            labels = labels[order]
-            start = np.flatnonzero(np.diff(labels, prepend=-1))
-            present, k = labels[start], np.diff(start, append=labels.size)
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]  # one array at a time, as in _cut_and_merge
         vals = vals[order]
-        del labels, order
+        del order
+        # Count the classes held as runs of sorted labels: bincount's speed at s <= 8, 1.8x it at s = 2e6.
+        start = np.insert(np.flatnonzero(labels[1:] != labels[:-1]) + 1, 0, 0)
+        present, k = labels[start], np.diff(start, append=labels.size)
+        del labels
         q = np.repeat(slot[present] - start, k)
         q += np.arange(vals.size)
         slot[present] += k

@@ -282,7 +282,7 @@ class TestExitCodes:
         path.write_bytes(b"0,0\n1,\xff\n")
         assert run([argv[0], str(path), *argv[1:]]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: input is not UTF-8 text")
+        assert captured.out == "" and captured.err.startswith(f"error: {path} is not UTF-8 text")
 
     def test_ragged_rows(self, tmp_path, capsys):
         path = tmp_path / "ragged.json"
