@@ -11,11 +11,13 @@ ones, which the ratios read too. The checks are numerical, with measured slacks.
 Spectra come from one rule on two views of M: B = Q^T M Q, with Q an
 orthonormal basis of the polynomials in the point coordinates that hold
 every indicator of a setting, then M itself. On each view the companion's
-spectrum is read off the view's own, within a Weyl bound.
+spectrum is read off the view's own, within a Weyl bound. M (built on first
+access) and its companion are n x n only on M's view; B's reads M's rows.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
 
@@ -24,6 +26,7 @@ import numpy as np
 from .bounds import SETTING_TABLE, TheoremContext, dim_poly_space, setting_row, theorem_context
 from .defaults import DEFAULT_TOL_INT
 from .errors import InputError, NumericalError, ParameterError, _valid_tol
+from . import pointset
 from .lagrange import lagrange_basis
 from .pointset import (
     DEFAULT_TOL,
@@ -45,38 +48,77 @@ DEFAULT_CLUSTER_TOL = 1e-6
 EIGVALSH_SLACK = 64
 
 SIGNED_SETTINGS = tuple(name for name, row in SETTING_TABLE.items() if row.signed)
+# Fewest rows of M per block of B's walk: each block's product reads all of Q
+# (johnson(40,3), n = 10,660: 6 rows a block 33 s, 128 rows 7.6 s).
+WALK_ROWS = 128
+
+
+class _OnFirstRead:
+    """An IndicatorMatrix field that, left out or None, is compute(im) on
+    first read; repr skips it, since reading it there would compute it."""
+
+    def __init__(self, slot, compute):
+        self.slot, self.compute = slot, compute
+
+    def __get__(self, im, owner=None):
+        if im is not None and im.__dict__[self.slot] is None:
+            im.__dict__[self.slot] = self.compute(im)
+        return self if im is None else im.__dict__[self.slot]
+
+    def __set__(self, im, value):
+        im.__dict__[self.slot] = None if value is self else value  # self: the default
+
+
+def _deviation(im, rows: slice, block: np.ndarray, out: np.ndarray | None = None):
+    """max |M - k*I - A| on M's rows, given as block (overwritten if no out)."""
+    out = np.subtract(block, im.adjacency[rows], out=block if out is None else out)
+    # The adjacency has a zero diagonal, where k is subtracted instead.
+    out.flat[rows.start :: im.n + 1] -= im.k_claimed
+    return np.max(np.abs(out, out=out))
 
 
 @dataclass(frozen=True)
 class IndicatorMatrix:
-    """M = k*I + A for one class index, with the claimed decomposition."""
+    """M = k*I + A for one class index, with the claimed decomposition.
+    Left out, matrix and max_decomposition_dev come on first access from
+    evaluate(rows), M's rows as a fresh array: n and adjacency build no M."""
 
-    matrix: np.ndarray
     setting: str
     class_index: int
     k_claimed: float
     adjacency: np.ndarray
-    max_decomposition_dev: float
     n_cap: int
     x_size: int
     d_eff: int
     s: int
     # (point set, tol) M was read on: it keys the range basis its setting shares.
     source: tuple | None = field(default=None, repr=False)
+    evaluate: Callable[[slice], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    matrix: np.ndarray = field(
+        default=_OnFirstRead("_matrix", lambda im: im.evaluate(slice(None))), repr=False)
+    max_decomposition_dev: float = field(default=_OnFirstRead("_dev", lambda im: float(np.max(
+        [_deviation(im, rows, im._rows(rows)) for rows in _row_blocks(im.n)]))), repr=False)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.adjacency.shape[0]
+
+    def _rows(self, rows: slice) -> np.ndarray:
+        held = self._matrix  # M[rows] as a fresh array
+        return np.array(held[rows]) if held is not None else self.evaluate(rows)
 
 
 def _pair_classes(ps: PointSet, row, i0: int, tol: float):
-    """The memoized pair values row's indicator is read on, and the profile's
-    class i0 on them: on the half set, +beta plus (signed: minus) -beta."""
+    """The memoized pair values row's indicator is read on, the profile's
+    class i0 on them (on the half set, +beta plus (signed: minus) -beta),
+    and whether the pair values are exactly symmetric (checked once)."""
     euclidean = row.family == "euclidean"
     pairs = (squared_distance_matrix if euclidean else inner_product_matrix)(ps)
     profile = (distance_profile if euclidean else inner_product_profile)(ps, tol)
+    symmetric = _memoized(ps, ("symmetric_pairs", euclidean), lambda: all(
+        np.array_equal(pairs[rows], pairs[:, rows].T) for rows in _row_blocks(len(pairs))))
     if row.family != "antipodal":
-        return pairs, class_adjacency(pairs, profile.tops, i0)
+        return pairs, class_adjacency(pairs, profile.tops, i0), symmetric
     structure = antipodal_structure(ps, tol)
     pairs = pairs[np.ix_(structure.rows, structure.rows)]
     p = profile.s - len(structure.beta_abs) + i0
@@ -84,7 +126,7 @@ def _pair_classes(ps: PointSet, row, i0: int, tol: float):
     if profile.s - p != p:
         minus = class_adjacency(pairs, profile.tops, profile.s - p)
         adjacency = adjacency - minus if row.signed else adjacency + minus
-    return pairs, adjacency
+    return pairs, adjacency, symmetric
 
 
 def indicator_matrix(
@@ -111,32 +153,31 @@ def indicator_matrix(
             f"class index {class_index} out of range [{ids.start}, {ids.stop - 1}] for {setting}"
         )
     i0 = class_index - 1
-    pairs, adjacency = _pair_classes(ps, row, i0, tol)
+    pairs, adjacency, symmetric = _pair_classes(ps, row, i0, tol)
     i = class_index - row.first_index
-    matrix = lagrange_basis(row.nodes(values), i, row.node_map(pairs))
-    k = ratios[i]
-    if row.signed:
-        matrix *= pairs / values[i0]
+    nodes, beta = row.nodes(values), values[i0]
+
+    def evaluate(rows: slice) -> np.ndarray:
+        block = lagrange_basis(nodes, i, row.node_map(pairs[rows]))
+        if row.signed:
+            block *= pairs[rows] / beta
+        return block
+
     d_eff = effective_dimension(ps, setting, tol_rank)
-    n = len(matrix)
-    deviation = []
-    for rows in _row_blocks(n):
-        block = np.subtract(matrix[rows], adjacency[rows])
-        # The adjacency has a zero diagonal, where k is subtracted instead.
-        block.flat[rows.start :: n + 1] -= k
-        deviation.append(np.max(np.abs(block, out=block)))
     return IndicatorMatrix(
-        matrix=matrix,
         setting=setting,
         class_index=class_index,
-        k_claimed=float(k),
+        k_claimed=float(ratios[i]),
         adjacency=adjacency,
-        max_decomposition_dev=float(np.max(deviation)),
         n_cap=dim_poly_space(row.space, d_eff, s - row.degree_offset),
         x_size=ps.n,
         d_eff=d_eff,
         s=s,
         source=(ps, tol),
+        evaluate=evaluate,
+        # M and its companion are entrywise functions of the pair values, so
+        # exactly symmetric if they are; if not, M is held and checked.
+        matrix=None if symmetric else evaluate(slice(None)),
     )
 
 
@@ -227,24 +268,36 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     n = arr.shape[0]
     # One buffer per row block, freed before the next; the maxima are taken
     # over all blocks, so a NaN propagates as in one np.max.
-    asymmetry, off_integer, magnitude = [], [], []
+    maxima = []
     for rows in _row_blocks(n):
         out = np.subtract(arr[rows], arr[:, rows].T)
-        asymmetry.append(np.max(np.abs(out, out=out)))
-        # Off the diagonal: distance to the nearest integer, then that integer.
-        np.round(arr[rows], out=out)
-        out -= arr[rows]
-        out.flat[rows.start :: n + 1] = 0.0
-        off_integer.append(np.max(np.abs(out, out=out)))
-        np.abs(np.round(arr[rows], out=out), out=out)
-        out.flat[rows.start :: n + 1] = 0.0
-        magnitude.append(np.max(out))
+        maxima.append((np.max(np.abs(out, out=out)), *_entry_maxima(arr[rows], rows.start, out)))
         del out
-    if np.max(asymmetry) > entry_tol:
+    return _sign_bound(n, e, m, np.max(maxima, axis=0), entry_tol)
+
+
+def _entry_maxima(block: np.ndarray, start: int, out: np.ndarray | None = None):
+    """Largest distance to and size of the nearest integer off the diagonal,
+    and |entry| on it, in rows start.. of a square matrix, in one buffer."""
+    n = block.shape[1]
+    diagonal = np.max(np.abs(block.flat[start :: n + 1]))
+    out = np.round(block, out=out)
+    out -= block
+    out.flat[start :: n + 1] = 0.0
+    off_integer = np.max(np.abs(out, out=out))
+    np.abs(np.round(block, out=out), out=out)
+    out.flat[start :: n + 1] = 0.0
+    return off_integer, np.max(out), diagonal
+
+
+def _sign_bound(n: int, e: float, m: int, maxima, entry_tol: float = 1e-9) -> dict:
+    """verify_sign_matrix_bound on (asymmetry, *_entry_maxima) of its matrix."""
+    asymmetry, off_integer, magnitude, diagonal = maxima
+    if asymmetry > entry_tol:
         raise InputError("sign matrix must be symmetric")
-    if np.max(np.abs(np.diag(arr))) > entry_tol:
+    if diagonal > entry_tol:
         raise InputError("sign matrix must have zero diagonal")
-    if np.max(off_integer) > entry_tol or np.max(magnitude) > 1:
+    if off_integer > entry_tol or magnitude > 1:
         raise InputError("off-diagonal entries must be 0 or +-1")
     if not (1 <= m <= n):
         raise ParameterError(f"multiplicity m must be in [1, n], got {m}")
@@ -318,35 +371,58 @@ def _range_basis(ps: PointSet, im: IndicatorMatrix, tol: float):
 
 def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
     """M's view B = Q^T M Q on its setting's range basis Q, with c = Q^T 1,
-    B's companion and the errors _counts takes; None without a basis.
+    B's companion and the errors _counts takes, and M's companion's entry
+    maxima for _sign_bound unless M is held; None without a basis. One walk
+    over M's row blocks gives MQ, the decomposition deviation and the maxima.
 
     M = Q B Q^T + E, so by Weyl's inequality the spectrum of M is eig(B) and
-    n - l zeros, each within ||E|| of the exact one. As 1 is in range(Q), the
+    n - l zeros, each within ||E|| of the exact one. As E = (M - MQ Q^T) +
+    (MQ - Q B) Q^T, ||E|| <= ||M - MQ Q^T||_F + ||MQ - Q B||_F ||Q||_2, with
+    ||Q||_2^2 <= ||Q^T Q||_1 (Q^T Q is symmetric). As 1 is in range(Q), the
     companion scale*M - shift*J + e*I is Q (scale*B - shift*c c^T + e*I) Q^T
     + e*(I - Q Q^T), up to scale*E and the part of J outside range(Q).
     """
     if im.source is None:  # a hand-built M: no coordinates to build Q from
         return None
     ps, tol = im.source  # a setting's classes share one polynomial space, so one Q
-    q = _memoized(ps, ("range_basis", im.setting, tol, im.d_eff), lambda: _range_basis(ps, im, tol))
+    key = ("range_basis", im.setting, tol, im.d_eff)
+    q = _memoized(ps, key, lambda: _range_basis(ps, im, tol))
     if q is None:
         return None
-    m, n, width = im.matrix, im.n, q.shape[1]
-    b = (q.T @ m) @ q
+    q_norm = _memoized(ps, (*key, "norm"), lambda: float(np.sqrt(np.linalg.norm(q.T @ q, 1))))
+    n, width = im.n, q.shape[1]
+    mq = np.empty((n, width))
+    blocks = _row_blocks(n, max(1, min(n, pointset._BLOCK_BUDGET // WALK_ROWS)))  # >= WALK_ROWS rows
+    walk = np.array([_walk_rows(im, rows, q, mq, scale, shift, expected_e) for rows in blocks])
+    if im._dev is None:  # read in the walk: no second one
+        object.__setattr__(im, "max_decomposition_dev", float(np.max(walk[:, 0])))
+    b = q.T @ mq
     b = (b + b.T) / 2.0
-    qb = q @ b
-    squares = 0.0
-    for rows in _row_blocks(n):
-        block = qb[rows] @ q.T
-        np.subtract(m[rows], block, out=block)
-        squares += float(np.vdot(block, block))
-    err = float(np.sqrt(squares))
+    mq -= q @ b
+    err = float(np.sqrt(np.sum(walk[:, 1]))) + float(np.linalg.norm(mq)) * q_norm
     c = q.sum(axis=0)
     off = float(np.linalg.norm(1.0 - q @ c))
     companion = scale * b - shift * np.outer(c, c)
     companion.flat[:: width + 1] += expected_e
     # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
-    return b, c, companion, (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off))
+    errors = (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off))
+    # An evaluated M is exactly symmetric (see indicator_matrix).
+    return (b, c, companion, errors), (0.0, *np.max(walk[:, 2:], axis=0)) if im._matrix is None else None
+
+
+def _walk_rows(im: IndicatorMatrix, rows: slice, q, mq, scale, shift, expected_e):
+    """M's rows into MQ's, and their deviation, part of ||M - MQ Q^T||_F^2
+    and companion's _entry_maxima, with one buffer beside the block."""
+    block = im._rows(rows)
+    mq[rows] = block @ q
+    out = np.empty_like(block)
+    deviation = _deviation(im, rows, block, out)
+    np.subtract(block, np.matmul(mq[rows], q.T, out=out), out=out)
+    squares = np.vdot(out, out)
+    block *= scale
+    block -= shift
+    block.flat[rows.start :: im.n + 1] += expected_e
+    return deviation, squares, *_entry_maxima(block, rows.start, out)
 
 
 def _read_off(x, c, eig, scale, shift, expected_e):
@@ -472,12 +548,14 @@ def verify_key_lemma(
     tol_rank, cluster_tol = _valid_tol("tol_rank", tol_rank), _valid_tol("cluster_tol", cluster_tol)
     rule = (n, scale, shift, expected_e, tol_rank, cluster_tol)
     view = _range_view(im, scale, shift, expected_e) if zero_applicable else None
-    counts = None if view is None else _view_counts(view, *rule)
-    # Built in place without dense J and I, and exactly symmetric, as M is:
-    # eigvalsh takes both without a symmetrising copy.
-    companion_matrix = scale * im.matrix
-    companion_matrix -= shift
-    companion_matrix.flat[:: n + 1] += expected_e
+    counts = None if view is None else _view_counts(view[0], *rule)
+    entries = None if counts is None else view[1]
+    if entries is None:  # M's view, or a held M
+        # Built in place without dense J and I, and exactly symmetric, as M
+        # is: eigvalsh takes both without a symmetrising copy.
+        companion_matrix = scale * im.matrix
+        companion_matrix -= shift
+        companion_matrix.flat[:: n + 1] += expected_e
     if counts is None:
         counts = _view_counts((im.matrix, np.ones(n), companion_matrix, None), *rule)
     rank, zero_multiplicity, measured_mult = counts
@@ -496,7 +574,8 @@ def verify_key_lemma(
     }
     if measured_mult >= 1:
         try:
-            bound = verify_sign_matrix_bound(companion_matrix, expected_e, measured_mult)
+            bound = _sign_bound(n, expected_e, measured_mult, entries) if entries else (
+                verify_sign_matrix_bound(companion_matrix, expected_e, measured_mult))
             companion["sign_bound_ok"] = bound["ok"]
             companion["sign_bound_rhs"] = bound["rhs"]
         except InputError as exc:

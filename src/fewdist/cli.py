@@ -127,8 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload, args) -> None:
     text = dumps(payload, pretty=args.json_pretty)
     if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -206,7 +209,7 @@ def _cmd_certify(args) -> int:
         for index in chosen_indices:
             im = indicator_matrix(ps, index, setting, args.tol, tol_rank=args.tol_rank)
             verdicts.append(verify_key_lemma(im, tol_int=args.tol_int, tol_rank=args.tol_rank))
-            del im  # before the next M: n x n, only M and verify_key_lemma's companion at once
+            del im  # before the next class; only M's view builds M and its companion n x n
     payload = {
         "n": ps.n,
         "settings": list(indices),

@@ -177,16 +177,16 @@ def load_points(source, fmt: str | None = None) -> PointSet:
 
 
 def _read_source(source) -> tuple[str, str | None]:
-    """The UTF-8 text of a path, bytes or stream, and the format a path's suffix names."""
+    """The UTF-8 text, less any byte-order mark, of a path, bytes or stream, and a path's format."""
     if isinstance(source, bytes) or hasattr(source, "read"):
         data = source if isinstance(source, bytes) else source.read()
         try:
-            return (data.decode("utf-8") if isinstance(data, bytes) else data), None
+            return (data.decode("utf-8-sig") if isinstance(data, bytes) else data), None
         except UnicodeDecodeError as exc:
             raise PointFileError(f"input is not UTF-8 text: {exc}") from exc
     path = os.fspath(source)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read(), {".json": "json", ".csv": "csv"}.get(os.path.splitext(path)[1].lower())
     except OSError as exc:
         raise PointFileError(f"cannot read {path}: {exc}") from exc

@@ -55,17 +55,18 @@ def spectral_counts(verdict):
 
 
 @contextlib.contextmanager
-def recorded_shapes(name="eigvalsh"):
-    """Record the shape of every matrix np.linalg.<name> decomposes."""
+def recorded_shapes(name="eigvalsh", owner=np.linalg):
+    """Record the shape of the last positional argument of every
+    owner.<name> call: by default, every matrix eigvalsh decomposes."""
     shapes = []
-    real = getattr(np.linalg, name)
+    real = getattr(owner, name)
 
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return real(a, *args, **kwargs)
+    def recording(*args, **kwargs):
+        shapes.append(np.shape(args[-1]))
+        return real(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, name, recording)
+        mp.setattr(owner, name, recording)
         yield shapes
 
 
@@ -538,7 +539,7 @@ class TestRangeSketch:
         pairs = pointset.squared_distance_matrix(ps)
         matrix = lagrange_basis([0.5, 2.0, 4.0], 1, pairs)
         im, _ = hand_built(matrix, "euclidean", 1.0, 10, (ps, pointset.DEFAULT_TOL), d_eff=3, s=3)
-        b, _, _, (err, _) = certificate._range_view(im, 2.0, 1.0, -1.0)
+        (b, _, _, (err, _)), _ = certificate._range_view(im, 2.0, 1.0, -1.0)
         assert b.shape == (15, 15)
         assert err < 1e-12 * np.linalg.norm(matrix)
 
@@ -735,6 +736,43 @@ class TestSeidelFromM:
             exact = np.r_[np.linalg.eigvalsh(2.0 * x - np.outer(c, c) + e * np.eye(width)), pad + e]
             deviation = np.max(np.abs(np.sort(estimate) - np.sort(exact)))
             assert 2.0 * rho * 1.005 < deviation <= bound, width
+
+
+class TestRowBlockWalk:
+    """On B's view M is read in row blocks evaluated from the pair values, so
+    the pair matrix is the only n x n float array a verdict holds."""
+
+    def test_certify_evaluates_each_row_once_per_class(self, johnson_14_3, tmp_path, capsys):
+        # A fresh johnson(14, 3), all of whose classes take B's view.
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(johnson_14_3.to_dict()))
+        with recorded_shapes("lagrange_basis", certificate) as shapes:
+            assert cli.run(["certify", str(path), "--setting", "all"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        n = johnson_14_3.n
+        assert {v["n"] for v in verdicts} == {n}
+        assert shapes and all(rows < n and width == n for rows, width in shapes)
+        assert sum(rows for rows, _ in shapes) == n * len(verdicts)
+
+    def test_a_verdict_traces_less_than_one_dense_matrix(self, johnson_14_3, traced_peak):
+        # With the pair matrix and the basis memoized (by class 2), class 1's
+        # verdict holds a few row blocks and MQ, not M or its companion.
+        verify_key_lemma(indicator_matrix(johnson_14_3, 2, "euclidean"))
+        im = indicator_matrix(johnson_14_3, 1, "euclidean")
+        assert traced_peak(verify_key_lemma, im) < 8 * im.n * im.n
+
+    def test_asymmetric_pair_values_hold_m(self):
+        # The walk skips the companion's symmetry check only because M is an
+        # entrywise function of exactly symmetric pair values. Pairs that are
+        # not leave M held, and its companion is checked entry by entry.
+        ps = construct_johnson(10, 3)
+        pairs = pointset.squared_distance_matrix(ps).copy()
+        pairs[1, 0] += 1e-6  # below the diagonal, which the profile does not read
+        ps._memo[("squared_distances",)] = pairs
+        im = indicator_matrix(ps, 1, "euclidean")
+        assert im._matrix is not None
+        v = verify_key_lemma(im)
+        assert v.companion["sign_bound_reason"] == "sign matrix must be symmetric"
 
 
 class TestEntryCheckMemory:

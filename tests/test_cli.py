@@ -284,6 +284,38 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {path} is not UTF-8 text")
 
+    @pytest.mark.parametrize(
+        "name,text,argv",
+        [
+            ("p.csv", "0,0\n1,0\n0,1\n", ["profile"]),
+            ("p.json", '{"points": [[0, 0], [1, 0], [0, 1]]}', ["profile"]),
+            ("m.json", '{"matrix": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]}', ["embed-check", "-d", "2"]),
+        ],
+        ids=["profile-csv", "profile-json", "embed-check"],
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, name, text, argv):
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / name
+            path.write_bytes(prefix + text.encode())
+            outputs.append((run([argv[0], str(path), *argv[1:]]), capsys.readouterr().out))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+    @pytest.mark.parametrize(
+        "argv,target",
+        [
+            (["construct", "e8_roots"], lambda tmp: tmp / "missing" / "x.json"),
+            (["bounds", "--setting", "euclidean", "-d", "10", "-s", "3"], lambda tmp: tmp),
+        ],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_output_is_exit_2(self, tmp_path, capsys, argv, target):
+        # A missing directory and a directory: FileNotFoundError, IsADirectoryError.
+        path = target(tmp_path)
+        assert run([*argv, "-o", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: cannot write {path}: ")
+
     def test_ragged_rows(self, tmp_path, capsys):
         path = tmp_path / "ragged.json"
         path.write_text('{"points": [[0, 0], [1]]}')

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewdist import construct_johnson, construct_named
+from fewdist import certificate, construct_johnson, construct_named
 from fewdist.bounds import SETTING_TABLE, theorem_context
 from fewdist.certificate import (
     SIGNED_SETTINGS,
@@ -275,6 +275,26 @@ def test_indicator_matrices_are_exactly_symmetric(indicators):
     _, found = indicators
     for setting, index, im in found:
         assert np.array_equal(im.matrix, im.matrix.T), (setting, index)
+
+
+def test_reading_the_decomposition_builds_no_m(monkeypatch):
+    # n, the adjacency and the deviation come without M: lagrange_basis sees
+    # row blocks of the pair matrix only. M is built on first access.
+    ps = construct_johnson(14, 3)
+    shapes = []
+    real = certificate.lagrange_basis
+
+    def recording(nodes, i, x):
+        shapes.append(x.shape)
+        return real(nodes, i, x)
+
+    monkeypatch.setattr(certificate, "lagrange_basis", recording)
+    im = indicator_matrix(ps, 2, "euclidean")
+    assert (im.n, im.adjacency.shape) == (455, (455, 455))
+    assert im.max_decomposition_dev < 1e-12
+    assert shapes and all(rows < im.n for rows, _ in shapes)
+    assert np.array_equal(im.matrix, reference_indicator(ps, "euclidean", 2))
+    assert shapes[-1] == (im.n, im.n)
 
 
 def test_table_matches_theorem_settings():
