@@ -6,13 +6,14 @@ bounds.Setting). It evaluates to the ratio k_i on the diagonal and to the
 class-i adjacency off it, so M = (F_x(y)) decomposes as k*I + A. Because
 the polynomials span a space of dimension at most N_cap, rank(M) <= N_cap,
 which pins the spectrum of A and forces k to be a bounded integer once the
-set is large enough. The pair values and classes are pointset's memoized
-ones, which the ratios read too. The checks are numerical, with measured slacks.
+set is large enough. The classes are pointset's memoized profile, which the
+ratios read too; M and A are read a strip of rows at a time off pair values
+computed from the coordinates. The checks are numerical, with measured slacks.
 Spectra come from one rule on two views of M: B = Q^T M Q, with Q an
 orthonormal basis of the polynomials in the point coordinates that hold
 every indicator of a setting, then M itself. On each view the companion's
 spectrum is read off the view's own, within a Weyl bound. M (built on first
-access) and its companion are n x n only on M's view; B's reads M's rows.
+access) and its companion are n x n only on M's view; B's holds no n x n array.
 """
 
 from __future__ import annotations
@@ -26,20 +27,19 @@ import numpy as np
 from .bounds import SETTING_TABLE, TheoremContext, dim_poly_space, setting_row, theorem_context
 from .defaults import DEFAULT_TOL_INT
 from .errors import InputError, NumericalError, ParameterError, _valid_tol
-from . import pointset
 from .lagrange import lagrange_basis
 from .pointset import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
     _memoized,
+    _pair_rows,
+    _pair_tiles,
     _row_blocks,
+    _tiles,
     antipodal_structure,
-    class_adjacency,
     distance_profile,
-    inner_product_matrix,
     inner_product_profile,
-    squared_distance_matrix,
 )
 from .ratios import class_ratios, effective_dimension
 
@@ -48,9 +48,6 @@ DEFAULT_CLUSTER_TOL = 1e-6
 EIGVALSH_SLACK = 64
 
 SIGNED_SETTINGS = tuple(name for name, row in SETTING_TABLE.items() if row.signed)
-# Fewest rows of M per block of B's walk: each block's product reads all of Q
-# (johnson(40,3), n = 10,660: 6 rows a block 33 s, 128 rows 7.6 s).
-WALK_ROWS = 128
 
 
 class _OnFirstRead:
@@ -69,64 +66,64 @@ class _OnFirstRead:
         im.__dict__[self.slot] = None if value is self else value  # self: the default
 
 
-def _deviation(im, rows: slice, block: np.ndarray, out: np.ndarray | None = None):
-    """max |M - k*I - A| on M's rows, given as block (overwritten if no out)."""
-    out = np.subtract(block, im.adjacency[rows], out=block if out is None else out)
+def _deviation(im, rows: slice, block: np.ndarray, adjacency: np.ndarray, out: np.ndarray | None = None):
+    """max |M - k*I - A| on M's rows, block (overwritten if no out), and A's."""
+    out = np.subtract(block, adjacency, out=block if out is None else out)
     # The adjacency has a zero diagonal, where k is subtracted instead.
     out.flat[rows.start :: im.n + 1] -= im.k_claimed
     return np.max(np.abs(out, out=out))
 
 
+def _stacked(im, part: int) -> np.ndarray:
+    """M (part 0) or A (part 1) as one n x n array, filled a strip of rows at
+    a time, with the decomposition deviation read on the way."""
+    out, deviations = np.empty((im.n, im.n), (float, np.int8)[part]), []
+    for rows in _tiles(im.n):
+        block, adjacency = im._rows(rows)
+        out[rows] = (block, adjacency)[part]
+        deviations.append(_deviation(im, rows, block, adjacency))
+    if im._dev is None:  # no second evaluation for it
+        object.__setattr__(im, "max_decomposition_dev", float(np.max(deviations)))
+    return out
+
+
 @dataclass(frozen=True)
 class IndicatorMatrix:
-    """M = k*I + A for one class index, with the claimed decomposition.
-    Left out, matrix and max_decomposition_dev come on first access from
-    evaluate(rows), M's rows as a fresh array: n and adjacency build no M."""
+    """M = k*I + A for one class index, with the claimed decomposition. Left
+    out, n is the held adjacency's (or matrix's) size, and adjacency, matrix
+    and max_decomposition_dev come on first access from evaluate(rows), M's
+    rows (fresh) and A's."""
 
     setting: str
     class_index: int
     k_claimed: float
-    adjacency: np.ndarray
     n_cap: int
     x_size: int
     d_eff: int
     s: int
     # (point set, tol) M was read on: it keys the range basis its setting shares.
     source: tuple | None = field(default=None, repr=False)
-    evaluate: Callable[[slice], np.ndarray] | None = field(default=None, repr=False, compare=False)
-    matrix: np.ndarray = field(
-        default=_OnFirstRead("_matrix", lambda im: im.evaluate(slice(None))), repr=False)
+    evaluate: Callable[[slice], tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, repr=False, compare=False)
+    n: int = field(default=_OnFirstRead("_n", lambda im: len(im._matrix if im._adjacency is None else im._adjacency)),
+                   repr=False)
+    adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: _stacked(im, 1)), repr=False)
+    matrix: np.ndarray = field(default=_OnFirstRead("_matrix", lambda im: _stacked(im, 0)), repr=False)
     max_decomposition_dev: float = field(default=_OnFirstRead("_dev", lambda im: float(np.max(
-        [_deviation(im, rows, im._rows(rows)) for rows in _row_blocks(im.n)]))), repr=False)
+        [_deviation(im, rows, *im._rows(rows)) for rows in _tiles(im.n)]))), repr=False)
 
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[0]
+    def _rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """M[rows] as a fresh array and A[rows], held or evaluated."""
+        m, a = self._matrix, self._adjacency
+        if m is None or a is None:
+            fresh = self.evaluate(rows)
+        return (fresh[0] if m is None else np.array(m[rows])), (fresh[1] if a is None else a[rows])
 
-    def _rows(self, rows: slice) -> np.ndarray:
-        held = self._matrix  # M[rows] as a fresh array
-        return np.array(held[rows]) if held is not None else self.evaluate(rows)
 
-
-def _pair_classes(ps: PointSet, row, i0: int, tol: float):
-    """The memoized pair values row's indicator is read on, the profile's
-    class i0 on them (on the half set, +beta plus (signed: minus) -beta),
-    and whether the pair values are exactly symmetric (checked once)."""
-    euclidean = row.family == "euclidean"
-    pairs = (squared_distance_matrix if euclidean else inner_product_matrix)(ps)
-    profile = (distance_profile if euclidean else inner_product_profile)(ps, tol)
-    symmetric = _memoized(ps, ("symmetric_pairs", euclidean), lambda: all(
-        np.array_equal(pairs[rows], pairs[:, rows].T) for rows in _row_blocks(len(pairs))))
-    if row.family != "antipodal":
-        return pairs, class_adjacency(pairs, profile.tops, i0), symmetric
-    structure = antipodal_structure(ps, tol)
-    pairs = pairs[np.ix_(structure.rows, structure.rows)]
-    p = profile.s - len(structure.beta_abs) + i0
-    adjacency = class_adjacency(pairs, profile.tops, p)
-    if profile.s - p != p:
-        minus = class_adjacency(pairs, profile.tops, profile.s - p)
-        adjacency = adjacency - minus if row.signed else adjacency + minus
-    return pairs, adjacency, symmetric
+def _in_class(pairs: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
+    """Whether each pair value is in profile class c (0-based): tops[c-1] < v <= tops[c]."""
+    low, high = (tops[c - 1] if c else -np.inf), (tops[c] if c < len(tops) else np.inf)
+    return (pairs > low) & (pairs <= high)
 
 
 def indicator_matrix(
@@ -138,9 +135,10 @@ def indicator_matrix(
 ) -> IndicatorMatrix:
     """Evaluate the class indicator polynomial (bounds.Setting) at all point pairs.
 
-    The adjacency is the profile's class, read off the memoized pair values
-    by class_adjacency. The antipodal matrices run over the half set, where
-    class j is the profile's +beta_j and -beta_j. class_index is 1-based
+    M and A are read a strip of rows at a time off the pair values
+    (pointset._pair_tile), A as the profile's class by its tops. The
+    antipodal matrices run over the half set's own pairs, where class j is
+    the profile's +beta_j and (signed: minus) -beta_j. class_index is 1-based
     within the setting's own index range: 1..s for euclidean/spherical,
     1..(s-1)/2 for the odd antipodal variants, 1..s/2 for the even variant 1
     and 2..s/2 for the even variant 2 (the zero class has no variant-2 ratio).
@@ -153,31 +151,42 @@ def indicator_matrix(
             f"class index {class_index} out of range [{ids.start}, {ids.stop - 1}] for {setting}"
         )
     i0 = class_index - 1
-    pairs, adjacency, symmetric = _pair_classes(ps, row, i0, tol)
+    euclidean = row.family == "euclidean"
+    tops = (distance_profile if euclidean else inner_product_profile)(ps, tol).tops
+    classes, points = [i0], ps
+    if row.family == "antipodal":
+        structure = antipodal_structure(ps, tol)
+        points, classes[0] = structure.half, structure.s - len(structure.beta_abs) + i0
+        if structure.s != 2 * classes[0]:
+            classes.append(structure.s - classes[0])
+    tile = _pair_tiles(points, euclidean)
     i = class_index - row.first_index
     nodes, beta = row.nodes(values), values[i0]
 
-    def evaluate(rows: slice) -> np.ndarray:
-        block = lagrange_basis(nodes, i, row.node_map(pairs[rows]))
+    def evaluate(rows: slice):
+        pairs = _pair_rows(tile, points.n, rows)
+        adjacency = _in_class(pairs, tops, classes[0]).view(np.int8)
+        if len(classes) > 1:
+            minus = _in_class(pairs, tops, classes[1]).view(np.int8)
+            adjacency = adjacency - minus if row.signed else adjacency + minus
+        adjacency.flat[rows.start :: points.n + 1] = 0
+        block = lagrange_basis(nodes, i, row.node_map(pairs))
         if row.signed:
-            block *= pairs[rows] / beta
-        return block
+            block *= pairs / beta
+        return block, adjacency
 
     d_eff = effective_dimension(ps, setting, tol_rank)
     return IndicatorMatrix(
         setting=setting,
         class_index=class_index,
         k_claimed=float(ratios[i]),
-        adjacency=adjacency,
         n_cap=dim_poly_space(row.space, d_eff, s - row.degree_offset),
         x_size=ps.n,
         d_eff=d_eff,
         s=s,
         source=(ps, tol),
         evaluate=evaluate,
-        # M and its companion are entrywise functions of the pair values, so
-        # exactly symmetric if they are; if not, M is held and checked.
-        matrix=None if symmetric else evaluate(slice(None)),
+        n=points.n,
     )
 
 
@@ -392,8 +401,7 @@ def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
     q_norm = _memoized(ps, (*key, "norm"), lambda: float(np.sqrt(np.linalg.norm(q.T @ q, 1))))
     n, width = im.n, q.shape[1]
     mq = np.empty((n, width))
-    blocks = _row_blocks(n, max(1, min(n, pointset._BLOCK_BUDGET // WALK_ROWS)))  # >= WALK_ROWS rows
-    walk = np.array([_walk_rows(im, rows, q, mq, scale, shift, expected_e) for rows in blocks])
+    walk = np.array([_walk_rows(im, rows, q, mq, scale, shift, expected_e) for rows in _tiles(n)])
     if im._dev is None:  # read in the walk: no second one
         object.__setattr__(im, "max_decomposition_dev", float(np.max(walk[:, 0])))
     b = q.T @ mq
@@ -406,17 +414,17 @@ def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
     companion.flat[:: width + 1] += expected_e
     # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
     errors = (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off))
-    # An evaluated M is exactly symmetric (see indicator_matrix).
+    # An evaluated M is an entrywise function of exactly symmetric pair values (pointset._pair_tile).
     return (b, c, companion, errors), (0.0, *np.max(walk[:, 2:], axis=0)) if im._matrix is None else None
 
 
 def _walk_rows(im: IndicatorMatrix, rows: slice, q, mq, scale, shift, expected_e):
     """M's rows into MQ's, and their deviation, part of ||M - MQ Q^T||_F^2
     and companion's _entry_maxima, with one buffer beside the block."""
-    block = im._rows(rows)
+    block, adjacency = im._rows(rows)
     mq[rows] = block @ q
     out = np.empty_like(block)
-    deviation = _deviation(im, rows, block, out)
+    deviation = _deviation(im, rows, block, adjacency, out)
     np.subtract(block, np.matmul(mq[rows], q.T, out=out), out=out)
     squares = np.vdot(out, out)
     block *= scale

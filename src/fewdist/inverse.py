@@ -50,7 +50,7 @@ import numpy as np
 
 from .defaults import DEFAULT_MAX_ITER, DEFAULT_TOL_RES
 from .errors import NoSolutionError, ParameterError, SingularTupleError, _valid_tol
-from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_basis
+from .lagrange import DOMAIN_EPS, check_sign_pattern
 
 PROJECT_GAP = 1e-9
 BACKTRACK = 0.5 ** np.arange(30)  # the damped step's scales 1, 1/2, ..., 2**-29
@@ -77,10 +77,17 @@ def _nodes(t: np.ndarray) -> np.ndarray:
 
 
 def _weights(t: np.ndarray) -> np.ndarray:
-    """L_1(0), ..., L_s(0) on the nodes (t, 1) of each row of t."""
-    nodes = np.moveaxis(_nodes(t), -1, 0)
-    zero = np.zeros(t.shape[:-1])
-    return np.stack([lagrange_basis(nodes, i, zero) for i in range(len(nodes))], axis=-1)
+    """L_1(0), ..., L_s(0) on the nodes (t, 1) of each row of t, as lagrange_basis gives
+    them: for ascending j, all L_i and rows at once take the factor (0 - v_j) / (v_i - v_j),
+    and L_j the factor 1.0, which changes no bit."""
+    nodes = np.ascontiguousarray(np.moveaxis(_nodes(t), -1, 0))
+    out, factor = np.ones(nodes.shape), np.empty(nodes.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at i = j, replaced by 1.0
+        for j, node in enumerate(nodes):
+            np.divide(np.subtract(0.0, node), np.subtract(nodes, node, out=factor), out=factor)
+            factor[j] = 1.0
+            out *= factor
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def forward_K(t) -> np.ndarray:

@@ -3,29 +3,24 @@
 A point set carries raw coordinates; the profile operations partition the
 n(n-1)/2 pair values (squared distances, or inner products for unit-norm
 sets) into classes by single-linkage grouping at a declared tolerance, and
-everything downstream consumes those classes.
+everything downstream consumes those classes. Profiles are kept on the
+point set (read-only), one per kind and tolerance; no n x n array is.
 
-Each pair matrix and profile is computed once per point set and tolerance
-and kept on the point set (read-only), so every caller shares one pass.
-Classifying n points holds one float n x n pair matrix (a unit-norm set
-keeps its Gram matrix too) and no sorted copy or class mask: grouping walks
-the values above the diagonal twice, one block of _row_blocks at a time
-(rows of an array taken at most _BLOCK_BUDGET entries at a time, in
-row-major order). The first walk cuts each block's sorted values into
-intervals and merges them into classes; the second sums each class in
-np.mean's order, so a class mean is np.mean's, bit for bit. Only
-class_adjacency, which certify calls for one class, builds an n x n mask.
-Beyond a block, grouping holds tens of bytes per class and per interval of
-a block's values: 1.6n^2 bytes traced on johnson(14,4), 41n^2 on 300 random
-points at tol 1e-13, where nearly every pair value is its own class.
-The duplicate-point and antipodal checks never build an n x n x d array;
-they screen pairs by a Gram product taken a block of rows at a time and run
-the exact coordinate test only on the pairs that pass the screen.
+Every reader computes the pair values from the coordinates, one square tile
+of T = isqrt(_BLOCK_BUDGET) points a side at a time (_pair_tile), so all see
+the same, exactly symmetric, bits. Grouping walks the strips of T rows above
+the diagonal twice, in blocks of _row_blocks: the first walk merges each
+block's sorted intervals into classes, the second sums each class in
+np.mean's order, bit for bit. Beyond a strip and a block, it holds tens of
+bytes per class and per interval. The duplicate-point and antipodal checks
+screen the pairs on and above the diagonal by a Gram product a strip at a
+time, and test coordinates only on the pairs that pass the screen.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -70,13 +65,9 @@ class PointSet:
             )
         if not np.all(np.isfinite(pts)):
             raise PointFileError("points must be finite")
-        closest = None
-        for i, j, dist in _close_pairs(pts, -1.0, 1e-9):
-            off = np.flatnonzero(i != j)
-            if off.size:
-                k = off[np.argmin(dist[off])]
-                if closest is None or dist[k] < closest[0]:
-                    closest = (dist[k], i[k], j[k])
+        # The closest pair, first in row-major order: the least (dist, i, j) with i < j.
+        closest = min((hit for i, j, dist in _close_pairs(pts, -1.0, 1e-9)
+                       for hit in zip(dist[i < j], i[i < j], j[i < j])), default=None)
         if closest is not None:
             raise DuplicatePointError(
                 f"points {closest[1]} and {closest[2]} coincide within tolerance"
@@ -112,9 +103,9 @@ def _row_blocks(n: int, width: int | None = None):
 
 
 def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
-    """Yield, one block of rows at a time, every ordered pair (i, j) with
-    max_k |x_ik + sign*x_jk| <= rel_tol * max(1, max|x|), in row-major
-    order, with that max-abs value.
+    """Yield, a strip of _tiles rows at a time, pairs (i, j) with
+    max_k |x_ik + sign*x_jk| <= rel_tol * max(1, max|x|), with that max-abs
+    value: every such ordered pair once, in no fixed order.
 
     Such a pair has ||x_i + sign*x_j||^2 <= d * atol^2, so a screen on the
     Gram-product value of that norm keeps it if the screen's bound exceeds
@@ -122,7 +113,9 @@ def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
     additions, at most 2*(d+2)*eps*max|x|^2 in any summation order; the
     bound below doubles both terms. The points are first divided by a power
     of two no smaller than their largest coordinate, so squares cannot
-    overflow. Only the screened pairs get the exact max-abs test.
+    overflow. The screen covers each strip's columns from its first row on;
+    the exact max-abs test, symmetric in (i, j), gives a hit right of the
+    strip's own columns as (j, i) too.
     """
     n, dim = pts.shape
     scale = max(1.0, float(np.max(np.abs(pts))))
@@ -131,19 +124,22 @@ def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
     x = pts / unit
     sq = np.einsum("ij,ij->i", x, x)
     bound = 2.0 * dim * (atol / unit) ** 2 + 4.0 * (dim + 2) * np.finfo(float).eps * np.max(sq)
-    for rows in _row_blocks(n):
-        block = x[rows] @ x.T
+    for rows in _tiles(n):
+        block = x[rows] @ x[rows.start:].T
         block *= 2.0 * sign
         block += sq[rows, None]
-        block += sq[None, :]
+        block += sq[None, rows.start:]
         i, j = np.nonzero(block <= bound)
         del block
         i += rows.start
+        j += rows.start
         dist = np.empty(i.size)
         for part in _row_blocks(i.size, dim):
             dist[part] = np.max(np.abs(pts[i[part]] + sign * pts[j[part]]), axis=1)
         keep = dist <= atol
-        yield i[keep], j[keep], dist[keep]
+        i, j, dist = i[keep], j[keep], dist[keep]
+        mirror = j >= rows.stop
+        yield np.concatenate((i, j[mirror])), np.concatenate((j, i[mirror])), np.concatenate((dist, dist[mirror]))
 
 
 def _memoized(ps: PointSet, key: tuple, compute):
@@ -245,41 +241,83 @@ def _points_from_csv(text: str) -> PointSet:
 
 
 def squared_distance_matrix(ps: PointSet) -> np.ndarray:
-    """Pair squared distances, computed once per point set; read-only. A set
-    is refused when 4 max|x_i|^2, a bound on every term, is not finite."""
-    if not math.isfinite(4.0 * float(np.max(np.einsum("ij,ij->i", ps.points, ps.points)))):
-        raise PointFileError("squared distances overflow: a point norm is above about 6.7e153")
-    return _memoized(ps, ("squared_distances",), lambda: _read_only(_squared_distances(ps)))
+    """Pair squared distances: _pair_tile's tiles in a fresh read-only array, not kept."""
+    return _assembled(ps.n, _pair_tiles(ps, True))
 
 
 def inner_product_matrix(ps: PointSet) -> np.ndarray:
-    """Pair inner products (the Gram matrix), computed once per point set; read-only."""
-    return _memoized(ps, ("inner_products",), lambda: _read_only(ps.points @ ps.points.T))
+    """Pair inner products (the Gram matrix), assembled as squared_distance_matrix is."""
+    return _assembled(ps.n, _pair_tiles(ps, False))
 
 
-def _squared_distances(ps: PointSet) -> np.ndarray:
-    # a_ij = max(|x_i|^2 + |x_j|^2 - 2<x_i, x_j>, 0) with a zero diagonal,
-    # symmetrised as (a_ij + a_ji) / 2. Each row block from the diagonal
-    # rightward and its mirror strip are read from the doubled Gram matrix
-    # and then overwritten in it, so the result needs no second n x n buffer.
-    g = ps.points @ ps.points.T
-    sq = np.diag(g).copy()
-    g *= 2.0
-    for rows in _row_blocks(ps.n):
-        cols = slice(rows.start, None)
-        upper = _clipped(sq, g, rows, cols)
-        upper += _clipped(sq, g, cols, rows).T
-        np.fill_diagonal(upper, 0.0)
-        upper /= 2.0
-        g[rows, cols] = upper
-        g[cols, rows] = upper.T
-    return g
+def _assembled(n: int, tile) -> np.ndarray:
+    out = np.empty((n, n))
+    for rows in _tiles(n):
+        for cols in _tiles(n):
+            out[rows, cols] = tile(rows, cols)
+    return _read_only(out)
 
 
-def _clipped(sq: np.ndarray, g2: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    part = sq[rows, None] + sq[None, cols]
-    part -= g2[rows, cols]
-    return np.maximum(part, 0.0, out=part)
+def _tiles(n: int) -> list[slice]:
+    """The rows, and the columns, of the pair tiles: T = isqrt(_BLOCK_BUDGET) at a time."""
+    step = math.isqrt(_BLOCK_BUDGET)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _pair_tiles(ps: PointSet, euclidean: bool):
+    """tile(rows, cols): _pair_tile on ps's squared distances (euclidean;
+    squared norms off the diagonal tiles' products, kept on ps) or inner
+    products. A set is refused when 4 max|x_i|^2, a bound on every term, is
+    not finite."""
+    x, sq = ps.points, None
+    if euclidean:
+        if not math.isfinite(4.0 * float(np.max(np.einsum("ij,ij->i", x, x)))):
+            raise PointFileError("squared distances overflow: a point norm is above about 6.7e153")
+        sq = _memoized(ps, ("squared_norms", math.isqrt(_BLOCK_BUDGET)), lambda: _read_only(
+            np.concatenate([np.diag(x[t] @ x[t].T) for t in _tiles(len(x))])))
+    return functools.partial(_pair_tile, x, sq)
+
+
+def _pair_rows(tile, n: int, rows: slice, start: int = 0) -> np.ndarray:
+    """The pair values of the strip of _tiles rows `rows` in the columns
+    start.. (0, or the strip's first row), a fresh array built tile by tile."""
+    tiles = [cols for cols in _tiles(n) if cols.start >= start]
+    if len(tiles) == 1:  # the tile itself, not a copy
+        return tile(rows, tiles[0])
+    out = np.empty((rows.stop - rows.start, n - start))
+    for cols in tiles:
+        out[:, cols.start - start : cols.stop - start] = tile(rows, cols)
+    return out
+
+
+def _pair_tile(x: np.ndarray, sq: np.ndarray | None, rows: slice, cols: slice) -> np.ndarray:
+    """Pair values of x[rows] against x[cols], two of _tiles: x_I x_J^T, or
+    with squared norms sq, a_ij = max(sq_i + sq_j - 2<x_i, x_j>, 0) as
+    (a_ij + a_ji) / 2 from x_I x_J^T and x_J x_I^T, zero on the diagonal. A
+    tile below the diagonal is its mirror's transpose, so a value depends on
+    (i, j) alone; on one tile (n <= T) it is the full products', bit for bit."""
+    if rows.start > cols.start:
+        return _pair_tile(x, sq, cols, rows).T
+    g = x[rows] @ x[cols].T
+    if sq is None:
+        return g
+    norms = np.add.outer(sq[rows], sq[cols])  # sq_i + sq_j, the same sum either way round
+    tile = _clipped(norms, g)
+    if rows == cols:
+        del norms
+        tile += tile.T
+        np.fill_diagonal(tile, 0.0)
+    else:
+        tile += _clipped(norms, (x[cols] @ x[rows].T).T)
+    tile /= 2.0
+    return tile
+
+
+def _clipped(norms: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """max(norms - 2g, 0), computed as norms + (-2g) (the same bits), in g if laid out as norms."""
+    g *= -2.0
+    out = np.add(norms, g, out=g if g.flags.c_contiguous else None)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _gaps(a: np.ndarray, b: np.ndarray, relative: bool) -> np.ndarray:
@@ -347,26 +385,31 @@ def _pairwise_tree(slot: np.ndarray, counts: np.ndarray):
 def _pairwise_layout(counts: np.ndarray):
     """Where _lane_sums keeps the partial sums: (slot, dest, base, size).
     Class c takes slots from slot[c], 8 to a row. A buffer of this size holds
-    each class's last n%8 values, then from base a row of 8 lanes per leaf
-    with rows, in row order; dest[row] is where that row's first slot goes."""
+    each class's last n%8 values, from tail_at[c] on, then from base a row of
+    8 lanes per leaf with rows, in row order. dest = (first, code, tail_at):
+    a byte a row, code, counts the leaf starts since its chunk of 128 rows
+    began (an int32 a row took 103 MB on ratios johnson(20,5)); 255 marks a
+    class's last row, of its last n%8 values."""
     slot, tail = 8 * _starts((counts + 7) >> 3), counts & 7
     base = 8 + (int(tail.sum()) & ~7)
-    slots = slot[-1] + counts[-1]
-    # int32 while every offset fits (size < 2 * slots + 15): 38 MiB less on ratios johnson(24,4)
-    dest = np.zeros((slots + 7) >> 3, dtype=np.int32 if slots < 2**30 else np.intp)
+    code = np.zeros(-(-(slot[-1] + counts[-1]) // 1024) * 128, dtype=np.uint8)  # 128 rows of 8 a chunk
     for _, row, size in _pairwise_tree(slot, counts):
-        dest[row[size >= 8]] = 1
+        code[row[size >= 8]] = 1
+    chunks = code.reshape(-1, 128)
     # The running count of leaf starts is each row's leaf, in row order.
-    size = base + 8 * int(np.cumsum(dest, out=dest)[-1:].sum())
-    dest *= 8
-    dest += base - 8
-    dest[(slot + counts)[tail > 0] >> 3] = _starts(tail)[tail > 0]
-    return slot, dest, base, size
+    first = _starts(chunks.sum(axis=1, dtype=np.intp)) + chunks[:, 0]
+    size = base + 8 * int(chunks.sum())
+    np.cumsum(chunks, axis=1, dtype=np.uint8, out=chunks)
+    chunks -= chunks[:, :1]
+    code[(slot + counts)[tail > 0] >> 3] = 255
+    return slot, (8 * first + (base - 8), code, _starts(tail)), base, size
 
 
-def _lane_sums(blocks, tops: np.ndarray, slot: np.ndarray, dest: np.ndarray, flat: np.ndarray) -> None:
-    """np.add.at adds each value of blocks, in order, to flat at
-    dest[s >> 3] + (s & 7), s the next slot of its class, counted in slot."""
+def _lane_sums(blocks, tops: np.ndarray, slot: np.ndarray, dest: tuple, flat: np.ndarray) -> None:
+    """np.add.at adds each value of blocks, in order, to flat: slot s, the
+    next of its class (counted in slot), in row r = s >> 3, at first[r >> 7]
+    + 8 code[r] + (s & 7), or at tail_at[class] + (s & 7) where code is 255."""
+    first, code, tail_at = dest
     for vals in filter(np.size, blocks):  # skips empty blocks; unlike a genexpr, keeps none alive
         if tops.size < 8:  # uint8 labels and a radix sort: 0.4-1.1 ms a block, 1.8-4.7 by searchsorted
             labels = sum((vals > top for top in tops), np.zeros(vals.size, dtype=np.uint8))
@@ -379,15 +422,20 @@ def _lane_sums(blocks, tops: np.ndarray, slot: np.ndarray, dest: np.ndarray, fla
         # Count the classes held as runs of sorted labels: bincount's speed at s <= 8, 1.8x it at s = 2e6.
         start = np.insert(np.flatnonzero(labels[1:] != labels[:-1]) + 1, 0, 0)
         present, k = labels[start], np.diff(start, append=labels.size)
-        del labels
         q = np.repeat(slot[present] - start, k)
-        q += np.arange(vals.size)
         slot[present] += k
-        lane = q & 7
-        q >>= 3
-        lane += dest[q]
+        del start, present, k
+        q += np.arange(vals.size)
+        row_code = code[q >> 3]
+        lane = np.left_shift(row_code, 3, dtype=np.intp)
+        lane += first[q >> 10]
+        lane += q & 7
+        del q
+        tails = np.flatnonzero(row_code == 255)  # first and base are multiples of 8: lane & 7 is s & 7
+        lane[tails] = tail_at[labels[tails]] + (lane[tails] & 7)
+        del labels, row_code, tails
         np.add.at(flat, lane, vals)
-        del vals, q, lane
+        del vals, lane
 
 
 def _class_sums(blocks, tops: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -421,56 +469,31 @@ def _class_sums(blocks, tops: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return 0.0 + below
 
 
-def _group_pairs(matrix: np.ndarray, tol: float, relative: bool):
-    """Classes of the values above the diagonal: (means, counts, tops), with
-    tops the largest value of each class but the last. The lower triangle is
-    never read, since a Gram matrix need not be exactly symmetric. Two passes
-    over _row_blocks, with no sorted copy: one finds the classes, one sums
-    them in np.mean's order, so each mean is np.mean over the class's values
-    in row-major order, bit for bit. Besides a block, each pass holds a few
-    arrays of one entry per interval or class, which reach several times
-    n^2 bytes as s nears n(n-1)/2."""
-    n = len(matrix)
+def _group_pairs(tile, n: int, tol: float, relative: bool):
+    """Classes of n points' pair values above the diagonal, read by tile(rows,
+    cols) (_pair_tiles) on and right of it: (means, counts, tops), tops the
+    largest value of each class but the last. Two walks over the strips of
+    _tiles rows, in blocks of _row_blocks, with no sorted copy: one finds the
+    classes, one sums them in np.mean's order, so each mean is np.mean over
+    the class's values in row-major order, bit for bit. Besides a strip and
+    a block, each walk holds a few arrays of one entry per interval or class,
+    which reach several times n^2 bytes as s nears n(n-1)/2."""
 
     def blocks():
-        for rows in _row_blocks(n):
-            yield np.concatenate([row[i + 1:] for i, row in enumerate(matrix[rows], rows.start)])
+        for rows in _tiles(n):
+            strip = _pair_rows(tile, n, rows, rows.start)
+            for part in _row_blocks(len(strip), strip.shape[1]):
+                yield np.concatenate([row[i + 1:] for i, row in enumerate(strip[part], part.start)])
+            del strip  # before the next strip is built
 
     def zero(last: bool) -> float:
-        if last:
-            return _first_zero(matrix[i, :i:-1] for i in reversed(range(n - 1)))
-        return _first_zero(matrix[i, i + 1:] for i in range(n - 1))
+        """The first (or last) zero above the diagonal in row-major order."""
+        ends = [zeros[-1 if last else 0] for zeros in (v[v == 0.0] for v in blocks()) if zeros.size]
+        return ends[-1 if last else 0]
 
     tops, counts = _cut_and_merge(blocks(), tol, relative, zero)
     sums = _class_sums(blocks(), tops, counts)
     return [float(x) / c for x, c in zip(sums, counts.tolist())], counts.tolist(), _read_only(tops)
-
-
-def _upper_class(matrix: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
-    """Bool n x n mask of the pairs above the diagonal in class c (0-based):
-    the values v with tops[c-1] < v <= tops[c], unbounded past either end."""
-    low, high = (tops[c - 1] if c else -np.inf), (tops[c] if c < len(tops) else np.inf)
-    mask = np.zeros(matrix.shape, dtype=bool)
-    for rows in _row_blocks(len(matrix)):
-        block = matrix[rows, rows.start:]
-        out = mask[rows, rows.start:]
-        np.logical_and(block > low, block <= high, out=out)
-        # Clear the block's own triangle: the diagonal and the pairs below it.
-        out[:, : len(out)][np.tri(len(out), dtype=bool)] = False
-    return mask
-
-
-def class_adjacency(matrix: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
-    """Class c's int8 0/1 adjacency: the profile's tops on its pair matrix's upper triangle."""
-    upper = _upper_class(matrix, tops, c)
-    return (upper | upper.T).view(np.int8)
-
-
-def _first_zero(rows) -> float:
-    for row in rows:
-        zeros = np.flatnonzero(row == 0.0)
-        if zeros.size:
-            return row[zeros[0]]
 
 
 @dataclass(frozen=True)
@@ -497,7 +520,7 @@ def distance_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> DistanceProfile:
 
 
 def _distance_profile(ps: PointSet, tol: float) -> DistanceProfile:
-    reps, counts, tops = _group_pairs(squared_distance_matrix(ps), tol, relative=True)
+    reps, counts, tops = _group_pairs(_pair_tiles(ps, True), ps.n, tol, relative=True)
     return DistanceProfile(
         s=len(reps),
         squared_distances=tuple(reps),
@@ -551,7 +574,7 @@ def inner_product_profile(ps: PointSet, tol: float = DEFAULT_TOL) -> InnerProduc
 def _inner_product_profile(ps: PointSet, tol: float) -> InnerProductProfile:
     if not on_unit_sphere(ps, tol):
         raise NotOnSphereError(f"points deviate from unit norm by {_unit_norm_deviation(ps):.3e}")
-    reps, counts, tops = _group_pairs(inner_product_matrix(ps), tol, relative=False)
+    reps, counts, tops = _group_pairs(_pair_tiles(ps, False), ps.n, tol, relative=False)
     antipodal, _ = is_antipodal(ps, tol)
     contains_minus_one = bool(abs(reps[0] + 1.0) <= 10.0 * max(tol, 1e-12))
     if reps[-1] >= 1.0 - 1e-12:
@@ -578,14 +601,16 @@ def is_antipodal(ps: PointSet, tol: float = DEFAULT_TOL):
 
 def _is_antipodal(ps: PointSet, tol: float):
     n = ps.n
-    partner = np.full(n, -1, dtype=np.intp)
+    partner, best = np.full(n, -1, dtype=np.intp), np.full(n, np.inf)
     for i, j, dist in _close_pairs(ps.points, 1.0, max(tol, 1e-12)):
         # Per row, the smallest value and then the smallest column.
         order = np.lexsort((j, dist, i))
-        i, j = i[order], j[order]
+        i, j, dist = i[order], j[order], dist[order]
         first = np.ones(i.size, dtype=bool)
         first[1:] = i[1:] != i[:-1]
-        partner[i[first]] = j[first]
+        i, j, dist = i[first], j[first], dist[first]
+        better = (dist < best[i]) | ((dist == best[i]) & (j < partner[i]))
+        partner[i[better]], best[i[better]] = j[better], dist[better]
     if np.any(partner < 0):
         return False, None
     if np.any(partner == np.arange(n)) or np.any(partner[partner] != np.arange(n)):

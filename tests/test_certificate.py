@@ -739,8 +739,8 @@ class TestSeidelFromM:
 
 
 class TestRowBlockWalk:
-    """On B's view M is read in row blocks evaluated from the pair values, so
-    the pair matrix is the only n x n float array a verdict holds."""
+    """On B's view M is read in strips of T rows evaluated from pair values
+    computed from the coordinates, so a verdict holds no n x n array."""
 
     def test_certify_evaluates_each_row_once_per_class(self, johnson_14_3, tmp_path, capsys):
         # A fresh johnson(14, 3), all of whose classes take B's view.
@@ -754,24 +754,30 @@ class TestRowBlockWalk:
         assert shapes and all(rows < n and width == n for rows, width in shapes)
         assert sum(rows for rows, _ in shapes) == n * len(verdicts)
 
-    def test_a_verdict_traces_less_than_one_dense_matrix(self, johnson_14_3, traced_peak):
-        # With the pair matrix and the basis memoized (by class 2), class 1's
-        # verdict holds a few row blocks and MQ, not M or its companion.
-        verify_key_lemma(indicator_matrix(johnson_14_3, 2, "euclidean"))
-        im = indicator_matrix(johnson_14_3, 1, "euclidean")
+    def test_a_verdict_traces_less_than_one_dense_matrix(self, traced_peak):
+        # johnson(20, 3), n = 1,330 > 5T: with the basis memoized (by class
+        # 2), class 1's verdict holds a few T x n strip arrays and MQ, not M
+        # or its companion (0.8 of 8n^2). On johnson(14, 3), n = 455, those
+        # strip arrays are larger than 8n^2 themselves.
+        ps = construct_johnson(20, 3)
+        verify_key_lemma(indicator_matrix(ps, 2, "euclidean"))
+        im = indicator_matrix(ps, 1, "euclidean")
         assert traced_peak(verify_key_lemma, im) < 8 * im.n * im.n
 
-    def test_asymmetric_pair_values_hold_m(self):
-        # The walk skips the companion's symmetry check only because M is an
-        # entrywise function of exactly symmetric pair values. Pairs that are
-        # not leave M held, and its companion is checked entry by entry.
-        ps = construct_johnson(10, 3)
-        pairs = pointset.squared_distance_matrix(ps).copy()
-        pairs[1, 0] += 1e-6  # below the diagonal, which the profile does not read
-        ps._memo[("squared_distances",)] = pairs
+    def test_a_held_asymmetric_m_is_checked_entry_by_entry(self, johnson_14_3):
+        # The walk skips the companion's symmetry check only because an
+        # evaluated M is an entrywise function of pair values that are
+        # exactly symmetric by construction, here on several tiles of
+        # inexact coordinates. A held M is not trusted: one made asymmetric
+        # by hand has its companion checked entry by entry.
+        rotation = np.linalg.qr(np.random.default_rng(5).standard_normal((15, 15)))[0]
+        ps = PointSet(dimension=15, points=johnson_14_3.points @ rotation)
         im = indicator_matrix(ps, 1, "euclidean")
-        assert im._matrix is not None
-        v = verify_key_lemma(im)
+        assert len(pointset._tiles(im.n)) > 1
+        assert np.array_equal(im.matrix, im.matrix.T)
+        matrix = np.array(im.matrix)
+        matrix[1, 0] += 1e-6
+        v = verify_key_lemma(dataclasses.replace(im, matrix=matrix))
         assert v.companion["sign_bound_reason"] == "sign matrix must be symmetric"
 
 

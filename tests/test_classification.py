@@ -5,7 +5,8 @@ loop over adjacent sorted values for grouping, two n x n buffers for the
 pair matrix, and n x n x d difference or sum arrays for the duplicate-point
 and antipodal checks. The library's versions must return identical results:
 the same class ids and count, the same error messages, the same duplicate
-pair, the same partner array and the same bits.
+pair, the same partner array and the same bits (the pair values on one
+tile; on several, each reader sees the same values).
 """
 
 import dataclasses
@@ -19,13 +20,11 @@ from hypothesis import strategies as st
 import fewdist.pointset as pointset
 from fewdist import PointSet, construct_johnson, construct_named
 from fewdist.certificate import class_index_range, indicator_matrix, numeric_rank, verify_key_lemma
-from fewdist.errors import AmbiguousGroupingError, DuplicatePointError
+from fewdist.errors import AmbiguousGroupingError, DuplicatePointError, PointFileError
 from fewdist.pointset import (
     _class_sums,
     _cut_and_merge,
     _group_pairs,
-    _squared_distances,
-    class_adjacency,
     distance_profile,
     inner_product_matrix,
     inner_product_profile,
@@ -116,6 +115,24 @@ def reference_is_antipodal(pts, tol):
     if np.any(partner == np.arange(n)) or np.any(partner[partner] != np.arange(n)):
         return False, None
     return True, partner
+
+
+def class_adjacency(matrix, tops, c):
+    """Class c's int8 0/1 adjacency: the values above the diagonal with
+    tops[c-1] < v <= tops[c], mirrored below it."""
+    upper = np.triu(np.searchsorted(tops, matrix, side="left") == c, 1)
+    return (upper | upper.T).view(np.int8)
+
+
+def grouped(matrix, tol, relative):
+    """_group_pairs on a given matrix, its strips read as views of it."""
+    with mock.patch.object(pointset, "_pair_rows", lambda tile, n, rows, start: matrix[rows, start:]):
+        return _group_pairs(None, len(matrix), tol, relative)
+
+
+def grouped_points(ps, euclidean, tol, relative):
+    """_group_pairs on ps's squared distances (euclidean) or inner products, as the profiles run it."""
+    return _group_pairs(pointset._pair_tiles(ps, euclidean), ps.n, tol, relative)
 
 
 def outcome(fn, *args):
@@ -210,10 +227,11 @@ class TestClusterSortedMatchesReference:
         assume(len(pts) >= 2)
         ps = PointSet(dimension=d, points=pts)
         with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
-            matrix = _squared_distances(ps)
-            assert matrix.tobytes() == reference_squared_distances(ps).tobytes()
+            matrix = squared_distance_matrix(ps)
+            if len(pointset._tiles(ps.n)) == 1:
+                assert matrix.tobytes() == reference_squared_distances(ps).tobytes()
             for relative, tol in ((True, 1e-9), (False, 1e-9), (True, 0.05)):
-                got = outcome(_group_pairs, matrix, tol, relative)
+                got = outcome(grouped_points, ps, True, tol, relative)
                 want = outcome(reference_group_pairs, matrix, tol, relative)
                 assert_same_classes(got, want, matrix)
 
@@ -242,8 +260,9 @@ class TestClassSumsMatchNumpy:
 
     def test_blocks_count_only_the_classes_they_hold(self, monkeypatch):
         # Nearly every pair value of random points is its own class, so at
-        # budget 64 (one row a block) a block holds a few dozen of the 3,160
-        # classes, and no block may pass np.repeat more counts than values.
+        # budget 16 (strips of 4 rows, nearly all cut into one row a block) a
+        # block holds a few dozen of the 3,160 classes, and no block may pass
+        # np.repeat more counts than values.
         matrix = squared_distance_matrix(PointSet(dimension=3, points=np.random.default_rng(7).random((80, 3))))
         want = reference_group_pairs(matrix, 1e-13, True)
         repeat, calls = np.repeat, []
@@ -252,9 +271,9 @@ class TestClassSumsMatchNumpy:
             calls.append((np.size(repeats), int(np.sum(repeats))))
             return repeat(a, repeats, *args, **kwargs)
 
-        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 64)
+        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 16)
         monkeypatch.setattr(np, "repeat", counted)
-        got = _group_pairs(matrix, 1e-13, True)
+        got = grouped(matrix, 1e-13, True)
         monkeypatch.undo()
         assert len(got[1]) > 3000 and len(calls) > 70
         assert all(size <= held for size, held in calls)
@@ -278,11 +297,11 @@ class TestClassSumsMatchNumpy:
         ps = build()
         q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(ps.dimension, ps.dimension)))
         rotated = PointSet(dimension=ps.dimension, points=ps.points @ q)
-        matrix = squared_distance_matrix(rotated) if relative else inner_product_matrix(rotated)
         monkeypatch.setattr(pointset, "_BLOCK_BUDGET", budget)
+        matrix = squared_distance_matrix(rotated) if relative else inner_product_matrix(rotated)
         want = reference_group_pairs(matrix, 1e-9, relative)
         assert max(want[1]) > 10_000
-        assert_same_classes(_group_pairs(matrix, 1e-9, relative), want, matrix)
+        assert_same_classes(grouped_points(rotated, relative, 1e-9, relative), want, matrix)
 
 
 class TestPairMatrixMatchesReference:
@@ -293,17 +312,49 @@ class TestPairMatrixMatchesReference:
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.0, 1e3, 1e8]),
         st.sampled_from([1.0, 1e-4, 1e200]),
-        BUDGETS,
     )
-    def test_pair_matrix_bits_on_random_sets(self, n, d, seed, offset, spread, budget):
-        # A large common offset makes |x_i|^2 + |x_j|^2 - 2<x_i, x_j> cancel
-        # to values that can round below 0; a spread of 1e200 overflows.
+    def test_pair_matrix_bits_on_random_sets(self, n, d, seed, offset, spread):
+        # One tile (n <= T): the library's values are the full products'
+        # formula, bit for bit. A large common offset makes |x_i|^2 + |x_j|^2
+        # - 2<x_i, x_j> cancel to values that can round below 0; a spread of
+        # 1e200 overflows, and the set is refused.
         rng = np.random.default_rng(seed)
         pts = offset + spread * rng.normal(size=(n, d))
         assume(duplicate_message(pts) is None)
         ps = PointSet(dimension=d, points=pts)
-        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget), np.errstate(over="ignore", invalid="ignore"):
-            assert _squared_distances(ps).tobytes() == reference_squared_distances(ps).tobytes()
+        if spread > 1e100:
+            with pytest.raises(PointFileError, match="squared distances overflow"):
+                squared_distance_matrix(ps)
+            return
+        assert squared_distance_matrix(ps).tobytes() == reference_squared_distances(ps).tobytes()
+        assert inner_product_matrix(ps).tobytes() == (ps.points @ ps.points.T).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e3]),
+        st.sampled_from([1.0, 1e-4]),
+        st.sampled_from([3, 5, 16, 64]),
+    )
+    def test_every_reader_sees_the_same_tiles(self, n, d, seed, offset, spread, budget):
+        # Random inexact points over several tiles (T = 1, 2, 4, 8): the
+        # grouping walk, certify's strips and the library matrix read the
+        # same bits for each (i, j), and the matrix is exactly symmetric.
+        rng = np.random.default_rng(seed)
+        pts = offset + spread * rng.normal(size=(n, d))
+        assume(duplicate_message(pts) is None)
+        ps = PointSet(dimension=d, points=pts)
+        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
+            for euclidean in (True, False):
+                matrix = (squared_distance_matrix if euclidean else inner_product_matrix)(ps)
+                assert np.array_equal(matrix, matrix.T)
+                rows = pointset._tiles(n)
+                tile = pointset._pair_tiles(ps, euclidean)
+                walked = [pointset._pair_rows(tile, n, r, r.start) for r in rows]  # _group_pairs' strips
+                assert all(strip.tobytes() == matrix[r, r.start:].tobytes() for strip, r in zip(walked, rows))
+                assert np.vstack([pointset._pair_rows(tile, n, r) for r in rows]).tobytes() == matrix.tobytes()
 
 
 # Pair values near 0 at tol = 1e-9 (not relative): -0.0 and 0.0 tie in a
@@ -318,7 +369,7 @@ class TestGroupingEdgeCases:
         gram = np.array(
             [[1, 0.5, 0.9, 0.2], [0.5 + 2**-53, 1, 0.2, 0.2], [0.9, 0.2, 1, 0.2], [0.2, 0.2, 0.2, 1]]
         )
-        got = _group_pairs(gram, 1e-9, False)
+        got = grouped(gram, 1e-9, False)
         assert_same_classes(got, reference_group_pairs(gram, 1e-9, False), gram)
         assert got[0] == [0.2, 0.5, 0.9]
         for c in range(len(got[0])):
@@ -335,7 +386,7 @@ class TestGroupingEdgeCases:
         upper[17] = near
         matrix = np.zeros((n, n))
         matrix[np.triu_indices(n, 1)] = upper
-        got = outcome(_group_pairs, matrix, 1e-9, False)
+        got = outcome(grouped, matrix, 1e-9, False)
         assert got[0] is AmbiguousGroupingError
         assert got == outcome(reference_group_pairs, matrix, 1e-9, False)
 
@@ -347,7 +398,7 @@ class TestGroupingEdgeCases:
         matrix = np.asarray(entries).reshape(n, n)
         budget = data.draw(BUDGETS)
         with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
-            got = outcome(_group_pairs, matrix, 1e-9, False)
+            got = outcome(grouped, matrix, 1e-9, False)
             assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False), matrix)
 
 
@@ -437,7 +488,11 @@ class TestClassifiedOnce:
         assert distance_profile(ps) is dp
         assert inner_product_profile(ps) is inner_product_profile(ps)
         assert distance_profile(ps, 1e-6) is not dp
-        assert squared_distance_matrix(ps) is squared_distance_matrix(ps)
+        # The pair matrices are not kept: each call assembles the same tiles anew.
+        pairs = squared_distance_matrix(ps)
+        assert pairs is not squared_distance_matrix(ps)
+        assert pairs.tobytes() == squared_distance_matrix(ps).tobytes()
+        assert not any(np.shape(a) == (ps.n, ps.n) for v in ps._memo.values() for a in arrays_in(v))
         with pytest.raises(ValueError):
             dp.tops[0] = 0.0
         with pytest.raises(ValueError):
@@ -449,9 +504,9 @@ class TestClassifiedOnce:
         calls = []
         real = pointset._group_pairs
 
-        def counting(matrix, tol, relative):
+        def counting(tile, n, tol, relative):
             calls.append(relative)
-            return real(matrix, tol, relative)
+            return real(tile, n, tol, relative)
 
         monkeypatch.setattr(pointset, "_group_pairs", counting)
         ps = construct_named("hypercube", d=5)
@@ -468,8 +523,8 @@ class TestClassifiedOnce:
         for index in class_index_range(e8, setting):
             im = indicator_matrix(e8, index, setting)
             want = class_adjacency(pairs, profile(e8).tops, index - 1)
-            assert np.array_equal(im.adjacency, want)
-        assert inner_product_matrix(e8) is inner_product_matrix(e8)
+            assert np.array_equal(im.adjacency, want) and im.adjacency.dtype == want.dtype
+        assert inner_product_matrix(e8).tobytes() == inner_product_matrix(e8).tobytes()
         assert not inner_product_matrix(e8).flags.writeable
 
 
@@ -486,14 +541,13 @@ def arrays_in(value):
 
 
 def test_profiles_hold_no_pair_classes():
-    # After a full analysis the memo keeps the pair matrix and the class
-    # tops, but no n x n bool or int8 array of class members.
+    # After a full analysis the memo keeps the class tops, but no n x n
+    # array: no pair matrix, and no bool or int8 array of class members.
     ps = construct_johnson(16, 4)
     analyze(ps, all_settings=True)
     assert distance_profile(ps).s == 4
     held = [a for v in ps._memo.values() for a in arrays_in(v)]
-    assert any(a.shape == (ps.n, ps.n) for a in held)
-    assert not any(a.shape == (ps.n, ps.n) and a.dtype in (np.bool_, np.int8) for a in held)
+    assert held and not any(ps.n in a.shape for a in held if a.ndim == 2)
 
 
 @pytest.mark.parametrize(
@@ -524,7 +578,18 @@ def test_validation_memory_stays_below_one_dense_matrix(johnson_14_4, traced_pea
 def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
     # A second n x n buffer beside the Gram matrix took 16n^2 bytes.
     n = johnson_14_4.n
-    assert traced_peak(_squared_distances, johnson_14_4) < 10 * n * n
+    assert traced_peak(squared_distance_matrix, johnson_14_4) < 10 * n * n
+
+
+def test_profiles_trace_less_than_one_dense_matrix(johnson_14_4, traced_peak):
+    # No n x n array: a strip of T rows (8Tn bytes, 1.5n^2 on johnson(14,4)
+    # and 2n^2 on hypercube(10)) and a block's temporaries. Grouping a kept
+    # pair matrix took 9.5n^2 and 10.5n^2.
+    for ps, profile in (
+        (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
+        (construct_named("hypercube", d=10), inner_product_profile),
+    ):
+        assert traced_peak(profile, ps) < 0.75 * 8 * ps.n * ps.n
 
 
 def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
@@ -534,7 +599,7 @@ def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
     # gathered copy and id arrays before them took 22.5n^2.
     matrix = squared_distance_matrix(johnson_14_4)
     n = johnson_14_4.n
-    assert traced_peak(_group_pairs, matrix, 1e-9, True) < 2.5 * n * n
+    assert traced_peak(grouped, matrix, 1e-9, True) < 2.5 * n * n
 
 
 @pytest.mark.parametrize(
@@ -545,23 +610,29 @@ def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
     ],
     ids=["johnson_10_3", "random_60"],
 )
-def test_grouping_walks_the_row_blocks_twice(monkeypatch, ps, s):
-    # Once to find the classes and once to sum them, whatever s is; a pass
-    # per class took s + 1 walks.
-    matrix, calls = squared_distance_matrix(ps), []
-    walk = pointset._row_blocks
-    monkeypatch.setattr(pointset, "_row_blocks", lambda *args: calls.append(args) or walk(*args))
-    assert len(_group_pairs(matrix, 1e-13, True)[0]) == s
-    assert calls == [(ps.n,), (ps.n,)]
+def test_grouping_walks_the_upper_tiles_twice(monkeypatch, ps, s):
+    # Once to find the classes and once to sum them, whatever s is, each
+    # tile on or above the diagonal computed once a walk (T = 8 here); a
+    # pass per class took s + 1 walks.
+    monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 64)
+    calls, tile = [], pointset._pair_tile
+    monkeypatch.setattr(
+        pointset, "_pair_tile", lambda x, sq, rows, cols: calls.append((rows, cols)) or tile(x, sq, rows, cols)
+    )
+    assert len(grouped_points(ps, True, 1e-13, True)[0]) == s
+    tiles = pointset._tiles(ps.n)
+    assert len(tiles) > 1
+    assert calls == [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start] * 2
 
 
 def test_indicator_memory_is_the_basis_and_one_deviation(johnson_14_4, traced_peak):
-    # Above the memoized pair matrix and classes: the Lagrange basis and one
-    # temporary for |M - k*I - A|; a float copy of the adjacency and two
-    # temporaries for the deviation took 4.1 float n^2 arrays in all.
+    # Above the memoized classes, nothing n x n: M, A and the deviation come
+    # on first access. Evaluated at once, the Lagrange basis and one
+    # temporary for |M - k*I - A| took 2.5 float n^2 arrays; a float copy of
+    # the adjacency and two temporaries for the deviation took 4.1.
     indicator_matrix(johnson_14_4, 1, "euclidean")
     n = johnson_14_4.n
-    assert traced_peak(indicator_matrix, johnson_14_4, 1, "euclidean") < 2.5 * 8 * n * n
+    assert traced_peak(indicator_matrix, johnson_14_4, 1, "euclidean") < 0.25 * 8 * n * n
 
 
 def test_profile_memory_is_independent_of_the_class_count(traced_peak):

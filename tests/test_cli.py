@@ -647,3 +647,43 @@ class TestBenchOutputGate:
             code = run(argv)
             tally = checks.check_command(argv, code, capsys.readouterr().out, reference)
             assert tally.failed == 0 and tally.decided == tally.attempted > 0, reference["argv"]
+
+
+class TestPairValuesFromCoordinates:
+    """ratios and certify compute the pair values from the coordinates a
+    tile at a time and keep no n x n array."""
+
+    @staticmethod
+    def peak_rss(argv):
+        """Peak resident bytes of `python -m fewdist <argv>` in a child process."""
+        import os
+
+        proc = subprocess.Popen([sys.executable, "-m", "fewdist", *argv], stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert status == 0
+        return usage.ru_maxrss * 1024
+
+    def test_ratios_holds_no_pair_matrix(self, tmp_path):
+        # Over the interpreter and numpy (ratios on the icosahedron), ratios
+        # on johnson(16,4) (n = 2,380) peaks below 4n^2 bytes: the pair
+        # matrix alone took 8n^2 (43 MiB), and the run 80 MiB in all.
+        sets = {"ico": construct_named("icosahedron"), "j16_4": construct_johnson(16, 4)}
+        for key, ps in sets.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps(ps.to_dict()))
+        base, peak = (self.peak_rss(["ratios", str(tmp_path / f"{key}.json"), "--all"]) for key in sets)
+        n = sets["j16_4"].n
+        assert peak - base < 4 * n * n
+
+    def test_simplex_with_d_one_less_than_n(self, tmp_path, capsys):
+        # The regular simplex on 301 vertices spans d = n - 1 = 300: the tile
+        # products run over 301 coordinates, on two tiles. Its one class is
+        # every pair at 2 + 2/d, and both verdicts refuse s = 1.
+        path = tmp_path / "simplex.json"
+        assert run(["construct", "simplex", "-d", "300", "-o", str(path)]) == 0
+        assert run(["profile", str(path)]) == 0
+        profile = json.loads(capsys.readouterr().out)
+        assert profile["distance"]["pair_counts"] == [301 * 300 // 2]
+        assert profile["distance"]["squared_distances"] == pytest.approx([2.0 + 2.0 / 300], rel=1e-11)  # 12 digits
+        for argv in (["ratios", str(path), "--all"], ["certify", str(path), "--setting", "all"]):
+            assert run(argv) == 2
+            assert "euclidean setting needs s >= 2, got 1" in capsys.readouterr().err

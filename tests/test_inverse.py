@@ -21,7 +21,7 @@ from fewdist import (
 from fewdist import inverse
 from fewdist.errors import InvalidSignError, NoSolutionError, ParameterError, SingularTupleError
 from fewdist.inverse import InversionResult, no_preimage
-from fewdist.lagrange import check_sign_pattern, lagrange_weights
+from fewdist.lagrange import check_sign_pattern, lagrange_basis, lagrange_weights
 
 
 def sample_interior(rng, s, gap=1e-2):
@@ -80,6 +80,19 @@ class TestForwardMap:
                 forward_K(np.vstack([rows, [np.linspace(0.0, 0.5, s - 1)]]))
         with pytest.raises(ParameterError):
             jacobian_det_closed(rows)
+
+    @pytest.mark.parametrize("rows", [None, 1, 3, 4096])
+    def test_weights_are_the_lagrange_basis_bit_for_bit(self, rows):
+        # One s x rows slab per node against lagrange_basis, one call per
+        # L_i as the forward map evaluated them, on s = 2..12.
+        rng = np.random.default_rng(12)
+        for s in range(2, 13):
+            t = np.sort(rng.random((s - 1,) if rows is None else (rows, s - 1)), axis=-1)
+            nodes = np.moveaxis(np.concatenate([t, np.ones((*t.shape[:-1], 1))], axis=-1), -1, 0)
+            zero = np.zeros(t.shape[:-1])
+            want = np.stack([lagrange_basis(nodes, i, zero) for i in range(s)], axis=-1)
+            got = inverse._weights(t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (s, rows)
 
     @pytest.mark.parametrize(
         "bad", [[0.5, 0.4], [0.0, 0.5], [0.5, 1.0], [-0.1], [0.3, 0.3]]

@@ -278,8 +278,10 @@ def test_indicator_matrices_are_exactly_symmetric(indicators):
 
 
 def test_reading_the_decomposition_builds_no_m(monkeypatch):
-    # n, the adjacency and the deviation come without M: lagrange_basis sees
-    # row blocks of the pair matrix only. M is built on first access.
+    # n, the adjacency and the deviation come without an n x n M:
+    # lagrange_basis sees strips of rows of the pair values only. M is built
+    # on first access, a strip at a time, so no n x n block of pair values
+    # exists beside it.
     ps = construct_johnson(14, 3)
     shapes = []
     real = certificate.lagrange_basis
@@ -293,8 +295,10 @@ def test_reading_the_decomposition_builds_no_m(monkeypatch):
     assert (im.n, im.adjacency.shape) == (455, (455, 455))
     assert im.max_decomposition_dev < 1e-12
     assert shapes and all(rows < im.n for rows, _ in shapes)
+    built = len(shapes)
     assert np.array_equal(im.matrix, reference_indicator(ps, "euclidean", 2))
-    assert shapes[-1] == (im.n, im.n)
+    assert all(rows < im.n for rows, _ in shapes[built:])
+    assert sum(rows for rows, _ in shapes[built:]) == im.n
 
 
 def test_table_matches_theorem_settings():

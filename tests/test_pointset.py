@@ -30,7 +30,6 @@ from fewdist.errors import (
 )
 from fewdist.pointset import (
     affine_dimension,
-    class_adjacency,
     linear_dimension,
     on_unit_sphere,
     squared_distance_matrix,
@@ -176,9 +175,10 @@ class TestDistanceProfile:
         assert sum(dp.pair_counts) == comb(165, 2)
 
     def test_adjacency_partitions_pairs(self, unit_square):
+        # The profile's tops split the pairs into its classes, as the
+        # indicator matrices read them.
         dp = distance_profile(unit_square)
-        pairs = squared_distance_matrix(unit_square)
-        adjacency = [class_adjacency(pairs, dp.tops, c) for c in range(dp.s)]
+        adjacency = [certificate.indicator_matrix(unit_square, c + 1, "euclidean").adjacency for c in range(dp.s)]
         total = sum(a.sum() for a in adjacency)
         assert total == 2 * comb(4, 2)
         stacked = np.sum(adjacency, axis=0)
