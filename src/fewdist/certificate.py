@@ -89,10 +89,9 @@ def _stacked(im, part: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicatorMatrix:
-    """M = k*I + A for one class index, with the claimed decomposition. Left
-    out, n is the held adjacency's (or matrix's) size, and adjacency, matrix
-    and max_decomposition_dev come on first access from evaluate(rows), M's
-    rows (fresh) and A's."""
+    """M = k*I + A (n x n) for one class index, with the claimed
+    decomposition. Left out, adjacency, matrix and max_decomposition_dev come
+    on first access from evaluate(rows), M's rows (fresh) and A's."""
 
     setting: str
     class_index: int
@@ -101,12 +100,11 @@ class IndicatorMatrix:
     x_size: int
     d_eff: int
     s: int
+    n: int
     # (point set, tol) M was read on: it keys the range basis its setting shares.
     source: tuple | None = field(default=None, repr=False)
     evaluate: Callable[[slice], tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
-    n: int = field(default=_OnFirstRead("_n", lambda im: len(im._matrix if im._adjacency is None else im._adjacency)),
-                   repr=False)
     adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: _stacked(im, 1)), repr=False)
     matrix: np.ndarray = field(default=_OnFirstRead("_matrix", lambda im: _stacked(im, 0)), repr=False)
     max_decomposition_dev: float = field(default=_OnFirstRead("_dev", lambda im: float(np.max(
@@ -120,9 +118,9 @@ class IndicatorMatrix:
         return (fresh[0] if m is None else np.array(m[rows])), (fresh[1] if a is None else a[rows])
 
 
-def _in_class(pairs: np.ndarray, tops: np.ndarray, c: int) -> np.ndarray:
-    """Whether each pair value is in profile class c (0-based): tops[c-1] < v <= tops[c]."""
-    low, high = (tops[c - 1] if c else -np.inf), (tops[c] if c < len(tops) else np.inf)
+def _in_class(pairs: np.ndarray, cuts: np.ndarray, c: int) -> np.ndarray:
+    """Whether each pair value is in profile class c (0-based): cuts[c-1] < v <= cuts[c]."""
+    low, high = (cuts[c - 1] if c else -np.inf), (cuts[c] if c < len(cuts) else np.inf)
     return (pairs > low) & (pairs <= high)
 
 
@@ -153,6 +151,9 @@ def indicator_matrix(
     i0 = class_index - 1
     euclidean = row.family == "euclidean"
     tops = (distance_profile if euclidean else inner_product_profile)(ps, tol).tops
+    # Cut tol above each top: the next class starts over 10*tol above it (_cut_and_merge), and
+    # a tiling other than the profile's, as the half set's, may move a value by a last bit.
+    cuts = tops + tol * np.maximum(np.abs(tops), 0.0 if euclidean else 1.0)
     classes, points = [i0], ps
     if row.family == "antipodal":
         structure = antipodal_structure(ps, tol)
@@ -165,9 +166,9 @@ def indicator_matrix(
 
     def evaluate(rows: slice):
         pairs = _pair_rows(tile, points.n, rows)
-        adjacency = _in_class(pairs, tops, classes[0]).view(np.int8)
+        adjacency = _in_class(pairs, cuts, classes[0]).view(np.int8)
         if len(classes) > 1:
-            minus = _in_class(pairs, tops, classes[1]).view(np.int8)
+            minus = _in_class(pairs, cuts, classes[1]).view(np.int8)
             adjacency = adjacency - minus if row.signed else adjacency + minus
         adjacency.flat[rows.start :: points.n + 1] = 0
         block = lagrange_basis(nodes, i, row.node_map(pairs))

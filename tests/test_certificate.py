@@ -4,10 +4,11 @@ import contextlib
 import dataclasses
 import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fewdist import (
@@ -88,7 +89,7 @@ def hand_built(matrix, setting, k, n_cap, source=None, d_eff=2, s=4):
     im = IndicatorMatrix(
         matrix=matrix, setting=setting, class_index=2, k_claimed=k,
         adjacency=np.zeros((n, n), dtype=np.int8), max_decomposition_dev=0.0,
-        n_cap=n_cap, x_size=n, d_eff=d_eff, s=s, source=source,
+        n_cap=n_cap, x_size=n, d_eff=d_eff, s=s, n=n, source=source,
     )
     return im, dataclasses.replace(theorem_context(setting, 2, 4), N=n_cap)
 
@@ -221,6 +222,7 @@ class TestNumericRank:
             x_size=5,
             d_eff=1,
             s=2,
+            n=5,
         )
         with pytest.raises(NumericalError):
             numeric_rank(im)
@@ -754,14 +756,11 @@ class TestRowBlockWalk:
         assert shapes and all(rows < n and width == n for rows, width in shapes)
         assert sum(rows for rows, _ in shapes) == n * len(verdicts)
 
-    def test_a_verdict_traces_less_than_one_dense_matrix(self, traced_peak):
-        # johnson(20, 3), n = 1,330 > 5T: with the basis memoized (by class
-        # 2), class 1's verdict holds a few T x n strip arrays and MQ, not M
-        # or its companion (0.8 of 8n^2). On johnson(14, 3), n = 455, those
-        # strip arrays are larger than 8n^2 themselves.
-        ps = construct_johnson(20, 3)
-        verify_key_lemma(indicator_matrix(ps, 2, "euclidean"))
-        im = indicator_matrix(ps, 1, "euclidean")
+    def test_a_verdict_traces_less_than_one_dense_matrix(self, johnson_14_3, traced_peak):
+        # With the basis memoized (by class 2), class 1's verdict holds a
+        # strip of T rows, its tiles' temporaries and MQ, not M or its companion.
+        verify_key_lemma(indicator_matrix(johnson_14_3, 2, "euclidean"))
+        im = indicator_matrix(johnson_14_3, 1, "euclidean")
         assert traced_peak(verify_key_lemma, im) < 8 * im.n * im.n
 
     def test_a_held_asymmetric_m_is_checked_entry_by_entry(self, johnson_14_3):
@@ -779,6 +778,40 @@ class TestRowBlockWalk:
         matrix[1, 0] += 1e-6
         v = verify_key_lemma(dataclasses.replace(im, matrix=matrix))
         assert v.companion["sign_bound_reason"] == "sign matrix must be symmetric"
+
+
+class TestHalfSetClasses:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([5, 6, 7]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 4, 8]),
+    )
+    @example(d=5, seed=13994218, tile_size=3)  # a class top one ulp higher in the half set's tiles
+    def test_half_set_adjacency_is_the_full_sets_classes(self, d, seed, tile_size):
+        # Rotated, so the inner products are inexact, and cut in tiles of a
+        # few points: the half set's own tiles group its pairs otherwise than
+        # the full set's, and their products may differ in the last bits. Each
+        # antipodal class adjacency must still be the profile's classes of
+        # the full set's pair values at the half set's rows.
+        ps = construct_named("hypercube", d)
+        rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((ps.dimension,) * 2))[0]
+        ps = PointSet(dimension=ps.dimension, points=ps.points @ rotation)
+        with mock.patch.object(pointset, "_tile_side", lambda n: tile_size):
+            structure, profile = antipodal_structure(ps), inner_product_profile(ps)
+            rows = structure.rows
+            labels = np.searchsorted(profile.tops, pointset.inner_product_matrix(ps)[np.ix_(rows, rows)])
+            assert len(pointset._tiles(len(rows))) > 1
+            for setting in applicable_settings(ps)[2:]:
+                for index in class_index_range(ps, setting):
+                    im = indicator_matrix(ps, index, setting)
+                    p = structure.s - len(structure.beta_abs) + index - 1
+                    want = (labels == p).astype(np.int8)
+                    if 2 * p != structure.s:
+                        minus = (labels == structure.s - p).astype(np.int8)
+                        want = want - minus if setting.endswith("v2") else want + minus
+                    np.fill_diagonal(want, 0)
+                    assert np.array_equal(im.adjacency, want), (setting, index)
 
 
 class TestEntryCheckMemory:

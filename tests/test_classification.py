@@ -9,7 +9,9 @@ pair, the same partner array and the same bits (the pair values on one
 tile; on several, each reader sees the same values).
 """
 
+import contextlib
 import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -199,6 +201,15 @@ def sorted_values(draw):
 BUDGETS = st.sampled_from([1, 2, 3, 5, 7, 64, pointset._BLOCK_BUDGET])
 
 
+@contextlib.contextmanager
+def small_blocks(budget):
+    """Row blocks of budget entries and pair tiles of isqrt(budget) points a
+    side, so that a small budget also puts tile boundaries between most rows."""
+    with mock.patch.object(pointset, "_BLOCK_BUDGET", budget), \
+            mock.patch.object(pointset, "_tile_side", lambda n: max(1, math.isqrt(budget))):
+        yield
+
+
 class TestClusterSortedMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(sorted_values(), st.booleans(), BUDGETS, st.integers(0, 2**32 - 1))
@@ -226,7 +237,7 @@ class TestClusterSortedMatchesReference:
         pts = np.unique(rng.integers(-3, 4, size=(n, d)), axis=0) * rng.choice([1.0, 0.1, 1e3])
         assume(len(pts) >= 2)
         ps = PointSet(dimension=d, points=pts)
-        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
+        with small_blocks(budget):
             matrix = squared_distance_matrix(ps)
             if len(pointset._tiles(ps.n)) == 1:
                 assert matrix.tobytes() == reference_squared_distances(ps).tobytes()
@@ -272,6 +283,7 @@ class TestClassSumsMatchNumpy:
             return repeat(a, repeats, *args, **kwargs)
 
         monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 16)
+        monkeypatch.setattr(pointset, "_tile_side", lambda n: 4)
         monkeypatch.setattr(np, "repeat", counted)
         got = grouped(matrix, 1e-13, True)
         monkeypatch.undo()
@@ -298,6 +310,7 @@ class TestClassSumsMatchNumpy:
         q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(ps.dimension, ps.dimension)))
         rotated = PointSet(dimension=ps.dimension, points=ps.points @ q)
         monkeypatch.setattr(pointset, "_BLOCK_BUDGET", budget)
+        monkeypatch.setattr(pointset, "_tile_side", lambda n: math.isqrt(budget))
         matrix = squared_distance_matrix(rotated) if relative else inner_product_matrix(rotated)
         want = reference_group_pairs(matrix, 1e-9, relative)
         assert max(want[1]) > 10_000
@@ -336,9 +349,9 @@ class TestPairMatrixMatchesReference:
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.0, 1e3]),
         st.sampled_from([1.0, 1e-4]),
-        st.sampled_from([3, 5, 16, 64]),
+        st.sampled_from([1, 2, 4, 8]),
     )
-    def test_every_reader_sees_the_same_tiles(self, n, d, seed, offset, spread, budget):
+    def test_every_reader_sees_the_same_tiles(self, n, d, seed, offset, spread, tile_size):
         # Random inexact points over several tiles (T = 1, 2, 4, 8): the
         # grouping walk, certify's strips and the library matrix read the
         # same bits for each (i, j), and the matrix is exactly symmetric.
@@ -346,7 +359,7 @@ class TestPairMatrixMatchesReference:
         pts = offset + spread * rng.normal(size=(n, d))
         assume(duplicate_message(pts) is None)
         ps = PointSet(dimension=d, points=pts)
-        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
+        with mock.patch.object(pointset, "_tile_side", lambda n: tile_size):
             for euclidean in (True, False):
                 matrix = (squared_distance_matrix if euclidean else inner_product_matrix)(ps)
                 assert np.array_equal(matrix, matrix.T)
@@ -396,8 +409,7 @@ class TestGroupingEdgeCases:
         # Lower and upper triangles are drawn independently.
         entries = data.draw(st.lists(NEAR_ZERO, min_size=n * n, max_size=n * n))
         matrix = np.asarray(entries).reshape(n, n)
-        budget = data.draw(BUDGETS)
-        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
+        with small_blocks(data.draw(BUDGETS)):
             got = outcome(grouped, matrix, 1e-9, False)
             assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False), matrix)
 
@@ -461,8 +473,9 @@ class TestPairChecksMatchReference:
             assert partner is None
 
     def test_small_blocks_give_the_same_answers(self, monkeypatch, e8):
-        # One row per block: the row-major order across blocks must hold.
+        # One row per block and per strip: the row-major order across blocks must hold.
         monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 1)
+        monkeypatch.setattr(pointset, "_tile_side", lambda n: 1)
         pts = np.array(e8.points)
         pts[200] = pts[17] + 1e-13
         pts[100] = pts[3]
@@ -582,9 +595,9 @@ def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
 
 
 def test_profiles_trace_less_than_one_dense_matrix(johnson_14_4, traced_peak):
-    # No n x n array: a strip of T rows (8Tn bytes, 1.5n^2 on johnson(14,4)
-    # and 2n^2 on hypercube(10)) and a block's temporaries. Grouping a kept
-    # pair matrix took 9.5n^2 and 10.5n^2.
+    # No n x n array: a strip of T rows (8Tn bytes, n^2 on johnson(14,4)
+    # and on hypercube(10)) and a block's temporaries, 2.8n^2 and 4.3n^2 in
+    # all. Grouping a kept pair matrix took 9.5n^2 and 10.5n^2.
     for ps, profile in (
         (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
         (construct_named("hypercube", d=10), inner_product_profile),
@@ -603,23 +616,28 @@ def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
 
 
 @pytest.mark.parametrize(
-    "ps,s",
+    "ps,euclidean,s",
     [
-        (construct_johnson(10, 3), 3),
-        (PointSet(dimension=3, points=np.random.default_rng(0).random((60, 3))), 1770),
+        (construct_johnson(10, 3), True, 3),
+        (PointSet(dimension=3, points=np.random.default_rng(0).random((60, 3))), True, 1770),
+        (construct_named("hypercube", d=4), False, 4),
     ],
-    ids=["johnson_10_3", "random_60"],
+    ids=["johnson_10_3", "random_60", "hypercube_4"],
 )
-def test_grouping_walks_the_upper_tiles_twice(monkeypatch, ps, s):
+def test_grouping_walks_the_upper_tiles_twice(monkeypatch, ps, euclidean, s):
     # Once to find the classes and once to sum them, whatever s is, each
     # tile on or above the diagonal computed once a walk (T = 8 here); a
-    # pass per class took s + 1 walks.
+    # pass per class took s + 1 walks. hypercube(4)'s inner products have a
+    # class top at 0, whose sign the first walk records on the way.
     monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 64)
+    monkeypatch.setattr(pointset, "_tile_side", lambda n: 8)
     calls, tile = [], pointset._pair_tile
     monkeypatch.setattr(
         pointset, "_pair_tile", lambda x, sq, rows, cols: calls.append((rows, cols)) or tile(x, sq, rows, cols)
     )
-    assert len(grouped_points(ps, True, 1e-13, True)[0]) == s
+    means, _, tops = grouped_points(ps, euclidean, 1e-13, euclidean)
+    assert len(means) == s
+    assert euclidean or 0.0 in tops
     tiles = pointset._tiles(ps.n)
     assert len(tiles) > 1
     assert calls == [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start] * 2

@@ -676,7 +676,7 @@ class TestPairValuesFromCoordinates:
 
     def test_simplex_with_d_one_less_than_n(self, tmp_path, capsys):
         # The regular simplex on 301 vertices spans d = n - 1 = 300: the tile
-        # products run over 301 coordinates, on two tiles. Its one class is
+        # products run over 301 coordinates, on five tiles. Its one class is
         # every pair at 2 + 2/d, and both verdicts refuse s = 1.
         path = tmp_path / "simplex.json"
         assert run(["construct", "simplex", "-d", "300", "-o", str(path)]) == 0
