@@ -35,7 +35,6 @@ from .pointset import (
     _memoized,
     _pair_rows,
     _pair_tiles,
-    _row_blocks,
     _tiles,
     antipodal_structure,
     distance_profile,
@@ -276,10 +275,10 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("sign matrix must be square")
     n = arr.shape[0]
-    # One buffer per row block, freed before the next; the maxima are taken
-    # over all blocks, so a NaN propagates as in one np.max.
+    # One buffer per strip of _tiles rows, freed before the next; the maxima
+    # are taken over all strips, so a NaN propagates as in one np.max.
     maxima = []
-    for rows in _row_blocks(n):
+    for rows in _tiles(n):
         out = np.subtract(arr[rows], arr[:, rows].T)
         maxima.append((np.max(np.abs(out, out=out)), *_entry_maxima(arr[rows], rows.start, out)))
         del out

@@ -50,7 +50,7 @@ import numpy as np
 
 from .defaults import DEFAULT_MAX_ITER, DEFAULT_TOL_RES
 from .errors import NoSolutionError, ParameterError, SingularTupleError, _valid_tol
-from .lagrange import DOMAIN_EPS, check_sign_pattern
+from .lagrange import DOMAIN_EPS, check_sign_pattern, lagrange_weights
 
 PROJECT_GAP = 1e-9
 BACKTRACK = 0.5 ** np.arange(30)  # the damped step's scales 1, 1/2, ..., 2**-29
@@ -76,28 +76,14 @@ def _nodes(t: np.ndarray) -> np.ndarray:
     return np.concatenate([t, np.ones((*t.shape[:-1], 1))], axis=-1)
 
 
-def _weights(t: np.ndarray) -> np.ndarray:
-    """L_1(0), ..., L_s(0) on the nodes (t, 1) of each row of t, as lagrange_basis gives
-    them: for ascending j, all L_i and rows at once take the factor (0 - v_j) / (v_i - v_j),
-    and L_j the factor 1.0, which changes no bit."""
-    nodes = np.ascontiguousarray(np.moveaxis(_nodes(t), -1, 0))
-    out, factor = np.ones(nodes.shape), np.empty(nodes.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at i = j, replaced by 1.0
-        for j, node in enumerate(nodes):
-            np.divide(np.subtract(0.0, node), np.subtract(nodes, node, out=factor), out=factor)
-            factor[j] = 1.0
-            out *= factor
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
-
-
 def forward_K(t) -> np.ndarray:
     """K_1..K_{s-1} at t, or at each row of t; the sign of K_i is (-1)**(i-1)."""
-    return _weights(_check_domain(t))[..., :-1]
+    return lagrange_weights(_nodes(_check_domain(t)), 0.0)[..., :-1]
 
 
 def forward_K_full(t) -> np.ndarray:
     """All s values including K_s; they sum to exactly 1 analytically."""
-    return _weights(_check_domain(t))
+    return lagrange_weights(_nodes(_check_domain(t)), 0.0)
 
 
 def jacobian(t) -> np.ndarray:
@@ -113,7 +99,7 @@ def jacobian(t) -> np.ndarray:
 def _jacobian(t: np.ndarray) -> np.ndarray:
     s1 = t.shape[-1]
     full = _nodes(t)
-    K = _weights(t)[..., :-1]
+    K = lagrange_weights(full, 0.0)[..., :-1]
     diff = full[..., :, None] - full[..., None, :]
     diff[..., np.arange(s1 + 1), np.arange(s1 + 1)] = np.inf
     inv = 1.0 / diff  # inv[..., i, j] = m_ij
@@ -199,7 +185,7 @@ def _newton(targets, starts, tol_res: float, max_iter: int):
     targets = np.asarray(targets, dtype=float)
     res_scale = np.fmax(1.0, np.max(np.abs(targets), axis=1))
     t = _project(np.array(starts, dtype=float))
-    vec = _weights(t)[:, :-1] - targets
+    vec = lagrange_weights(_nodes(t), 0.0)[:, :-1] - targets
     residual = np.max(np.abs(vec), axis=1) / res_scale
     iterations = np.zeros(len(t), dtype=int)
     stalled = np.zeros(len(t), dtype=int)
@@ -212,7 +198,7 @@ def _newton(targets, starts, tol_res: float, max_iter: int):
         step = _steps(_jacobian(t[rows]), vec[rows])
         for scales in (BACKTRACK[:1], BACKTRACK[1:]):
             candidates = _project(t[rows, None] - scales[:, None] * step[:, None])
-            cand_vec = _weights(candidates)[..., :-1] - targets[rows, None]
+            cand_vec = lagrange_weights(_nodes(candidates), 0.0)[..., :-1] - targets[rows, None]
             cand_res = np.max(np.abs(cand_vec), axis=2) / res_scale[rows, None]
             better = cand_res < residual[rows, None]
             improved = np.any(better, axis=1)
@@ -280,7 +266,7 @@ def _continue(target: np.ndarray, tol_res: float, max_iter: int) -> InversionRes
     final Newton's result with method "continuation" and every corrector
     iteration counted, or a failure once the step falls below MIN_STEP."""
     t = _default_start(target)
-    u0 = _log_sums(_weights(t)[:-1])
+    u0 = _log_sums(lagrange_weights(_nodes(t), 0.0)[:-1])
     direction = _log_sums(target) - u0
     tau, step, total = 0.0, FIRST_STEP, 0
     while step >= MIN_STEP:

@@ -2,6 +2,8 @@
 
 The basis functions multiply the factors in ascending j from 1.0, skipping
 j = i, so a value does not depend on which setting or caller asks for it.
+The ratios k_i of fewdist.ratios and the forward map K of fewdist.inverse
+share one evaluator, lagrange_weights.
 """
 
 from __future__ import annotations
@@ -13,16 +15,18 @@ from .errors import InvalidSignError, ParameterError
 DOMAIN_EPS = 1e-12  # smallest gap between the nodes 0 < t_1 < ... < t_{s-1} < 1 of the domain D
 
 
-def lagrange_weights(nodes, x0: float) -> list[float]:
-    """[L_1(x0), ..., L_m(x0)] on the float nodes v_1, ..., v_m."""
-    weights = []
-    for i, vi in enumerate(nodes):
-        w = 1.0
-        for j, vj in enumerate(nodes):
-            if j != i:
-                w *= (x0 - vj) / (vi - vj)
-        weights.append(w)
-    return weights
+def lagrange_weights(nodes, x0: float) -> np.ndarray:
+    """L_1(x0), ..., L_m(x0) on each row of float nodes (..., m), as lagrange_basis
+    gives them: for ascending j, all L_i and rows at once take the factor
+    (x0 - v_j) / (v_i - v_j), and L_j the factor 1.0, which changes no bit."""
+    nodes = np.ascontiguousarray(np.moveaxis(np.asarray(nodes, dtype=float), -1, 0))
+    out, factor = np.ones(nodes.shape), np.empty(nodes.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 at i = j, replaced by 1.0
+        for j, node in enumerate(nodes):
+            np.divide(np.subtract(x0, node), np.subtract(nodes, node, out=factor), out=factor)
+            factor[j] = 1.0
+            out *= factor
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def lagrange_basis(nodes, i: int, X) -> np.ndarray:

@@ -9,12 +9,12 @@ point set (read-only), one per kind and tolerance; no n x n array is.
 Every reader computes the pair values from the coordinates, one square tile
 of _tile_side(n) points a side at a time (_pair_tile), so all see
 the same, exactly symmetric, bits. Grouping walks the strips of T rows above
-the diagonal twice, in blocks of _row_blocks: the first walk merges each
-block's sorted intervals into classes, the second sums each class in
-np.mean's order, bit for bit. Beyond a strip and a block, it holds tens of
-bytes per class and per interval. The duplicate-point and antipodal checks
-screen the pairs on and above the diagonal by a Gram product a strip at a
-time, and test coordinates only on the pairs that pass the screen.
+the diagonal twice, in blocks of _row_blocks of at most one tile's entries:
+the first walk merges each block's sorted intervals into classes, the second
+sums each class in np.mean's order, bit for bit. Beyond a strip and a block,
+it holds tens of bytes per class and per interval. The duplicate-point and
+antipodal checks screen the pairs on and above the diagonal by a Gram product
+a strip at a time, and test coordinates only on the pairs that pass the screen.
 """
 
 from __future__ import annotations
@@ -88,18 +88,12 @@ class PointSet:
         return out
 
 
-# Entries of one block of _row_blocks: every pass over an n x n array
-# (and over the sorted pair values) keeps its temporaries to about this size.
-_BLOCK_BUDGET = 1 << 16
-
-
-def _row_blocks(n: int, width: int | None = None):
-    """Slices of consecutive rows that cover rows 0..n of an n x width array
-    (width n by default) in order, each of at most max(_BLOCK_BUDGET, width)
-    entries."""
-    step = max(1, _BLOCK_BUDGET // (n if width is None else width))
-    for start in range(0, n, step):
-        yield slice(start, min(start + step, n))
+def _row_blocks(count: int, width: int, n: int):
+    """Slices of consecutive rows that cover rows 0..count of a count x width
+    array in order, each of at most max(T^2, width) entries, T = _tile_side(n)."""
+    step = max(1, _tile_side(n) ** 2 // width)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
@@ -134,7 +128,7 @@ def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
         i += rows.start
         j += rows.start
         dist = np.empty(i.size)
-        for part in _row_blocks(i.size, dim):
+        for part in _row_blocks(i.size, dim, n):
             dist[part] = np.max(np.abs(pts[i[part]] + sign * pts[j[part]]), axis=1)
         keep = dist <= atol
         i, j, dist = i[keep], j[keep], dist[keep]
@@ -489,7 +483,7 @@ def _group_pairs(tile, n: int, tol: float, relative: bool):
     def blocks():
         for rows in _tiles(n):
             strip = _pair_rows(tile, n, rows, rows.start)
-            for part in _row_blocks(len(strip), strip.shape[1]):
+            for part in _row_blocks(len(strip), strip.shape[1], n):
                 yield np.concatenate([row[i + 1:] for i, row in enumerate(strip[part], part.start)])
             del strip  # before the next strip is built
 
@@ -631,23 +625,17 @@ def _is_antipodal(ps: PointSet, tol: float):
 
 def half_set(ps: PointSet, tol: float = DEFAULT_TOL) -> PointSet:
     """One representative per antipodal pair: the lexicographically larger point."""
-    keep = _half_rows(ps, tol)
+    ok, partner = is_antipodal(ps, tol)
+    if not ok:
+        raise NotAntipodalError("point set is not antipodal within tolerance")
+    keep = [i for i, j in enumerate(partner) if tuple(ps.points[i]) > tuple(ps.points[j])]
     labels = tuple(ps.labels[i] for i in keep) if ps.labels is not None else None
     return PointSet(dimension=ps.dimension, points=ps.points[keep], labels=labels)
 
 
-def _half_rows(ps: PointSet, tol: float) -> np.ndarray:
-    """The rows of half_set in ps, computed once per point set and tol."""
-    ok, partner = is_antipodal(ps, tol)
-    if not ok:
-        raise NotAntipodalError("point set is not antipodal within tolerance")
-    return _memoized(ps, ("half_rows", tol), lambda: _read_only(np.flatnonzero(
-        [tuple(ps.points[i]) > tuple(ps.points[j]) for i, j in enumerate(partner)])))
-
-
 @dataclass(frozen=True)
 class AntipodalStructure:
-    """Half set, its rows in the full set, and the |beta| profile classes.
+    """Half set and the |beta| profile classes.
 
     For s odd, beta_abs lists the (s-1)/2 positive values; for s even it
     starts with an exact 0.0 followed by the s/2 - 1 positive values. |beta|
@@ -655,7 +643,6 @@ class AntipodalStructure:
     """
 
     half: PointSet
-    rows: np.ndarray
     s: int
     parity: str
     beta_abs: tuple[float, ...]
@@ -685,8 +672,7 @@ def _antipodal_structure(ps: PointSet, tol: float) -> AntipodalStructure:
     if len(rest) != profile.s - 1:
         raise NotAntipodalError("several inner product classes sit at -1")
     parity, beta_abs = ("even", (0.0, *positives)) if zeros else ("odd", tuple(positives))
-    half, rows = half_set(ps, tol), _half_rows(ps, tol)
-    return AntipodalStructure(half=half, rows=rows, s=profile.s, parity=parity, beta_abs=beta_abs)
+    return AntipodalStructure(half=half_set(ps, tol), s=profile.s, parity=parity, beta_abs=beta_abs)
 
 
 def affine_dimension(ps: PointSet, tol_rank: float = DEFAULT_TOL_RANK) -> int:

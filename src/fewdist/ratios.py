@@ -57,7 +57,7 @@ def _check_strictly_increasing(values, what: str) -> list[float]:
 
 def _lagrange_ratios(setting: str, vals: list[float]) -> list[float]:
     row = SETTING_TABLE[setting]
-    k = lagrange_weights(row.nodes(vals), row.at)
+    k = lagrange_weights(row.nodes(vals), row.at).tolist()
     if row.signed:
         return [w / b for w, b in zip(k, vals[row.first_index - 1 :])]
     return k

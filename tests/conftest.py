@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fewdist import PointSet, construct_johnson, construct_named
+from fewdist import PointSet, construct_johnson, construct_named, half_set
 
 
 @pytest.fixture(scope="session")
@@ -78,6 +78,18 @@ def bench_module(monkeypatch):
         return module
 
     return load
+
+
+@pytest.fixture(scope="session")
+def half_rows():
+    """A function giving the row of ps.points of each point of half_set(ps, tol), in its order."""
+
+    def rows(ps, *tol):
+        match = np.all(half_set(ps, *tol).points[:, None] == ps.points[None], axis=-1)
+        assert np.all(match.sum(axis=1) == 1)
+        return np.argmax(match, axis=1)
+
+    return rows
 
 
 @pytest.fixture

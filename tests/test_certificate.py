@@ -178,10 +178,10 @@ def chained_antipodal_set():
 
 class TestClassesFromTheProfile:
     @pytest.mark.parametrize("setting,signed", [("antipodal_odd_v1", False), ("antipodal_odd_v2", True)])
-    def test_half_set_pairs_take_the_profile_class(self, setting, signed):
+    def test_half_set_pairs_take_the_profile_class(self, setting, signed, half_rows):
         ps = chained_antipodal_set()
         assert inner_product_profile(ps, 1e-3).inner_products[3] == pytest.approx(0.1135)
-        assert np.array_equal(antipodal_structure(ps, 1e-3).rows, np.arange(9))
+        assert np.array_equal(half_rows(ps, 1e-3), np.arange(9))
         im = indicator_matrix(ps, 1, setting, tol=1e-3)
         gram = ps.points[:9] @ ps.points[:9].T
         chained = (np.abs(gram) > 0.0995) & (np.abs(gram) < 0.1275)
@@ -788,7 +788,7 @@ class TestHalfSetClasses:
         st.sampled_from([2, 3, 4, 8]),
     )
     @example(d=5, seed=13994218, tile_size=3)  # a class top one ulp higher in the half set's tiles
-    def test_half_set_adjacency_is_the_full_sets_classes(self, d, seed, tile_size):
+    def test_half_set_adjacency_is_the_full_sets_classes(self, half_rows, d, seed, tile_size):
         # Rotated, so the inner products are inexact, and cut in tiles of a
         # few points: the half set's own tiles group its pairs otherwise than
         # the full set's, and their products may differ in the last bits. Each
@@ -799,7 +799,7 @@ class TestHalfSetClasses:
         ps = PointSet(dimension=ps.dimension, points=ps.points @ rotation)
         with mock.patch.object(pointset, "_tile_side", lambda n: tile_size):
             structure, profile = antipodal_structure(ps), inner_product_profile(ps)
-            rows = structure.rows
+            rows = half_rows(ps)
             labels = np.searchsorted(profile.tops, pointset.inner_product_matrix(ps)[np.ix_(rows, rows)])
             assert len(pointset._tiles(len(rows))) > 1
             for setting in applicable_settings(ps)[2:]:
@@ -816,14 +816,15 @@ class TestHalfSetClasses:
 
 class TestEntryCheckMemory:
     def test_sign_matrix_checks_use_one_buffer(self, johnson_14_3, traced_peak):
-        # The entry checks run a block of rows at a time through one block
-        # buffer, not through an n x n one.
+        # The entry checks run a strip of _tiles rows at a time through one
+        # strip buffer, not through an n x n one. Besides it, numpy's ufunc
+        # buffer (8 bytes an entry) reads the transposed columns.
         im = indicator_matrix(johnson_14_3, 1, "euclidean")
         companion = 2.0 * im.matrix - 1.0 - 5.0 * np.eye(im.n)
         assert verify_sign_matrix_bound(companion, -5.0, 350)["ok"]
         n = im.n
-        block = 8 * (pointset._BLOCK_BUDGET // n) * n  # 144 rows at n = 455
-        assert traced_peak(verify_sign_matrix_bound, companion, -5.0, 350) < 1.25 * block
+        strip = 8 * pointset._tile_side(n) * n  # 64 rows at n = 455
+        assert traced_peak(verify_sign_matrix_bound, companion, -5.0, 350) < 1.25 * strip + 8 * np.getbufsize()
 
     def test_indicator_spectrum_makes_no_symmetric_copy(self, johnson_14_3, traced_peak):
         im = indicator_matrix(johnson_14_3, 1, "euclidean")
@@ -858,16 +859,20 @@ class TestEntryCheckMemory:
         assert traced_peak(eigen_multiplicities, companion) > 8 * n * n
 
 
-class TestBlockBudget:
+class TestBlockPartition:
     @pytest.mark.parametrize("name", ["johnson_10_3", "e8"])
-    def test_certify_verdicts_do_not_depend_on_the_budget(self, name, request, tmp_path, capsys, monkeypatch):
-        # johnson(10,3)'s verdicts come from B's view, e8's from M's. At
-        # budget 1 every pass takes one row, or one sorted gap, at a time.
+    def test_certify_verdicts_do_not_depend_on_the_row_blocks(self, name, request, tmp_path, capsys, monkeypatch):
+        # johnson(10,3)'s verdicts come from B's view, e8's from M's. With
+        # one row a block every pass takes one row, or one screened pair, at a time.
         path = tmp_path / "points.json"
         path.write_text(json.dumps(request.getfixturevalue(name).to_dict()))
         outputs = []
-        for budget in (pointset._BLOCK_BUDGET, 1):
-            monkeypatch.setattr(pointset, "_BLOCK_BUDGET", budget)
+
+        def one_row(count, width, n):
+            return (slice(i, i + 1) for i in range(count))
+
+        for blocks in (pointset._row_blocks, one_row):
+            monkeypatch.setattr(pointset, "_row_blocks", blocks)
             code = cli.run(["certify", str(path), "--setting", "all"])
             outputs.append((code, capsys.readouterr().out))
         assert outputs[0] == outputs[1]

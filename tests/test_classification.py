@@ -11,7 +11,6 @@ tile; on several, each reader sees the same values).
 
 import contextlib
 import dataclasses
-import math
 from unittest import mock
 
 import numpy as np
@@ -151,7 +150,7 @@ def merged_ids(values, tol, relative):
     the given (row-major) order, as class ids of the stably sorted values
     and a class count."""
     zeros = values[values == 0]
-    blocks = [values[part] for part in pointset._row_blocks(len(values), 1)]
+    blocks = [values[part] for part in pointset._row_blocks(len(values), 1, len(values))]
     tops, counts = _cut_and_merge(blocks, tol, relative, lambda last: zeros[-1 if last else 0])
     ids = np.searchsorted(tops, np.sort(values), side="left")
     assert np.array_equal(np.bincount(ids, minlength=len(counts)), counts)
@@ -196,30 +195,29 @@ def sorted_values(draw):
     return np.sort(np.asarray(values)), tol
 
 
-# Entry budgets of one row block: the smallest ones put block boundaries
-# between nearly every pair of rows and of sorted values.
-BUDGETS = st.sampled_from([1, 2, 3, 5, 7, 64, pointset._BLOCK_BUDGET])
+# Tile sides, whose squares are the entries of one row block: the smallest
+# ones put block boundaries between nearly every pair of rows and of sorted values.
+TILE_SIDES = st.sampled_from([1, 2, 3, 5, 7, 8, 256])
 
 
 @contextlib.contextmanager
-def small_blocks(budget):
-    """Row blocks of budget entries and pair tiles of isqrt(budget) points a
-    side, so that a small budget also puts tile boundaries between most rows."""
-    with mock.patch.object(pointset, "_BLOCK_BUDGET", budget), \
-            mock.patch.object(pointset, "_tile_side", lambda n: max(1, math.isqrt(budget))):
+def small_blocks(side):
+    """Pair tiles of side points a side and row blocks of side^2 entries, so
+    that a small side puts tile and block boundaries between most rows."""
+    with mock.patch.object(pointset, "_tile_side", lambda n: side):
         yield
 
 
 class TestClusterSortedMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(sorted_values(), st.booleans(), BUDGETS, st.integers(0, 2**32 - 1))
-    def test_same_ids_count_and_errors(self, drawn, relative, budget, seed):
+    @given(sorted_values(), st.booleans(), TILE_SIDES, st.integers(0, 2**32 - 1))
+    def test_same_ids_count_and_errors(self, drawn, relative, side, seed):
         # Shuffled, so each block's intervals interleave with the others'.
         values, tol = drawn
         if relative:
             values = np.abs(values)
         values = np.random.default_rng(seed).permutation(values)
-        with mock.patch.object(pointset, "_BLOCK_BUDGET", budget):
+        with small_blocks(side):
             got = outcome(merged_ids, values, tol, relative)
         want = outcome(reference_cluster_sorted, np.sort(values, kind="stable"), tol, relative)
         if isinstance(want[0], type):
@@ -229,15 +227,15 @@ class TestClusterSortedMatchesReference:
             assert got[1] == want[1]
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1), BUDGETS)
-    def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed, budget):
+    @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1), TILE_SIDES)
+    def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed, side):
         # Small integer coordinates give few distinct squared distances,
         # so classes hold many pairs and their means exercise summation order.
         rng = np.random.default_rng(seed)
         pts = np.unique(rng.integers(-3, 4, size=(n, d)), axis=0) * rng.choice([1.0, 0.1, 1e3])
         assume(len(pts) >= 2)
         ps = PointSet(dimension=d, points=pts)
-        with small_blocks(budget):
+        with small_blocks(side):
             matrix = squared_distance_matrix(ps)
             if len(pointset._tiles(ps.n)) == 1:
                 assert matrix.tobytes() == reference_squared_distances(ps).tobytes()
@@ -271,7 +269,7 @@ class TestClassSumsMatchNumpy:
 
     def test_blocks_count_only_the_classes_they_hold(self, monkeypatch):
         # Nearly every pair value of random points is its own class, so at
-        # budget 16 (strips of 4 rows, nearly all cut into one row a block) a
+        # tiles of 4 (strips of 4 rows, nearly all cut into one row a block) a
         # block holds a few dozen of the 3,160 classes, and no block may pass
         # np.repeat more counts than values.
         matrix = squared_distance_matrix(PointSet(dimension=3, points=np.random.default_rng(7).random((80, 3))))
@@ -282,7 +280,6 @@ class TestClassSumsMatchNumpy:
             calls.append((np.size(repeats), int(np.sum(repeats))))
             return repeat(a, repeats, *args, **kwargs)
 
-        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 16)
         monkeypatch.setattr(pointset, "_tile_side", lambda n: 4)
         monkeypatch.setattr(np, "repeat", counted)
         got = grouped(matrix, 1e-13, True)
@@ -291,7 +288,7 @@ class TestClassSumsMatchNumpy:
         assert all(size <= held for size, held in calls)
         assert_same_classes(got, want, matrix)
 
-    @pytest.mark.parametrize("budget", [pointset._BLOCK_BUDGET, 64])
+    @pytest.mark.parametrize("side", [256, 8])
     @pytest.mark.parametrize(
         "build,relative",
         [
@@ -301,16 +298,15 @@ class TestClassSumsMatchNumpy:
         ],
         ids=["johnson_14_3", "e8_roots", "hypercube_9"],
     )
-    def test_large_classes_match_the_reference(self, build, relative, budget, monkeypatch):
+    def test_large_classes_match_the_reference(self, build, relative, side, monkeypatch):
         # Rotated, so each class's values differ in their last bits: classes
         # of 8k to 50k pairs in johnson(14,3), e8's inner products, and the
-        # 9 classes of hypercube(9), which take the binary search. At budget
-        # 64 each block is one row, so leaves of the pairwise sum span blocks.
+        # 9 classes of hypercube(9), which take the binary search. At tiles
+        # of 8 each block is one row, so leaves of the pairwise sum span blocks.
         ps = build()
         q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(ps.dimension, ps.dimension)))
         rotated = PointSet(dimension=ps.dimension, points=ps.points @ q)
-        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", budget)
-        monkeypatch.setattr(pointset, "_tile_side", lambda n: math.isqrt(budget))
+        monkeypatch.setattr(pointset, "_tile_side", lambda n: side)
         matrix = squared_distance_matrix(rotated) if relative else inner_product_matrix(rotated)
         want = reference_group_pairs(matrix, 1e-9, relative)
         assert max(want[1]) > 10_000
@@ -409,7 +405,7 @@ class TestGroupingEdgeCases:
         # Lower and upper triangles are drawn independently.
         entries = data.draw(st.lists(NEAR_ZERO, min_size=n * n, max_size=n * n))
         matrix = np.asarray(entries).reshape(n, n)
-        with small_blocks(data.draw(BUDGETS)):
+        with small_blocks(data.draw(TILE_SIDES)):
             got = outcome(grouped, matrix, 1e-9, False)
             assert_same_classes(got, outcome(reference_group_pairs, matrix, 1e-9, False), matrix)
 
@@ -474,7 +470,6 @@ class TestPairChecksMatchReference:
 
     def test_small_blocks_give_the_same_answers(self, monkeypatch, e8):
         # One row per block and per strip: the row-major order across blocks must hold.
-        monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 1)
         monkeypatch.setattr(pointset, "_tile_side", lambda n: 1)
         pts = np.array(e8.points)
         pts[200] = pts[17] + 1e-13
@@ -485,13 +480,15 @@ class TestPairChecksMatchReference:
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("n", [2, 255, 256, 1330, pointset._BLOCK_BUDGET + 1])
-    def test_blocks_cover_the_rows_in_order_within_the_budget(self, n):
-        # The helper takes only n: no n x n array is built.
-        blocks = list(pointset._row_blocks(n))
-        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
-        assert blocks[-1].stop == n
-        assert all(0 < (b.stop - b.start) * n <= max(pointset._BLOCK_BUDGET, n) for b in blocks)
+    @pytest.mark.parametrize("n", [2, 255, 256, 1330, 2**16 + 1])
+    def test_blocks_cover_the_rows_in_order_within_a_tile(self, n):
+        # The helper takes only sizes: no array is built. A block holds at
+        # most one tile's entries, or one row if a row is wider.
+        for width in (1, 15, n):
+            blocks = list(pointset._row_blocks(n, width, n))
+            assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+            assert blocks[-1].stop == n
+            assert all(0 < (b.stop - b.start) * width <= max(pointset._tile_side(n) ** 2, width) for b in blocks)
 
 
 class TestClassifiedOnce:
@@ -596,13 +593,24 @@ def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
 
 def test_profiles_trace_less_than_one_dense_matrix(johnson_14_4, traced_peak):
     # No n x n array: a strip of T rows (8Tn bytes, n^2 on johnson(14,4)
-    # and on hypercube(10)) and a block's temporaries, 2.8n^2 and 4.3n^2 in
+    # and on hypercube(10)) and a block's temporaries, 2.0n^2 and 2.1n^2 in
     # all. Grouping a kept pair matrix took 9.5n^2 and 10.5n^2.
     for ps, profile in (
         (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
         (construct_named("hypercube", d=10), inner_product_profile),
     ):
         assert traced_peak(profile, ps) < 0.75 * 8 * ps.n * ps.n
+
+
+def test_profiles_trace_a_strip_and_one_tile_a_block(johnson_14_4, traced_peak):
+    # A block holds at most T^2 entries, one tile's, so its temporaries stay
+    # near the strip's n^2 bytes here: 2.01n^2 and 2.12n^2 in all. Blocks of
+    # 2^16 entries at every n took 2.81n^2 and 4.33n^2.
+    for ps, profile in (
+        (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
+        (construct_named("hypercube", d=10), inner_product_profile),
+    ):
+        assert traced_peak(profile, ps) < 2.5 * ps.n * ps.n
 
 
 def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
@@ -629,7 +637,6 @@ def test_grouping_walks_the_upper_tiles_twice(monkeypatch, ps, euclidean, s):
     # tile on or above the diagonal computed once a walk (T = 8 here); a
     # pass per class took s + 1 walks. hypercube(4)'s inner products have a
     # class top at 0, whose sign the first walk records on the way.
-    monkeypatch.setattr(pointset, "_BLOCK_BUDGET", 64)
     monkeypatch.setattr(pointset, "_tile_side", lambda n: 8)
     calls, tile = [], pointset._pair_tile
     monkeypatch.setattr(

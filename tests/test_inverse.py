@@ -84,15 +84,22 @@ class TestForwardMap:
     @pytest.mark.parametrize("rows", [None, 1, 3, 4096])
     def test_weights_are_the_lagrange_basis_bit_for_bit(self, rows):
         # One s x rows slab per node against lagrange_basis, one call per
-        # L_i as the forward map evaluated them, on s = 2..12.
+        # L_i, on s = 2..12: the forward map's rows of nodes (t, 1) at 0,
+        # and with rows None also the ratios' one list of nodes at 0 and at 1.
         rng = np.random.default_rng(12)
         for s in range(2, 13):
             t = np.sort(rng.random((s - 1,) if rows is None else (rows, s - 1)), axis=-1)
-            nodes = np.moveaxis(np.concatenate([t, np.ones((*t.shape[:-1], 1))], axis=-1), -1, 0)
-            zero = np.zeros(t.shape[:-1])
-            want = np.stack([lagrange_basis(nodes, i, zero) for i in range(s)], axis=-1)
-            got = inverse._weights(t)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (s, rows)
+            nodes = np.concatenate([t, np.ones((*t.shape[:-1], 1))], axis=-1)
+            calls = [(nodes, 0.0)]
+            if rows is None:
+                values = np.sort(rng.uniform(-1.0, 1.0, size=s)).tolist()
+                calls += [(values, 0.0), (values, 1.0)]
+            for v, x0 in calls:
+                columns = np.moveaxis(np.asarray(v), -1, 0)
+                at = np.full(columns.shape[1:], x0)
+                want = np.stack([lagrange_basis(columns, i, at) for i in range(s)], axis=-1)
+                got = lagrange_weights(v, x0)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (s, rows, x0)
 
     @pytest.mark.parametrize(
         "bad", [[0.5, 0.4], [0.0, 0.5], [0.5, 1.0], [-0.1], [0.3, 0.3]]
@@ -103,8 +110,17 @@ class TestForwardMap:
 
 
 def _reference_weights(arr):
-    """The one-tuple forward map the row code replaced: L_i(0) on (t, 1)."""
-    return np.array(lagrange_weights(arr.tolist() + [1.0], 0.0))
+    """The one-tuple forward map the row code replaced: L_i(0) on the nodes
+    v = (t, 1), each a product over ascending j != i of (0 - v_j) / (v_i - v_j)."""
+    nodes = arr.tolist() + [1.0]
+    weights = []
+    for i, vi in enumerate(nodes):
+        w = 1.0
+        for j, vj in enumerate(nodes):
+            if j != i:
+                w *= (0.0 - vj) / (vi - vj)
+        weights.append(w)
+    return np.array(weights)
 
 
 def jacobian_loop(t):

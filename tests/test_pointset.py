@@ -288,12 +288,15 @@ class TestSphereAndAntipodal:
         assert st.parity == "odd" and st.s == 3
         assert np.allclose(st.beta_abs, (1 / sqrt(5),), atol=1e-12)
 
-    def test_antipodal_structure_rows_are_the_half_set(self, e8, hypercube_4):
+    def test_antipodal_structure_rows_are_the_half_set(self, e8, hypercube_4, half_rows):
+        # The half set keeps the larger point of each antipodal pair, in the full set's order.
         for ps in (e8, hypercube_4):
             st = antipodal_structure(ps)
-            assert np.array_equal(ps.points[st.rows], st.half.points)
             assert np.array_equal(half_set(ps).points, st.half.points)
-            assert not st.rows.flags.writeable
+            rows, partner = half_rows(ps), is_antipodal(ps)[1]
+            assert np.all(np.diff(rows) > 0)
+            assert sorted([*rows, *partner[rows]]) == list(range(ps.n))
+            assert all(tuple(ps.points[i]) > tuple(ps.points[partner[i]]) for i in rows)
 
     def test_antipodal_structure_needs_one_class_at_minus_one(self):
         # Partners within the 1e-12 antipodal tolerance whose inner products
