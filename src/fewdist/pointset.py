@@ -9,10 +9,12 @@ point set (read-only), one per kind and tolerance; no n x n array is.
 Every reader computes the pair values from the coordinates, one square tile
 of _tile_side(n) points a side at a time (_pair_tile), so all see
 the same, exactly symmetric, bits. Grouping walks the strips of T rows above
-the diagonal twice, in blocks of _row_blocks of at most one tile's entries:
-the first walk merges each block's sorted intervals into classes, the second
-sums each class in np.mean's order, bit for bit. Beyond a strip and a block,
-it holds tens of bytes per class and per interval. The duplicate-point and
+the diagonal in blocks of _row_blocks of at most one tile's entries, and
+merges each block's sorted intervals into classes. Each class mean is
+np.mean's, bit for bit: where every class holds one value (Johnson sets), its
+sum in np.mean's order follows from its count; otherwise a second walk sums
+each class in that order. Beyond a strip and a block, it holds tens of bytes
+per class and per interval. The duplicate-point and
 antipodal checks screen the pairs on and above the diagonal by a Gram product
 a strip at a time, and test coordinates only on the pairs that pass the screen.
 """
@@ -338,7 +340,8 @@ def _intervals(v: np.ndarray, tol: float, relative: bool):
 
 def _cut_and_merge(blocks, tol: float, relative: bool, zero):
     """Single-linkage classes at tol of the values in blocks (1-d arrays in
-    row-major order): (tops, counts). Each block's intervals, by lower end,
+    row-major order): (tops, counts, values), values each class's one value
+    if every class holds one, else None. Each block's intervals, by lower end,
     join the class before unless more than tol above its largest value. That
     gives the cuts of one global sort: within one sign a gap only grows as
     its ends move apart. A gap below 10*tol between classes is an ambiguity
@@ -360,10 +363,12 @@ def _cut_and_merge(blocks, tol: float, relative: bool, zero):
             f"values {float(left or zero(True))!r} and {float(right or zero(False))!r} are separated "
             "by less than 10x tol; no stable class split exists at this tolerance"
         )
-    tops = top[cuts]
+    tops, firsts = top[cuts], np.insert(cuts + 1, 0, 0)
+    lows = lo[firsts]  # a class holds one value if its least is its top (== takes -0.0 as 0.0)
+    one = lows[-1] == top[-1] and np.array_equal(lows[:-1], tops)
     if np.any(tops == 0):
         tops[tops == 0] = zero(True)
-    return tops, np.add.reduceat(count, np.insert(cuts + 1, 0, 0))
+    return tops, np.add.reduceat(count, firsts), lows if one else None
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
@@ -462,6 +467,29 @@ def _class_sums(blocks, tops: np.ndarray, counts: np.ndarray) -> np.ndarray:
     leaf[np.flatnonzero(length >= 8)[np.argsort(row[length >= 8])]] = flat[base:]
     last = np.flatnonzero(length & 7)[np.argsort(row[(length & 7) > 0])]  # each class's last leaf
     np.add.at(leaf, np.repeat(last, length[last] & 7), flat[: int((counts & 7).sum())])
+    return _tree_sums(splits, leaf)
+
+
+def _repeat_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """_class_sums when class c holds counts[c] copies of values[c], from the
+    counts alone: a leaf of m copies adds the value m//8 times in each lane,
+    joins the 8 equal lanes to exactly 8 times one, then adds m%8 more."""
+    slot = 8 * _starts((counts + 7) >> 3)
+    splits, row, length = zip(*_pairwise_tree(slot, counts))
+    row, length = np.concatenate(row), np.concatenate(length)
+    value = values[np.searchsorted(slot[1:] >> 3, row, side="right")]  # the class of each leaf's first row
+    leaf = np.zeros(length.size)
+    for k in range(16):
+        np.add(leaf, value, out=leaf, where=(length >> 3) > k)
+    leaf *= 8.0
+    for k in range(7):
+        np.add(leaf, value, out=leaf, where=(length & 7) > k)
+    return _tree_sums(splits, leaf)
+
+
+def _tree_sums(splits: tuple, leaf: np.ndarray) -> np.ndarray:
+    """0.0 plus each class's pairwise sum, from the sums of _pairwise_tree's
+    leaves in its order, joined bottom-up."""
     below, ends = np.empty(0), np.cumsum([np.count_nonzero(~split) for split in splits])
     for split, part in zip(reversed(splits), reversed(np.split(leaf, ends[:-1]))):
         below, value = np.empty(split.size), below
@@ -473,10 +501,11 @@ def _class_sums(blocks, tops: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _group_pairs(tile, n: int, tol: float, relative: bool):
     """Classes of n points' pair values above the diagonal, read by tile(rows,
     cols) (_pair_tiles) on and right of it: (means, counts, tops), tops the
-    largest value of each class but the last. Two walks over the strips of
-    _tiles rows, in blocks of _row_blocks, with no sorted copy: one finds the
-    classes, one sums them in np.mean's order, so each mean is np.mean over
-    the class's values in row-major order, bit for bit. Besides a strip and
+    largest value of each class but the last. Each mean is np.mean over the
+    class's values in row-major order, bit for bit. A walk over the strips of
+    _tiles rows, in blocks of _row_blocks, with no sorted copy, finds the
+    classes; unless every class holds one value, whose sums follow from the
+    counts, a second walk sums them in np.mean's order. Besides a strip and
     a block, each walk holds a few arrays of one entry per interval or class,
     which reach several times n^2 bytes as s nears n(n-1)/2."""
 
@@ -496,8 +525,8 @@ def _group_pairs(tile, n: int, tol: float, relative: bool):
                 ends[:] = ends[0] if ends else zeros[0], zeros[-1]
             yield v
 
-    tops, counts = _cut_and_merge(first_walk(), tol, relative, lambda last: ends[last])
-    sums = _class_sums(blocks(), tops, counts)
+    tops, counts, values = _cut_and_merge(first_walk(), tol, relative, lambda last: ends[last])
+    sums = _class_sums(blocks(), tops, counts) if values is None else _repeat_sums(values, counts)
     return [float(x) / c for x, c in zip(sums, counts.tolist())], counts.tolist(), _read_only(tops)
 
 

@@ -26,6 +26,7 @@ from fewdist.pointset import (
     _class_sums,
     _cut_and_merge,
     _group_pairs,
+    _repeat_sums,
     distance_profile,
     inner_product_matrix,
     inner_product_profile,
@@ -148,12 +149,18 @@ def outcome(fn, *args):
 def merged_ids(values, tol, relative):
     """_cut_and_merge's classes of values, fed in blocks of _row_blocks in
     the given (row-major) order, as class ids of the stably sorted values
-    and a class count."""
+    and a class count. Its values are each class's one value exactly when
+    every class's least and largest values compare equal."""
     zeros = values[values == 0]
     blocks = [values[part] for part in pointset._row_blocks(len(values), 1, len(values))]
-    tops, counts = _cut_and_merge(blocks, tol, relative, lambda last: zeros[-1 if last else 0])
-    ids = np.searchsorted(tops, np.sort(values), side="left")
+    tops, counts, one = _cut_and_merge(blocks, tol, relative, lambda last: zeros[-1 if last else 0])
+    ordered = np.sort(values)
+    ids = np.searchsorted(tops, ordered, side="left")
     assert np.array_equal(np.bincount(ids, minlength=len(counts)), counts)
+    ends = np.cumsum(counts)
+    lows, highs = ordered[ends - counts], ordered[ends - 1]
+    assert (one is not None) == np.array_equal(lows, highs)
+    assert one is None or np.array_equal(one, lows)
     return ids, len(counts)
 
 
@@ -267,26 +274,47 @@ class TestClassSumsMatchNumpy:
                 got = _class_sums(blocks, tops, counts)[-1]
                 assert got.tobytes() == np.add.reduce(x).tobytes(), n
 
+    @pytest.mark.parametrize("shift", range(7))
+    def test_repeated_values_sum_from_their_counts(self, shift):
+        # A class of n copies of one value sums to np.add.reduce(np.full(n,
+        # v)) from (v, n) alone; the values take turns over the classes, so
+        # every (n, v) pair is summed beside classes of other values.
+        counts = np.array(pinned_lengths()[1:], dtype=np.intp)
+        values = np.resize(np.roll([0.1, 1 / 3, -0.5, 0.0, -0.0, 5e-324, 1e308], shift), counts.size)
+        with np.errstate(over="ignore"):
+            got = _repeat_sums(values, counts)
+            want = np.array([np.add.reduce(np.full(n, v)) for n, v in zip(counts.tolist(), values)])
+        assert got.tobytes() == want.tobytes()
+
     def test_blocks_count_only_the_classes_they_hold(self, monkeypatch):
         # Nearly every pair value of random points is its own class, so at
         # tiles of 4 (strips of 4 rows, nearly all cut into one row a block) a
         # block holds a few dozen of the 3,160 classes, and no block may pass
-        # np.repeat more counts than values.
+        # np.repeat more counts than values. Each class is one pair, so the
+        # grouping sums from the counts; the first walk's blocks go to
+        # _class_sums directly, which must agree.
         matrix = squared_distance_matrix(PointSet(dimension=3, points=np.random.default_rng(7).random((80, 3))))
         want = reference_group_pairs(matrix, 1e-13, True)
-        repeat, calls = np.repeat, []
+        cut, held, repeat, calls = pointset._cut_and_merge, [], np.repeat, []
 
         def counted(a, repeats, *args, **kwargs):
             calls.append((np.size(repeats), int(np.sum(repeats))))
             return repeat(a, repeats, *args, **kwargs)
 
+        def kept(blocks, *args):
+            held.extend(blocks)
+            return cut(held, *args)
+
         monkeypatch.setattr(pointset, "_tile_side", lambda n: 4)
-        monkeypatch.setattr(np, "repeat", counted)
+        monkeypatch.setattr(pointset, "_cut_and_merge", kept)
         got = grouped(matrix, 1e-13, True)
+        monkeypatch.setattr(np, "repeat", counted)
+        sums = _class_sums(held, got[2], np.asarray(got[1]))
         monkeypatch.undo()
         assert len(got[1]) > 3000 and len(calls) > 70
-        assert all(size <= held for size, held in calls)
+        assert all(size <= values for size, values in calls)
         assert_same_classes(got, want, matrix)
+        assert [float(x) / c for x, c in zip(sums, got[1])] == got[0]
 
     @pytest.mark.parametrize("side", [256, 8])
     @pytest.mark.parametrize(
@@ -593,8 +621,8 @@ def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
 
 def test_profiles_trace_less_than_one_dense_matrix(johnson_14_4, traced_peak):
     # No n x n array: a strip of T rows (8Tn bytes, n^2 on johnson(14,4)
-    # and on hypercube(10)) and a block's temporaries, 2.0n^2 and 2.1n^2 in
-    # all. Grouping a kept pair matrix took 9.5n^2 and 10.5n^2.
+    # and on hypercube(10)) and a block's temporaries, 1.5n^2 (one walk) and
+    # 2.1n^2 in all. Grouping a kept pair matrix took 9.5n^2 and 10.5n^2.
     for ps, profile in (
         (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
         (construct_named("hypercube", d=10), inner_product_profile),
@@ -604,8 +632,9 @@ def test_profiles_trace_less_than_one_dense_matrix(johnson_14_4, traced_peak):
 
 def test_profiles_trace_a_strip_and_one_tile_a_block(johnson_14_4, traced_peak):
     # A block holds at most T^2 entries, one tile's, so its temporaries stay
-    # near the strip's n^2 bytes here: 2.01n^2 and 2.12n^2 in all. Blocks of
-    # 2^16 entries at every n took 2.81n^2 and 4.33n^2.
+    # near the strip's n^2 bytes here: 1.54n^2 (2.01n^2 with the second
+    # walk) and 2.12n^2 in all. Blocks of 2^16 entries at every n took
+    # 2.81n^2 and 4.33n^2.
     for ps, profile in (
         (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
         (construct_named("hypercube", d=10), inner_product_profile),
@@ -615,28 +644,35 @@ def test_profiles_trace_a_strip_and_one_tile_a_block(johnson_14_4, traced_peak):
 
 def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
     # A block's temporaries, a row table and a row of 8 lanes per leaf of the
-    # pairwise sum, about 1.6n^2 bytes here. A sorted copy of the values
+    # pairwise sum, about 1.0n^2 bytes on the rotated set, whose classes
+    # spread over their last bits and take the second walk; the Johnson
+    # set's one-value classes skip it, 0.27n^2. A sorted copy of the values
     # (4n^2) and a bool mask per class (n^2) took 5.1n^2; the argsort order,
     # gathered copy and id arrays before them took 22.5n^2.
-    matrix = squared_distance_matrix(johnson_14_4)
-    n = johnson_14_4.n
-    assert traced_peak(grouped, matrix, 1e-9, True) < 2.5 * n * n
+    n, dim = johnson_14_4.n, johnson_14_4.dimension
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(dim, dim)))
+    for ps in (johnson_14_4, PointSet(dimension=dim, points=johnson_14_4.points @ q)):
+        assert traced_peak(grouped, squared_distance_matrix(ps), 1e-9, True) < 2.5 * n * n
 
 
 @pytest.mark.parametrize(
-    "ps,euclidean,s",
+    "ps,euclidean,s,walks",
     [
-        (construct_johnson(10, 3), True, 3),
-        (PointSet(dimension=3, points=np.random.default_rng(0).random((60, 3))), True, 1770),
-        (construct_named("hypercube", d=4), False, 4),
+        (construct_johnson(10, 3), True, 3, 1),
+        (PointSet(dimension=3, points=np.random.default_rng(0).random((60, 3))), True, 1770, 1),
+        (construct_named("hypercube", d=4), False, 4, 1),
+        (construct_named("e8_roots"), False, 4, 2),
     ],
-    ids=["johnson_10_3", "random_60", "hypercube_4"],
+    ids=["johnson_10_3", "random_60", "hypercube_4", "e8_roots"],
 )
-def test_grouping_walks_the_upper_tiles_twice(monkeypatch, ps, euclidean, s):
-    # Once to find the classes and once to sum them, whatever s is, each
-    # tile on or above the diagonal computed once a walk (T = 8 here); a
-    # pass per class took s + 1 walks. hypercube(4)'s inner products have a
-    # class top at 0, whose sign the first walk records on the way.
+def test_grouping_walks_the_upper_tiles_once_or_twice(monkeypatch, ps, euclidean, s, walks):
+    # Once to find the classes and, unless every class holds one value,
+    # once to sum them, whatever s is, each tile on or above the diagonal
+    # computed once a walk (T = 8 here); a pass per class took s + 1 walks.
+    # Johnson distances, hypercube(4)'s inner products and the one-pair
+    # classes of random points are single values; e8's inner products
+    # spread over their last bits. hypercube(4) has a class top at 0, whose
+    # sign the first walk records on the way.
     monkeypatch.setattr(pointset, "_tile_side", lambda n: 8)
     calls, tile = [], pointset._pair_tile
     monkeypatch.setattr(
@@ -644,10 +680,10 @@ def test_grouping_walks_the_upper_tiles_twice(monkeypatch, ps, euclidean, s):
     )
     means, _, tops = grouped_points(ps, euclidean, 1e-13, euclidean)
     assert len(means) == s
-    assert euclidean or 0.0 in tops
+    assert euclidean or walks == 2 or 0.0 in tops  # e8's top near 0 is 2.2e-17
     tiles = pointset._tiles(ps.n)
     assert len(tiles) > 1
-    assert calls == [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start] * 2
+    assert calls == [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start] * walks
 
 
 def test_indicator_memory_is_the_basis_and_one_deviation(johnson_14_4, traced_peak):
