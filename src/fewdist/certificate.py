@@ -11,9 +11,11 @@ ratios read too; M and A are read a strip of rows at a time off pair values
 computed from the coordinates. The checks are numerical, with measured slacks.
 Spectra come from one rule on two views of M: B = Q^T M Q, with Q an
 orthonormal basis of the polynomials in the point coordinates that hold
-every indicator of a setting, then M itself. On each view the companion's
-spectrum is read off the view's own, within a Weyl bound. M (built on first
-access) and its companion are n x n only on M's view; B's holds no n x n array.
+every indicator of a setting, then M itself (Q = I). One walk over M's rows
+gives each view and the companion's entry checks. On each view the
+companion's spectrum is read off the view's own, within a Weyl bound, and
+the companion is built only where that leaves a count open. M is n x n only
+on M's view; B's holds no n x n array.
 """
 
 from __future__ import annotations
@@ -73,19 +75,6 @@ def _deviation(im, rows: slice, block: np.ndarray, adjacency: np.ndarray, out: n
     return np.max(np.abs(out, out=out))
 
 
-def _stacked(im, part: int) -> np.ndarray:
-    """M (part 0) or A (part 1) as one n x n array, filled a strip of rows at
-    a time, with the decomposition deviation read on the way."""
-    out, deviations = np.empty((im.n, im.n), (float, np.int8)[part]), []
-    for rows in _tiles(im.n):
-        block, adjacency = im._rows(rows)
-        out[rows] = (block, adjacency)[part]
-        deviations.append(_deviation(im, rows, block, adjacency))
-    if im._dev is None:  # no second evaluation for it
-        object.__setattr__(im, "max_decomposition_dev", float(np.max(deviations)))
-    return out
-
-
 @dataclass(frozen=True)
 class IndicatorMatrix:
     """M = k*I + A (n x n) for one class index, with the claimed
@@ -104,8 +93,10 @@ class IndicatorMatrix:
     source: tuple | None = field(default=None, repr=False)
     evaluate: Callable[[slice], tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
-    adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: _stacked(im, 1)), repr=False)
-    matrix: np.ndarray = field(default=_OnFirstRead("_matrix", lambda im: _stacked(im, 0)), repr=False)
+    adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: np.concatenate(
+        [im._rows(rows)[1] for rows in _tiles(im.n)])), repr=False)
+    matrix: np.ndarray = field(default=_OnFirstRead(
+        "_matrix", lambda im: _view(im, None, 1.0, 0.0, 0.0)[0]), repr=False)  # M's view's walk
     max_decomposition_dev: float = field(default=_OnFirstRead("_dev", lambda im: float(np.max(
         [_deviation(im, rows, *im._rows(rows)) for rows in _tiles(im.n)]))), repr=False)
 
@@ -114,7 +105,7 @@ class IndicatorMatrix:
         m, a = self._matrix, self._adjacency
         if m is None or a is None:
             fresh = self.evaluate(rows)
-        return (fresh[0] if m is None else np.array(m[rows])), (fresh[1] if a is None else a[rows])
+        return (fresh[0] if m is None else np.array(m[rows], float)), (fresh[1] if a is None else a[rows])
 
 
 def _in_class(pairs: np.ndarray, cuts: np.ndarray, c: int) -> np.ndarray:
@@ -274,21 +265,23 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError("sign matrix must be square")
+    if not arr.size:
+        raise InputError("sign matrix must not be empty")
     n = arr.shape[0]
     # One buffer per strip of _tiles rows, freed before the next; the maxima
     # are taken over all strips, so a NaN propagates as in one np.max.
-    maxima = []
-    for rows in _tiles(n):
-        out = np.subtract(arr[rows], arr[:, rows].T)
-        maxima.append((np.max(np.abs(out, out=out)), *_entry_maxima(arr[rows], rows.start, out)))
-        del out
+    maxima = [_entry_maxima(arr[rows], rows.start, np.empty((rows.stop - rows.start, n)), arr[:, rows].T)
+              for rows in _tiles(n)]
     return _sign_bound(n, e, m, np.max(maxima, axis=0), entry_tol)
 
 
-def _entry_maxima(block: np.ndarray, start: int, out: np.ndarray | None = None):
-    """Largest distance to and size of the nearest integer off the diagonal,
-    and |entry| on it, in rows start.. of a square matrix, in one buffer."""
+def _entry_maxima(block: np.ndarray, start: int, out: np.ndarray, columns: np.ndarray | None = None):
+    """In block, rows start.. of a square matrix, with out as the one buffer:
+    the largest |block - columns| (the same rows of its transpose; 0 if not
+    given), distance to and size of the nearest integer off the diagonal,
+    and |entry| on it."""
     n = block.shape[1]
+    asymmetry = 0.0 if columns is None else np.max(np.abs(np.subtract(block, columns, out=out), out=out))
     diagonal = np.max(np.abs(block.flat[start :: n + 1]))
     out = np.round(block, out=out)
     out -= block
@@ -296,30 +289,24 @@ def _entry_maxima(block: np.ndarray, start: int, out: np.ndarray | None = None):
     off_integer = np.max(np.abs(out, out=out))
     np.abs(np.round(block, out=out), out=out)
     out.flat[start :: n + 1] = 0.0
-    return off_integer, np.max(out), diagonal
+    return asymmetry, off_integer, np.max(out), diagonal
 
 
 def _sign_bound(n: int, e: float, m: int, maxima, entry_tol: float = 1e-9) -> dict:
-    """verify_sign_matrix_bound on (asymmetry, *_entry_maxima) of its matrix."""
+    """verify_sign_matrix_bound on (asymmetry, *_entry_maxima) of its matrix.
+    Each check is written to pass, so that a NaN maximum fails it."""
     asymmetry, off_integer, magnitude, diagonal = maxima
-    if asymmetry > entry_tol:
+    if not asymmetry <= entry_tol:
         raise InputError("sign matrix must be symmetric")
-    if diagonal > entry_tol:
+    if not diagonal <= entry_tol:
         raise InputError("sign matrix must have zero diagonal")
-    if off_integer > entry_tol or magnitude > 1:
+    if not (off_integer <= entry_tol and magnitude <= 1):
         raise InputError("off-diagonal entries must be 0 or +-1")
     if not (1 <= m <= n):
         raise ParameterError(f"multiplicity m must be in [1, n], got {m}")
-    rhs = (n - 1) * (n - m) / m
-    lhs = float(e) * float(e)
-    return {
-        "n": n,
-        "e": float(e),
-        "m": int(m),
-        "lhs": lhs,
-        "rhs": float(rhs),
-        "ok": bool(lhs <= rhs * (1.0 + 1e-12) + 1e-9),
-    }
+    rhs, lhs = float((n - 1) * (n - m) / m), float(e) * float(e)
+    ok = bool(lhs <= rhs * (1.0 + 1e-12) + 1e-9)
+    return {"n": n, "e": float(e), "m": int(m), "lhs": lhs, "rhs": rhs, "ok": ok}
 
 
 def _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors=None):
@@ -378,11 +365,26 @@ def _range_basis(ps: PointSet, im: IndicatorMatrix, tol: float):
     return np.linalg.qr(phi)[0]
 
 
-def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
-    """M's view B = Q^T M Q on its setting's range basis Q, with c = Q^T 1,
-    B's companion and the errors _counts takes, and M's companion's entry
-    maxima for _sign_bound unless M is held; None without a basis. One walk
-    over M's row blocks gives MQ, the decomposition deviation and the maxima.
+def _basis(im: IndicatorMatrix):
+    """(Q, a bound on ||Q||_2) for im's setting, memoized on its point set: a
+    setting's classes share one polynomial space, so one Q. None for a
+    hand-built M, with no coordinates to build Q from, or without a basis."""
+    if im.source is None:
+        return None
+    ps, tol = im.source
+    key = ("range_basis", im.setting, tol, im.d_eff)
+    q = _memoized(ps, key, lambda: _range_basis(ps, im, tol))
+    return q if q is None else (
+        q, _memoized(ps, (*key, "norm"), lambda: float(np.sqrt(np.linalg.norm(q.T @ q, 1)))))
+
+
+def _view(im: IndicatorMatrix, basis, scale, shift, expected_e):
+    """One view (X, c, errors) of M for _view_counts and its companion's
+    maxima for _sign_bound, from one walk over M's row blocks that also reads
+    the decomposition deviation. With basis None, X is M itself (held, or
+    filled in the walk), c = 1 and errors None. With basis (Q, ||Q||_2 bound),
+    X = B = Q^T M Q, c = Q^T 1 and errors bound the spectra's (M's, the
+    companion's) distances from the exact ones.
 
     M = Q B Q^T + E, so by Weyl's inequality the spectrum of M is eig(B) and
     n - l zeros, each within ||E|| of the exact one. As E = (M - MQ Q^T) +
@@ -391,46 +393,51 @@ def _range_view(im: IndicatorMatrix, scale, shift, expected_e):
     companion scale*M - shift*J + e*I is Q (scale*B - shift*c c^T + e*I) Q^T
     + e*(I - Q Q^T), up to scale*E and the part of J outside range(Q).
     """
-    if im.source is None:  # a hand-built M: no coordinates to build Q from
-        return None
-    ps, tol = im.source  # a setting's classes share one polynomial space, so one Q
-    key = ("range_basis", im.setting, tol, im.d_eff)
-    q = _memoized(ps, key, lambda: _range_basis(ps, im, tol))
-    if q is None:
-        return None
-    q_norm = _memoized(ps, (*key, "norm"), lambda: float(np.sqrt(np.linalg.norm(q.T @ q, 1))))
-    n, width = im.n, q.shape[1]
-    mq = np.empty((n, width))
+    n = im.n
+    q, q_norm = basis or (None, None)
+    mq = im._matrix if q is None and im._matrix is not None else np.empty((n, n if q is None else q.shape[1]))
     walk = np.array([_walk_rows(im, rows, q, mq, scale, shift, expected_e) for rows in _tiles(n)])
     if im._dev is None:  # read in the walk: no second one
         object.__setattr__(im, "max_decomposition_dev", float(np.max(walk[:, 0])))
+    entries = np.max(walk[:, 2:], axis=0)
+    if q is None:
+        return mq, np.ones(n), None, entries
     b = q.T @ mq
     b = (b + b.T) / 2.0
     mq -= q @ b
     err = float(np.sqrt(np.sum(walk[:, 1]))) + float(np.linalg.norm(mq)) * q_norm
     c = q.sum(axis=0)
     off = float(np.linalg.norm(1.0 - q @ c))
-    companion = scale * b - shift * np.outer(c, c)
-    companion.flat[:: width + 1] += expected_e
     # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
-    errors = (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off))
-    # An evaluated M is an entrywise function of exactly symmetric pair values (pointset._pair_tile).
-    return (b, c, companion, errors), (0.0, *np.max(walk[:, 2:], axis=0)) if im._matrix is None else None
+    return b, c, (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off)), entries
 
 
 def _walk_rows(im: IndicatorMatrix, rows: slice, q, mq, scale, shift, expected_e):
-    """M's rows into MQ's, and their deviation, part of ||M - MQ Q^T||_F^2
-    and companion's _entry_maxima, with one buffer beside the block."""
+    """M's rows into MQ's, or into M's own with q None (none into a held M),
+    and their deviation, part of ||M - MQ Q^T||_F^2 (0 with q None), and the
+    companion's asymmetry and _entry_maxima, with one buffer beside the block."""
     block, adjacency = im._rows(rows)
-    mq[rows] = block @ q
+    if mq is not im._matrix:
+        mq[rows] = block if q is None else block @ q
     out = np.empty_like(block)
     deviation = _deviation(im, rows, block, adjacency, out)
-    np.subtract(block, np.matmul(mq[rows], q.T, out=out), out=out)
-    squares = np.vdot(out, out)
+    squares = 0.0
+    if q is not None:
+        np.subtract(block, np.matmul(mq[rows], q.T, out=out), out=out)
+        squares = np.vdot(out, out)
+    # An evaluated M is an entrywise function of exactly symmetric pair
+    # values (pointset._pair_tile); a held one is checked against its columns.
+    rule = (rows.start, scale, shift, expected_e)
+    columns = None if im._matrix is None else _companion_rows(np.array(im._matrix[:, rows].T, float), *rule)
+    return deviation, squares, *_entry_maxima(_companion_rows(block, *rule), rows.start, out, columns)
+
+
+def _companion_rows(block, start, scale, shift, expected_e):
+    """block, M's rows start.., made the companion's rows in place."""
     block *= scale
     block -= shift
-    block.flat[rows.start :: im.n + 1] += expected_e
-    return deviation, squares, *_entry_maxima(block, rows.start, out)
+    block.flat[start :: block.shape[1] + 1] += expected_e
+    return block
 
 
 def _read_off(x, c, eig, scale, shift, expected_e):
@@ -457,13 +464,13 @@ def _read_off(x, c, eig, scale, shift, expected_e):
     return companion_eig, scale * (4.0 * float(np.linalg.norm(xu - mu * u)) + slack)
 
 
-def _view_counts(view, n, scale, shift, expected_e, tol_rank, cluster_tol):
-    """_counts on one view (X, c, companion, errors) of M, None where a count
-    stays open: eig(X) padded with zeros to n, the companion's spectrum read
-    off it, and the view's own companion decomposed only where the read-off
-    leaves a count open. errors is None on M itself: there every count is decided.
+def _view_counts(x, c, errors, n, scale, shift, expected_e, tol_rank, cluster_tol):
+    """_counts on one view (X, c, errors) of M, None where a count stays
+    open: eig(X) padded with zeros to n, the companion's spectrum read off
+    it, and the view's own companion scale*X - shift*c c^T + e*I built and
+    decomposed only where the read-off leaves a count open. errors is None
+    on M itself: there every count is decided.
     """
-    x, c, companion, errors = view
     pad = np.zeros(n - len(x))
     eig = np.concatenate([_eigvalsh(x), pad])
     if not shift:  # M - kI: M's spectrum shifted
@@ -472,6 +479,10 @@ def _view_counts(view, n, scale, shift, expected_e, tol_rank, cluster_tol):
     err, companion_err = errors or (0.0, 0.0)
     counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, (err, companion_err + bound))
     if counts is None:
+        # Exactly symmetric, as X is: eigvalsh takes it without a symmetrising copy.
+        companion = scale * x
+        companion -= np.multiply.outer(shift * c, c)
+        companion.flat[:: len(c) + 1] += expected_e
         companion_eig = np.concatenate([_eigvalsh(companion), pad + expected_e])
         counts = _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors)
     return counts
@@ -527,22 +538,18 @@ def verify_key_lemma(
     Both spectra come from one rule on at most two views of M: first
     B = Q^T M Q on the setting's polynomial range basis Q (from the
     coordinates) when n >= 2*N_cap and Q is narrower than M, then M itself.
-    On each the companion's spectrum is read off the view's, and the view's
-    own companion is decomposed only where a count stays open. M's view
-    decides every count B's leaves open, so the counts are dense eigvalsh's.
+    Each comes from one walk over M's rows, which also gives the sign bound's
+    entry checks. On each the companion's spectrum is read off the view's,
+    and the view's own companion is built only where a count stays open. M's
+    view decides every count B's leaves open, so the counts are dense eigvalsh's.
     """
     if context is None:
         context = theorem_context(im.setting, im.d_eff, im.s)
     if context.setting != im.setting:
-        raise ParameterError(
-            f"context setting {context.setting!r} does not match matrix setting {im.setting!r}"
-        )
+        raise ParameterError(f"context setting {context.setting!r} does not match matrix setting {im.setting!r}")
     if context.N != im.n_cap:
-        raise ParameterError(
-            f"context N={context.N} does not match the matrix space dimension {im.n_cap}"
-        )
-    n = im.n
-    k = im.k_claimed
+        raise ParameterError(f"context N={context.N} does not match the matrix space dimension {im.n_cap}")
+    n, k = im.n, im.k_claimed
     zero_applicable = n >= 2 * im.n_cap
     k_rounded = int(round(k))
     integrality_dev = abs(k - k_rounded)
@@ -555,17 +562,12 @@ def verify_key_lemma(
     expected_e = -(scale * k - shift)
     tol_rank, cluster_tol = _valid_tol("tol_rank", tol_rank), _valid_tol("cluster_tol", cluster_tol)
     rule = (n, scale, shift, expected_e, tol_rank, cluster_tol)
-    view = _range_view(im, scale, shift, expected_e) if zero_applicable else None
-    counts = None if view is None else _view_counts(view[0], *rule)
-    entries = None if counts is None else view[1]
-    if entries is None:  # M's view, or a held M
-        # Built in place without dense J and I, and exactly symmetric, as M
-        # is: eigvalsh takes both without a symmetrising copy.
-        companion_matrix = scale * im.matrix
-        companion_matrix -= shift
-        companion_matrix.flat[:: n + 1] += expected_e
-    if counts is None:
-        counts = _view_counts((im.matrix, np.ones(n), companion_matrix, None), *rule)
+    basis = _basis(im) if zero_applicable else None
+    *view, entries = _view(im, basis, scale, shift, expected_e)
+    counts = _view_counts(*view, *rule)
+    if counts is None:  # B's view left a count open: M's decides every count
+        *view, entries = _view(im, None, scale, shift, expected_e)
+        counts = _view_counts(*view, *rule)
     rank, zero_multiplicity, measured_mult = counts
     zero_ok = (zero_multiplicity >= im.n_cap) if zero_applicable else True
     required_mult = n - im.n_cap - int(shift)
@@ -579,22 +581,19 @@ def verify_key_lemma(
         "measured_multiplicity": measured_mult,
         "multiplicity_applicable": mult_applicable,
         "multiplicity_ok": mult_ok,
+        "sign_bound_ok": None,
     }
     if measured_mult >= 1:
         try:
-            bound = _sign_bound(n, expected_e, measured_mult, entries) if entries else (
-                verify_sign_matrix_bound(companion_matrix, expected_e, measured_mult))
+            bound = _sign_bound(n, expected_e, measured_mult, entries)
             companion["sign_bound_ok"] = bound["ok"]
             companion["sign_bound_rhs"] = bound["rhs"]
         except InputError as exc:
             companion["sign_bound_ok"] = False
             companion["sign_bound_reason"] = str(exc)
-    else:
-        companion["sign_bound_ok"] = None
 
-    checks = [rank <= im.n_cap, zero_ok, integral_ok, bound_ok, mult_ok]
-    if companion["sign_bound_ok"] is not None:
-        checks.append(bool(companion["sign_bound_ok"]))
+    sign_ok = companion["sign_bound_ok"] is not False  # an inapplicable bound (None) passes
+    checks = [rank <= im.n_cap, zero_ok, integral_ok, bound_ok, mult_ok, sign_ok]
     return CertificateVerdict(
         setting=im.setting,
         class_index=im.class_index,

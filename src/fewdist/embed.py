@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_TOL_PSD
-from .errors import InputError, NumericalError, SizeMismatchError, _valid_tol
+from .errors import InputError, NumericalError, ParameterError, SizeMismatchError, _valid_tol
 from .pointset import PointSet, squared_distance_matrix
 
 DEFAULT_CONGRUENCE_TOL = 1e-8
@@ -70,6 +70,8 @@ class EmbeddingVerdict:
 
 def _verdict_from_gram(G: np.ndarray, d: int, tol_psd: float) -> EmbeddingVerdict:
     _valid_tol("tol_psd", tol_psd)
+    if d < 0:  # d = 0 stays a verdict: two or more points never fit in R^0
+        raise ParameterError(f"d must be >= 0, got {d}")
     try:
         eigvals, eigvecs = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:

@@ -61,6 +61,8 @@ class PointSet:
             raise DimensionMismatchError("points must form a 2-d array")
         if pts.shape[0] < 2:
             raise ParameterError("a point set needs at least 2 points")
+        if pts.shape[1] == 0:
+            raise DimensionMismatchError("points need at least one coordinate")
         if pts.shape[1] != self.dimension:
             raise DimensionMismatchError(
                 f"points have {pts.shape[1]} coordinates, dimension says {self.dimension}"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 from .bounds import FAMILIES, SETTING_TABLE, TheoremContext, setting_row, theorem_context
 from .defaults import DEFAULT_TOL_INT
@@ -194,6 +194,8 @@ def rational_inner_products(
     _valid_tol("tol_int", tol_int)
     out = []
     for num, den in pairs:
+        if not (isfinite(num) and isfinite(den)):
+            raise InputError(f"ratios ({num!r}, {den!r}) must be finite")
         n_int, d_int = round(num), round(den)
         if abs(num - n_int) > tol_int or abs(den - d_int) > tol_int:
             raise InputError(

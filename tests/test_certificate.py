@@ -415,6 +415,30 @@ class TestSignMatrixBound:
         with pytest.raises(InputError, match="sign matrix must be square"):
             verify_sign_matrix_bound(matrix, 0.0, 1)
 
+    @pytest.mark.parametrize("matrix", [
+        [[0.0, np.nan], [np.nan, 0.0]],
+        [[np.nan, 1.0], [1.0, 0.0]],
+        [[0.0, 1.0, 0.0], [1.0, 0.0, np.nan], [0.0, np.nan, 0.0]],
+    ])
+    def test_rejects_a_nan_entry(self, matrix):
+        # A NaN fails every entry check instead of passing it.
+        with pytest.raises(InputError):
+            verify_sign_matrix_bound(np.array(matrix), 1.0, 1)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_a_nan_maximum_fails_its_own_check(self, slot):
+        # verify_key_lemma feeds _sign_bound the walk's maxima (asymmetry,
+        # off-integer distance, magnitude, diagonal): each check fails on NaN.
+        maxima = [0.0, 0.0, 1.0, 0.0]
+        assert certificate._sign_bound(2, 1.0, 1, maxima)["ok"]
+        maxima[slot] = np.nan
+        with pytest.raises(InputError):
+            certificate._sign_bound(2, 1.0, 1, maxima)
+
+    def test_rejects_an_empty_input(self):
+        with pytest.raises(InputError, match="sign matrix must not be empty"):
+            verify_sign_matrix_bound(np.zeros((0, 0)), 1.0, 1)
+
     def test_random_sign_matrices_respect_bound(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -541,7 +565,7 @@ class TestRangeSketch:
         pairs = pointset.squared_distance_matrix(ps)
         matrix = lagrange_basis([0.5, 2.0, 4.0], 1, pairs)
         im, _ = hand_built(matrix, "euclidean", 1.0, 10, (ps, pointset.DEFAULT_TOL), d_eff=3, s=3)
-        (b, _, _, (err, _)), _ = certificate._range_view(im, 2.0, 1.0, -1.0)
+        b, _, (err, _), _ = certificate._view(im, certificate._basis(im), 2.0, 1.0, -1.0)
         assert b.shape == (15, 15)
         assert err < 1e-12 * np.linalg.norm(matrix)
 
@@ -778,6 +802,37 @@ class TestRowBlockWalk:
         matrix[1, 0] += 1e-6
         v = verify_key_lemma(dataclasses.replace(im, matrix=matrix))
         assert v.companion["sign_bound_reason"] == "sign matrix must be symmetric"
+        # On M's own view too: hand-built, with no source and n < 2 N_cap.
+        hand, context = hand_built(matrix, "euclidean", im.k_claimed, 300)
+        with recorded_shapes() as shapes:
+            v = verify_key_lemma(hand, context)
+        assert not v.zero_applicable and (im.n, im.n) in shapes
+        assert v.companion["measured_multiplicity"] >= 1
+        assert v.companion["sign_bound_reason"] == "sign matrix must be symmetric"
+
+    @pytest.mark.parametrize("name,d", [("e8_roots", None), ("hypercube", 5)])
+    def test_the_walks_sign_bound_is_the_dense_companions(self, name, d):
+        # Every class in every setting, on B's view (e8's half set) and on
+        # M's: the companion dict equals one whose sign bound comes from
+        # verify_sign_matrix_bound on the dense companion scale*M - shift + e*I.
+        ps = construct_named(name, d)
+        for setting in applicable_settings(ps):
+            for index in class_index_range(ps, setting):
+                im = indicator_matrix(ps, index, setting)
+                v = verify_key_lemma(im)
+                signed = setting in certificate.SIGNED_SETTINGS
+                scale, shift = (1.0, 0.0) if signed else (2.0, 1.0)
+                e, m = v.companion["expected_eigenvalue"], v.companion["measured_multiplicity"]
+                want = {key: value for key, value in v.companion.items() if not key.startswith("sign_bound")}
+                want["sign_bound_ok"] = None
+                if m >= 1:
+                    companion = scale * im.matrix - shift + e * np.eye(im.n)
+                    try:
+                        bound = verify_sign_matrix_bound(companion, e, m)
+                        want.update(sign_bound_ok=bound["ok"], sign_bound_rhs=bound["rhs"])
+                    except InputError as exc:
+                        want.update(sign_bound_ok=False, sign_bound_reason=str(exc))
+                assert v.companion == want, (setting, index)
 
 
 class TestHalfSetClasses:
@@ -852,7 +907,7 @@ class TestEntryCheckMemory:
         verify_key_lemma(im)
         monkeypatch.undo()
         matrix, companion = spectra
-        assert matrix is im.matrix
+        assert np.array_equal(matrix, im.matrix)
         assert np.array_equal(companion, companion.T)
         assert tuple(real(companion)) == eigen_multiplicities(companion).eigenvalues
         assert traced_peak(real, companion) < 0.25 * 8 * n * n

@@ -38,7 +38,9 @@ GOLDEN_INVERT = (
 # hypercube(5) is the one set that runs the odd antipodal settings, and the
 # icosahedron is spherical without an antipodal setting.
 # johnson(14,3) (n = 455, N_cap = 135) is the set whose euclidean verdicts
-# come from the 136-column polynomial range basis.
+# come from the 136-column polynomial range basis. hypercube(8) adds only
+# `certify --setting all`: every verdict of it, sign bound included, is
+# M's own view (n < 2 N_cap).
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SETS = {
     "e8_roots": lambda: construct_named("e8_roots"),
@@ -46,11 +48,13 @@ GOLDEN_SETS = {
     "hypercube_5": lambda: construct_named("hypercube", d=5),
     "icosahedron": lambda: construct_named("icosahedron"),
     "johnson_14_3": lambda: construct_johnson(14, 3),
+    "hypercube_8": lambda: construct_named("hypercube", d=8),
 }
 GOLDEN_VERDICTS = [
     (name, command, argv)
     for name in GOLDEN_SETS
     for command, argv in (("ratios_all", ["ratios", "--all"]), ("certify_all", ["certify", "--setting", "all"]))
+    if (name, command) != ("hypercube_8", "ratios_all")
 ]
 
 
@@ -315,6 +319,21 @@ class TestExitCodes:
         assert run([*argv, "-o", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: cannot write {path}: ")
+
+    @pytest.mark.parametrize(
+        "text,argv",
+        [
+            ('{"points": [[], [], []]}', ["profile"]),
+            ('{"matrix": [[0, 1, 1], [1, 0, 2], [1, 2, 0]]}', ["embed-check", "-d", "-1"]),
+        ],
+        ids=["points-without-coordinates", "embed-check-negative-d"],
+    )
+    def test_bad_input_is_exit_2(self, tmp_path, capsys, text, argv):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert run([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_ragged_rows(self, tmp_path, capsys):
         path = tmp_path / "ragged.json"

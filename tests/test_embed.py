@@ -22,7 +22,7 @@ from fewdist import (
     spherical_embeddable,
 )
 from fewdist.embed import check_squared_distance_matrix, double_center
-from fewdist.errors import SizeMismatchError
+from fewdist.errors import ParameterError, SizeMismatchError
 from fewdist.pointset import squared_distance_matrix
 
 # 1 + 1 < 3: no metric realization at all.
@@ -158,6 +158,17 @@ class TestEuclideanEmbeddable:
         assert verdict.embeddable is True
         assert verdict.minimal_dimension <= min(d, n - 1)
         assert np.allclose(squared_distance_matrix(verdict.realization), D2, atol=1e-8)
+
+
+    def test_rejects_a_negative_dimension(self, icosahedron):
+        # d = 0 is still a verdict; a negative d is a bad parameter.
+        D2 = squared_distance_matrix(icosahedron)
+        assert euclidean_embeddable(D2, 0).embeddable is False
+        gram = icosahedron.points @ icosahedron.points.T
+        assert spherical_embeddable(gram, 0).embeddable is False
+        for check, matrix in ((euclidean_embeddable, D2), (spherical_embeddable, gram)):
+            with pytest.raises(ParameterError, match="d must be >= 0, got -1"):
+                check(matrix, -1)
 
 
 class TestSphericalEmbeddable:

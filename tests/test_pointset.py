@@ -99,6 +99,10 @@ class TestLoadPoints:
         with pytest.raises(DimensionMismatchError):
             load_points(path)
 
+    def test_points_without_coordinates_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="at least one coordinate"):
+            PointSet(dimension=0, points=[[], [], []])
+
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dimension": 2, "points": [[0')

@@ -165,6 +165,14 @@ class TestRationalRecovery:
         with pytest.raises(InputError):
             rational_inner_products([-3, 4], [0], "even", 1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_ratios(self, bad):
+        # round() would raise ValueError on NaN and OverflowError on inf.
+        with pytest.raises(InputError, match="must be finite"):
+            rational_inner_products([-3, bad], [-5, 5], "odd", 1e-6)
+        with pytest.raises(InputError, match="must be finite"):
+            rational_inner_products([-3, 4], [bad], "even", 1e-6)
+
     def test_near_integers_are_rounded(self):
         got = rational_inner_products([-3 + 1e-9, 4 - 1e-9], [2 + 1e-9], "even", 1e-6)
         assert got == [Fraction(1, 2)]
