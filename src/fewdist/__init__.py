@@ -14,7 +14,8 @@ _EXPORTS = {
     ),
     "certificate": (
         "CertificateVerdict", "IndicatorMatrix", "SpectrumReport", "eigen_multiplicities",
-        "indicator_matrix", "numeric_rank", "verify_key_lemma", "verify_sign_matrix_bound",
+        "indicator_matrix", "numeric_rank", "verify_key_lemma", "verify_key_lemmas",
+        "verify_sign_matrix_bound",
     ),
     "embed": (
         "EmbeddingVerdict", "congruent", "double_center", "euclidean_embeddable",

@@ -11,11 +11,14 @@ ratios read too; M and A are read a strip of rows at a time off pair values
 computed from the coordinates. The checks are numerical, with measured slacks.
 Spectra come from one rule on two views of M: B = Q^T M Q, with Q an
 orthonormal basis of the polynomials in the point coordinates that hold
-every indicator of a setting, then M itself (Q = I). One walk over M's rows
-gives each view and the companion's entry checks. On each view the
-companion's spectrum is read off the view's own, within a Weyl bound, and
-the companion is built only where that leaves a count open. M is n x n only
-on M's view; B's holds no n x n array.
+every indicator of a setting, then M itself (Q = I). One walk over the
+strips of rows gives B's view of every class of a setting, each strip's
+pair values computed once for them all, with each class's decomposition
+deviation and companion entry checks; M's view walks one class. On each
+view the companion's spectrum is read off the view's own, within a Weyl
+bound, and the companion is built only where that leaves a count open. M is
+n x n only on M's view; B's holds an l x l sum per class, with no n x n or
+n x l array.
 """
 
 from __future__ import annotations
@@ -75,11 +78,20 @@ def _deviation(im, rows: slice, block: np.ndarray, adjacency: np.ndarray, out: n
     return np.max(np.abs(out, out=out))
 
 
+def _filled(im: IndicatorMatrix) -> np.ndarray:
+    """M, filled a strip of rows at a time."""
+    m = np.empty((im.n, im.n))
+    for rows in _tiles(im.n):
+        m[rows] = im._rows(rows)[0]
+    return m
+
+
 @dataclass(frozen=True)
 class IndicatorMatrix:
     """M = k*I + A (n x n) for one class index, with the claimed
     decomposition. Left out, adjacency, matrix and max_decomposition_dev come
-    on first access from evaluate(rows), M's rows (fresh) and A's."""
+    on first access from evaluate(rows, strips): M's rows (fresh) and A's,
+    off a strip of pair values that it reads into strips unless there."""
 
     setting: str
     class_index: int
@@ -91,20 +103,20 @@ class IndicatorMatrix:
     n: int
     # (point set, tol) M was read on: it keys the range basis its setting shares.
     source: tuple | None = field(default=None, repr=False)
-    evaluate: Callable[[slice], tuple[np.ndarray, np.ndarray]] | None = field(
+    evaluate: Callable[[slice, dict], tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
     adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: np.concatenate(
         [im._rows(rows)[1] for rows in _tiles(im.n)])), repr=False)
-    matrix: np.ndarray = field(default=_OnFirstRead(
-        "_matrix", lambda im: _view(im, None, 1.0, 0.0, 0.0)[0]), repr=False)  # M's view's walk
+    matrix: np.ndarray = field(default=_OnFirstRead("_matrix", _filled), repr=False)
     max_decomposition_dev: float = field(default=_OnFirstRead("_dev", lambda im: float(np.max(
         [_deviation(im, rows, *im._rows(rows)) for rows in _tiles(im.n)]))), repr=False)
 
-    def _rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """M[rows] as a fresh array and A[rows], held or evaluated."""
+    def _rows(self, rows: slice, strips: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """M[rows] as a fresh array and A[rows], held or evaluated off
+        strips, the strips of pair values that the classes of one walk share."""
         m, a = self._matrix, self._adjacency
         if m is None or a is None:
-            fresh = self.evaluate(rows)
+            fresh = self.evaluate(rows, {} if strips is None else strips)
         return (fresh[0] if m is None else np.array(m[rows], float)), (fresh[1] if a is None else a[rows])
 
 
@@ -154,8 +166,11 @@ def indicator_matrix(
     i = class_index - row.first_index
     nodes, beta = row.nodes(values), values[i0]
 
-    def evaluate(rows: slice):
-        pairs = _pair_rows(tile, points.n, rows)
+    def evaluate(rows: slice, strips: dict):
+        # The reader is kept per point set and kind, so it keys the strip for every class of a setting.
+        if tile not in strips:
+            strips[tile] = _pair_rows(tile, points.n, rows)
+        pairs = strips[tile]
         adjacency = _in_class(pairs, cuts, classes[0]).view(np.int8)
         if len(classes) > 1:
             minus = _in_class(pairs, cuts, classes[1]).view(np.int8)
@@ -279,17 +294,17 @@ def _entry_maxima(block: np.ndarray, start: int, out: np.ndarray, columns: np.nd
     """In block, rows start.. of a square matrix, with out as the one buffer:
     the largest |block - columns| (the same rows of its transpose; 0 if not
     given), distance to and size of the nearest integer off the diagonal,
-    and |entry| on it."""
+    and |entry| on it. Each entry is rounded once; a NaN makes every maximum
+    it reaches NaN."""
     n = block.shape[1]
     asymmetry = 0.0 if columns is None else np.max(np.abs(np.subtract(block, columns, out=out), out=out))
     diagonal = np.max(np.abs(block.flat[start :: n + 1]))
     out = np.round(block, out=out)
+    out.flat[start :: n + 1] = 0.0
+    magnitude = np.maximum(np.max(out), -np.min(out))
     out -= block
     out.flat[start :: n + 1] = 0.0
-    off_integer = np.max(np.abs(out, out=out))
-    np.abs(np.round(block, out=out), out=out)
-    out.flat[start :: n + 1] = 0.0
-    return asymmetry, off_integer, np.max(out), diagonal
+    return asymmetry, np.max(np.abs(out, out=out)), magnitude, diagonal
 
 
 def _sign_bound(n: int, e: float, m: int, maxima, entry_tol: float = 1e-9) -> dict:
@@ -378,58 +393,97 @@ def _basis(im: IndicatorMatrix):
         q, _memoized(ps, (*key, "norm"), lambda: float(np.sqrt(np.linalg.norm(q.T @ q, 1)))))
 
 
-def _view(im: IndicatorMatrix, basis, scale, shift, expected_e):
-    """One view (X, c, errors) of M for _view_counts and its companion's
-    maxima for _sign_bound, from one walk over M's row blocks that also reads
-    the decomposition deviation. With basis None, X is M itself (held, or
-    filled in the walk), c = 1 and errors None. With basis (Q, ||Q||_2 bound),
-    X = B = Q^T M Q, c = Q^T 1 and errors bound the spectra's (M's, the
-    companion's) distances from the exact ones.
+def _view(ims: list, basis, rules: list) -> list:
+    """Per class of ims, with rules its companion's (scale, shift, e): a view
+    (X, c, errors) of M for _view_counts and the companion's maxima for
+    _sign_bound, from one walk over the strips of _tiles rows that also reads
+    each decomposition deviation. A strip's pair values are read once, and
+    every class evaluates its own rows of M off them. With basis None, ims
+    holds one class, X is M itself (held, or filled in the walk), c = 1 and
+    errors None. With basis (Q, a bound on ||Q||_2), X = B, the symmetric
+    part of B_acc = sum over the strips of Q[rows]^T (M[rows] Q), c = Q^T 1
+    and errors bound the spectra's (M's, the companion's) distances from the
+    exact ones; no n x l MQ is held.
 
-    M = Q B Q^T + E, so by Weyl's inequality the spectrum of M is eig(B) and
-    n - l zeros, each within ||E|| of the exact one. As E = (M - MQ Q^T) +
-    (MQ - Q B) Q^T, ||E|| <= ||M - MQ Q^T||_F + ||MQ - Q B||_F ||Q||_2, with
-    ||Q||_2^2 <= ||Q^T Q||_1 (Q^T Q is symmetric). As 1 is in range(Q), the
+    Let E = M - Q B Q^T. Its symmetric part is S - Q B Q^T, S = (M + M^T)/2
+    (M itself when symmetric), so by Weyl's inequality the spectrum of S is
+    eig(B) and n - l zeros, each within ||E|| of the exact one. With
+    r = ||M - MQ Q^T||_F,
+        E = (M - MQ Q^T) + (MQ - Q B) Q^T,
+        MQ - Q B = (I - Q Q^T) MQ + Q (B_acc - B),
+    so ||E|| <= r + ||Q||_2 ||MQ - Q B||_F. (I - Q Q^T) MQ is the transpose of Q^T M^T (I - Q Q^T). On a symmetric M
+    that is Q^T (M - MQ Q^T), of norm at most ||Q||_2 r; M^T = M - 2K with
+    K = (M - M^T)/2 adds at most 2 ||Q||_2 kappa, kappa = ||K - KQ Q^T||_F.
+    Hence ||E|| <= r (1 + ||Q||_2^2) + ||Q||_2^2 (||B_acc - B||_F + 2 kappa),
+    with ||Q||_2^2 <= ||Q^T Q||_1 (Q^T Q is symmetric). An evaluated M is an
+    entrywise function of exactly symmetric pair values (pointset._pair_tile),
+    so kappa = 0; the walk measures it on a held M. As 1 is in range(Q), the
     companion scale*M - shift*J + e*I is Q (scale*B - shift*c c^T + e*I) Q^T
     + e*(I - Q Q^T), up to scale*E and the part of J outside range(Q).
     """
-    n = im.n
+    n = ims[0].n
     q, q_norm = basis or (None, None)
-    mq = im._matrix if q is None and im._matrix is not None else np.empty((n, n if q is None else q.shape[1]))
-    walk = np.array([_walk_rows(im, rows, q, mq, scale, shift, expected_e) for rows in _tiles(n)])
-    if im._dev is None:  # read in the walk: no second one
-        object.__setattr__(im, "max_decomposition_dev", float(np.max(walk[:, 0])))
-    entries = np.max(walk[:, 2:], axis=0)
+    if q is None:  # one class: M's own rows, or none into a held M
+        accs = [im._matrix if im._matrix is not None else np.empty((n, n)) for im in ims]
+    else:
+        accs = [np.zeros((q.shape[1],) * 2) for _ in ims]
+        c = q.sum(axis=0)
+        off = float(np.linalg.norm(1.0 - q @ c))
+    walk = []
+    for rows in _tiles(n):
+        strips = {}  # the strip's pair values, read by the first class that needs them
+        walk.append([_walk_rows(im, rows, strips, q, acc, *rule) for im, acc, rule in zip(ims, accs, rules)])
+    views = []
+    for im, acc, (scale, shift, _), part in zip(ims, accs, rules, np.moveaxis(np.array(walk), 1, 0)):
+        if im._dev is None:  # read in the walk: no second one
+            object.__setattr__(im, "max_decomposition_dev", float(np.max(part[:, 0])))
+        entries = np.max(part[:, 3:], axis=0)
+        if q is None:
+            views.append((acc, np.ones(n), None, entries))
+            continue
+        b = (acc + acc.T) / 2.0
+        r, kappa = np.sqrt(np.sum(part[:, 1:3], axis=0))
+        err = float(r * (1.0 + q_norm**2) + q_norm**2 * (np.linalg.norm(acc - b) + 2.0 * kappa))
+        # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
+        views.append((b, c, (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off)), entries))
+    return views
+
+
+def _walk_rows(im: IndicatorMatrix, rows: slice, strips: dict, q, acc, scale, shift, expected_e):
+    """M's rows, read off the walk's strips (IndicatorMatrix._rows), into
+    acc: M itself with q None (none into a held M), else B_acc, which gains
+    Q[rows]^T M[rows] Q. Returns their deviation, with q their parts of r^2
+    and kappa^2 (_view; kappa 0 on an evaluated M), and the companion's
+    asymmetry and _entry_maxima, with one buffer beside the block."""
+    block, adjacency = im._rows(rows, strips)
+    held = im._matrix is not None
+    columns = np.array(im._matrix[:, rows].T, float) if held else None
     if q is None:
-        return mq, np.ones(n), None, entries
-    b = q.T @ mq
-    b = (b + b.T) / 2.0
-    mq -= q @ b
-    err = float(np.sqrt(np.sum(walk[:, 1]))) + float(np.linalg.norm(mq)) * q_norm
-    c = q.sum(axis=0)
-    off = float(np.linalg.norm(1.0 - q @ c))
-    # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
-    return b, c, (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off)), entries
-
-
-def _walk_rows(im: IndicatorMatrix, rows: slice, q, mq, scale, shift, expected_e):
-    """M's rows into MQ's, or into M's own with q None (none into a held M),
-    and their deviation, part of ||M - MQ Q^T||_F^2 (0 with q None), and the
-    companion's asymmetry and _entry_maxima, with one buffer beside the block."""
-    block, adjacency = im._rows(rows)
-    if mq is not im._matrix:
-        mq[rows] = block if q is None else block @ q
+        if not held:
+            acc[rows] = block
+    else:
+        mq = block @ q
+        acc += q[rows].T @ mq
     out = np.empty_like(block)
     deviation = _deviation(im, rows, block, adjacency, out)
-    squares = 0.0
+    residual = turn = 0.0
     if q is not None:
-        np.subtract(block, np.matmul(mq[rows], q.T, out=out), out=out)
-        squares = np.vdot(out, out)
+        residual = _outside(block, mq, q, out)
+        if held:  # K's rows, K = (M - M^T)/2
+            k = np.subtract(block, columns)
+            k /= 2.0
+            turn = _outside(k, k @ q, q, out)
     # An evaluated M is an entrywise function of exactly symmetric pair
     # values (pointset._pair_tile); a held one is checked against its columns.
     rule = (rows.start, scale, shift, expected_e)
-    columns = None if im._matrix is None else _companion_rows(np.array(im._matrix[:, rows].T, float), *rule)
-    return deviation, squares, *_entry_maxima(_companion_rows(block, *rule), rows.start, out, columns)
+    columns = None if columns is None else _companion_rows(columns, *rule)
+    return deviation, residual, turn, *_entry_maxima(_companion_rows(block, *rule), rows.start, out, columns)
+
+
+def _outside(x: np.ndarray, xq: np.ndarray, q: np.ndarray, out: np.ndarray) -> float:
+    """||x - xq Q^T||_F^2 for xq = x Q: x's part outside range(Q), through out."""
+    np.subtract(x, np.matmul(xq, q.T, out=out), out=out)
+    return float(np.vdot(out, out))
 
 
 def _companion_rows(block, start, scale, shift, expected_e):
@@ -543,37 +597,79 @@ def verify_key_lemma(
     and the view's own companion is built only where a count stays open. M's
     view decides every count B's leaves open, so the counts are dense eigvalsh's.
     """
+    return _verdicts([im], [context], tol_int, tol_rank, cluster_tol)[0]
+
+
+def verify_key_lemmas(
+    ims: list[IndicatorMatrix],
+    tol_int: float = DEFAULT_TOL_INT,
+    tol_rank: float = DEFAULT_TOL_RANK,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+) -> list[CertificateVerdict]:
+    """verify_key_lemma on each of ims, in their own theorem contexts. The
+    classes that share a range basis, as one setting's classes on one point
+    set do, take B's view from one walk, which reads each strip of pair
+    values once for them all; M's view still walks one class at a time."""
+    return _verdicts(ims, [None] * len(ims), tol_int, tol_rank, cluster_tol)
+
+
+def _verdicts(ims, contexts, tol_int, tol_rank, cluster_tol) -> list[CertificateVerdict]:
+    """The verdicts of ims in contexts (None: the class's own), with B's
+    views of the classes that share a basis read in one walk."""
+    contexts = [_context(im, context) for im, context in zip(ims, contexts)]
+    tol_int, tol_rank = _valid_tol("tol_int", tol_int), _valid_tol("tol_rank", tol_rank)
+    cluster_tol = _valid_tol("cluster_tol", cluster_tol)
+    rules = [_rule(im) for im in ims]
+    views, shared = [None] * len(ims), {}
+    for i, im in enumerate(ims):
+        basis = _basis(im) if im.n >= 2 * im.n_cap else None
+        if basis is not None:
+            shared.setdefault(id(basis[0]), (basis, []))[1].append(i)
+    for basis, chosen in shared.values():
+        for i, view in zip(chosen, _view([ims[i] for i in chosen], basis, [rules[i] for i in chosen])):
+            views[i] = view
+    return [_verdict(*case, tol_int, tol_rank, cluster_tol) for case in zip(ims, contexts, rules, views)]
+
+
+def _context(im: IndicatorMatrix, context: TheoremContext | None) -> TheoremContext:
+    """context, or im's own, checked against im."""
     if context is None:
         context = theorem_context(im.setting, im.d_eff, im.s)
     if context.setting != im.setting:
         raise ParameterError(f"context setting {context.setting!r} does not match matrix setting {im.setting!r}")
     if context.N != im.n_cap:
         raise ParameterError(f"context N={context.N} does not match the matrix space dimension {im.n_cap}")
+    return context
+
+
+def _rule(im: IndicatorMatrix) -> tuple[float, float, float]:
+    """(scale, shift, e) of im's companion scale*M - shift*J + e*I: M - kI
+    for the signed rows, else the Seidel matrix 2M - J - (2k-1)I."""
+    scale, shift = (1.0, 0.0) if im.setting in SIGNED_SETTINGS else (2.0, 1.0)
+    return scale, shift, -(scale * im.k_claimed - shift)
+
+
+def _verdict(im, context, rule, view, tol_int, tol_rank, cluster_tol) -> CertificateVerdict:
+    """im's verdict from its B's view, or None, and M's view where B's
+    leaves a count open or there is none."""
     n, k = im.n, im.k_claimed
+    _, shift, expected_e = rule
+    counts = None if view is None else _view_counts(*view[:3], n, *rule, tol_rank, cluster_tol)
+    if counts is None:  # M's view decides every count
+        view = _view([im], None, [rule])[0]
+        counts = _view_counts(*view[:3], n, *rule, tol_rank, cluster_tol)
+    rank, zero_multiplicity, measured_mult = counts
     zero_applicable = n >= 2 * im.n_cap
+    zero_ok = (zero_multiplicity >= im.n_cap) if zero_applicable else True
     k_rounded = int(round(k))
     integrality_dev = abs(k - k_rounded)
-    integral_ok = integrality_dev <= _valid_tol("tol_int", tol_int)
+    integral_ok = integrality_dev <= tol_int
     bound_ok = abs(k_rounded) <= context.ratio_bound
-
-    # M - kI for the signed rows, else the Seidel matrix 2M - J - (2k-1)I.
-    signed = im.setting in SIGNED_SETTINGS
-    scale, shift = (1.0, 0.0) if signed else (2.0, 1.0)
-    expected_e = -(scale * k - shift)
-    tol_rank, cluster_tol = _valid_tol("tol_rank", tol_rank), _valid_tol("cluster_tol", cluster_tol)
-    rule = (n, scale, shift, expected_e, tol_rank, cluster_tol)
-    basis = _basis(im) if zero_applicable else None
-    *view, entries = _view(im, basis, scale, shift, expected_e)
-    counts = _view_counts(*view, *rule)
-    if counts is None:  # B's view left a count open: M's decides every count
-        *view, entries = _view(im, None, scale, shift, expected_e)
-        counts = _view_counts(*view, *rule)
-    rank, zero_multiplicity, measured_mult = counts
-    zero_ok = (zero_multiplicity >= im.n_cap) if zero_applicable else True
     required_mult = n - im.n_cap - int(shift)
     mult_applicable = required_mult >= 1
     mult_ok = (measured_mult >= required_mult) if mult_applicable else True
 
+    signed = im.setting in SIGNED_SETTINGS
     companion = {
         "kind": "shifted_adjacency" if signed else "seidel",
         "expected_eigenvalue": float(expected_e),
@@ -585,7 +681,7 @@ def verify_key_lemma(
     }
     if measured_mult >= 1:
         try:
-            bound = _sign_bound(n, expected_e, measured_mult, entries)
+            bound = _sign_bound(n, expected_e, measured_mult, view[3])
             companion["sign_bound_ok"] = bound["ok"]
             companion["sign_bound_rhs"] = bound["rhs"]
         except InputError as exc:

@@ -187,7 +187,7 @@ def _cmd_ratios(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .certificate import class_index_range, indicator_matrix, verify_key_lemma
+    from .certificate import class_index_range, indicator_matrix, verify_key_lemmas
     from .pointset import load_points
     from .ratios import applicable_settings, choose_settings
 
@@ -206,10 +206,9 @@ def _cmd_certify(args) -> int:
             raise ParameterError(f"class index {chosen} out of range {ranges}")
     verdicts = []
     for setting, chosen_indices in indices.items():
-        for index in chosen_indices:
-            im = indicator_matrix(ps, index, setting, args.tol, tol_rank=args.tol_rank)
-            verdicts.append(verify_key_lemma(im, tol_int=args.tol_int, tol_rank=args.tol_rank))
-            del im  # before the next class; only M's view builds M and its companion n x n
+        # A setting's classes together: B's view reads each strip of pair values once for them all.
+        ims = [indicator_matrix(ps, index, setting, args.tol, tol_rank=args.tol_rank) for index in chosen_indices]
+        verdicts += verify_key_lemmas(ims, tol_int=args.tol_int, tol_rank=args.tol_rank)
     payload = {
         "n": ps.n,
         "settings": list(indices),

@@ -7,13 +7,14 @@ everything downstream consumes those classes. Profiles are kept on the
 point set (read-only), one per kind and tolerance; no n x n array is.
 
 Every reader computes the pair values from the coordinates, one square tile
-of _tile_side(n) points a side at a time (_pair_tile), so all see
-the same, exactly symmetric, bits. Grouping walks the strips of T rows above
-the diagonal in blocks of _row_blocks of at most one tile's entries, and
-merges each block's sorted intervals into classes. Each class mean is
-np.mean's, bit for bit: where every class holds one value (Johnson sets), its
-sum in np.mean's order follows from its count; otherwise a second walk sums
-each class in that order. Beyond a strip and a block, it holds tens of bytes
+of _tile_side(n) points a side at a time (_pair_tile), each from one Gram
+product, so all see the same, exactly symmetric, bits. Grouping walks the
+strips of T rows above the diagonal in blocks of _row_blocks of at most one
+tile's entries, and merges each block's sorted intervals into classes. Each
+class mean is np.mean's, bit for bit: where every class holds one value
+(Johnson sets), its sum in np.mean's order follows from its count, one sum
+per distinct run of its pairwise tree; otherwise a second walk sums each
+class in that order. Beyond a strip and a block, it holds tens of bytes
 per class and per interval. The duplicate-point and
 antipodal checks screen the pairs on and above the diagonal by a Gram product
 a strip at a time, and test coordinates only on the pairs that pass the screen.
@@ -271,16 +272,20 @@ def _tile_side(n: int) -> int:
 
 def _pair_tiles(ps: PointSet, euclidean: bool):
     """tile(rows, cols): _pair_tile on ps's squared distances (euclidean;
-    squared norms off the diagonal tiles' products, kept on ps) or inner
-    products. A set is refused when 4 max|x_i|^2, a bound on every term, is
-    not finite."""
-    x, sq = ps.points, None
-    if euclidean:
+    squared norms off the diagonal tiles' products) or inner products, kept
+    on ps, so that every reader of one set and kind holds the same tile.
+    A set is refused when 4 max|x_i|^2, a bound on every term, is not finite."""
+    x = ps.points
+
+    def tile():
+        if not euclidean:
+            return functools.partial(_pair_tile, x, None)
         if not math.isfinite(4.0 * float(np.max(np.einsum("ij,ij->i", x, x)))):
             raise PointFileError("squared distances overflow: a point norm is above about 6.7e153")
-        sq = _memoized(ps, ("squared_norms", _tile_side(ps.n)), lambda: _read_only(
-            np.concatenate([np.diag(x[t] @ x[t].T) for t in _tiles(len(x))])))
-    return functools.partial(_pair_tile, x, sq)
+        sq = _read_only(np.concatenate([np.diag(x[t] @ x[t].T) for t in _tiles(len(x))]))
+        return functools.partial(_pair_tile, x, sq)
+
+    return _memoized(ps, ("pair_tiles", euclidean, _tile_side(ps.n)), tile)
 
 
 def _pair_rows(tile, n: int, rows: slice, start: int = 0) -> np.ndarray:
@@ -297,24 +302,20 @@ def _pair_rows(tile, n: int, rows: slice, start: int = 0) -> np.ndarray:
 
 def _pair_tile(x: np.ndarray, sq: np.ndarray | None, rows: slice, cols: slice) -> np.ndarray:
     """Pair values of x[rows] against x[cols], two of _tiles: x_I x_J^T, or
-    with squared norms sq, a_ij = max(sq_i + sq_j - 2<x_i, x_j>, 0) as
-    (a_ij + a_ji) / 2 from x_I x_J^T and x_J x_I^T, zero on the diagonal. A
-    tile below the diagonal is its mirror's transpose, so a value depends on
+    with squared norms sq, a_ij = max(sq_i + sq_j - 2<x_i, x_j>, 0) from
+    x_I x_J^T. A tile below the diagonal is its mirror's transpose, and a
+    diagonal tile is (a + a^T) / 2 with a zero diagonal, so a value depends on
     (i, j) alone; on one tile (n <= T) it is the full products', bit for bit."""
     if rows.start > cols.start:
         return _pair_tile(x, sq, cols, rows).T
     g = x[rows] @ x[cols].T
     if sq is None:
         return g
-    norms = np.add.outer(sq[rows], sq[cols])  # sq_i + sq_j, the same sum either way round
-    tile = _clipped(norms, g)
+    tile = _clipped(np.add.outer(sq[rows], sq[cols]), g)
     if rows == cols:
-        del norms
         tile += tile.T
         np.fill_diagonal(tile, 0.0)
-    else:
-        tile += _clipped(norms, (x[cols] @ x[rows].T).T)
-    tile /= 2.0
+        tile /= 2.0
     return tile
 
 
@@ -377,16 +378,22 @@ def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
+def _split(size: np.ndarray):
+    """numpy's pairwise split of runs of these sizes: whether each splits (a
+    run of n > 128 values does), and each split run's first half, (n//16)*8."""
+    split = size > 128
+    return split, (size[split] >> 4) << 3
+
+
 def _pairwise_tree(slot: np.ndarray, counts: np.ndarray):
     """numpy's pairwise tree over each class (class c's values at slots
     slot[c] on, 8 to a row), top-down: per level, the split flags and each
-    leaf's first row and size. A run of n > 128 values splits at (n//16)*8."""
+    leaf's first row and size."""
     start, size = slot, counts
     while start.size:
-        split = size > 128
+        split, half = _split(size)
         yield split, start[~split] >> 3, size[~split]
         start, size = start[split], size[split]
-        half = (size >> 4) << 3
         start, size = np.stack((start, start + half), 1).ravel(), np.stack((half, size - half), 1).ravel()
 
 
@@ -474,19 +481,29 @@ def _class_sums(blocks, tops: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _repeat_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """_class_sums when class c holds counts[c] copies of values[c], from the
-    counts alone: a leaf of m copies adds the value m//8 times in each lane,
-    joins the 8 equal lanes to exactly 8 times one, then adds m%8 more."""
-    slot = 8 * _starts((counts + 7) >> 3)
-    splits, row, length = zip(*_pairwise_tree(slot, counts))
-    row, length = np.concatenate(row), np.concatenate(length)
-    value = values[np.searchsorted(slot[1:] >> 3, row, side="right")]  # the class of each leaf's first row
-    leaf = np.zeros(length.size)
-    for k in range(16):
-        np.add(leaf, value, out=leaf, where=(length >> 3) > k)
-    leaf *= 8.0
-    for k in range(7):
-        np.add(leaf, value, out=leaf, where=(length & 7) > k)
-    return _tree_sums(splits, leaf)
+    counts alone. A run of copies sums alike wherever it sits, so each level
+    of numpy's pairwise tree (as _pairwise_tree splits it) is summed once per
+    distinct (class, length): a leaf of m copies adds the value m//8 times in
+    each lane, joins the 8 equal lanes to exactly 8 times one, then adds m%8
+    more, and a split run adds its two halves' sums."""
+    levels, cls, size = [], np.arange(counts.size), counts
+    while cls.size:
+        split, half = _split(size)
+        runs = np.stack((np.repeat(cls[split], 2), np.stack((half, size[split] - half), 1).ravel()), 1)
+        runs, halves = np.unique(runs, axis=0, return_inverse=True)
+        levels.append((cls, np.where(split, 0, size), split, halves.reshape(-1, 2)))
+        cls, size = runs.T
+    below = np.empty(0)
+    for cls, length, split, halves in reversed(levels):  # the deepest level splits none
+        value, sums = values[cls], np.zeros(cls.size)
+        for k in range(16):
+            np.add(sums, value, out=sums, where=(length >> 3) > k)
+        sums *= 8.0
+        for k in range(7):
+            np.add(sums, value, out=sums, where=(length & 7) > k)
+        sums[split] = below[halves[:, 0]] + below[halves[:, 1]]
+        below = sums
+    return 0.0 + below
 
 
 def _tree_sums(splits: tuple, leaf: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from fewdist import (
     inner_product_profile,
     numeric_rank,
     verify_key_lemma,
+    verify_key_lemmas,
     verify_sign_matrix_bound,
 )
 from fewdist import certificate, cli, construct_johnson, pointset
@@ -425,6 +426,33 @@ class TestSignMatrixBound:
         with pytest.raises(InputError):
             verify_sign_matrix_bound(np.array(matrix), 1.0, 1)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entry_maxima_round_each_entry_once(self, seed, monkeypatch):
+        # Against the formula that rounded every block twice: the largest
+        # |rounded entry| off the diagonal is read off the one rounding, and a
+        # NaN (the last seeds put one off, then on, the diagonal) reaches the
+        # same maxima.
+        def reference(block, start, columns):
+            n = block.shape[1]
+            off = np.round(block) - block
+            magnitude = np.abs(np.round(block))
+            off.flat[start :: n + 1] = magnitude.flat[start :: n + 1] = 0.0
+            asymmetry = np.max(np.abs(block - columns))
+            return asymmetry, np.max(np.abs(off)), np.max(magnitude), np.max(np.abs(block.flat[start :: n + 1]))
+
+        rng = np.random.default_rng(seed)
+        n, start = 12, 4
+        matrix = rng.choice([-1.0, 0.0, 1.0], (n, n)) + rng.normal(scale=10.0 ** -seed, size=(n, n))
+        if seed >= 4:
+            matrix[start + 1, 7 if seed == 4 else start + 1] = np.nan
+        block, columns = matrix[start : start + 5], matrix[:, start : start + 5].T
+        rounds, real = [], np.round
+        monkeypatch.setattr(np, "round", lambda *args, **kwargs: rounds.append(1) or real(*args, **kwargs))
+        got = certificate._entry_maxima(block, start, np.empty_like(block), columns)
+        monkeypatch.undo()
+        assert len(rounds) == 1
+        assert np.array_equal(got, reference(block, start, columns), equal_nan=True)
+
     @pytest.mark.parametrize("slot", range(4))
     def test_a_nan_maximum_fails_its_own_check(self, slot):
         # verify_key_lemma feeds _sign_bound the walk's maxima (asymmetry,
@@ -468,6 +496,16 @@ def basis_width(im):
     """The column count of the range basis verify_key_lemma takes for im."""
     ps, tol = im.source
     return certificate._range_basis(ps, im, tol).shape[1]
+
+
+def residual_bounds(ims):
+    """B's view's bounds on ||M - Q B Q^T|| for ims, one setting's classes
+    read in one walk, and the dense ||M - Q B Q^T||_2 of each."""
+    basis = certificate._basis(ims[0])
+    views = certificate._view(ims, basis, [certificate._rule(im) for im in ims])
+    q = basis[0]
+    errors = [err for _, _, (err, _), _ in views]
+    return errors, [np.linalg.norm(im.matrix - q @ b @ q.T, 2) for im, (b, *_) in zip(ims, views)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -565,9 +603,49 @@ class TestRangeSketch:
         pairs = pointset.squared_distance_matrix(ps)
         matrix = lagrange_basis([0.5, 2.0, 4.0], 1, pairs)
         im, _ = hand_built(matrix, "euclidean", 1.0, 10, (ps, pointset.DEFAULT_TOL), d_eff=3, s=3)
-        b, _, (err, _), _ = certificate._view(im, certificate._basis(im), 2.0, 1.0, -1.0)
+        b, _, (err, _), _ = certificate._view([im], certificate._basis(im), [(2.0, 1.0, -1.0)])[0]
         assert b.shape == (15, 15)
         assert err < 1e-12 * np.linalg.norm(matrix)
+
+    @pytest.mark.parametrize("case", ["johnson", "rotated johnson", "antipodal"])
+    def test_the_residual_bound_covers_the_dense_residual(self, johnson_14_3, e8, case):
+        # Every class of a setting, from one walk: the bound on
+        # ||M - Q B Q^T|| is at least the dense one, in the 2-norm.
+        ps, setting = (e8, "antipodal_even_v1") if case == "antipodal" else (johnson_14_3, "euclidean")
+        if case == "rotated johnson":
+            rotation = np.linalg.qr(np.random.default_rng(8).standard_normal((15, 15)))[0]
+            ps = PointSet(dimension=15, points=ps.points @ rotation)
+        ims = [indicator_matrix(ps, index, setting) for index in class_index_range(ps, setting)]
+        for im, err, dense in zip(ims, *residual_bounds(ims)):
+            assert dense <= err, im.class_index
+
+    def test_each_term_of_the_residual_bound_is_needed(self):
+        # Held matrices on a 20-column basis. A symmetric M with a part
+        # outside range(Q) coupled to one inside it: ||M - Q B Q^T||_2 is
+        # above r = ||M - MQ Q^T||_F, and the (1 + ||Q||_2^2) factor covers
+        # it. An M whose antisymmetric part lies in range(Q): r is rounding,
+        # and only the B_acc - B term covers ||M - Q B Q^T||. A random M
+        # needs every term.
+        n, tol = 60, pointset.DEFAULT_TOL
+        ps, rng = basis_source(n, False), np.random.default_rng(1)
+        q = certificate._range_basis(ps, hand_built(np.eye(n), "euclidean", 1.5, 10)[0], tol)
+        w = np.linalg.qr(np.column_stack([q, rng.standard_normal((n, 5))]))[0][:, 20:]
+        inside = rng.standard_normal((20, 20))
+        inside += inside.T
+        turn = rng.standard_normal((20, 20))
+        turn -= turn.T
+        coupled = q @ inside @ q.T + np.outer(q[:, 0] + w[:, 0], q[:, 0] + w[:, 0]) - np.outer(q[:, 0], q[:, 0])
+        cases = {
+            "coupled": (coupled + coupled.T) / 2.0,
+            "turned": q @ (inside + turn) @ q.T,
+            "random": rng.standard_normal((n, n)),
+        }
+        for name, matrix in cases.items():
+            im, _ = hand_built(matrix, "euclidean", 1.5, 10, (ps, tol))
+            [err], [dense] = residual_bounds([im])
+            r = np.linalg.norm(matrix - (matrix @ q) @ q.T)
+            assert dense <= err, name
+            assert dense > {"coupled": 1.1 * r, "turned": 1e6 * r, "random": 0.0}[name], name
 
     def test_a_class_outside_the_shared_range_goes_to_m(self):
         n, n_cap, tol = 80, 10, 1e-6
@@ -780,9 +858,52 @@ class TestRowBlockWalk:
         assert shapes and all(rows < n and width == n for rows, width in shapes)
         assert sum(rows for rows, _ in shapes) == n * len(verdicts)
 
+    def test_certify_walks_each_strip_once_per_setting(self, johnson_10_3, tmp_path, capsys, monkeypatch):
+        # A fresh johnson(10, 3) in tiles of 32: grouping computes each tile
+        # on and above the diagonal once, then B's view of all 3 classes
+        # walks each full strip once, a tile below the diagonal being its
+        # mirror's transpose; a walk per class took 3.
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(johnson_10_3.to_dict()))
+        monkeypatch.setattr(pointset, "_tile_side", lambda n: 32)
+        calls, tile = [], pointset._pair_tile
+        monkeypatch.setattr(
+            pointset, "_pair_tile", lambda x, sq, rows, cols: calls.append((rows, cols)) or tile(x, sq, rows, cols)
+        )
+        assert cli.run(["certify", str(path), "--setting", "all"]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert [v["setting"] for v in verdicts] == ["euclidean"] * 3
+        tiles = pointset._tiles(johnson_10_3.n)
+        assert len(tiles) == 6
+        upper = [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start]
+        walk = [pair for rows in tiles for cols in tiles
+                for pair in [(rows, cols)] + [(cols, rows)] * (cols.start < rows.start)]
+        assert calls == upper + walk
+
+    def test_a_settings_classes_add_an_l_by_l_sum_each(self, johnson_14_3, traced_peak):
+        # B's view of 1, then 3 classes from one walk, the basis memoized:
+        # each further class holds its l x l sum (l = 136) beside the
+        # shared strip, not an n x l MQ (n = 455).
+        def verdicts(count):
+            ims = [indicator_matrix(johnson_14_3, index, "euclidean") for index in (1, 2, 3)[:count]]
+            return traced_peak(verify_key_lemmas, ims)
+
+        verdicts(1)
+        n, width = johnson_14_3.n, 136
+        assert verdicts(3) - verdicts(1) < 8 * n * width
+
+    def test_reading_m_runs_no_entry_checks(self, johnson_14_3, monkeypatch):
+        # im.matrix is M's rows alone: the same bits as M's view's walk,
+        # with no companion entry checks on the way.
+        im = indicator_matrix(johnson_14_3, 1, "euclidean")
+        want = certificate._view([im], None, [certificate._rule(im)])[0][0]
+        with monkeypatch.context() as patched:
+            patched.setattr(certificate, "_entry_maxima", None)  # a call would raise
+            assert np.array_equal(im.matrix, want)
+
     def test_a_verdict_traces_less_than_one_dense_matrix(self, johnson_14_3, traced_peak):
         # With the basis memoized (by class 2), class 1's verdict holds a
-        # strip of T rows, its tiles' temporaries and MQ, not M or its companion.
+        # strip of T rows, its tiles' temporaries and B_acc, not M or its companion.
         verify_key_lemma(indicator_matrix(johnson_14_3, 2, "euclidean"))
         im = indicator_matrix(johnson_14_3, 1, "euclidean")
         assert traced_peak(verify_key_lemma, im) < 8 * im.n * im.n

@@ -286,6 +286,16 @@ class TestClassSumsMatchNumpy:
             want = np.array([np.add.reduce(np.full(n, v)) for n, v in zip(counts.tolist(), values)])
         assert got.tobytes() == want.tobytes()
 
+    def test_repeated_values_hold_a_few_runs_per_class(self, traced_peak):
+        # About 5 * 10^8 copies in 5 classes, far more than a leaf per 128
+        # copies could hold (about 4 * 10^6 leaves, 100 MB): the sums are
+        # taken once per distinct run length, a few per level of each tree.
+        counts = np.array([10**8 + 7, 2 * 10**8 - 1, 10**8, 7 * 10**7 + 129, 3 * 10**7 + 8], dtype=np.intp)
+        values = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
+        sums = _repeat_sums(values, counts)
+        assert np.allclose(sums, values * counts, rtol=1e-9)
+        assert traced_peak(_repeat_sums, values, counts) < 64 * 1024
+
     def test_blocks_count_only_the_classes_they_hold(self, monkeypatch):
         # Nearly every pair value of random points is its own class, so at
         # tiles of 4 (strips of 4 rows, nearly all cut into one row a block) a
@@ -392,6 +402,32 @@ class TestPairMatrixMatchesReference:
                 walked = [pointset._pair_rows(tile, n, r, r.start) for r in rows]  # _group_pairs' strips
                 assert all(strip.tobytes() == matrix[r, r.start:].tobytes() for strip, r in zip(walked, rows))
                 assert np.vstack([pointset._pair_rows(tile, n, r) for r in rows]).tobytes() == matrix.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(9, 40),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e3]),
+        st.sampled_from([1.0, 1e-4]),
+    )
+    def test_an_off_diagonal_tile_takes_one_product(self, n, d, seed, offset, spread):
+        # Inexact points over tiles of 4: a squared-distance tile above the
+        # diagonal is max(|x_i|^2 + |x_j|^2 - 2<x_i, x_j>, 0) from x_I x_J^T
+        # alone, bit for bit, and a tile below it is that tile's transpose.
+        rng = np.random.default_rng(seed)
+        pts = offset + spread * rng.normal(size=(n, d))
+        assume(duplicate_message(pts) is None)
+        ps = PointSet(dimension=d, points=pts)
+        with mock.patch.object(pointset, "_tile_side", lambda n: 4):
+            tile = pointset._pair_tiles(ps, True)
+            x, sq = tile.args
+            tiles = pointset._tiles(n)
+            for rows in tiles:
+                for cols in tiles[tiles.index(rows) + 1:]:
+                    want = pointset._clipped(np.add.outer(sq[rows], sq[cols]), x[rows] @ x[cols].T)
+                    assert tile(rows, cols).tobytes() == want.tobytes()
+                    assert np.array_equal(tile(cols, rows), want.T)
 
 
 # Pair values near 0 at tol = 1e-9 (not relative): -0.0 and 0.0 tie in a
