@@ -15,9 +15,9 @@ class mean is np.mean's, bit for bit: where every class holds one value
 (Johnson sets), its sum in np.mean's order follows from its count, one sum
 per distinct run of its pairwise tree; otherwise a second walk sums each
 class in that order. Beyond a strip and a block, it holds tens of bytes
-per class and per interval. The duplicate-point and
-antipodal checks screen the pairs on and above the diagonal by a Gram product
-a strip at a time, and test coordinates only on the pairs that pass the screen.
+per class and per interval. The duplicate-point and antipodal checks
+test coordinates only on the pairs whose projections on one fixed direction
+lie within a window of each other (_close_pairs), found by a sort.
 """
 
 from __future__ import annotations
@@ -102,43 +102,39 @@ def _row_blocks(count: int, width: int, n: int):
 
 
 def _close_pairs(pts: np.ndarray, sign: float, rel_tol: float):
-    """Yield, a strip of _tiles rows at a time, pairs (i, j) with
-    max_k |x_ik + sign*x_jk| <= rel_tol * max(1, max|x|), with that max-abs
-    value: every such ordered pair once, in no fixed order.
+    """Yield, in blocks of rows, pairs (i, j) with max_k |x_ik + sign*x_jk|
+    <= atol = rel_tol * M, M = max(1, max|x|), with that max-abs value:
+    every such ordered pair once, all of a row's pairs in one block.
 
-    Such a pair has ||x_i + sign*x_j||^2 <= d * atol^2, so a screen on the
-    Gram-product value of that norm keeps it if the screen's bound exceeds
-    d * atol^2 plus the rounding error of three dot products and two
-    additions, at most 2*(d+2)*eps*max|x|^2 in any summation order; the
-    bound below doubles both terms. The points are first divided by a power
-    of two no smaller than their largest coordinate, so squares cannot
-    overflow. The screen covers each strip's columns from its first row on;
-    the exact max-abs test, symmetric in (i, j), gives a hit right of the
-    strip's own columns as (j, i) too.
+    A sweep over the sorted projections p = x w, w fixed, proportional to
+    sqrt(2), sqrt(3), ..., with ||w||_1 = 1/2 so that no p overflows. Such a
+    pair has |p_i + sign*p_j| <= ||w||_1 * atol (Hoelder). A computed p is
+    within d*eps*M/2 of its value in any summation order, and each end of
+    the window -sign*p_i -+ reach rounds by eps*M/2, so reach = atol +
+    (d+2)*eps*M keeps every such pair. The exact test runs on blocks of
+    _row_blocks rows, at most max(T^2, longest run) candidates; a sum that
+    overflows is inf, never within atol.
     """
     n, dim = pts.shape
     scale = max(1.0, float(np.max(np.abs(pts))))
     atol = rel_tol * scale
-    unit = math.ldexp(1.0, math.frexp(scale)[1])
-    x = pts / unit
-    sq = np.einsum("ij,ij->i", x, x)
-    bound = 2.0 * dim * (atol / unit) ** 2 + 4.0 * (dim + 2) * np.finfo(float).eps * np.max(sq)
-    for rows in _tiles(n):
-        block = x[rows] @ x[rows.start:].T
-        block *= 2.0 * sign
-        block += sq[rows, None]
-        block += sq[None, rows.start:]
-        i, j = np.nonzero(block <= bound)
-        del block
-        i += rows.start
-        j += rows.start
-        dist = np.empty(i.size)
-        for part in _row_blocks(i.size, dim, n):
-            dist[part] = np.max(np.abs(pts[i[part]] + sign * pts[j[part]]), axis=1)
+    w = np.sqrt(np.arange(2.0, dim + 2.0))
+    p = pts @ (w / (2.0 * w.sum()))
+    order = np.argsort(p)
+    swept, reach = p[order], atol + (dim + 2) * np.finfo(float).eps * scale
+    lo = np.searchsorted(swept, -sign * p - reach, side="left")
+    runs = np.searchsorted(swept, -sign * p + reach, side="right") - lo
+    for rows in _row_blocks(n, max(1, int(np.max(runs))), n):
+        count = runs[rows]
+        i = np.repeat(np.arange(rows.start, rows.stop), count)
+        j = order[np.repeat(lo[rows] - _starts(count), count) + np.arange(i.size)]
+        near = sign * pts[j]
+        with np.errstate(over="ignore"):
+            near += pts[i]
+        dist = np.max(np.abs(near, out=near), axis=1)
+        del near
         keep = dist <= atol
-        i, j, dist = i[keep], j[keep], dist[keep]
-        mirror = j >= rows.stop
-        yield np.concatenate((i, j[mirror])), np.concatenate((j, i[mirror])), np.concatenate((dist, dist[mirror]))
+        yield i[keep], j[keep], dist[keep]
 
 
 def _memoized(ps: PointSet, key: tuple, compute):
@@ -654,16 +650,12 @@ def is_antipodal(ps: PointSet, tol: float = DEFAULT_TOL):
 
 def _is_antipodal(ps: PointSet, tol: float):
     n = ps.n
-    partner, best = np.full(n, -1, dtype=np.intp), np.full(n, np.inf)
+    partner = np.full(n, -1, dtype=np.intp)
     for i, j, dist in _close_pairs(ps.points, 1.0, max(tol, 1e-12)):
-        # Per row, the smallest value and then the smallest column.
+        # Per row, the smallest value and then the smallest column: the row's first pair in this order.
         order = np.lexsort((j, dist, i))
-        i, j, dist = i[order], j[order], dist[order]
-        first = np.ones(i.size, dtype=bool)
-        first[1:] = i[1:] != i[:-1]
-        i, j, dist = i[first], j[first], dist[first]
-        better = (dist < best[i]) | ((dist == best[i]) & (j < partner[i]))
-        partner[i[better]], best[i[better]] = j[better], dist[better]
+        rows, first = np.unique(i[order], return_index=True)
+        partner[rows] = j[order[first]]
     if np.any(partner < 0):
         return False, None
     if np.any(partner == np.arange(n)) or np.any(partner[partner] != np.arange(n)):

@@ -11,6 +11,7 @@ tile; on several, each reader sees the same values).
 
 import contextlib
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -97,7 +98,8 @@ def reference_squared_distances(ps):
 def reference_duplicate_message(pts):
     """The DuplicatePointError message PointSet raises, or None."""
     scale = max(1.0, float(np.max(np.abs(pts))))
-    diffs = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    with np.errstate(over="ignore"):  # a difference that overflows is inf, never within tolerance
+        diffs = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
     np.fill_diagonal(diffs, np.inf)
     if np.min(diffs) <= 1e-9 * scale:
         i, j = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
@@ -109,7 +111,8 @@ def reference_is_antipodal(pts, tol):
     n = pts.shape[0]
     scale = max(1.0, float(np.max(np.abs(pts))))
     atol = max(tol, 1e-12) * scale
-    sums = np.max(np.abs(pts[:, None, :] + pts[None, :, :]), axis=2)
+    with np.errstate(over="ignore"):
+        sums = np.max(np.abs(pts[:, None, :] + pts[None, :, :]), axis=2)
     partner = np.argmin(sums, axis=1)
     best = sums[np.arange(n), partner]
     if np.any(best > atol):
@@ -478,10 +481,10 @@ class TestGroupingEdgeCases:
 def near_duplicate_sets(draw):
     n = draw(st.integers(2, 25))
     d = draw(st.integers(1, 5))
-    scale = draw(st.sampled_from([1.0, 1e3, 1e-3, 1e150]))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e-3, 1e150, 1e308]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(-scale, scale, size=(n, d))
+    pts = scale * rng.uniform(-1.0, 1.0, size=(n, d))
     atol = 1e-9 * max(1.0, float(np.max(np.abs(pts))))
     for _ in range(draw(st.integers(0, 3))):
         i, j = rng.integers(0, n, size=2)
@@ -494,10 +497,10 @@ def near_duplicate_sets(draw):
 def near_antipodal_sets(draw):
     half = draw(st.integers(1, 15))
     d = draw(st.integers(1, 5))
-    scale = draw(st.sampled_from([1.0, 1e3, 1e-3]))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e-3, 1e308]))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-scale, scale, size=(half, d))
+    x = scale * rng.uniform(-1.0, 1.0, size=(half, d))
     pts = np.vstack([x, -x])
     if draw(st.booleans()):
         pts = pts[rng.permutation(len(pts))]
@@ -508,7 +511,7 @@ def near_antipodal_sets(draw):
         offset = draw(st.sampled_from([1e-12, 0.5 * atol, atol, 2.0 * atol, 0.1 * scale]))
         pts[i] = pts[i] + offset * rng.choice([-1.0, 1.0], size=d)
     if draw(st.booleans()):
-        pts = np.vstack([pts, rng.uniform(-scale, scale, size=(1, d))])
+        pts = np.vstack([pts, scale * rng.uniform(-1.0, 1.0, size=(1, d))])
     return pts, tol
 
 
@@ -541,6 +544,41 @@ class TestPairChecksMatchReference:
         assert duplicate_message(pts) == reference_duplicate_message(pts)
         ok, partner = is_antipodal(PointSet(dimension=8, points=e8.points))
         assert ok and np.array_equal(partner, reference_is_antipodal(np.array(e8.points), 1e-9)[1])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e308])
+    def test_points_on_one_projection(self, traced_peak, scale):
+        # The sweep's worst case: every point projects to one value, so every
+        # pair is tested, in blocks of at most T^2 candidates. At 1e308 the
+        # sums of most candidates overflow, which must not warn.
+        half, d = 1000, 5
+        rng = np.random.default_rng(11)
+        w = np.sqrt(np.arange(2.0, d + 2.0))
+        x = rng.uniform(-1.0, 1.0, size=(half, d))
+        x -= np.outer(x @ w, w / (w @ w))
+        x *= scale / np.max(np.abs(x))
+        perm = rng.permutation(2 * half)
+        pts = np.vstack([x, -x])[perm]
+        place = np.argsort(perm)
+        dup = pts.copy()
+        dup[1500] = dup[17] + 1e-10 * scale
+        widths, got = [], []
+        blocks = pointset._row_blocks
+
+        def spy(count, width, n):
+            widths.append(width)
+            return blocks(count, width, n)
+
+        with mock.patch.object(pointset, "_row_blocks", spy), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert duplicate_message(dup) == "points 17 and 1500 coincide within tolerance"
+            peak = traced_peak(lambda: got.append(is_antipodal(PointSet(dimension=d, points=pts))))
+        ok, partner = got[0]
+        assert ok and np.array_equal(partner, place[(perm + half) % (2 * half)])
+        assert widths == [2 * half] * 3
+        # 2.7 tiles here: the candidates' sums and one gathered copy, each
+        # T^2 x d, and their index arrays.
+        tile = pointset._tile_side(2 * half) ** 2 * d * 8
+        assert peak < 3 * tile + 64 * pts.size
 
 
 class TestRowBlocks:
@@ -647,6 +685,14 @@ def test_validation_memory_stays_below_one_dense_matrix(johnson_14_4, traced_pea
     pts = np.array(johnson_14_4.points)
     n = pts.shape[0]
     assert traced_peak(PointSet, 15, pts) < 8 * n * n
+
+
+def test_validation_memory_is_linear(traced_peak):
+    # The duplicate and antipodal checks hold O(n*d) bytes: 3.4 n*d*8 here.
+    # The Gram-product screen they replaced held a strip of T x n values, 19.1 n*d*8.
+    pts = np.array(construct_johnson(16, 5).points)
+    n, d = pts.shape
+    assert traced_peak(lambda: is_antipodal(PointSet(dimension=d, points=pts))) < 8 * n * d * 8
 
 
 def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):

@@ -516,6 +516,26 @@ class TestExitCodes:
             "error: squared distances overflow: a point norm is above about 6.7e153"
         ]
 
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ([[1e308, 0.0], [0.0, 0.0], [1.0, 0.0]], "points 1 and 2 coincide within tolerance"),
+            # x and -x with x orthogonal to the duplicate check's projection
+            # weights (sqrt(2), sqrt(3)): their difference, 2x, is tested and overflows.
+            ([[3**0.5 * 1e308, -(2**0.5) * 1e308], [-(3**0.5) * 1e308, 2**0.5 * 1e308]],
+             "squared distances overflow: a point norm is above about 6.7e153"),
+        ],
+        ids=["duplicate", "overflowing-difference"],
+    )
+    def test_coordinates_near_the_float_max_print_only_the_error(self, tmp_path, points, message):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"points": points}))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "fewdist", "profile", str(path)],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
     def test_numerical_failure_is_exit_3_with_json(self, capsys, monkeypatch):
         # A tuple in P that neither Newton from the default start nor the
         # continuation inverts (every Newton made to fail here) is undecided: exit 3.
