@@ -7,25 +7,32 @@ class-i adjacency off it, so M = (F_x(y)) decomposes as k*I + A. Because
 the polynomials span a space of dimension at most N_cap, rank(M) <= N_cap,
 which pins the spectrum of A and forces k to be a bounded integer once the
 set is large enough. The classes are pointset's memoized profile, which the
-ratios read too; M and A are read a strip of rows at a time off pair values
-computed from the coordinates. The checks are numerical, with measured slacks.
+ratios read too; M and A are read a tile at a time off pair values computed
+from the coordinates. The checks are numerical, with measured slacks.
 Spectra come from one rule on two views of M: B = Q^T M Q, with Q an
 orthonormal basis of the polynomials in the point coordinates that hold
-every indicator of a setting, then M itself (Q = I). One walk over the
-strips of rows gives B's view of every class of a setting, each strip's
-pair values computed once for them all, with each class's decomposition
-deviation and companion entry checks; M's view walks one class. On each
-view the companion's spectrum is read off the view's own, within a Weyl
-bound, and the companion is built only where that leaves a count open. M is
-n x n only on M's view; B's holds an l x l sum per class, with no n x n or
+every indicator of a setting, then M itself (Q = I). B comes from the key
+lemma's factorization M = Phi K Phi^T before any walk: Phi = Q R holds the
+monomials of the lifted points and K the class polynomial's coefficients
+times the powers of the setting's bilinear form, so B = R K R^T. One walk
+over the unordered tile pairs I <= J then measures ||M - Q B Q^T||_F for
+every class of a setting, each tile's pair values computed once for them
+all, with each class's decomposition deviation and companion entry checks;
+M's view walks one class, filling M and its mirror tiles. On each view the
+companion's spectrum is read off the view's own, within a Weyl bound, and
+the companion is built only where that leaves a count open. M is n x n only
+on M's view; B's holds an l x l B per class and tiles, with no n x n or
 n x l array.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from .pointset import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
+    _fields_equal,
     _memoized,
     _pair_rows,
     _pair_tiles,
@@ -70,11 +78,18 @@ class _OnFirstRead:
         im.__dict__[self.slot] = None if value is self else value  # self: the default
 
 
-def _deviation(im, rows: slice, block: np.ndarray, adjacency: np.ndarray, out: np.ndarray | None = None):
-    """max |M - k*I - A| on M's rows, block (overwritten if no out), and A's."""
+def _diagonal(rows: slice, cols: slice | None):
+    """Where M's diagonal starts in the flat block rows x cols of _tiles
+    (cols None: the full strip of rows), or None where it misses the block."""
+    return rows.start if cols is None else (0 if cols == rows else None)
+
+
+def _deviation(im, start, block: np.ndarray, adjacency: np.ndarray, out: np.ndarray | None = None):
+    """max |M - k*I - A| on a block of M, overwritten if no out, and A's,
+    with M's diagonal from start (_diagonal) in the flat block."""
     out = np.subtract(block, adjacency, out=block if out is None else out)
-    # The adjacency has a zero diagonal, where k is subtracted instead.
-    out.flat[rows.start :: im.n + 1] -= im.k_claimed
+    if start is not None:  # the adjacency has a zero diagonal, where k is subtracted instead
+        out.flat[start :: out.shape[1] + 1] -= im.k_claimed
     return np.max(np.abs(out, out=out))
 
 
@@ -82,16 +97,25 @@ def _filled(im: IndicatorMatrix) -> np.ndarray:
     """M, filled a strip of rows at a time."""
     m = np.empty((im.n, im.n))
     for rows in _tiles(im.n):
-        m[rows] = im._rows(rows)[0]
+        m[rows] = im._block(rows)[0]
     return m
+
+
+def _held(im, name: str):
+    """im's field name as held: an on-first-read field None until given or read."""
+    lazy = type(im).__dict__.get(name)
+    return im.__dict__[lazy.slot] if isinstance(lazy, _OnFirstRead) else getattr(im, name)
 
 
 @dataclass(frozen=True)
 class IndicatorMatrix:
     """M = k*I + A (n x n) for one class index, with the claimed
     decomposition. Left out, adjacency, matrix and max_decomposition_dev come
-    on first access from evaluate(rows, strips): M's rows (fresh) and A's,
-    off a strip of pair values that it reads into strips unless there."""
+    on first access from evaluate(rows, cols, values): a block of M (fresh)
+    and A's, off the pair values that it reads into values unless there.
+    polynomial holds the class polynomial's power coefficients in the pair
+    value, ascending; None on a hand-built M. == compares the fields as held
+    (an on-first-read one None until given or read), so it evaluates no M."""
 
     setting: str
     class_index: int
@@ -103,21 +127,27 @@ class IndicatorMatrix:
     n: int
     # (point set, tol) M was read on: it keys the range basis its setting shares.
     source: tuple | None = field(default=None, repr=False)
-    evaluate: Callable[[slice, dict], tuple[np.ndarray, np.ndarray]] | None = field(
+    evaluate: Callable[[slice, slice | None, dict], tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
+    polynomial: np.ndarray | None = field(default=None, repr=False, compare=False)
     adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: np.concatenate(
-        [im._rows(rows)[1] for rows in _tiles(im.n)])), repr=False)
+        [im._block(rows)[1] for rows in _tiles(im.n)])), repr=False)
     matrix: np.ndarray = field(default=_OnFirstRead("_matrix", _filled), repr=False)
     max_decomposition_dev: float = field(default=_OnFirstRead("_dev", lambda im: float(np.max(
-        [_deviation(im, rows, *im._rows(rows)) for rows in _tiles(im.n)]))), repr=False)
+        [_deviation(im, rows.start, *im._block(rows)) for rows in _tiles(im.n)]))), repr=False)
 
-    def _rows(self, rows: slice, strips: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """M[rows] as a fresh array and A[rows], held or evaluated off
-        strips, the strips of pair values that the classes of one walk share."""
+    def __eq__(self, other):
+        return _fields_equal(self, other, _held)
+
+    def _block(self, rows: slice, cols: slice | None = None, values: dict | None = None):
+        """M[rows, cols] as a fresh array and A[rows, cols] (cols None: every
+        column), held or evaluated off values, the pair values that the
+        classes of one walk share."""
         m, a = self._matrix, self._adjacency
         if m is None or a is None:
-            fresh = self.evaluate(rows, {} if strips is None else strips)
-        return (fresh[0] if m is None else np.array(m[rows], float)), (fresh[1] if a is None else a[rows])
+            fresh = self.evaluate(rows, cols, {} if values is None else values)
+        at = rows, slice(None) if cols is None else cols
+        return (fresh[0] if m is None else np.array(m[at], float)), (fresh[1] if a is None else a[at])
 
 
 def _in_class(pairs: np.ndarray, cuts: np.ndarray, c: int) -> np.ndarray:
@@ -135,8 +165,8 @@ def indicator_matrix(
 ) -> IndicatorMatrix:
     """Evaluate the class indicator polynomial (bounds.Setting) at all point pairs.
 
-    M and A are read a strip of rows at a time off the pair values
-    (pointset._pair_tile), A as the profile's class by its tops. The
+    M and A are read a tile (or a strip of rows) at a time off the pair
+    values (pointset._pair_tile), A as the profile's class by its tops. The
     antipodal matrices run over the half set's own pairs, where class j is
     the profile's +beta_j and (signed: minus) -beta_j. class_index is 1-based
     within the setting's own index range: 1..s for euclidean/spherical,
@@ -166,16 +196,18 @@ def indicator_matrix(
     i = class_index - row.first_index
     nodes, beta = row.nodes(values), values[i0]
 
-    def evaluate(rows: slice, strips: dict):
-        # The reader is kept per point set and kind, so it keys the strip for every class of a setting.
-        if tile not in strips:
-            strips[tile] = _pair_rows(tile, points.n, rows)
-        pairs = strips[tile]
+    def evaluate(rows: slice, cols: slice | None, values: dict):
+        # The reader is kept per point set and kind, so it keys the block for every class of a setting.
+        if tile not in values:
+            values[tile] = _pair_rows(tile, points.n, rows) if cols is None else tile(rows, cols)
+        pairs = values[tile]
         adjacency = _in_class(pairs, cuts, classes[0]).view(np.int8)
         if len(classes) > 1:
             minus = _in_class(pairs, cuts, classes[1]).view(np.int8)
             adjacency = adjacency - minus if row.signed else adjacency + minus
-        adjacency.flat[rows.start :: points.n + 1] = 0
+        start = _diagonal(rows, cols)
+        if start is not None:
+            adjacency.flat[start :: pairs.shape[1] + 1] = 0
         block = lagrange_basis(nodes, i, row.node_map(pairs))
         if row.signed:
             block *= pairs / beta
@@ -192,8 +224,21 @@ def indicator_matrix(
         s=s,
         source=(ps, tol),
         evaluate=evaluate,
+        polynomial=_power_coefficients(row, nodes, i, beta),
         n=points.n,
     )
+
+
+def _power_coefficients(row, nodes, i: int, beta: float) -> np.ndarray:
+    """The power coefficients, ascending, of class i's polynomial in the pair
+    value v: L_i on row.node_map(v), times v / beta in the signed rows."""
+    c = np.ones(1)
+    for j, vj in enumerate(nodes):
+        if j != i:
+            c = np.convolve(c, [-vj, 1.0]) / (nodes[i] - vj)
+    if row.family == "antipodal":  # node_map(v) = v^2
+        c = np.stack([c, np.zeros_like(c)], axis=1).ravel()[:-1]
+    return np.r_[0.0, c] / beta if row.signed else c
 
 
 def numeric_rank(matrix, tol_rank: float = DEFAULT_TOL_RANK) -> int:
@@ -290,20 +335,23 @@ def verify_sign_matrix_bound(matrix, e: float, m: int, entry_tol: float = 1e-9) 
     return _sign_bound(n, e, m, np.max(maxima, axis=0), entry_tol)
 
 
-def _entry_maxima(block: np.ndarray, start: int, out: np.ndarray, columns: np.ndarray | None = None):
-    """In block, rows start.. of a square matrix, with out as the one buffer:
-    the largest |block - columns| (the same rows of its transpose; 0 if not
+def _entry_maxima(block: np.ndarray, start, out: np.ndarray, columns: np.ndarray | None = None):
+    """In block, a block of a square matrix with its diagonal from start in
+    the flat block (None: off the diagonal), with out as the one buffer: the
+    largest |block - columns| (the same entries of its transpose; 0 if not
     given), distance to and size of the nearest integer off the diagonal,
     and |entry| on it. Each entry is rounded once; a NaN makes every maximum
     it reaches NaN."""
     n = block.shape[1]
     asymmetry = 0.0 if columns is None else np.max(np.abs(np.subtract(block, columns, out=out), out=out))
-    diagonal = np.max(np.abs(block.flat[start :: n + 1]))
+    diagonal = 0.0 if start is None else np.max(np.abs(block.flat[start :: n + 1]))
     out = np.round(block, out=out)
-    out.flat[start :: n + 1] = 0.0
+    if start is not None:
+        out.flat[start :: n + 1] = 0.0
     magnitude = np.maximum(np.max(out), -np.min(out))
     out -= block
-    out.flat[start :: n + 1] = 0.0
+    if start is not None:
+        out.flat[start :: n + 1] = 0.0
     return asymmetry, np.max(np.abs(out, out=out)), magnitude, diagonal
 
 
@@ -356,141 +404,225 @@ def _counts(eig, companion_eig, expected_e, tol_rank, cluster_tol, errors=None):
     return n - below[0], below[1], below[2]
 
 
-def _range_basis(ps: PointSet, im: IndicatorMatrix, tol: float):
-    """Orthonormal Q with every class indicator of im's setting in its range,
-    from the coordinates alone; None unless narrower than M. The pair value
-    is bilinear in the lifted points (1, x), plus |x|^2 in the euclidean
+class _Basis(NamedTuple):
+    """A setting's range basis on a point set: Phi = Q R (_range_basis), its
+    terms (_terms), c = Q^T 1, and skew = ||Q^T Q - I||_F and gap >= ||1 - U c||
+    for U the orthonormal polar factor of Q (_view)."""
+
+    q: np.ndarray
+    r: np.ndarray
+    terms: tuple
+    c: np.ndarray
+    skew: float
+    gap: float
+
+
+def _lift(ps: PointSet, im: IndicatorMatrix, tol: float):
+    """The lifted points u (n x m) of im's setting and the columns of Phi.
+    The pair value is u_i^T G u_j for u = (1, x), plus |x|^2 in the euclidean
     rows, with x (centred there) on its top d_eff right singular vectors; so
-    each row of M, of degree D = s - degree_offset in it, lies in the span
-    Phi of the products of D lifted columns. range(Phi) lies in range(Q) for
-    Q of an uncut QR, even where Phi is rank-deficient (as on a sphere)."""
+    M's entries, a polynomial of degree D = s - degree_offset in it, lie in
+    the span Phi of the products of D entries of u, each column one
+    combination (with repeats) of D of u's indices, u_0 = 1 among them."""
     row = setting_row(im.setting)
     euclidean = row.family == "euclidean"
     x = antipodal_structure(ps, tol).half.points if row.family == "antipodal" else ps.points
     x = x - np.mean(x, axis=0) if euclidean else x
     x = x @ np.linalg.svd(x, full_matrices=False)[2][: im.d_eff].T
-    lifted = [np.ones(len(x)), *x.T] + ([np.einsum("ij,ij->i", x, x)] if euclidean else [])
-    products = list(combinations_with_replacement(lifted, im.s - row.degree_offset))
-    if len(products) >= len(x):
-        return None
-    phi = np.ones((len(x), len(products)), order="F")
+    u = np.column_stack([np.ones(len(x)), x] + ([np.einsum("ij,ij->i", x, x)] if euclidean else []))
+    return u, list(combinations_with_replacement(range(u.shape[1]), im.s - row.degree_offset))
+
+
+def _phi(u: np.ndarray, products: list) -> np.ndarray:
+    """Phi: each column the product of its entries of u."""
+    phi = np.ones((len(u), len(products)), order="F")
     for column, factors in zip(phi.T, products):
         for factor in factors:
-            column *= factor
-    return np.linalg.qr(phi)[0]
+            column *= u[:, factor]
+    return phi
+
+
+def _terms(products: list, m: int, euclidean: bool) -> tuple:
+    """(a, left, right, weight): each term of (u_i^T G u_j)^a, a <= D, as the
+    columns of Phi holding its monomials in u_i and in u_j, and its factor.
+    G's nonzero entries g_k pair index k with sigma(k): 1 on the spherical
+    and antipodal x's; -2 on the euclidean x's, and 1 pairing 1 with |x|^2.
+    So the a-th power is the sum over multisets alpha of a such k of
+    a! / prod(alpha's counts!) prod g_k u_i^alpha u_j^sigma(alpha), a term
+    per alpha: no m^D tensor of G's powers is built."""
+    degree = len(products[0])
+    column = {p: at for at, p in enumerate(products)}
+    pairs = [(k, k, -2.0 if euclidean else 1.0) for k in range(1, m - euclidean)]
+    if euclidean:
+        pairs += [(0, m - 1, 1.0), (m - 1, 0, 1.0)]
+    terms = []
+    for a in range(degree + 1):
+        for alpha in combinations_with_replacement(pairs, a):
+            weight = math.factorial(a) * math.prod(g for *_, g in alpha)
+            for count in Counter(alpha).values():
+                weight /= math.factorial(count)
+            left, right = ((0,) * (degree - a) + tuple(sorted(t[side] for t in alpha)) for side in (0, 1))
+            terms.append((a, column[left], column[right], weight))
+    a, left, right, weight = zip(*terms)
+    return np.array(a), np.array(left), np.array(right), np.array(weight)
+
+
+def _form(polynomial: np.ndarray, terms: tuple, width: int) -> np.ndarray:
+    """K with M = Phi K Phi^T, for the class polynomial's power coefficients:
+    each term of (u_i^T G u_j)^a (_terms) times the a-th coefficient,
+    scatter-added onto the pair of Phi's columns that holds its monomials."""
+    a, left, right, weight = terms
+    k = np.zeros((width, width))
+    np.add.at(k, (left, right), polynomial[a] * weight)
+    return k
+
+
+def _range_basis(ps: PointSet, im: IndicatorMatrix, tol: float):
+    """The _Basis of im's setting, with every class indicator in range(Q),
+    from the coordinates alone; None unless narrower than M. range(Phi) lies
+    in range(Q) for Q of an uncut QR, even where Phi is rank-deficient (as on
+    a sphere), and R is kept for B = R K R^T."""
+    u, products = _lift(ps, im, tol)
+    n, m = u.shape
+    if len(products) >= n:
+        return None
+    phi = _phi(u, products)
+    del u  # not held beside the QR's copies of Phi, which set certify's memory peak
+    q, r = np.linalg.qr(phi)
+    gram = q.T @ q
+    gram.flat[:: len(gram) + 1] -= 1.0
+    skew, c = float(np.linalg.norm(gram)), q.sum(axis=0)
+    if skew >= 1.0:  # too far from orthonormal for _view's bound
+        return None
+    gap = float(np.linalg.norm(1.0 - q @ c)) + skew * np.sqrt((1.0 + skew) * n)
+    terms = _terms(products, m, setting_row(im.setting).family == "euclidean")
+    return _Basis(q, r, terms, c, skew, gap)
 
 
 def _basis(im: IndicatorMatrix):
-    """(Q, a bound on ||Q||_2) for im's setting, memoized on its point set: a
-    setting's classes share one polynomial space, so one Q. None for a
-    hand-built M, with no coordinates to build Q from, or without a basis."""
+    """The _Basis of im's setting, memoized on its point set: a setting's
+    classes share one polynomial space, so one basis. None for a hand-built
+    M, with no coordinates to build it from, or without a basis."""
     if im.source is None:
         return None
     ps, tol = im.source
-    key = ("range_basis", im.setting, tol, im.d_eff)
-    q = _memoized(ps, key, lambda: _range_basis(ps, im, tol))
-    return q if q is None else (
-        q, _memoized(ps, (*key, "norm"), lambda: float(np.sqrt(np.linalg.norm(q.T @ q, 1)))))
+    return _memoized(ps, ("range_basis", im.setting, tol, im.d_eff), lambda: _range_basis(ps, im, tol))
+
+
+def _reduced(im: IndicatorMatrix, basis: _Basis) -> np.ndarray:
+    """B, exactly symmetric: R K R^T from the key lemma's factorization
+    M = Phi K Phi^T (_form) for an evaluated M, Q^T M Q for a held one."""
+    if im._matrix is not None:
+        b = basis.q.T @ (im._matrix @ basis.q)
+    else:
+        b = basis.r @ _form(im.polynomial, basis.terms, len(basis.r)) @ basis.r.T
+    return (b + b.T) / 2.0
 
 
 def _view(ims: list, basis, rules: list) -> list:
     """Per class of ims, with rules its companion's (scale, shift, e): a view
     (X, c, errors) of M for _view_counts and the companion's maxima for
-    _sign_bound, from one walk over the strips of _tiles rows that also reads
-    each decomposition deviation. A strip's pair values are read once, and
-    every class evaluates its own rows of M off them. With basis None, ims
+    _sign_bound, from one walk over the unordered pairs I <= J of _tiles that
+    also reads each decomposition deviation. A tile's pair values are read
+    once, and every class evaluates its own tile of M off them, once; on a
+    held M the walk reads the mirror tile J x I too. With basis None, ims
     holds one class, X is M itself (held, or filled in the walk), c = 1 and
-    errors None. With basis (Q, a bound on ||Q||_2), X = B, the symmetric
-    part of B_acc = sum over the strips of Q[rows]^T (M[rows] Q), c = Q^T 1
-    and errors bound the spectra's (M's, the companion's) distances from the
-    exact ones; no n x l MQ is held.
+    errors None. With a _Basis, X = B (_reduced), c = Q^T 1 and errors bound
+    the spectra's (M's, the companion's) distances from the exact ones; the
+    walk holds Q_I B and tiles, no n x l or n x n array.
 
-    Let E = M - Q B Q^T. Its symmetric part is S - Q B Q^T, S = (M + M^T)/2
-    (M itself when symmetric), so by Weyl's inequality the spectrum of S is
-    eig(B) and n - l zeros, each within ||E|| of the exact one. With
-    r = ||M - MQ Q^T||_F,
-        E = (M - MQ Q^T) + (MQ - Q B) Q^T,
-        MQ - Q B = (I - Q Q^T) MQ + Q (B_acc - B),
-    so ||E|| <= r + ||Q||_2 ||MQ - Q B||_F. (I - Q Q^T) MQ is the transpose of Q^T M^T (I - Q Q^T). On a symmetric M
-    that is Q^T (M - MQ Q^T), of norm at most ||Q||_2 r; M^T = M - 2K with
-    K = (M - M^T)/2 adds at most 2 ||Q||_2 kappa, kappa = ||K - KQ Q^T||_F.
-    Hence ||E|| <= r (1 + ||Q||_2^2) + ||Q||_2^2 (||B_acc - B||_F + 2 kappa),
-    with ||Q||_2^2 <= ||Q^T Q||_1 (Q^T Q is symmetric). An evaluated M is an
-    entrywise function of exactly symmetric pair values (pointset._pair_tile),
-    so kappa = 0; the walk measures it on a held M. As 1 is in range(Q), the
-    companion scale*M - shift*J + e*I is Q (scale*B - shift*c c^T + e*I) Q^T
-    + e*(I - Q Q^T), up to scale*E and the part of J outside range(Q).
+    The walk measures rho = ||M - Q B Q^T||_F, tile by tile; S - Q B Q^T,
+    S = (M + M^T)/2 (M itself when symmetric), is the symmetric part of
+    M - Q B Q^T, so its 2-norm is at most rho, whatever B is. Q is QR's, so
+    F = Q^T Q - I is rounding, and skew = ||F||_F < 1. Then U = Q P^-1,
+    P = (Q^T Q)^(1/2), is orthonormal, with ||P - I||_2 <= skew (each
+    |sqrt(1 + f) - 1| <= |f|) and ||P||_2 <= sqrt(1 + skew). Q B Q^T =
+    U (P B P) U^T has the spectrum of P B P padded with n - l zeros, and
+    ||P B P - B||_2 <= skew ||B||_2 (1 + sqrt(1 + skew)). By Weyl's
+    inequality the spectrum of S lies within
+        err = rho + skew ||B||_F (1 + sqrt(1 + skew))
+    of eig(B) padded with zeros, and ||S - U B U^T||_2 <= err. As 1 is in
+    range(Q), the companion scale*S - shift*J + e*I is
+    U (scale*B - shift*c c^T + e*I) U^T + e*(I - U U^T), whose spectrum is
+    that of the l x l companion and n - l copies of e, up to scale*err and
+    shift*||J - w w^T||_2 <= shift*gap*(2 sqrt(n) + gap), w = U c, for
+    gap = ||1 - Q c|| + skew sqrt((1 + skew) n) >= ||1 - w||, as
+    Q - U = U (P - I) and ||c|| <= ||Q||_2 sqrt(n).
     """
     n = ims[0].n
-    q, q_norm = basis or (None, None)
-    if q is None:  # one class: M's own rows, or none into a held M
-        accs = [im._matrix if im._matrix is not None else np.empty((n, n)) for im in ims]
+    tiles = _tiles(n)
+    if basis is None:  # one class: M filled in the walk, or a held M
+        xs = [im._matrix if im._matrix is not None else np.empty((n, n)) for im in ims]
     else:
-        accs = [np.zeros((q.shape[1],) * 2) for _ in ims]
-        c = q.sum(axis=0)
-        off = float(np.linalg.norm(1.0 - q @ c))
+        xs = [_reduced(im, basis) for im in ims]
     walk = []
-    for rows in _tiles(n):
-        strips = {}  # the strip's pair values, read by the first class that needs them
-        walk.append([_walk_rows(im, rows, strips, q, acc, *rule) for im, acc, rule in zip(ims, accs, rules)])
+    for at, rows in enumerate(tiles):
+        qbs = [None] * len(ims) if basis is None else [basis.q[rows] @ x for x in xs]
+        for cols in tiles[at:]:
+            values = {}  # the tile's pair values, read by the first class that needs them
+            walk.append([_walk_tile(im, rows, cols, values, x, qb, basis, *rule)
+                         for im, x, qb, rule in zip(ims, xs, qbs, rules)])
     views = []
-    for im, acc, (scale, shift, _), part in zip(ims, accs, rules, np.moveaxis(np.array(walk), 1, 0)):
+    for im, x, (scale, shift, _), part in zip(ims, xs, rules, np.moveaxis(np.array(walk), 1, 0)):
         if im._dev is None:  # read in the walk: no second one
             object.__setattr__(im, "max_decomposition_dev", float(np.max(part[:, 0])))
-        entries = np.max(part[:, 3:], axis=0)
-        if q is None:
-            views.append((acc, np.ones(n), None, entries))
+        entries = np.max(part[:, 2:], axis=0)
+        if basis is None:
+            views.append((x, np.ones(n), None, entries))
             continue
-        b = (acc + acc.T) / 2.0
-        r, kappa = np.sqrt(np.sum(part[:, 1:3], axis=0))
-        err = float(r * (1.0 + q_norm**2) + q_norm**2 * (np.linalg.norm(acc - b) + 2.0 * kappa))
-        # ||J - P J P|| <= 2 sqrt(n) ||1 - P 1|| + ||1 - P 1||^2 for P = Q Q^T.
-        views.append((b, c, (err, scale * err + shift * off * (2.0 * np.sqrt(n) + off)), entries))
+        skew, gap = basis.skew, basis.gap
+        err = float(np.sqrt(np.sum(part[:, 1])) + skew * np.linalg.norm(x) * (1.0 + np.sqrt(1.0 + skew)))
+        views.append((x, basis.c, (err, scale * err + shift * gap * (2.0 * np.sqrt(n) + gap)), entries))
     return views
 
 
-def _walk_rows(im: IndicatorMatrix, rows: slice, strips: dict, q, acc, scale, shift, expected_e):
-    """M's rows, read off the walk's strips (IndicatorMatrix._rows), into
-    acc: M itself with q None (none into a held M), else B_acc, which gains
-    Q[rows]^T M[rows] Q. Returns their deviation, with q their parts of r^2
-    and kappa^2 (_view; kappa 0 on an evaluated M), and the companion's
-    asymmetry and _entry_maxima, with one buffer beside the block."""
-    block, adjacency = im._rows(rows, strips)
-    held = im._matrix is not None
-    columns = np.array(im._matrix[:, rows].T, float) if held else None
-    if q is None:
-        if not held:
-            acc[rows] = block
-    else:
-        mq = block @ q
-        acc += q[rows].T @ mq
+def _walk_tile(im: IndicatorMatrix, rows: slice, cols: slice, values: dict, x, qb, basis,
+               scale, shift, expected_e):
+    """Class im's tile rows x cols (I <= J) of M, read off the walk's pair
+    values (IndicatorMatrix._block), and on a held M off the diagonal its
+    mirror cols x rows. With basis None the tile and its mirror go into x,
+    M (none into a held M); else, with qb = Q_I B, they add their part of
+    ||M - Q B Q^T||_F^2, an evaluated tile off the diagonal twice, as its
+    mirror is its transpose. Returns the deviation, that part, and the
+    companion's asymmetry and _entry_maxima, with one buffer beside the tile."""
+    start = _diagonal(rows, cols)
+    block, adjacency = im._block(rows, cols, values)
     out = np.empty_like(block)
-    deviation = _deviation(im, rows, block, adjacency, out)
-    residual = turn = 0.0
-    if q is not None:
-        residual = _outside(block, mq, q, out)
-        if held:  # K's rows, K = (M - M^T)/2
-            k = np.subtract(block, columns)
-            k /= 2.0
-            turn = _outside(k, k @ q, q, out)
-    # An evaluated M is an entrywise function of exactly symmetric pair
-    # values (pointset._pair_tile); a held one is checked against its columns.
-    rule = (rows.start, scale, shift, expected_e)
-    columns = None if columns is None else _companion_rows(columns, *rule)
-    return deviation, residual, turn, *_entry_maxima(_companion_rows(block, *rule), rows.start, out, columns)
+    deviation = _deviation(im, start, block, adjacency, out)
+    held = im._matrix is not None
+    tiles = [block]
+    if held and start is None:  # a held M is not trusted to be symmetric
+        mirror, mirror_adjacency = im._block(cols, rows)
+        deviation = max(deviation, _deviation(im, None, mirror, mirror_adjacency, out.T))
+        tiles.append(mirror)
+    residual = 0.0
+    if basis is None:
+        if not held:
+            x[rows, cols] = block
+            if start is None:
+                x[cols, rows] = block.T
+    else:
+        fit = qb @ basis.q[cols].T
+        for tile in (block, *(mirror.T for mirror in tiles[1:])):
+            np.subtract(tile, fit, out=out)
+            residual += float(np.vdot(out, out))
+        if not held and start is None:
+            residual *= 2.0  # for the mirror, the tile's transpose
+    for tile in tiles:  # the mirror lies off the diagonal
+        _companion(tile, start, scale, shift, expected_e)
+    maxima = _entry_maxima(block, start, out, tiles[-1].T if held else None)
+    if len(tiles) > 1:  # its asymmetry is the tile's, read just above
+        maxima = np.maximum(maxima, _entry_maxima(tiles[1], None, out.T))
+    return deviation, residual, *maxima
 
 
-def _outside(x: np.ndarray, xq: np.ndarray, q: np.ndarray, out: np.ndarray) -> float:
-    """||x - xq Q^T||_F^2 for xq = x Q: x's part outside range(Q), through out."""
-    np.subtract(x, np.matmul(xq, q.T, out=out), out=out)
-    return float(np.vdot(out, out))
-
-
-def _companion_rows(block, start, scale, shift, expected_e):
-    """block, M's rows start.., made the companion's rows in place."""
+def _companion(block, start, scale, shift, expected_e):
+    """block, a block of M with its diagonal from start (_diagonal), made the
+    companion's in place."""
     block *= scale
     block -= shift
-    block.flat[start :: block.shape[1] + 1] += expected_e
+    if start is not None:
+        block.flat[start :: block.shape[1] + 1] += expected_e
     return block
 
 
@@ -592,7 +724,8 @@ def verify_key_lemma(
     Both spectra come from one rule on at most two views of M: first
     B = Q^T M Q on the setting's polynomial range basis Q (from the
     coordinates) when n >= 2*N_cap and Q is narrower than M, then M itself.
-    Each comes from one walk over M's rows, which also gives the sign bound's
+    B is R K R^T, from M = Phi K Phi^T with Phi = Q R. Each view comes with
+    one walk over M's unordered tile pairs, which also gives the sign bound's
     entry checks. On each the companion's spectrum is read off the view's,
     and the view's own companion is built only where a count stays open. M's
     view decides every count B's leaves open, so the counts are dense eigvalsh's.
@@ -608,7 +741,7 @@ def verify_key_lemmas(
 ) -> list[CertificateVerdict]:
     """verify_key_lemma on each of ims, in their own theorem contexts. The
     classes that share a range basis, as one setting's classes on one point
-    set do, take B's view from one walk, which reads each strip of pair
+    set do, take B's view from one walk, which reads each tile of pair
     values once for them all; M's view still walks one class at a time."""
     return _verdicts(ims, [None] * len(ims), tol_int, tol_rank, cluster_tol)
 
@@ -624,7 +757,7 @@ def _verdicts(ims, contexts, tol_int, tol_rank, cluster_tol) -> list[Certificate
     for i, im in enumerate(ims):
         basis = _basis(im) if im.n >= 2 * im.n_cap else None
         if basis is not None:
-            shared.setdefault(id(basis[0]), (basis, []))[1].append(i)
+            shared.setdefault(id(basis), (basis, []))[1].append(i)
     for basis, chosen in shared.values():
         for i, view in zip(chosen, _view([ims[i] for i in chosen], basis, [rules[i] for i in chosen])):
             views[i] = view

@@ -23,6 +23,7 @@ lie within a window of each other (_close_pairs), found by a sort.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -46,6 +47,18 @@ from .errors import (
 )
 
 
+def _fields_equal(a, b, read=getattr):
+    """Dataclass == on the compared fields, each read by read, arrays by
+    np.array_equal: numpy's == gives an array, with no single truth value."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+
+    def same(x, y):
+        return np.array_equal(x, y) if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else x == y
+
+    return all(same(read(a, f.name), read(b, f.name)) for f in dataclasses.fields(a) if f.compare)
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered set of n >= 2 distinct points in R^dimension."""
@@ -55,6 +68,8 @@ class PointSet:
     labels: tuple[str, ...] | None = None
     # Profiles computed from this set, keyed by (kind, tol); see _memoized.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: freezing it leaves the caller's array writeable
@@ -555,6 +570,8 @@ class DistanceProfile:
     tops: np.ndarray
     tol: float
 
+    __eq__ = _fields_equal
+
     def to_dict(self) -> dict:
         return {
             "s": self.s,
@@ -590,6 +607,8 @@ class InnerProductProfile:
     contains_minus_one: bool
     antipodal: bool
     tol: float
+
+    __eq__ = _fields_equal
 
     def to_dict(self) -> dict:
         return {

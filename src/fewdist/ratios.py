@@ -131,7 +131,13 @@ def class_ratios(ps: PointSet, setting: str, tol: float = DEFAULT_TOL):
 def effective_dimension(ps: PointSet, setting: str, tol_rank: float = DEFAULT_TOL_RANK) -> int:
     """The affine dimension for the euclidean family, the linear one otherwise."""
     euclidean = setting_row(setting).family == "euclidean"
-    return (affine_dimension if euclidean else linear_dimension)(ps, tol_rank)
+    d = (affine_dimension if euclidean else linear_dimension)(ps, tol_rank)
+    if d < 1:
+        raise ParameterError(
+            f"effective dimension {d} at rank tolerance {tol_rank:g} (--tol-rank): "
+            "the tolerance is too large for this set"
+        )
+    return d
 
 
 def applicable_settings(

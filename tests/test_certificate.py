@@ -124,6 +124,19 @@ class TestIndicatorMatrix:
         assert np.array_equal(im.adjacency, im.adjacency.T)
         assert set(np.unique(im.adjacency)) <= {0, 1}
 
+    def test_equality_evaluates_no_m(self, johnson_10_3, monkeypatch):
+        # == compares the parameters, the point set and what is held (the
+        # arrays given, or already read), and evaluates no M to compare.
+        first, second, third = (indicator_matrix(johnson_10_3, 1, "euclidean") for _ in range(3))
+        other = indicator_matrix(johnson_10_3, 2, "euclidean")
+        held = dataclasses.replace(third, matrix=np.zeros((third.n, third.n)))  # replace reads every field
+        with monkeypatch.context() as patched:
+            patched.setattr(certificate, "lagrange_basis", None)  # a call would raise
+            assert first == second and first in [other, second]
+            assert first != other and first != held and held == dataclasses.replace(held)
+        assert all(im.__dict__[slot] is None for im in (first, second)
+                   for slot in ("_adjacency", "_matrix", "_dev"))
+
     def test_signed_adjacency_for_variant_two(self, e8):
         im = indicator_matrix(e8, 2, "antipodal_even_v2")
         assert set(np.unique(im.adjacency)) <= {-1, 0, 1}
@@ -495,17 +508,18 @@ NEAR_THRESHOLDS = [
 def basis_width(im):
     """The column count of the range basis verify_key_lemma takes for im."""
     ps, tol = im.source
-    return certificate._range_basis(ps, im, tol).shape[1]
+    return certificate._range_basis(ps, im, tol).q.shape[1]
 
 
 def residual_bounds(ims):
-    """B's view's bounds on ||M - Q B Q^T|| for ims, one setting's classes
-    read in one walk, and the dense ||M - Q B Q^T||_2 of each."""
+    """B's view's bounds on ||sym(M) - Q B Q^T|| for ims, one setting's
+    classes read in one walk, and the dense ||sym(M) - Q B Q^T||_2 of each."""
     basis = certificate._basis(ims[0])
     views = certificate._view(ims, basis, [certificate._rule(im) for im in ims])
-    q = basis[0]
+    q = basis.q
     errors = [err for _, _, (err, _), _ in views]
-    return errors, [np.linalg.norm(im.matrix - q @ b @ q.T, 2) for im, (b, *_) in zip(ims, views)]
+    return errors, [np.linalg.norm((im.matrix + im.matrix.T) / 2.0 - q @ b @ q.T, 2)
+                    for im, (b, *_) in zip(ims, views)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -541,11 +555,22 @@ class TestRangeSketch:
         # (1, x) on e8's half set, and products of two of them.
         assert [basis_width(indicator_matrix(e8, 2, s)) for s in ("antipodal_even_v2", "antipodal_even_v1")] == [9, 45]
 
+    def test_no_b_view_class_falls_back_to_m(self, johnson_10_3, johnson_14_3, e8):
+        # Every class of these settings takes B's view, and B = R K R^T with
+        # its measured residual decides every count: no n x n decomposition.
+        cases = [(ps, "euclidean") for ps in (johnson_10_3, johnson_14_3, construct_johnson(20, 3))]
+        cases += [(e8, "antipodal_even_v1"), (e8, "antipodal_even_v2")]
+        for ps, setting in cases:
+            ims = [indicator_matrix(ps, index, setting) for index in class_index_range(ps, setting)]
+            with recorded_shapes() as shapes:
+                verify_key_lemmas(ims)
+            assert shapes == [(basis_width(ims[0]),) * 2] * len(ims), (ps.n, setting)
+
     def test_residual_gate_falls_back_to_dense(self, johnson_14_3):
         # M plus a rank-40 part orthogonal to the basis: the residual leaves
         # the counts undecided, and M's view finds rank 145 > N_cap = 135.
         im = indicator_matrix(johnson_14_3, 1, "euclidean")
-        q = certificate._range_basis(johnson_14_3, im, pointset.DEFAULT_TOL)
+        q = certificate._range_basis(johnson_14_3, im, pointset.DEFAULT_TOL).q
         rng = np.random.default_rng(2)
         outside = rng.standard_normal((im.n, 40))
         outside = np.linalg.qr(outside - q @ (q.T @ outside))[0]
@@ -609,8 +634,8 @@ class TestRangeSketch:
 
     @pytest.mark.parametrize("case", ["johnson", "rotated johnson", "antipodal"])
     def test_the_residual_bound_covers_the_dense_residual(self, johnson_14_3, e8, case):
-        # Every class of a setting, from one walk: the bound on
-        # ||M - Q B Q^T|| is at least the dense one, in the 2-norm.
+        # Every class of a setting, from one walk, with B = R K R^T: the
+        # bound on ||M - Q B Q^T|| is at least the dense one, in the 2-norm.
         ps, setting = (e8, "antipodal_even_v1") if case == "antipodal" else (johnson_14_3, "euclidean")
         if case == "rotated johnson":
             rotation = np.linalg.qr(np.random.default_rng(8).standard_normal((15, 15)))[0]
@@ -619,39 +644,41 @@ class TestRangeSketch:
         for im, err, dense in zip(ims, *residual_bounds(ims)):
             assert dense <= err, im.class_index
 
-    def test_each_term_of_the_residual_bound_is_needed(self):
-        # Held matrices on a 20-column basis. A symmetric M with a part
-        # outside range(Q) coupled to one inside it: ||M - Q B Q^T||_2 is
-        # above r = ||M - MQ Q^T||_F, and the (1 + ||Q||_2^2) factor covers
-        # it. An M whose antisymmetric part lies in range(Q): r is rounding,
-        # and only the B_acc - B term covers ||M - Q B Q^T||. A random M
-        # needs every term.
+    def test_a_held_asymmetric_m_is_walked_on_both_triangles(self, monkeypatch):
+        # Held matrices on a 20-column basis, in tiles of 16 of n = 60: one
+        # asymmetric in range(Q), and one with a symmetric part in range(Q)
+        # plus a part on the tiles below the diagonal alone, with
+        # Q^T below Q = 0, so that B is the symmetric part's and the tiles on
+        # and above the diagonal show no sym(M) - Q B Q^T. The bound covers
+        # the dense norm only if the walk reads the tiles below the diagonal.
         n, tol = 60, pointset.DEFAULT_TOL
+        monkeypatch.setattr(pointset, "_tile_side", lambda n: 16)
         ps, rng = basis_source(n, False), np.random.default_rng(1)
-        q = certificate._range_basis(ps, hand_built(np.eye(n), "euclidean", 1.5, 10)[0], tol)
-        w = np.linalg.qr(np.column_stack([q, rng.standard_normal((n, 5))]))[0][:, 20:]
+        q = certificate._range_basis(ps, hand_built(np.eye(n), "euclidean", 1.5, 10)[0], tol).q
+        tiles = pointset._tiles(n)
+        above = np.zeros((n, n), bool)
+        for at, rows in enumerate(tiles):
+            for cols in tiles[at:]:
+                above[rows, cols] = True
+        i, j = np.nonzero(~above)
+        terms = np.einsum("ta,tb->abt", q[i], q[j]).reshape(400, -1)  # Q^T below Q, on below's entries
+        entries = rng.standard_normal(len(i))
+        below = np.zeros((n, n))
+        below[i, j] = entries - np.linalg.lstsq(terms, terms @ entries, rcond=None)[0]
         inside = rng.standard_normal((20, 20))
-        inside += inside.T
-        turn = rng.standard_normal((20, 20))
-        turn -= turn.T
-        coupled = q @ inside @ q.T + np.outer(q[:, 0] + w[:, 0], q[:, 0] + w[:, 0]) - np.outer(q[:, 0], q[:, 0])
-        cases = {
-            "coupled": (coupled + coupled.T) / 2.0,
-            "turned": q @ (inside + turn) @ q.T,
-            "random": rng.standard_normal((n, n)),
-        }
+        cases = {"asymmetric inside": q @ inside @ q.T, "below the diagonal": q @ (inside + inside.T) @ q.T + below}
         for name, matrix in cases.items():
             im, _ = hand_built(matrix, "euclidean", 1.5, 10, (ps, tol))
             [err], [dense] = residual_bounds([im])
-            r = np.linalg.norm(matrix - (matrix @ q) @ q.T)
             assert dense <= err, name
-            assert dense > {"coupled": 1.1 * r, "turned": 1e6 * r, "random": 0.0}[name], name
+        b = certificate._reduced(im, certificate._basis(im))
+        assert dense > 1.0 and np.max(np.abs(np.where(above, matrix - q @ b @ q.T, 0.0))) < 1e-12
 
     def test_a_class_outside_the_shared_range_goes_to_m(self):
         n, n_cap, tol = 80, 10, 1e-6
         rng = np.random.default_rng(3)
         ps = PointSet(dimension=2, points=rng.standard_normal((n, 2)))
-        q = certificate._range_basis(ps, hand_built(np.eye(n), "euclidean", 1.5, n_cap)[0], tol)
+        q = certificate._range_basis(ps, hand_built(np.eye(n), "euclidean", 1.5, n_cap)[0], tol).q
         width = q.shape[1]
         assert width == 20  # products of 3 of (1, x, y, x^2 + y^2)
 
@@ -743,7 +770,7 @@ class TestRangeSketch:
         setting, d_eff, s = ("antipodal_even_v2", 3, 6) if signed else ("euclidean", 2, 4)
         ps, tol = basis_source(n, signed), pointset.DEFAULT_TOL
         im, context = hand_built(np.zeros((n, n)), setting, k, n_cap, (ps, tol), d_eff, s)
-        q = certificate._range_basis(ps, im, tol)
+        q = certificate._range_basis(ps, im, tol).q
         assert q.shape == (n, width)
         full = np.linalg.qr(np.column_stack([q, rng.standard_normal((n, n - width))]))[0]
         vectors = np.column_stack([
@@ -768,6 +795,76 @@ class TestRangeSketch:
             assert dense  # the basis cannot hold the range: the gate must fall back
         elif not near:
             assert not dense  # every eigenvalue is far from every threshold
+
+
+def factored(ps, setting, index):
+    """(M, Phi K Phi^T) for one class: the key lemma's factorization, at any basis width."""
+    im = indicator_matrix(ps, index, setting)
+    u, products = certificate._lift(ps, im, pointset.DEFAULT_TOL)
+    phi = certificate._phi(u, products)
+    terms = certificate._terms(products, u.shape[1], setting == "euclidean")
+    k = certificate._form(im.polynomial, terms, len(products))
+    return im.matrix, phi @ k @ phi.T
+
+
+FACTORED_SETS = [("pentagon", None), ("icosahedron", None), ("hypercube", 4), ("hypercube", 5),
+                 ("hypercube", 6), ("cross_polytope", 4), ("e8_roots", None)]
+FACTORED_SETS += [("johnson", d, s) for d in range(7, 11) for s in range(2, 6) if 2 * s <= d + 1]
+
+
+def factored_set(case):
+    return construct_johnson(*case[1:]) if case[0] == "johnson" else construct_named(*case)
+
+
+class TestFactorization:
+    """M = Phi K Phi^T (the key lemma), with K from the class polynomial's
+    power coefficients and G's powers, for every setting row, whether or not
+    n >= 2 N_cap; B = R K R^T rests on it."""
+
+    @pytest.mark.parametrize("case", FACTORED_SETS, ids=lambda case: "-".join(map(str, case)))
+    def test_phi_k_phi_is_the_evaluated_m(self, case):
+        ps = factored_set(case)
+        for setting in applicable_settings(ps):
+            for index in class_index_range(ps, setting):
+                matrix, product = factored(ps, setting, index)
+                assert np.max(np.abs(product - matrix)) <= 1e-9 * np.max(np.abs(matrix)), (setting, index)
+
+    def test_every_setting_row_is_factored_at_s_2_to_6(self):
+        # The euclidean and spherical rows at s = 2..6; the unsigned and
+        # signed antipodal rows (x^2 in L_i; times x / beta) at s = 4..6,
+        # their least s for both parities.
+        seen = set()
+        for case in FACTORED_SETS:
+            ps = factored_set(case)
+            for setting in applicable_settings(ps):
+                seen.add((setting.split("_")[0] + ("_signed" if setting in certificate.SIGNED_SETTINGS else ""),
+                          indicator_matrix(ps, class_index_range(ps, setting)[0], setting).s))
+        rows = {"euclidean": range(2, 7), "spherical": range(2, 7), "antipodal": range(4, 7),
+                "antipodal_signed": range(4, 7)}
+        assert seen >= {(row, s) for row, values in rows.items() for s in values}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from([("pentagon", None), ("icosahedron", None), ("hypercube", 4), ("hypercube", 5),
+                              ("cross_polytope", 4), ("johnson", 7, 3), ("johnson", 8, 4)]),
+        seed=st.integers(0, 2**32 - 1),
+        moved=st.booleans(),
+        scale=st.floats(-3.0, 3.0),
+        shift=st.floats(0.0, 10.0),
+    )
+    def test_isometries_and_scalings_keep_the_factorization(self, case, seed, moved, scale, shift):
+        # A rotation, and then, if moved, a scaling by 10^scale and a shift
+        # of up to shift times that: the euclidean row alone then applies.
+        ps = factored_set(case)
+        rng = np.random.default_rng(seed)
+        points = ps.points @ np.linalg.qr(rng.standard_normal((ps.dimension,) * 2))[0]
+        if moved:
+            points = 10.0**scale * (points + shift * rng.uniform(-1.0, 1.0, ps.dimension))
+        ps = PointSet(dimension=ps.dimension, points=points)
+        for setting in applicable_settings(ps):
+            for index in class_index_range(ps, setting):
+                matrix, product = factored(ps, setting, index)
+                assert np.max(np.abs(product - matrix)) <= 1e-9 * np.max(np.abs(matrix)), (setting, index)
 
 
 class TestSeidelFromM:
@@ -842,48 +939,76 @@ class TestSeidelFromM:
             assert 2.0 * rho * 1.005 < deviation <= bound, width
 
 
-class TestRowBlockWalk:
-    """On B's view M is read in strips of T rows evaluated from pair values
-    computed from the coordinates, so a verdict holds no n x n array."""
+def recorded_tiles(monkeypatch, side):
+    """The (rows, cols) of every pointset._pair_tile call, in tiles of side points."""
+    calls, tile = [], pointset._pair_tile
+    monkeypatch.setattr(pointset, "_tile_side", lambda n: side)
+    monkeypatch.setattr(
+        pointset, "_pair_tile", lambda x, sq, rows, cols: calls.append((rows, cols)) or tile(x, sq, rows, cols)
+    )
+    return calls
 
-    def test_certify_evaluates_each_row_once_per_class(self, johnson_14_3, tmp_path, capsys):
-        # A fresh johnson(14, 3), all of whose classes take B's view.
+
+class TestRowBlockWalk:
+    """Each view walks the unordered pairs of tiles of M, evaluated from pair
+    values computed from the coordinates, so B's view holds no n x n array."""
+
+    def test_certify_evaluates_each_pair_once_per_class(self, johnson_14_3, tmp_path, capsys):
+        # A fresh johnson(14, 3), all of whose classes take B's view: each
+        # class evaluates the tiles on and above the diagonal, once each.
         path = tmp_path / "points.json"
         path.write_text(json.dumps(johnson_14_3.to_dict()))
         with recorded_shapes("lagrange_basis", certificate) as shapes:
             assert cli.run(["certify", str(path), "--setting", "all"]) == 0
         verdicts = json.loads(capsys.readouterr().out)["verdicts"]
-        n = johnson_14_3.n
+        n, side = johnson_14_3.n, pointset._tile_side(johnson_14_3.n)
         assert {v["n"] for v in verdicts} == {n}
-        assert shapes and all(rows < n and width == n for rows, width in shapes)
-        assert sum(rows for rows, _ in shapes) == n * len(verdicts)
+        tiles = pointset._tiles(n)
+        upper = sum((r.stop - r.start) * (c.stop - c.start) for r in tiles for c in tiles if c.start >= r.start)
+        assert shapes and all(rows <= side and width <= side for rows, width in shapes)
+        assert sum(rows * width for rows, width in shapes) == upper * len(verdicts)
 
-    def test_certify_walks_each_strip_once_per_setting(self, johnson_10_3, tmp_path, capsys, monkeypatch):
+    def test_certify_walks_each_tile_pair_once_per_setting(self, johnson_10_3, tmp_path, capsys, monkeypatch):
         # A fresh johnson(10, 3) in tiles of 32: grouping computes each tile
         # on and above the diagonal once, then B's view of all 3 classes
-        # walks each full strip once, a tile below the diagonal being its
-        # mirror's transpose; a walk per class took 3.
+        # reads each unordered tile pair once, and no tile below the diagonal.
         path = tmp_path / "points.json"
         path.write_text(json.dumps(johnson_10_3.to_dict()))
-        monkeypatch.setattr(pointset, "_tile_side", lambda n: 32)
-        calls, tile = [], pointset._pair_tile
-        monkeypatch.setattr(
-            pointset, "_pair_tile", lambda x, sq, rows, cols: calls.append((rows, cols)) or tile(x, sq, rows, cols)
-        )
+        calls = recorded_tiles(monkeypatch, 32)
         assert cli.run(["certify", str(path), "--setting", "all"]) == 0
         verdicts = json.loads(capsys.readouterr().out)["verdicts"]
         assert [v["setting"] for v in verdicts] == ["euclidean"] * 3
         tiles = pointset._tiles(johnson_10_3.n)
         assert len(tiles) == 6
         upper = [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start]
-        walk = [pair for rows in tiles for cols in tiles
-                for pair in [(rows, cols)] + [(cols, rows)] * (cols.start < rows.start)]
-        assert calls == upper + walk
+        assert calls == upper + upper
+        assert not any(rows.start > cols.start for rows, cols in calls)
+
+    def test_m_view_walks_each_tile_pair_once_per_class(self, monkeypatch):
+        # e8 in tiles of 64, its profiles read first: M's view (the euclidean
+        # and spherical rows, n = 240 < 2 N_cap) walks the unordered tile
+        # pairs once per class, filling M's mirror tiles by transposes; B's
+        # view (the antipodal rows, on the half set) once per setting.
+        calls = recorded_tiles(monkeypatch, 64)
+        ps = construct_named("e8_roots")
+        ims = {setting: [indicator_matrix(ps, index, setting) for index in class_index_range(ps, setting)]
+               for setting in applicable_settings(ps)}
+        views = set()
+        for setting, group in ims.items():
+            calls.clear()
+            verify_key_lemmas(group)
+            im, tiles = group[0], pointset._tiles(group[0].n)
+            m_view = im.n < 2 * im.n_cap
+            views.add((setting, m_view))
+            walks = len(group) if m_view else 1
+            assert calls == [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start] * walks
+        assert views == {("euclidean", True), ("spherical", True),
+                         ("antipodal_even_v1", False), ("antipodal_even_v2", False)}
 
     def test_a_settings_classes_add_an_l_by_l_sum_each(self, johnson_14_3, traced_peak):
         # B's view of 1, then 3 classes from one walk, the basis memoized:
-        # each further class holds its l x l sum (l = 136) beside the
-        # shared strip, not an n x l MQ (n = 455).
+        # each further class holds its l x l B (l = 136) and a T x l Q_I B
+        # beside the shared tile, not an n x l MQ (n = 455).
         def verdicts(count):
             ims = [indicator_matrix(johnson_14_3, index, "euclidean") for index in (1, 2, 3)[:count]]
             return traced_peak(verify_key_lemmas, ims)
@@ -903,7 +1028,7 @@ class TestRowBlockWalk:
 
     def test_a_verdict_traces_less_than_one_dense_matrix(self, johnson_14_3, traced_peak):
         # With the basis memoized (by class 2), class 1's verdict holds a
-        # strip of T rows, its tiles' temporaries and B_acc, not M or its companion.
+        # tile's temporaries, K, B and Q_I B, not M or its companion.
         verify_key_lemma(indicator_matrix(johnson_14_3, 2, "euclidean"))
         im = indicator_matrix(johnson_14_3, 1, "euclidean")
         assert traced_peak(verify_key_lemma, im) < 8 * im.n * im.n

@@ -439,6 +439,23 @@ class TestExitCodes:
         reason = "invalid int value" if flag == "--max-iter" and bad != "-1" else "must be finite and >= 0"
         assert f"argument {flag}: {reason}" in captured.err
 
+    @pytest.mark.parametrize("command", ["certify", "ratios"])
+    def test_a_rank_tolerance_that_leaves_no_dimension_is_named(self, tmp_path, capsys, command):
+        # johnson(10, 3) at --tol-rank 0.01: no singular value clears the cut,
+        # and the message names the effective dimension and the tolerance.
+        path = tmp_path / "johnson.json"
+        path.write_text(json.dumps(construct_johnson(10, 3).to_dict()))
+        assert run(["--tol-rank", "0.01", command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: effective dimension 0 at rank tolerance 0.01 (--tol-rank): the tolerance is too large for this set\n"
+        )
+
+    def test_bounds_keeps_its_dimension_message(self, capsys):
+        assert run(["bounds", "--setting", "euclidean", "-d", "0", "-s", "3"]) == 2
+        assert capsys.readouterr().err == "error: d must be >= 1, got 0\n"
+
     def test_global_tolerances_refuse_nan_before_the_subcommand(self, square_file, capsys):
         assert run(["--tol-rank", "nan", "certify", square_file]) == 2
         assert "argument --tol-rank: must be finite and >= 0, got 'nan'" in capsys.readouterr().err

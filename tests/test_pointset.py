@@ -78,6 +78,20 @@ class TestPointSet:
         with pytest.raises(InputError):
             PointSet(dimension=1, points=np.array([[0.0], [1.0]]), labels=("a",))
 
+    def test_equality_compares_points_by_value(self):
+        # numpy's == on the points array has no single truth value; a point
+        # set and what is read from it compare by value instead.
+        ps, other = construct_named("hypercube", 4), construct_named("hypercube", 4)
+        assert ps == other and ps in [other] and not ps != other
+        moved = PointSet(dimension=4, points=ps.points[::-1])
+        labelled = PointSet(dimension=4, points=ps.points, labels=tuple(map(str, range(16))))
+        assert ps != moved and ps not in [moved, labelled] and ps != "hypercube"
+        assert distance_profile(ps) == distance_profile(other)
+        assert inner_product_profile(ps) == inner_product_profile(other)
+        assert antipodal_structure(ps) == antipodal_structure(other)
+        assert distance_profile(ps) != distance_profile(moved, 1e-6)
+        assert antipodal_structure(ps) != antipodal_structure(moved)
+
 
 class TestLoadPoints:
     def test_json_round_trip(self, tmp_path):
