@@ -15,14 +15,15 @@ every indicator of a setting, then M itself (Q = I). B comes from the key
 lemma's factorization M = Phi K Phi^T before any walk: Phi = Q R holds the
 monomials of the lifted points and K the class polynomial's coefficients
 times the powers of the setting's bilinear form, so B = R K R^T. One walk
-over the unordered tile pairs I <= J then measures ||M - Q B Q^T||_F for
-every class of a setting, each tile's pair values computed once for them
-all, with each class's decomposition deviation and companion entry checks;
-M's view walks one class, filling M and its mirror tiles. On each view the
-companion's spectrum is read off the view's own, within a Weyl bound, and
-the companion is built only where that leaves a count open. M is n x n only
-on M's view; B's holds an l x l B per class and tiles, with no n x n or
-n x l array.
+then measures ||M - Q B Q^T||_F for every class of a setting, with its
+decomposition deviation and companion entry checks: an evaluated M read as
+its tile pairs I <= J (a mirror tile is the transpose) off pair values
+computed once for them all, a held M (given, or already read) off its own
+array a strip of rows, both triangles, at a time; M's view walks one class.
+On each view the companion's spectrum is read off the view's own, within a
+Weyl bound, and the companion is built only where that leaves a count open.
+M is n x n only on M's view; B's holds an l x l B per class and tiles, with
+no n x n or n x l array.
 """
 
 from __future__ import annotations
@@ -38,15 +39,16 @@ import numpy as np
 
 from .bounds import SETTING_TABLE, TheoremContext, dim_poly_space, setting_row, theorem_context
 from .defaults import DEFAULT_TOL_INT
-from .errors import InputError, NumericalError, ParameterError, _valid_tol
+from .errors import DimensionMismatchError, InputError, NumericalError, ParameterError, _valid_tol
 from .lagrange import lagrange_basis
 from .pointset import (
     DEFAULT_TOL,
     DEFAULT_TOL_RANK,
     PointSet,
     _fields_equal,
+    _fields_hash,
     _memoized,
-    _pair_rows,
+    _mirrored,
     _pair_tiles,
     _tiles,
     antipodal_structure,
@@ -78,27 +80,24 @@ class _OnFirstRead:
         im.__dict__[self.slot] = None if value is self else value  # self: the default
 
 
-def _diagonal(rows: slice, cols: slice | None):
-    """Where M's diagonal starts in the flat block rows x cols of _tiles
-    (cols None: the full strip of rows), or None where it misses the block."""
-    return rows.start if cols is None else (0 if cols == rows else None)
-
-
 def _deviation(im, start, block: np.ndarray, adjacency: np.ndarray, out: np.ndarray | None = None):
     """max |M - k*I - A| on a block of M, overwritten if no out, and A's,
-    with M's diagonal from start (_diagonal) in the flat block."""
+    with M's diagonal from start in the flat block (None: off the diagonal)."""
     out = np.subtract(block, adjacency, out=block if out is None else out)
     if start is not None:  # the adjacency has a zero diagonal, where k is subtracted instead
         out.flat[start :: out.shape[1] + 1] -= im.k_claimed
     return np.max(np.abs(out, out=out))
 
 
-def _filled(im: IndicatorMatrix) -> np.ndarray:
-    """M, filled a strip of rows at a time."""
-    m = np.empty((im.n, im.n))
-    for rows in _tiles(im.n):
-        m[rows] = im._block(rows)[0]
-    return m
+def _decomposition_dev(im: IndicatorMatrix) -> float:
+    """max |M - k*I - A|, off a held M's strips of _tiles rows or an evaluated M's tile pairs I <= J."""
+    tiles = _tiles(im.n)
+    if im._matrix is None:
+        pairs = combinations_with_replacement(tiles, 2)
+        blocks = ((0 if rows == cols else None, *im.evaluate(rows, cols, {})) for rows, cols in pairs)
+    else:
+        blocks = ((rows.start, np.array(im._matrix[rows], float), im.adjacency[rows]) for rows in tiles)
+    return float(np.max([_deviation(im, *block) for block in blocks]))
 
 
 def _held(im, name: str):
@@ -111,11 +110,12 @@ def _held(im, name: str):
 class IndicatorMatrix:
     """M = k*I + A (n x n) for one class index, with the claimed
     decomposition. Left out, adjacency, matrix and max_decomposition_dev come
-    on first access from evaluate(rows, cols, values): a block of M (fresh)
-    and A's, off the pair values that it reads into values unless there.
-    polynomial holds the class polynomial's power coefficients in the pair
-    value, ascending; None on a hand-built M. == compares the fields as held
-    (an on-first-read one None until given or read), so it evaluates no M."""
+    on first access from evaluate(rows, cols, values): tile I <= J of M
+    (fresh) and A's, off the pair values it reads into values unless there;
+    so with no evaluate, matrix and adjacency must be given. polynomial holds
+    the class polynomial's power coefficients in the pair value, ascending;
+    None on a hand-built M. == compares the fields as held (an on-first-read
+    one None until given or read), and hash skips them: neither evaluates M."""
 
     setting: str
     class_index: int
@@ -127,27 +127,28 @@ class IndicatorMatrix:
     n: int
     # (point set, tol) M was read on: it keys the range basis its setting shares.
     source: tuple | None = field(default=None, repr=False)
-    evaluate: Callable[[slice, slice | None, dict], tuple[np.ndarray, np.ndarray]] | None = field(
+    evaluate: Callable[[slice, slice, dict], tuple[np.ndarray, np.ndarray]] | None = field(
         default=None, repr=False, compare=False)
     polynomial: np.ndarray | None = field(default=None, repr=False, compare=False)
-    adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: np.concatenate(
-        [im._block(rows)[1] for rows in _tiles(im.n)])), repr=False)
-    matrix: np.ndarray = field(default=_OnFirstRead("_matrix", _filled), repr=False)
-    max_decomposition_dev: float = field(default=_OnFirstRead("_dev", lambda im: float(np.max(
-        [_deviation(im, rows.start, *im._block(rows)) for rows in _tiles(im.n)]))), repr=False)
+    adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: _mirrored(
+        im.n, lambda rows, cols: im.evaluate(rows, cols, {})[1], np.int8)), repr=False, hash=False)
+    matrix: np.ndarray = field(default=_OnFirstRead("_matrix", lambda im: _mirrored(
+        im.n, lambda rows, cols: im.evaluate(rows, cols, {})[0])), repr=False, hash=False)
+    max_decomposition_dev: float = field(
+        default=_OnFirstRead("_dev", _decomposition_dev), repr=False, hash=False)
+
+    def __post_init__(self):
+        for name in ("matrix", "adjacency"):
+            held = _held(self, name)
+            if held is None and self.evaluate is None:
+                raise ParameterError(f"{name} must be given: there is no evaluate to read it from")
+            if held is not None and np.shape(held) != (self.n, self.n):
+                raise DimensionMismatchError(f"{name} has shape {np.shape(held)}, n says {self.n}")
 
     def __eq__(self, other):
         return _fields_equal(self, other, _held)
 
-    def _block(self, rows: slice, cols: slice | None = None, values: dict | None = None):
-        """M[rows, cols] as a fresh array and A[rows, cols] (cols None: every
-        column), held or evaluated off values, the pair values that the
-        classes of one walk share."""
-        m, a = self._matrix, self._adjacency
-        if m is None or a is None:
-            fresh = self.evaluate(rows, cols, {} if values is None else values)
-        at = rows, slice(None) if cols is None else cols
-        return (fresh[0] if m is None else np.array(m[at], float)), (fresh[1] if a is None else a[at])
+    __hash__ = _fields_hash
 
 
 def _in_class(pairs: np.ndarray, cuts: np.ndarray, c: int) -> np.ndarray:
@@ -165,8 +166,8 @@ def indicator_matrix(
 ) -> IndicatorMatrix:
     """Evaluate the class indicator polynomial (bounds.Setting) at all point pairs.
 
-    M and A are read a tile (or a strip of rows) at a time off the pair
-    values (pointset._pair_tile), A as the profile's class by its tops. The
+    M and A are read a tile pair I <= J at a time off the pair values
+    (pointset._pair_tile), A as the profile's class by its tops. The
     antipodal matrices run over the half set's own pairs, where class j is
     the profile's +beta_j and (signed: minus) -beta_j. class_index is 1-based
     within the setting's own index range: 1..s for euclidean/spherical,
@@ -196,18 +197,17 @@ def indicator_matrix(
     i = class_index - row.first_index
     nodes, beta = row.nodes(values), values[i0]
 
-    def evaluate(rows: slice, cols: slice | None, values: dict):
-        # The reader is kept per point set and kind, so it keys the block for every class of a setting.
+    def evaluate(rows: slice, cols: slice, values: dict):
+        # The reader is kept per point set and kind, so it keys the tile for every class of a setting.
         if tile not in values:
-            values[tile] = _pair_rows(tile, points.n, rows) if cols is None else tile(rows, cols)
+            values[tile] = tile(rows, cols)
         pairs = values[tile]
         adjacency = _in_class(pairs, cuts, classes[0]).view(np.int8)
         if len(classes) > 1:
             minus = _in_class(pairs, cuts, classes[1]).view(np.int8)
             adjacency = adjacency - minus if row.signed else adjacency + minus
-        start = _diagonal(rows, cols)
-        if start is not None:
-            adjacency.flat[start :: pairs.shape[1] + 1] = 0
+        if rows == cols:
+            np.fill_diagonal(adjacency, 0)
         block = lagrange_basis(nodes, i, row.node_map(pairs))
         if row.signed:
             block *= pairs / beta
@@ -524,22 +524,22 @@ def _view(ims: list, basis, rules: list) -> list:
     (X, c, errors) of M for _view_counts and the companion's maxima for
     _sign_bound, from one walk over the unordered pairs I <= J of _tiles that
     also reads each decomposition deviation. A tile's pair values are read
-    once, and every class evaluates its own tile of M off them, once; on a
-    held M the walk reads the mirror tile J x I too. With basis None, ims
-    holds one class, X is M itself (held, or filled in the walk), c = 1 and
-    errors None. With a _Basis, X = B (_reduced), c = Q^T 1 and errors bound
-    the spectra's (M's, the companion's) distances from the exact ones; the
-    walk holds Q_I B and tiles, no n x l or n x n array.
+    once, and every evaluated M evaluates its tile off them, once; a held M
+    is read off its own array, strip I whole (_held_strip). With basis None,
+    ims holds one class, X is M itself (held, or filled in the walk), c = 1
+    and errors None. With a _Basis, X = B (_reduced), c = Q^T 1 and errors
+    bound the spectra's (M's, the companion's) distances from the exact ones;
+    the walk holds Q_I B and strips, no n x l or n x n array.
 
-    The walk measures rho = ||M - Q B Q^T||_F, tile by tile; S - Q B Q^T,
-    S = (M + M^T)/2 (M itself when symmetric), is the symmetric part of
-    M - Q B Q^T, so its 2-norm is at most rho, whatever B is. Q is QR's, so
-    F = Q^T Q - I is rounding, and skew = ||F||_F < 1. Then U = Q P^-1,
-    P = (Q^T Q)^(1/2), is orthonormal, with ||P - I||_2 <= skew (each
-    |sqrt(1 + f) - 1| <= |f|) and ||P||_2 <= sqrt(1 + skew). Q B Q^T =
-    U (P B P) U^T has the spectrum of P B P padded with n - l zeros, and
-    ||P B P - B||_2 <= skew ||B||_2 (1 + sqrt(1 + skew)). By Weyl's
-    inequality the spectrum of S lies within
+    The walk measures rho = ||M - Q B Q^T||_F, an evaluated M's tile off the
+    diagonal for its mirror too, a held M's strips on both triangles; S - Q B Q^T,
+    S = (M + M^T)/2, is the symmetric part of M - Q B Q^T, so its 2-norm is
+    at most rho, whatever B is. Q is QR's, so F = Q^T Q - I is rounding, and
+    skew = ||F||_F < 1. Then U = Q P^-1, P = (Q^T Q)^(1/2), is orthonormal,
+    with ||P - I||_2 <= skew (each |sqrt(1 + f) - 1| <= |f|) and ||P||_2 <=
+    sqrt(1 + skew). Q B Q^T = U (P B P) U^T has the spectrum of P B P padded
+    with n - l zeros, and ||P B P - B||_2 <= skew ||B||_2 (1 + sqrt(1 + skew)).
+    By Weyl's inequality the spectrum of S lies within
         err = rho + skew ||B||_F (1 + sqrt(1 + skew))
     of eig(B) padded with zeros, and ||S - U B U^T||_2 <= err. As 1 is in
     range(Q), the companion scale*S - shift*J + e*I is
@@ -555,15 +555,18 @@ def _view(ims: list, basis, rules: list) -> list:
         xs = [im._matrix if im._matrix is not None else np.empty((n, n)) for im in ims]
     else:
         xs = [_reduced(im, basis) for im in ims]
-    walk = []
+    walks = [[] for _ in ims]
     for at, rows in enumerate(tiles):
         qbs = [None] * len(ims) if basis is None else [basis.q[rows] @ x for x in xs]
         for cols in tiles[at:]:
             values = {}  # the tile's pair values, read by the first class that needs them
-            walk.append([_walk_tile(im, rows, cols, values, x, qb, basis, *rule)
-                         for im, x, qb, rule in zip(ims, xs, qbs, rules)])
+            for im, x, qb, rule, walk in zip(ims, xs, qbs, rules, walks):
+                if im._matrix is None:
+                    walk.append(_walk_tile(im, rows, cols, values, x, qb, basis, *rule))
+                elif cols == rows:  # a held M's whole strip, once
+                    walk.append(_held_strip(im, rows, qb, basis, *rule))
     views = []
-    for im, x, (scale, shift, _), part in zip(ims, xs, rules, np.moveaxis(np.array(walk), 1, 0)):
+    for im, x, (scale, shift, _), part in zip(ims, xs, rules, map(np.array, walks)):
         if im._dev is None:  # read in the walk: no second one
             object.__setattr__(im, "max_decomposition_dev", float(np.max(part[:, 0])))
         entries = np.max(part[:, 2:], axis=0)
@@ -578,47 +581,40 @@ def _view(ims: list, basis, rules: list) -> list:
 
 def _walk_tile(im: IndicatorMatrix, rows: slice, cols: slice, values: dict, x, qb, basis,
                scale, shift, expected_e):
-    """Class im's tile rows x cols (I <= J) of M, read off the walk's pair
-    values (IndicatorMatrix._block), and on a held M off the diagonal its
-    mirror cols x rows. With basis None the tile and its mirror go into x,
-    M (none into a held M); else, with qb = Q_I B, they add their part of
-    ||M - Q B Q^T||_F^2, an evaluated tile off the diagonal twice, as its
-    mirror is its transpose. Returns the deviation, that part, and the
-    companion's asymmetry and _entry_maxima, with one buffer beside the tile."""
-    start = _diagonal(rows, cols)
-    block, adjacency = im._block(rows, cols, values)
+    """Class im's tile rows x cols (I <= J) of an evaluated M off the walk's pair
+    values, and its mirror, the transpose: into x, M, with basis None; else,
+    with qb = Q_I B, their ||M - Q B Q^T||_F^2. Returns the deviation, that part,
+    and the companion's asymmetry (0) and _entry_maxima, one buffer beside the tile."""
+    start = 0 if rows == cols else None
+    block, adjacency = im.evaluate(rows, cols, values)
     out = np.empty_like(block)
     deviation = _deviation(im, start, block, adjacency, out)
-    held = im._matrix is not None
-    tiles = [block]
-    if held and start is None:  # a held M is not trusted to be symmetric
-        mirror, mirror_adjacency = im._block(cols, rows)
-        deviation = max(deviation, _deviation(im, None, mirror, mirror_adjacency, out.T))
-        tiles.append(mirror)
-    residual = 0.0
     if basis is None:
-        if not held:
-            x[rows, cols] = block
-            if start is None:
-                x[cols, rows] = block.T
-    else:
-        fit = qb @ basis.q[cols].T
-        for tile in (block, *(mirror.T for mirror in tiles[1:])):
-            np.subtract(tile, fit, out=out)
-            residual += float(np.vdot(out, out))
-        if not held and start is None:
-            residual *= 2.0  # for the mirror, the tile's transpose
-    for tile in tiles:  # the mirror lies off the diagonal
-        _companion(tile, start, scale, shift, expected_e)
-    maxima = _entry_maxima(block, start, out, tiles[-1].T if held else None)
-    if len(tiles) > 1:  # its asymmetry is the tile's, read just above
-        maxima = np.maximum(maxima, _entry_maxima(tiles[1], None, out.T))
-    return deviation, residual, *maxima
+        x[rows, cols] = block
+        if start is None:
+            x[cols, rows] = block.T
+    misfit = 0.0 if basis is None else np.subtract(block, qb @ basis.q[cols].T, out=out)
+    residual = float(np.vdot(misfit, misfit)) * (2.0 if start is None else 1.0)
+    _companion(block, start, scale, shift, expected_e)
+    return deviation, residual, *_entry_maxima(block, start, out)
+
+
+def _held_strip(im: IndicatorMatrix, rows: slice, qb, basis, scale, shift, expected_e):
+    """_walk_tile's values on a held M's strip of _tiles rows, both triangles, read
+    off its own array as verify_sign_matrix_bound reads a strip: a held M is not
+    trusted to be symmetric, so the companion's columns rows give its asymmetry."""
+    block = np.array(im._matrix[rows], float)
+    out = np.empty_like(block)
+    deviation = _deviation(im, rows.start, block, im.adjacency[rows], out)
+    misfit = 0.0 if basis is None else np.subtract(block, qb @ basis.q.T, out=out)
+    residual = float(np.vdot(misfit, misfit))
+    columns = _companion(np.array(im._matrix[:, rows].T, float), rows.start, scale, shift, expected_e)
+    _companion(block, rows.start, scale, shift, expected_e)
+    return deviation, residual, *_entry_maxima(block, rows.start, out, columns)
 
 
 def _companion(block, start, scale, shift, expected_e):
-    """block, a block of M with its diagonal from start (_diagonal), made the
-    companion's in place."""
+    """block, a block of M with its diagonal from start (as _deviation's), made the companion's in place."""
     block *= scale
     block -= shift
     if start is not None:

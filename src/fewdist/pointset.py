@@ -59,6 +59,14 @@ def _fields_equal(a, b, read=getattr):
     return all(same(read(a, f.name), read(b, f.name)) for f in dataclasses.fields(a) if f.compare)
 
 
+def _fields_hash(obj):
+    """A hash of the fields dataclass's own hash takes, less the arrays, so
+    that objects equal by _fields_equal hash equal; no field marked
+    hash=False is read."""
+    hashed = (getattr(obj, f.name) for f in dataclasses.fields(obj) if (f.compare if f.hash is None else f.hash))
+    return hash(tuple(value for value in hashed if not isinstance(value, np.ndarray)))
+
+
 @dataclass(frozen=True)
 class PointSet:
     """An ordered set of n >= 2 distinct points in R^dimension."""
@@ -69,7 +77,7 @@ class PointSet:
     # Profiles computed from this set, keyed by (kind, tol); see _memoized.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    __eq__ = _fields_equal
+    __eq__, __hash__ = _fields_equal, _fields_hash
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: freezing it leaves the caller's array writeable
@@ -251,26 +259,29 @@ def _points_from_csv(text: str) -> PointSet:
 
 
 def squared_distance_matrix(ps: PointSet) -> np.ndarray:
-    """Pair squared distances: the strips of _pair_rows in a fresh read-only array, not kept."""
-    return _pair_matrix(ps, True)
+    """Pair squared distances: the tiles of _pair_tiles in a fresh read-only array (_mirrored), not kept."""
+    return _read_only(_mirrored(ps.n, _pair_tiles(ps, True)))
 
 
 def inner_product_matrix(ps: PointSet) -> np.ndarray:
     """Pair inner products (the Gram matrix), assembled as squared_distance_matrix is."""
-    return _pair_matrix(ps, False)
-
-
-def _pair_matrix(ps: PointSet, euclidean: bool) -> np.ndarray:
-    tile, out = _pair_tiles(ps, euclidean), np.empty((ps.n, ps.n))
-    for rows in _tiles(ps.n):
-        out[rows] = _pair_rows(tile, ps.n, rows)
-    return _read_only(out)
+    return _read_only(_mirrored(ps.n, _pair_tiles(ps, False)))
 
 
 def _tiles(n: int) -> list[slice]:
     """The rows, and the columns, of the pair tiles: _tile_side(n) at a time."""
     step = _tile_side(n)
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _mirrored(n: int, read, dtype=float) -> np.ndarray:
+    """n x n, read(rows, cols) on each pair of _tiles with rows <= cols and its transpose on the mirror."""
+    out = np.empty((n, n), dtype)
+    for rows, cols in itertools.combinations_with_replacement(_tiles(n), 2):
+        out[rows, cols] = tile = read(rows, cols)
+        if rows != cols:
+            out[cols, rows] = tile.T
+    return out
 
 
 def _tile_side(n: int) -> int:
@@ -299,26 +310,24 @@ def _pair_tiles(ps: PointSet, euclidean: bool):
     return _memoized(ps, ("pair_tiles", euclidean, _tile_side(ps.n)), tile)
 
 
-def _pair_rows(tile, n: int, rows: slice, start: int = 0) -> np.ndarray:
-    """The pair values of the strip of _tiles rows `rows` in the columns
-    start.. (0, or the strip's first row), a fresh array built tile by tile."""
-    tiles = [cols for cols in _tiles(n) if cols.start >= start]
+def _pair_rows(tile, n: int, rows: slice) -> np.ndarray:
+    """The pair values of the strip of _tiles rows `rows` from its first row's
+    column on, a fresh array built tile by tile."""
+    tiles = [cols for cols in _tiles(n) if cols.start >= rows.start]
     if len(tiles) == 1:  # the tile itself, not a copy
         return tile(rows, tiles[0])
-    out = np.empty((rows.stop - rows.start, n - start))
+    out = np.empty((rows.stop - rows.start, n - rows.start))
     for cols in tiles:
-        out[:, cols.start - start : cols.stop - start] = tile(rows, cols)
+        out[:, cols.start - rows.start : cols.stop - rows.start] = tile(rows, cols)
     return out
 
 
 def _pair_tile(x: np.ndarray, sq: np.ndarray | None, rows: slice, cols: slice) -> np.ndarray:
-    """Pair values of x[rows] against x[cols], two of _tiles: x_I x_J^T, or
-    with squared norms sq, a_ij = max(sq_i + sq_j - 2<x_i, x_j>, 0) from
-    x_I x_J^T. A tile below the diagonal is its mirror's transpose, and a
-    diagonal tile is (a + a^T) / 2 with a zero diagonal, so a value depends on
-    (i, j) alone; on one tile (n <= T) it is the full products', bit for bit."""
-    if rows.start > cols.start:
-        return _pair_tile(x, sq, cols, rows).T
+    """Pair values of x[rows] against x[cols], two of _tiles, rows <= cols:
+    x_I x_J^T, or with squared norms sq, a_ij = max(sq_i + sq_j - 2<x_i, x_j>, 0)
+    from x_I x_J^T. A diagonal tile is (a + a^T) / 2 with a zero diagonal, and
+    a reader takes a tile below it as its mirror's transpose, so a value depends
+    on (i, j) alone; on one tile (n <= T) it is the full products', bit for bit."""
     g = x[rows] @ x[cols].T
     if sq is None:
         return g
@@ -541,7 +550,7 @@ def _group_pairs(tile, n: int, tol: float, relative: bool):
 
     def blocks():
         for rows in _tiles(n):
-            strip = _pair_rows(tile, n, rows, rows.start)
+            strip = _pair_rows(tile, n, rows)
             for part in _row_blocks(len(strip), strip.shape[1], n):
                 yield np.concatenate([row[i + 1:] for i, row in enumerate(strip[part], part.start)])
             del strip  # before the next strip is built
@@ -570,7 +579,7 @@ class DistanceProfile:
     tops: np.ndarray
     tol: float
 
-    __eq__ = _fields_equal
+    __eq__, __hash__ = _fields_equal, _fields_hash
 
     def to_dict(self) -> dict:
         return {
@@ -608,7 +617,7 @@ class InnerProductProfile:
     antipodal: bool
     tol: float
 
-    __eq__ = _fields_equal
+    __eq__, __hash__ = _fields_equal, _fields_hash
 
     def to_dict(self) -> dict:
         return {

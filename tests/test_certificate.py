@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from fewdist import certificate, cli, construct_johnson, pointset
 from fewdist.bounds import theorem_context
 from fewdist.certificate import DEFAULT_CLUSTER_TOL, class_index_range
 from fewdist.defaults import DEFAULT_TOL_RANK
-from fewdist.errors import InputError, NumericalError, ParameterError
+from fewdist.errors import DimensionMismatchError, InputError, NumericalError, ParameterError
 from fewdist.lagrange import lagrange_basis
 from fewdist.ratios import applicable_settings
 
@@ -136,6 +137,35 @@ class TestIndicatorMatrix:
             assert first != other and first != held and held == dataclasses.replace(held)
         assert all(im.__dict__[slot] is None for im in (first, second)
                    for slot in ("_adjacency", "_matrix", "_dev"))
+
+    def test_hash_evaluates_no_m(self, johnson_10_3, monkeypatch):
+        # hash leaves out the on-first-read fields, so equal twins hash alike,
+        # a matrix keys a dict, and neither M, A nor the deviation is read.
+        first, second = (indicator_matrix(johnson_10_3, 1, "euclidean") for _ in range(2))
+        with monkeypatch.context() as patched:
+            patched.setattr(certificate, "lagrange_basis", None)  # a call would raise
+            assert hash(first) == hash(second) and {first: 1}[second] == 1
+            assert len({first, second, indicator_matrix(johnson_10_3, 2, "euclidean")}) == 2
+        assert all(im.__dict__[slot] is None for im in (first, second)
+                   for slot in ("_adjacency", "_matrix", "_dev"))
+        assert hash(first) == hash(dataclasses.replace(first))  # every field read, and held
+
+    def test_a_hand_built_matrix_is_checked_at_construction(self, johnson_10_3):
+        # With no evaluate, matrix and adjacency are needed, each n x n.
+        fields = dict(setting="euclidean", class_index=1, k_claimed=1.0, n_cap=3, x_size=6, d_eff=2, s=4, n=6)
+        with pytest.raises(ParameterError, match="adjacency must be given"):
+            IndicatorMatrix(matrix=np.eye(6), **fields)
+        with pytest.raises(ParameterError, match="matrix must be given"):
+            IndicatorMatrix(adjacency=np.zeros((6, 6), np.int8), **fields)
+        with pytest.raises(DimensionMismatchError, match=r"matrix has shape \(5, 5\), n says 6"):
+            IndicatorMatrix(matrix=np.eye(5), adjacency=np.zeros((6, 6), np.int8), **fields)
+        with pytest.raises(DimensionMismatchError, match=r"adjacency has shape \(6,\), n says 6"):
+            IndicatorMatrix(matrix=np.eye(6), adjacency=np.zeros(6, np.int8), **fields)
+        im = indicator_matrix(johnson_10_3, 1, "euclidean")
+        held = dataclasses.replace(im, matrix=np.array(im.matrix))
+        assert held == im and verify_key_lemma(held) == verify_key_lemma(im)
+        with pytest.raises(DimensionMismatchError, match="matrix has shape"):
+            dataclasses.replace(im, matrix=np.eye(5))
 
     def test_signed_adjacency_for_variant_two(self, e8):
         im = indicator_matrix(e8, 2, "antipodal_even_v2")
@@ -534,6 +564,50 @@ def basis_source(n, signed):
     half = rng.standard_normal((n, 3))
     half /= np.linalg.norm(half, axis=1)[:, None]
     return PointSet(dimension=3, points=np.vstack([half, -half]))
+
+
+def held_cases():
+    """Held matrices, by name: (IndicatorMatrix, theorem context), each
+    built the way a hand_built test builds one, from fixed seeds. Their
+    verdicts are pinned in golden/held_verdicts.json."""
+    cases, rng = {}, np.random.default_rng(11)
+    for n, rank, offset, eps in ((30, 10, 1e-6, 1e-12), (24, 30, 0.0, 1e-2), (40, 3, 1e-3, 0.0)):
+        # The dense path (n < 2 N_cap), 1 an eigenvector of M, as TestSeidelFromM builds them.
+        planted = np.zeros(n)
+        planted[:rank] = n * rng.uniform(1e-3, 1.0, min(rank, n)) * rng.choice([-1.0, 1.0], min(rank, n))
+        planted[0] = n * (1.0 + offset) / 2.0
+        noise = rng.standard_normal((n, n))
+        matrix = planted_matrix(rng, planted, first=np.ones(n)) + eps * (noise + noise.T) / 2.0
+        cases[f"dense {n} {rank}"] = hand_built(matrix, "euclidean", 1.5, n)
+    for signed in (False, True):
+        # B's view on a 20-column basis: a rank-8 M in its range, and one with a part outside it.
+        setting, d_eff, s = ("antipodal_even_v2", 3, 6) if signed else ("euclidean", 2, 4)
+        ps, tol = basis_source(50, signed), pointset.DEFAULT_TOL
+        n = ps.n // 2 if signed else ps.n
+        q = certificate._range_basis(ps, hand_built(np.eye(n), setting, 1.0, 4, None, d_eff, s)[0], tol).q
+        inside = q @ planted_matrix(rng, np.r_[rng.uniform(0.1, 1.0, 8), np.zeros(12)]) @ q.T
+        noise = rng.standard_normal((n, n))
+        for name, matrix in (("inside", inside), ("asymmetric", inside + 1e-3 * noise)):
+            cases[f"basis {setting} {name}"] = hand_built(matrix, setting, 1.0, 4, (ps, tol), d_eff, s)
+    j14 = construct_johnson(14, 3)
+    rotated = PointSet(dimension=15, points=j14.points @ np.linalg.qr(rng.standard_normal((15, 15)))[0])
+    im = indicator_matrix(rotated, 1, "euclidean")
+    matrix = np.array(im.matrix)
+    matrix[1, 0] += 1e-6
+    cases["replaced asymmetric"] = dataclasses.replace(im, matrix=matrix), None
+    cases["hand-built asymmetric"] = hand_built(matrix, "euclidean", im.k_claimed, 300)
+    im = indicator_matrix(j14, 2, "euclidean")
+    outside = rng.standard_normal((im.n, 30))
+    cases["replaced outside"] = dataclasses.replace(im, matrix=im.matrix + 1e-3 * outside @ outside.T), None
+    for ps, setting in ((construct_johnson(10, 3), "euclidean"), (construct_named("e8_roots"), "euclidean"),
+                        (construct_named("e8_roots"), "antipodal_even_v2")):
+        # M's own bits, held (on B's view, M's and the half set's), and with one pair off an integer.
+        im = indicator_matrix(ps, 2, setting)
+        cases[f"held {im.n} {setting}"] = dataclasses.replace(im, matrix=np.array(im.matrix)), None
+        matrix = np.array(im.matrix)
+        matrix[2, 5] = matrix[5, 2] = matrix[2, 5] + 0.3
+        cases[f"off an integer {im.n} {setting}"] = dataclasses.replace(im, matrix=matrix), None
+    return cases
 
 
 class TestRangeSketch:
@@ -1079,6 +1153,77 @@ class TestRowBlockWalk:
                     except InputError as exc:
                         want.update(sign_bound_ok=False, sign_bound_reason=str(exc))
                 assert v.companion == want, (setting, index)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an evaluated M was read")
+
+
+class TestOneReaderPerKind:
+    """An evaluated M is read only as its tile pairs I <= J, a mirror tile as
+    the transpose; a held M only off its own array, a strip at a time."""
+
+    @pytest.mark.parametrize("name", ["johnson_10_3", "e8_half_set"])
+    def test_an_evaluated_m_reads_only_upper_tiles(self, name, monkeypatch):
+        # In tiles of 16, fresh sets: B's and M's views of every class, the
+        # library's matrix, adjacency and deviation, and the pair matrices.
+        calls = recorded_tiles(monkeypatch, 16)
+        ps, settings = (construct_johnson(10, 3), ["euclidean"]) if name == "johnson_10_3" else (
+            construct_named("e8_roots"), ["antipodal_even_v1", "antipodal_even_v2"])
+        points = antipodal_structure(ps).half if name == "e8_half_set" else ps
+        readers = {"squared distances": lambda: pointset.squared_distance_matrix(points),
+                   "inner products": lambda: pointset.inner_product_matrix(points)}
+        for setting in settings:
+            for index in class_index_range(ps, setting):
+                im = indicator_matrix(ps, index, setting)
+                assert im.n == points.n and len(pointset._tiles(im.n)) > 4
+                fresh = functools.partial(indicator_matrix, ps, index, setting)
+                readers.update({
+                    (setting, index, "B's view"): lambda fresh=fresh: verify_key_lemma(fresh()),
+                    (setting, index, "M's view"): lambda im=im: certificate._view(
+                        [im], None, [certificate._rule(im)]),
+                    (setting, index, "matrix"): lambda fresh=fresh: fresh().matrix,
+                    (setting, index, "adjacency"): lambda fresh=fresh: fresh().adjacency,
+                    (setting, index, "deviation"): lambda fresh=fresh: fresh().max_decomposition_dev,
+                })
+        for reader, read in readers.items():
+            calls.clear()
+            read()
+            assert calls and all(rows.start <= cols.start for rows, cols in calls), reader
+
+    def test_a_held_m_keeps_its_verdict_off_its_own_array(self, monkeypatch):
+        # Each held case's verdict is the one recorded before a held M got a
+        # reader of its own (golden/held_verdicts.json), with no pair tile
+        # and no evaluate read for it: only the held arrays.
+        golden = json.loads((Path(__file__).parent / "golden" / "held_verdicts.json").read_text())
+        calls, tile = [], pointset._pair_tile
+        monkeypatch.setattr(pointset, "_pair_tile", lambda *args: calls.append(args[2:]) or tile(*args))
+        cases = held_cases()
+        assert sorted(cases) == sorted(golden)
+        for im, _ in cases.values():
+            certificate._basis(im)  # built off the coordinates before the check
+        calls.clear()
+        for name, (im, context) in cases.items():
+            if im.evaluate is not None:
+                im = dataclasses.replace(im, evaluate=refuse)
+            v = verify_key_lemma(im, context)
+            assert json.loads(json.dumps(v.to_dict())) == golden[name], name
+        assert calls == []
+
+    def test_held_and_evaluated_classes_of_one_basis_keep_their_verdicts(self, johnson_10_3):
+        # One walk over a held (asymmetric) class and an evaluated one of the
+        # same setting gives each the verdict it gets alone.
+        def classes():
+            held, evaluated = (indicator_matrix(johnson_10_3, index, "euclidean") for index in (1, 2))
+            matrix = np.array(held.matrix)
+            matrix[1, 0] += 1e-6
+            return [dataclasses.replace(held, matrix=matrix), evaluated]
+
+        alone = [verify_key_lemma(im) for im in classes()]
+        together = classes()
+        assert certificate._basis(together[0]) is certificate._basis(together[1]) is not None
+        assert verify_key_lemmas(together) == verify_key_lemmas(together[::-1])[::-1] == alone
+        assert alone[0].companion["sign_bound_reason"] == "sign matrix must be symmetric"
 
 
 class TestHalfSetClasses:

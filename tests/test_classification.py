@@ -11,6 +11,7 @@ tile; on several, each reader sees the same values).
 
 import contextlib
 import dataclasses
+import itertools
 import warnings
 from unittest import mock
 
@@ -131,7 +132,7 @@ def class_adjacency(matrix, tops, c):
 
 def grouped(matrix, tol, relative):
     """_group_pairs on a given matrix, its strips read as views of it."""
-    with mock.patch.object(pointset, "_pair_rows", lambda tile, n, rows, start: matrix[rows, start:]):
+    with mock.patch.object(pointset, "_pair_rows", lambda tile, n, rows: matrix[rows, rows.start:]):
         return _group_pairs(None, len(matrix), tol, relative)
 
 
@@ -390,8 +391,9 @@ class TestPairMatrixMatchesReference:
     )
     def test_every_reader_sees_the_same_tiles(self, n, d, seed, offset, spread, tile_size):
         # Random inexact points over several tiles (T = 1, 2, 4, 8): the
-        # grouping walk, certify's strips and the library matrix read the
-        # same bits for each (i, j), and the matrix is exactly symmetric.
+        # grouping walk's strips, certify's tile pairs I <= J and the library
+        # matrix read the same bits for each (i, j), and the matrix, a tile
+        # pair's mirror the tile's transpose, is exactly symmetric.
         rng = np.random.default_rng(seed)
         pts = offset + spread * rng.normal(size=(n, d))
         assume(duplicate_message(pts) is None)
@@ -402,9 +404,11 @@ class TestPairMatrixMatchesReference:
                 assert np.array_equal(matrix, matrix.T)
                 rows = pointset._tiles(n)
                 tile = pointset._pair_tiles(ps, euclidean)
-                walked = [pointset._pair_rows(tile, n, r, r.start) for r in rows]  # _group_pairs' strips
+                walked = [pointset._pair_rows(tile, n, r) for r in rows]  # _group_pairs' strips
                 assert all(strip.tobytes() == matrix[r, r.start:].tobytes() for strip, r in zip(walked, rows))
-                assert np.vstack([pointset._pair_rows(tile, n, r) for r in rows]).tobytes() == matrix.tobytes()
+                for r, c in itertools.combinations_with_replacement(rows, 2):
+                    assert tile(r, c).tobytes() == matrix[r, c].tobytes()
+                    assert matrix[c, r].tobytes() == tile(r, c).T.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -417,20 +421,20 @@ class TestPairMatrixMatchesReference:
     def test_an_off_diagonal_tile_takes_one_product(self, n, d, seed, offset, spread):
         # Inexact points over tiles of 4: a squared-distance tile above the
         # diagonal is max(|x_i|^2 + |x_j|^2 - 2<x_i, x_j>, 0) from x_I x_J^T
-        # alone, bit for bit, and a tile below it is that tile's transpose.
+        # alone, bit for bit, and the matrix's tile below it is its transpose.
         rng = np.random.default_rng(seed)
         pts = offset + spread * rng.normal(size=(n, d))
         assume(duplicate_message(pts) is None)
         ps = PointSet(dimension=d, points=pts)
         with mock.patch.object(pointset, "_tile_side", lambda n: 4):
-            tile = pointset._pair_tiles(ps, True)
+            tile, matrix = pointset._pair_tiles(ps, True), squared_distance_matrix(ps)
             x, sq = tile.args
             tiles = pointset._tiles(n)
             for rows in tiles:
                 for cols in tiles[tiles.index(rows) + 1:]:
                     want = pointset._clipped(np.add.outer(sq[rows], sq[cols]), x[rows] @ x[cols].T)
                     assert tile(rows, cols).tobytes() == want.tobytes()
-                    assert np.array_equal(tile(cols, rows), want.T)
+                    assert np.array_equal(matrix[cols, rows], want.T)
 
 
 # Pair values near 0 at tol = 1e-9 (not relative): -0.0 and 0.0 tie in a

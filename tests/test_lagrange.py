@@ -8,12 +8,14 @@ them value for value (the euclidean reference writes its factors as
 (a_j - X) / (a_j - a_i), which can carry the other sign on an exact zero).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewdist import certificate, construct_johnson, construct_named
+from fewdist import certificate, construct_johnson, construct_named, pointset
 from fewdist.bounds import SETTING_TABLE, theorem_context
 from fewdist.certificate import (
     SIGNED_SETTINGS,
@@ -279,9 +281,9 @@ def test_indicator_matrices_are_exactly_symmetric(indicators):
 
 def test_reading_the_decomposition_builds_no_m(monkeypatch):
     # n, the adjacency and the deviation come without an n x n M:
-    # lagrange_basis sees strips of rows of the pair values only. M is built
-    # on first access, a strip at a time, so no n x n block of pair values
-    # exists beside it.
+    # lagrange_basis sees tiles of the pair values only. M is built on first
+    # access off its tile pairs I <= J, each once, a mirror tile written as
+    # the transpose, so no n x n block of pair values exists beside it.
     ps = construct_johnson(14, 3)
     shapes = []
     real = certificate.lagrange_basis
@@ -294,11 +296,13 @@ def test_reading_the_decomposition_builds_no_m(monkeypatch):
     im = indicator_matrix(ps, 2, "euclidean")
     assert (im.n, im.adjacency.shape) == (455, (455, 455))
     assert im.max_decomposition_dev < 1e-12
-    assert shapes and all(rows < im.n for rows, _ in shapes)
+    side = pointset._tile_side(im.n)
+    assert shapes and all(rows <= side and cols <= side for rows, cols in shapes)
     built = len(shapes)
     assert np.array_equal(im.matrix, reference_indicator(ps, "euclidean", 2))
-    assert all(rows < im.n for rows, _ in shapes[built:])
-    assert sum(rows for rows, _ in shapes[built:]) == im.n
+    pairs = itertools.combinations_with_replacement(pointset._tiles(im.n), 2)
+    assert shapes[built:] == [(r.stop - r.start, c.stop - c.start) for r, c in pairs]
+    assert sum(rows * cols for rows, cols in shapes[built:]) < 0.6 * im.n**2
 
 
 def test_table_matches_theorem_settings():

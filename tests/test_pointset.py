@@ -92,6 +92,16 @@ class TestPointSet:
         assert distance_profile(ps) != distance_profile(moved, 1e-6)
         assert antipodal_structure(ps) != antipodal_structure(moved)
 
+    def test_equal_sets_and_profiles_hash_equal(self):
+        # The arrays are left out of the hash, so a point set can key a dict
+        # and equal ones, with their profiles, hash alike.
+        ps, other = construct_named("hypercube", 4), construct_named("hypercube", 4)
+        table = {ps: 1}
+        assert table[other] == 1 and hash(ps) == hash(other)
+        for profile in (distance_profile, inner_product_profile, antipodal_structure):
+            assert hash(profile(ps)) == hash(profile(other))
+        assert len({distance_profile(ps), distance_profile(other), distance_profile(ps, 1e-6)}) == 2
+
 
 class TestLoadPoints:
     def test_json_round_trip(self, tmp_path):
