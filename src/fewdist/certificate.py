@@ -18,8 +18,9 @@ times the powers of the setting's bilinear form, so B = R K R^T. One walk
 then measures ||M - Q B Q^T||_F for every class of a setting, with its
 decomposition deviation and companion entry checks: an evaluated M read as
 its tile pairs I <= J (a mirror tile is the transpose) off pair values
-computed once for them all, a held M (given, or already read) off its own
-array a strip of rows, both triangles, at a time; M's view walks one class.
+computed once for them all, a held M (one given at construction) off its
+own array a strip of rows, both triangles, at a time; M's view walks one
+class, a held M's on its symmetric part.
 On each view the companion's spectrum is read off the view's own, within a
 Weyl bound, and the companion is built only where that leaves a count open.
 M is n x n only on M's view; B's holds an l x l B per class and tiles, with
@@ -32,6 +33,7 @@ import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
@@ -65,19 +67,22 @@ SIGNED_SETTINGS = tuple(name for name, row in SETTING_TABLE.items() if row.signe
 
 
 class _OnFirstRead:
-    """An IndicatorMatrix field that, left out or None, is compute(im) on
-    first read; repr skips it, since reading it there would compute it."""
+    """An IndicatorMatrix field whose slot holds only the array given, as dtype, or None; left
+    out, a read is compute(im), kept beside the slot, so no read changes == or a verdict's
+    reader. repr skips it, since reading it there would compute it."""
 
-    def __init__(self, slot, compute):
-        self.slot, self.compute = slot, compute
+    def __init__(self, slot, compute, dtype=None):
+        self.slot, self.read, self.compute, self.dtype = slot, slot + "_read", compute, dtype
 
     def __get__(self, im, owner=None):
-        if im is not None and im.__dict__[self.slot] is None:
-            im.__dict__[self.slot] = self.compute(im)
-        return self if im is None else im.__dict__[self.slot]
+        if im is None or im.__dict__[self.slot] is not None:
+            return self if im is None else im.__dict__[self.slot]
+        if self.read not in im.__dict__:
+            im.__dict__[self.read] = self.compute(im)
+        return im.__dict__[self.read]
 
-    def __set__(self, im, value):
-        im.__dict__[self.slot] = None if value is self else value  # self: the default
+    def __set__(self, im, value):  # self: the default
+        im.__dict__[self.slot] = None if value is self or value is None else np.asarray(value, self.dtype)
 
 
 def _deviation(im, start, block: np.ndarray, adjacency: np.ndarray, out: np.ndarray | None = None):
@@ -89,33 +94,22 @@ def _deviation(im, start, block: np.ndarray, adjacency: np.ndarray, out: np.ndar
     return np.max(np.abs(out, out=out))
 
 
-def _decomposition_dev(im: IndicatorMatrix) -> float:
-    """max |M - k*I - A|, off a held M's strips of _tiles rows or an evaluated M's tile pairs I <= J."""
-    tiles = _tiles(im.n)
-    if im._matrix is None:
-        pairs = combinations_with_replacement(tiles, 2)
-        blocks = ((0 if rows == cols else None, *im.evaluate(rows, cols, {})) for rows, cols in pairs)
-    else:
-        blocks = ((rows.start, np.array(im._matrix[rows], float), im.adjacency[rows]) for rows in tiles)
-    return float(np.max([_deviation(im, *block) for block in blocks]))
-
-
 def _held(im, name: str):
-    """im's field name as held: an on-first-read field None until given or read."""
+    """im's field name as held: an on-first-read field only if given at construction, else None."""
     lazy = type(im).__dict__.get(name)
     return im.__dict__[lazy.slot] if isinstance(lazy, _OnFirstRead) else getattr(im, name)
 
 
 @dataclass(frozen=True)
 class IndicatorMatrix:
-    """M = k*I + A (n x n) for one class index, with the claimed
-    decomposition. Left out, adjacency, matrix and max_decomposition_dev come
-    on first access from evaluate(rows, cols, values): tile I <= J of M
-    (fresh) and A's, off the pair values it reads into values unless there;
-    so with no evaluate, matrix and adjacency must be given. polynomial holds
-    the class polynomial's power coefficients in the pair value, ascending;
-    None on a hand-built M. == compares the fields as held (an on-first-read
-    one None until given or read), and hash skips them: neither evaluates M."""
+    """M = k*I + A (n x n) for one class index, with the claimed decomposition.
+    Left out, adjacency and matrix come on first access from evaluate(rows, cols,
+    values): tile I <= J of M (fresh) and A's, off the pair values it reads into
+    values unless there; so with no evaluate, both must be given. The measured
+    max_decomposition_dev is never given. polynomial holds the class polynomial's
+    power coefficients in the pair value, ascending; None on a hand-built M. ==
+    compares the fields as held (an on-first-read one None unless given), and
+    hash skips them: neither evaluates M, and no read changes either."""
 
     setting: str
     class_index: int
@@ -133,9 +127,18 @@ class IndicatorMatrix:
     adjacency: np.ndarray = field(default=_OnFirstRead("_adjacency", lambda im: _mirrored(
         im.n, lambda rows, cols: im.evaluate(rows, cols, {})[1], np.int8)), repr=False, hash=False)
     matrix: np.ndarray = field(default=_OnFirstRead("_matrix", lambda im: _mirrored(
-        im.n, lambda rows, cols: im.evaluate(rows, cols, {})[0])), repr=False, hash=False)
-    max_decomposition_dev: float = field(
-        default=_OnFirstRead("_dev", _decomposition_dev), repr=False, hash=False)
+        im.n, lambda rows, cols: im.evaluate(rows, cols, {})[0]), float), repr=False, hash=False)
+
+    @cached_property
+    def max_decomposition_dev(self) -> float:
+        """max |M - k*I - A|, off a held M's strips of _tiles rows or an evaluated M's tile pairs I <= J."""
+        tiles = _tiles(self.n)
+        if self._matrix is None:
+            pairs = combinations_with_replacement(tiles, 2)
+            blocks = ((0 if rows == cols else None, *self.evaluate(rows, cols, {})) for rows, cols in pairs)
+        else:
+            blocks = ((rows.start, np.array(self._matrix[rows], float), self.adjacency[rows]) for rows in tiles)
+        return float(np.max([_deviation(self, *block) for block in blocks]))
 
     def __post_init__(self):
         for name in ("matrix", "adjacency"):
@@ -290,11 +293,9 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
 def eigen_multiplicities(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumReport:
     """Cluster the spectrum by gaps above cluster_tol * max|eigenvalue|."""
     _valid_tol("cluster_tol", cluster_tol)
-    if isinstance(matrix, IndicatorMatrix):
-        arr = matrix.matrix  # built exactly symmetric
-    else:
-        # Asymmetric input is allowed: the spectrum is that of the symmetric part.
-        arr = np.asarray(matrix, float)
+    arr = np.asarray(matrix.matrix if isinstance(matrix, IndicatorMatrix) else matrix, float)
+    if not isinstance(matrix, IndicatorMatrix) or matrix._matrix is not None:
+        # Asymmetric input, a held M's too, is allowed: the spectrum is the symmetric part's.
         arr = (arr + arr.T) / 2.0
     eig = _eigvalsh(arr)
     scale = float(np.max(np.abs(eig))) if eig.size else 0.0
@@ -521,15 +522,16 @@ def _reduced(im: IndicatorMatrix, basis: _Basis) -> np.ndarray:
 
 def _view(ims: list, basis, rules: list) -> list:
     """Per class of ims, with rules its companion's (scale, shift, e): a view
-    (X, c, errors) of M for _view_counts and the companion's maxima for
-    _sign_bound, from one walk over the unordered pairs I <= J of _tiles that
-    also reads each decomposition deviation. A tile's pair values are read
-    once, and every evaluated M evaluates its tile off them, once; a held M
-    is read off its own array, strip I whole (_held_strip). With basis None,
-    ims holds one class, X is M itself (held, or filled in the walk), c = 1
-    and errors None. With a _Basis, X = B (_reduced), c = Q^T 1 and errors
-    bound the spectra's (M's, the companion's) distances from the exact ones;
-    the walk holds Q_I B and strips, no n x l or n x n array.
+    (X, c, errors, maxima, deviation), with X, c and errors of M for
+    _view_counts, the companion's maxima for _sign_bound and M's measured
+    decomposition deviation, from one walk over the unordered pairs I <= J
+    of _tiles. A tile's pair values are read once, and every evaluated M
+    evaluates its tile off them, once; a held M is read off its own array,
+    strip I whole (_held_strip). With basis None, ims holds one class, X is
+    M (filled in the walk) or a held M's symmetric part S, c = 1 and errors
+    None. With a _Basis, X = B (_reduced), c = Q^T 1 and errors bound the
+    spectra's (M's, the companion's) distances from the exact ones; the walk
+    holds Q_I B and strips, no n x l or n x n array.
 
     The walk measures rho = ||M - Q B Q^T||_F, an evaluated M's tile off the
     diagonal for its mirror too, a held M's strips on both triangles; S - Q B Q^T,
@@ -551,8 +553,8 @@ def _view(ims: list, basis, rules: list) -> list:
     """
     n = ims[0].n
     tiles = _tiles(n)
-    if basis is None:  # one class: M filled in the walk, or a held M
-        xs = [im._matrix if im._matrix is not None else np.empty((n, n)) for im in ims]
+    if basis is None:  # one class: M filled in the walk, or a held M's S
+        xs = [np.empty((n, n)) if im._matrix is None else (im._matrix + im._matrix.T) / 2.0 for im in ims]
     else:
         xs = [_reduced(im, basis) for im in ims]
     walks = [[] for _ in ims]
@@ -567,15 +569,13 @@ def _view(ims: list, basis, rules: list) -> list:
                     walk.append(_held_strip(im, rows, qb, basis, *rule))
     views = []
     for im, x, (scale, shift, _), part in zip(ims, xs, rules, map(np.array, walks)):
-        if im._dev is None:  # read in the walk: no second one
-            object.__setattr__(im, "max_decomposition_dev", float(np.max(part[:, 0])))
-        entries = np.max(part[:, 2:], axis=0)
+        walked = np.max(part[:, 2:], axis=0), float(np.max(part[:, 0]))  # the entry maxima, the deviation
         if basis is None:
-            views.append((x, np.ones(n), None, entries))
+            views.append((x, np.ones(n), None, *walked))
             continue
         skew, gap = basis.skew, basis.gap
         err = float(np.sqrt(np.sum(part[:, 1])) + skew * np.linalg.norm(x) * (1.0 + np.sqrt(1.0 + skew)))
-        views.append((x, basis.c, (err, scale * err + shift * gap * (2.0 * np.sqrt(n) + gap)), entries))
+        views.append((x, basis.c, (err, scale * err + shift * gap * (2.0 * np.sqrt(n) + gap)), *walked))
     return views
 
 
@@ -826,7 +826,7 @@ def _verdict(im, context, rule, view, tol_int, tol_rank, cluster_tol) -> Certifi
         x_size=im.x_size,
         context=context,
         hypothesis_met=im.x_size >= context.cardinality_threshold,
-        decomposition_dev=im.max_decomposition_dev,
+        decomposition_dev=view[4],
         rank=rank,
         rank_cap=im.n_cap,
         rank_ok=rank <= im.n_cap,

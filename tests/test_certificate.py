@@ -90,10 +90,15 @@ def hand_built(matrix, setting, k, n_cap, source=None, d_eff=2, s=4):
     n = len(matrix)
     im = IndicatorMatrix(
         matrix=matrix, setting=setting, class_index=2, k_claimed=k,
-        adjacency=np.zeros((n, n), dtype=np.int8), max_decomposition_dev=0.0,
+        adjacency=np.zeros((n, n), dtype=np.int8),
         n_cap=n_cap, x_size=n, d_eff=d_eff, s=s, n=n, source=source,
     )
     return im, dataclasses.replace(theorem_context(setting, 2, 4), N=n_cap)
+
+
+def read_anything(im):
+    """Whether im holds an array or deviation computed on a read."""
+    return any(key in vars(im) for key in ("_adjacency_read", "_matrix_read", "max_decomposition_dev"))
 
 
 def random_sign_matrix(rng, n):
@@ -126,8 +131,8 @@ class TestIndicatorMatrix:
         assert set(np.unique(im.adjacency)) <= {0, 1}
 
     def test_equality_evaluates_no_m(self, johnson_10_3, monkeypatch):
-        # == compares the parameters, the point set and what is held (the
-        # arrays given, or already read), and evaluates no M to compare.
+        # == compares the parameters, the point set and the arrays given,
+        # and evaluates no M to compare.
         first, second, third = (indicator_matrix(johnson_10_3, 1, "euclidean") for _ in range(3))
         other = indicator_matrix(johnson_10_3, 2, "euclidean")
         held = dataclasses.replace(third, matrix=np.zeros((third.n, third.n)))  # replace reads every field
@@ -135,8 +140,7 @@ class TestIndicatorMatrix:
             patched.setattr(certificate, "lagrange_basis", None)  # a call would raise
             assert first == second and first in [other, second]
             assert first != other and first != held and held == dataclasses.replace(held)
-        assert all(im.__dict__[slot] is None for im in (first, second)
-                   for slot in ("_adjacency", "_matrix", "_dev"))
+        assert not any(map(read_anything, (first, second)))
 
     def test_hash_evaluates_no_m(self, johnson_10_3, monkeypatch):
         # hash leaves out the on-first-read fields, so equal twins hash alike,
@@ -146,9 +150,58 @@ class TestIndicatorMatrix:
             patched.setattr(certificate, "lagrange_basis", None)  # a call would raise
             assert hash(first) == hash(second) and {first: 1}[second] == 1
             assert len({first, second, indicator_matrix(johnson_10_3, 2, "euclidean")}) == 2
-        assert all(im.__dict__[slot] is None for im in (first, second)
-                   for slot in ("_adjacency", "_matrix", "_dev"))
+        assert not any(map(read_anything, (first, second)))
         assert hash(first) == hash(dataclasses.replace(first))  # every field read, and held
+
+    @pytest.mark.parametrize("read", ["matrix", "adjacency", "max_decomposition_dev", "verify_key_lemma",
+                                      "verify_key_lemmas"])
+    def test_no_read_changes_equality(self, johnson_10_3, read):
+        # A read keeps what it computes beside the given slots, and a
+        # verdict writes nothing back, so == and hash stay those of a twin.
+        a, b = (indicator_matrix(johnson_10_3, 1, "euclidean") for _ in range(2))
+        readers = {"verify_key_lemma": verify_key_lemma, "verify_key_lemmas": lambda im: verify_key_lemmas([im])}
+        readers.get(read, lambda im: getattr(im, read))(a)
+        assert a == b and hash(a) == hash(b) and {b: 1}[a] == 1
+        assert a._matrix is None and a._adjacency is None
+
+    def test_a_read_m_keeps_the_evaluated_reader(self, johnson_10_3, monkeypatch):
+        # With M read, the verdict is still a fresh twin's: B = R K R^T (one
+        # K formed), not Q^T M Q, and no strip of a held M is walked.
+        im = indicator_matrix(johnson_10_3, 1, "euclidean")
+        assert im.matrix.shape == (im.n, im.n)  # read, and kept beside the given slot
+        want = verify_key_lemma(indicator_matrix(johnson_10_3, 1, "euclidean"))
+        forms, form = [], certificate._form
+        monkeypatch.setattr(certificate, "_form", lambda *args: forms.append(args) or form(*args))
+        monkeypatch.setattr(certificate, "_held_strip", None)  # a call would raise
+        assert verify_key_lemma(im) == want and len(forms) == 1
+
+    def test_the_deviation_is_never_given(self):
+        with pytest.raises(TypeError, match="max_decomposition_dev"):
+            IndicatorMatrix(matrix=np.eye(3), adjacency=np.zeros((3, 3), np.int8), max_decomposition_dev=0.0,
+                            setting="euclidean", class_index=1, k_claimed=1.0, n_cap=3, x_size=3, d_eff=2, s=4, n=3)
+        assert "max_decomposition_dev" not in {f.name for f in dataclasses.fields(IndicatorMatrix)}
+
+    def test_a_nested_list_m_is_an_array(self):
+        # Given as nested lists, M and A are read as arrays once, at construction.
+        matrix = planted_matrix(np.random.default_rng(4), [3.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        im, context = hand_built(matrix, "euclidean", 1.5, 3)
+        listed = dataclasses.replace(im, matrix=matrix.tolist(), adjacency=im.adjacency.tolist())
+        assert verify_key_lemma(listed, context) == verify_key_lemma(im, context)
+        assert listed == im and isinstance(listed.matrix, np.ndarray) and listed.matrix.dtype == float
+
+    def test_a_held_asymmetric_m_has_its_symmetric_parts_spectrum(self):
+        # A 40 x 40 M with a zero upper triangle and no source takes M's
+        # view. Its counts are those of S = (M + M^T)/2, whose rank is 10,
+        # not of its lower triangle mirrored, which eigvalsh alone would read.
+        rng = np.random.default_rng(6)
+        planted = np.r_[rng.uniform(0.5, 2.0, 10) * rng.choice([-1.0, 1.0], 10), np.zeros(30)]
+        symmetric = planted_matrix(rng, planted)
+        matrix = np.tril(2.0 * symmetric, -1) + np.diag(np.diag(symmetric))
+        im, context = hand_built(matrix, "euclidean", 1.5, 10)
+        part, _ = hand_built((matrix + matrix.T) / 2.0, "euclidean", 1.5, 10)
+        v = verify_key_lemma(im, context)
+        assert spectral_counts(v) == dense_counts(part) and v.rank == 10
+        assert eigen_multiplicities(im) == eigen_multiplicities(np.array(im.matrix))
 
     def test_a_hand_built_matrix_is_checked_at_construction(self, johnson_10_3):
         # With no evaluate, matrix and adjacency are needed, each n x n.
@@ -163,7 +216,7 @@ class TestIndicatorMatrix:
             IndicatorMatrix(matrix=np.eye(6), adjacency=np.zeros(6, np.int8), **fields)
         im = indicator_matrix(johnson_10_3, 1, "euclidean")
         held = dataclasses.replace(im, matrix=np.array(im.matrix))
-        assert held == im and verify_key_lemma(held) == verify_key_lemma(im)
+        assert held != im and verify_key_lemma(held) == verify_key_lemma(im)  # a read is not a given array
         with pytest.raises(DimensionMismatchError, match="matrix has shape"):
             dataclasses.replace(im, matrix=np.eye(5))
 
@@ -261,7 +314,6 @@ class TestNumericRank:
             class_index=1,
             k_claimed=1.0,
             adjacency=np.zeros((5, 5), dtype=np.int8),
-            max_decomposition_dev=0.0,
             n_cap=2,
             x_size=5,
             d_eff=1,
@@ -547,7 +599,7 @@ def residual_bounds(ims):
     basis = certificate._basis(ims[0])
     views = certificate._view(ims, basis, [certificate._rule(im) for im in ims])
     q = basis.q
-    errors = [err for _, _, (err, _), _ in views]
+    errors = [err for _, _, (err, _), _, _ in views]
     return errors, [np.linalg.norm((im.matrix + im.matrix.T) / 2.0 - q @ b @ q.T, 2)
                     for im, (b, *_) in zip(ims, views)]
 
@@ -702,7 +754,7 @@ class TestRangeSketch:
         pairs = pointset.squared_distance_matrix(ps)
         matrix = lagrange_basis([0.5, 2.0, 4.0], 1, pairs)
         im, _ = hand_built(matrix, "euclidean", 1.0, 10, (ps, pointset.DEFAULT_TOL), d_eff=3, s=3)
-        b, _, (err, _), _ = certificate._view([im], certificate._basis(im), [(2.0, 1.0, -1.0)])[0]
+        b, _, (err, _), _, _ = certificate._view([im], certificate._basis(im), [(2.0, 1.0, -1.0)])[0]
         assert b.shape == (15, 15)
         assert err < 1e-12 * np.linalg.norm(matrix)
 
@@ -1194,7 +1246,8 @@ class TestOneReaderPerKind:
     def test_a_held_m_keeps_its_verdict_off_its_own_array(self, monkeypatch):
         # Each held case's verdict is the one recorded before a held M got a
         # reader of its own (golden/held_verdicts.json), with no pair tile
-        # and no evaluate read for it: only the held arrays.
+        # and no evaluate read for it: only the held arrays. Its deviation is
+        # the one its own arrays give, max |M - k*I - A| taken dense.
         golden = json.loads((Path(__file__).parent / "golden" / "held_verdicts.json").read_text())
         calls, tile = [], pointset._pair_tile
         monkeypatch.setattr(pointset, "_pair_tile", lambda *args: calls.append(args[2:]) or tile(*args))
@@ -1208,7 +1261,16 @@ class TestOneReaderPerKind:
                 im = dataclasses.replace(im, evaluate=refuse)
             v = verify_key_lemma(im, context)
             assert json.loads(json.dumps(v.to_dict())) == golden[name], name
+            assert v.decomposition_dev == np.max(np.abs(im.matrix - im.k_claimed * np.eye(im.n) - im.adjacency))
         assert calls == []
+
+    def test_a_replaced_m_reports_its_own_deviation(self):
+        # dataclasses.replace carries no deviation over: each M off an
+        # integer by 0.3 at one pair reports it, on B's view and M's.
+        for name, (im, context) in held_cases().items():
+            if name.startswith("off an integer"):
+                assert im.max_decomposition_dev == pytest.approx(0.3, abs=1e-12), name
+                assert verify_key_lemma(im, context).decomposition_dev == pytest.approx(0.3, abs=1e-12), name
 
     def test_held_and_evaluated_classes_of_one_basis_keep_their_verdicts(self, johnson_10_3):
         # One walk over a held (asymmetric) class and an evaluated one of the

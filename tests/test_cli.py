@@ -716,7 +716,8 @@ class TestPairValuesFromCoordinates:
 
         proc = subprocess.Popen([sys.executable, "-m", "fewdist", *argv], stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(proc.pid, 0)
-        assert status == 0
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here: Popen must not wait again
+        assert proc.returncode == 0
         return usage.ru_maxrss * 1024
 
     def test_ratios_holds_no_pair_matrix(self, tmp_path):
