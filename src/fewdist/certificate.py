@@ -244,11 +244,21 @@ def _power_coefficients(row, nodes, i: int, beta: float) -> np.ndarray:
     return np.r_[0.0, c] / beta if row.signed else c
 
 
+def _symmetric(matrix) -> np.ndarray:
+    """The array whose spectrum a verdict reads: an evaluated M (exactly
+    symmetric), else (M + M^T)/2 of an array or a held M, either may be asymmetric."""
+    if isinstance(matrix, IndicatorMatrix) and matrix._matrix is None:
+        return matrix.matrix
+    arr = np.asarray(matrix._matrix if isinstance(matrix, IndicatorMatrix) else matrix, float)
+    return (arr + arr.T) / 2.0
+
+
 def numeric_rank(matrix, tol_rank: float = DEFAULT_TOL_RANK) -> int:
-    """Count singular values above tol_rank * n * sigma_max."""
+    """Count singular values above tol_rank * n * sigma_max: of an array, or
+    of an IndicatorMatrix's _symmetric part, whose rank its verdict counts."""
     _valid_tol("tol_rank", tol_rank)
     if isinstance(matrix, IndicatorMatrix):
-        rank = numeric_rank(matrix.matrix, tol_rank)
+        rank = numeric_rank(_symmetric(matrix), tol_rank)
         if rank > matrix.n_cap:
             raise NumericalError(
                 f"indicator matrix rank {rank} exceeds its space dimension {matrix.n_cap}"
@@ -293,11 +303,7 @@ def _eigvalsh(arr: np.ndarray) -> np.ndarray:
 def eigen_multiplicities(matrix, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SpectrumReport:
     """Cluster the spectrum by gaps above cluster_tol * max|eigenvalue|."""
     _valid_tol("cluster_tol", cluster_tol)
-    arr = np.asarray(matrix.matrix if isinstance(matrix, IndicatorMatrix) else matrix, float)
-    if not isinstance(matrix, IndicatorMatrix) or matrix._matrix is not None:
-        # Asymmetric input, a held M's too, is allowed: the spectrum is the symmetric part's.
-        arr = (arr + arr.T) / 2.0
-    eig = _eigvalsh(arr)
+    eig = _eigvalsh(_symmetric(matrix))
     scale = float(np.max(np.abs(eig))) if eig.size else 0.0
     atol = cluster_tol * scale
     clusters = []
@@ -554,7 +560,7 @@ def _view(ims: list, basis, rules: list) -> list:
     n = ims[0].n
     tiles = _tiles(n)
     if basis is None:  # one class: M filled in the walk, or a held M's S
-        xs = [np.empty((n, n)) if im._matrix is None else (im._matrix + im._matrix.T) / 2.0 for im in ims]
+        xs = [np.empty((n, n)) if im._matrix is None else _symmetric(im) for im in ims]
     else:
         xs = [_reduced(im, basis) for im in ims]
     walks = [[] for _ in ims]

@@ -7,17 +7,18 @@ everything downstream consumes those classes. Profiles are kept on the
 point set (read-only), one per kind and tolerance; no n x n array is.
 
 Every reader computes the pair values from the coordinates, one square tile
-of _tile_side(n) points a side at a time (_pair_tile), each from one Gram
-product, so all see the same, exactly symmetric, bits. Grouping walks the
+of _tile_side(n) points a side at a time (_pair_tile), each from one
+product, of the points or of the lifted points [x, |x|^2, 1] and [-2x, 1,
+|x|^2], so all see the same, exactly symmetric, bits. Grouping walks the
 strips of T rows above the diagonal in blocks of _row_blocks of at most one
-tile's entries, and merges each block's sorted intervals into classes. Each
-class mean is np.mean's, bit for bit: where every class holds one value
-(Johnson sets), its sum in np.mean's order follows from its count, one sum
-per distinct run of its pairwise tree; otherwise a second walk sums each
-class in that order. Beyond a strip and a block, it holds tens of bytes
-per class and per interval. The duplicate-point and antipodal checks
-test coordinates only on the pairs whose projections on one fixed direction
-lie within a window of each other (_close_pairs), found by a sort.
+tile's entries, and merges each block's sorted intervals into classes.
+Each class mean is the exact one, correctly rounded, whatever the point
+order: where every class holds one value (Johnson sets), that value; else
+a second walk sums each class exactly in int64 bins (_class_means).
+Beyond a strip and a block, it holds tens of bytes per class and per
+interval. The duplicate-point and antipodal checks test coordinates only
+on the pairs whose projections on one fixed direction lie within a window
+of each other (_close_pairs), found by a sort.
 """
 
 from __future__ import annotations
@@ -293,19 +294,23 @@ def _tile_side(n: int) -> int:
 
 
 def _pair_tiles(ps: PointSet, euclidean: bool):
-    """tile(rows, cols): _pair_tile on ps's squared distances (euclidean;
-    squared norms off the diagonal tiles' products) or inner products, kept
-    on ps, so that every reader of one set and kind holds the same tile.
-    A set is refused when 4 max|x_i|^2, a bound on every term, is not finite."""
+    """tile(rows, cols): _pair_tile on ps's inner products or, euclidean, its
+    squared distances, from the lifted points [x, |x|^2, 1] and [-2x, 1,
+    |x|^2], kept on ps, so that every reader of one set and kind holds the
+    same tile. A set is refused when 4 max|x_i|^2, a bound on every term, is
+    not finite."""
     x = ps.points
 
     def tile():
         if not euclidean:
             return functools.partial(_pair_tile, x, None)
-        if not math.isfinite(4.0 * float(np.max(np.einsum("ij,ij->i", x, x)))):
+        sq = np.einsum("ij,ij->i", x, x)
+        if not math.isfinite(4.0 * float(np.max(sq))):
             raise PointFileError("squared distances overflow: a point norm is above about 6.7e153")
-        sq = _read_only(np.concatenate([np.diag(x[t] @ x[t].T) for t in _tiles(len(x))]))
-        return functools.partial(_pair_tile, x, sq)
+        ones = np.ones_like(sq)
+        a = _read_only(np.column_stack((x, sq, ones)))
+        b = _read_only(np.column_stack((-2.0 * x, ones, sq)))
+        return functools.partial(_pair_tile, a, b)
 
     return _memoized(ps, ("pair_tiles", euclidean, _tile_side(ps.n)), tile)
 
@@ -322,28 +327,22 @@ def _pair_rows(tile, n: int, rows: slice) -> np.ndarray:
     return out
 
 
-def _pair_tile(x: np.ndarray, sq: np.ndarray | None, rows: slice, cols: slice) -> np.ndarray:
-    """Pair values of x[rows] against x[cols], two of _tiles, rows <= cols:
-    x_I x_J^T, or with squared norms sq, a_ij = max(sq_i + sq_j - 2<x_i, x_j>, 0)
-    from x_I x_J^T. A diagonal tile is (a + a^T) / 2 with a zero diagonal, and
-    a reader takes a tile below it as its mirror's transpose, so a value depends
-    on (i, j) alone; on one tile (n <= T) it is the full products', bit for bit."""
-    g = x[rows] @ x[cols].T
-    if sq is None:
-        return g
-    tile = _clipped(np.add.outer(sq[rows], sq[cols]), g)
+def _pair_tile(a: np.ndarray, b: np.ndarray | None, rows: slice, cols: slice) -> np.ndarray:
+    """Pair values of points rows against points cols, two of _tiles, rows
+    <= cols: inner products a_I a_J^T (b None), or squared distances
+    max(a_I b_J^T, 0) off the lifted points a and b. A diagonal tile of these
+    is (t + t^T) / 2 with a zero diagonal, and a reader takes a tile below
+    it as its mirror's transpose, so a value depends on (i, j) alone; on one
+    tile (n <= T) it is the full product's, bit for bit."""
+    if b is None:
+        return a[rows] @ a[cols].T
+    tile = a[rows] @ b[cols].T
+    np.maximum(tile, 0.0, out=tile)
     if rows == cols:
         tile += tile.T
         np.fill_diagonal(tile, 0.0)
         tile /= 2.0
     return tile
-
-
-def _clipped(norms: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """max(norms - 2g, 0), computed as norms + (-2g) (the same bits), in g if laid out as norms."""
-    g *= -2.0
-    out = np.add(norms, g, out=g if g.flags.c_contiguous else None)
-    return np.maximum(out, 0.0, out=out)
 
 
 def _gaps(a: np.ndarray, b: np.ndarray, relative: bool) -> np.ndarray:
@@ -363,8 +362,8 @@ def _intervals(v: np.ndarray, tol: float, relative: bool):
 
 def _cut_and_merge(blocks, tol: float, relative: bool, zero):
     """Single-linkage classes at tol of the values in blocks (1-d arrays in
-    row-major order): (tops, counts, values), values each class's one value
-    if every class holds one, else None. Each block's intervals, by lower end,
+    row-major order): (tops, counts, lows, highs), each class's least and
+    largest value, tops highs but the last. Each block's intervals, by lower end,
     join the class before unless more than tol above its largest value. That
     gives the cuts of one global sort: within one sign a gap only grows as
     its ends move apart. A gap below 10*tol between classes is an ambiguity
@@ -386,167 +385,56 @@ def _cut_and_merge(blocks, tol: float, relative: bool, zero):
             f"values {float(left or zero(True))!r} and {float(right or zero(False))!r} are separated "
             "by less than 10x tol; no stable class split exists at this tolerance"
         )
-    tops, firsts = top[cuts], np.insert(cuts + 1, 0, 0)
-    lows = lo[firsts]  # a class holds one value if its least is its top (== takes -0.0 as 0.0)
-    one = lows[-1] == top[-1] and np.array_equal(lows[:-1], tops)
+    firsts = np.insert(cuts + 1, 0, 0)
+    lows, highs = lo[firsts], top[np.append(cuts, top.size - 1)]
+    tops = highs[:-1].copy()
     if np.any(tops == 0):
         tops[tops == 0] = zero(True)
-    return tops, np.add.reduceat(count, firsts), lows if one else None
+    return tops, np.add.reduceat(count, firsts), lows, highs
 
 
 def _starts(sizes: np.ndarray) -> np.ndarray:
     return np.cumsum(sizes) - sizes
 
 
-def _split(size: np.ndarray):
-    """numpy's pairwise split of runs of these sizes: whether each splits (a
-    run of n > 128 values does), and each split run's first half, (n//16)*8."""
-    split = size > 128
-    return split, (size[split] >> 4) << 3
-
-
-def _pairwise_tree(slot: np.ndarray, counts: np.ndarray):
-    """numpy's pairwise tree over each class (class c's values at slots
-    slot[c] on, 8 to a row), top-down: per level, the split flags and each
-    leaf's first row and size."""
-    start, size = slot, counts
-    while start.size:
-        split, half = _split(size)
-        yield split, start[~split] >> 3, size[~split]
-        start, size = start[split], size[split]
-        start, size = np.stack((start, start + half), 1).ravel(), np.stack((half, size - half), 1).ravel()
-
-
-def _pairwise_layout(counts: np.ndarray):
-    """Where _lane_sums keeps the partial sums: (slot, dest, base, size).
-    Class c takes slots from slot[c], 8 to a row. A buffer of this size holds
-    each class's last n%8 values, from tail_at[c] on, then from base a row of
-    8 lanes per leaf with rows, in row order. dest = (first, code, tail_at):
-    a byte a row, code, counts the leaf starts since its chunk of 128 rows
-    began (an int32 a row took 103 MB on ratios johnson(20,5)); 255 marks a
-    class's last row, of its last n%8 values."""
-    slot, tail = 8 * _starts((counts + 7) >> 3), counts & 7
-    base = 8 + (int(tail.sum()) & ~7)
-    code = np.zeros(-(-(slot[-1] + counts[-1]) // 1024) * 128, dtype=np.uint8)  # 128 rows of 8 a chunk
-    for _, row, size in _pairwise_tree(slot, counts):
-        code[row[size >= 8]] = 1
-    chunks = code.reshape(-1, 128)
-    # The running count of leaf starts is each row's leaf, in row order.
-    first = _starts(chunks.sum(axis=1, dtype=np.intp)) + chunks[:, 0]
-    size = base + 8 * int(chunks.sum())
-    np.cumsum(chunks, axis=1, dtype=np.uint8, out=chunks)
-    chunks -= chunks[:, :1]
-    code[(slot + counts)[tail > 0] >> 3] = 255
-    return slot, (8 * first + (base - 8), code, _starts(tail)), base, size
-
-
-def _lane_sums(blocks, tops: np.ndarray, slot: np.ndarray, dest: tuple, flat: np.ndarray) -> None:
-    """np.add.at adds each value of blocks, in order, to flat: slot s, the
-    next of its class (counted in slot), in row r = s >> 3, at first[r >> 7]
-    + 8 code[r] + (s & 7), or at tail_at[class] + (s & 7) where code is 255."""
-    first, code, tail_at = dest
-    for vals in filter(np.size, blocks):  # skips empty blocks; unlike a genexpr, keeps none alive
-        if tops.size < 8:  # uint8 labels and a radix sort: 0.4-1.1 ms a block, 1.8-4.7 by searchsorted
-            labels = sum((vals > top for top in tops), np.zeros(vals.size, dtype=np.uint8))
-        else:
-            labels = np.searchsorted(tops, vals, side="left")
-        order = np.argsort(labels, kind="stable")
-        labels = labels[order]  # one array at a time, as in _cut_and_merge
-        vals = vals[order]
-        del order
-        # Count the classes held as runs of sorted labels: bincount's speed at s <= 8, 1.8x it at s = 2e6.
-        start = np.insert(np.flatnonzero(labels[1:] != labels[:-1]) + 1, 0, 0)
-        present, k = labels[start], np.diff(start, append=labels.size)
-        q = np.repeat(slot[present] - start, k)
-        slot[present] += k
-        del start, present, k
-        q += np.arange(vals.size)
-        row_code = code[q >> 3]
-        lane = np.left_shift(row_code, 3, dtype=np.intp)
-        lane += first[q >> 10]
-        lane += q & 7
-        del q
-        tails = np.flatnonzero(row_code == 255)  # first and base are multiples of 8: lane & 7 is s & 7
-        lane[tails] = tail_at[labels[tails]] + (lane[tails] & 7)
-        del labels, row_code, tails
-        np.add.at(flat, lane, vals)
-        del vals, lane
-
-
-def _class_sums(blocks, tops: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """np.add.reduce over each class's values in blocks (1-d arrays in
-    row-major order), bit for bit; class c holds the counts[c] values v with
-    tops[c-1] < v <= tops[c]. That is 0.0 plus numpy's pairwise sum, whose
-    leaves add their rows of 8 in 8 lanes, join the lanes as
-    ((0+1)+(2+3))+((4+5)+(6+7)) and add their last n%8 values one by one. A
-    lane that gets a 0.0, or nothing, changes at most the sign of a zero
-    sum, which the final 0.0 undoes."""
-    slot, dest, base, size = _pairwise_layout(counts)
-    flat = np.zeros(size)
-    _lane_sums(blocks, tops, slot.copy(), dest, flat)
-    del dest
-    lanes = flat[base:].reshape(-1, 8)
-    for step in (1, 2, 4):
-        lanes[:, ::2 * step] += lanes[:, step::2 * step]
-    del lanes
-    flat = np.concatenate((flat[:base], flat[base::8]))  # the trailing values, then each leaf's sum
-    splits, row, length = zip(*_pairwise_tree(slot, counts))
-    row, length = np.concatenate(row), np.concatenate(length)
-    leaf = np.zeros(length.size)
-    leaf[np.flatnonzero(length >= 8)[np.argsort(row[length >= 8])]] = flat[base:]
-    last = np.flatnonzero(length & 7)[np.argsort(row[(length & 7) > 0])]  # each class's last leaf
-    np.add.at(leaf, np.repeat(last, length[last] & 7), flat[: int((counts & 7).sum())])
-    return _tree_sums(splits, leaf)
-
-
-def _repeat_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """_class_sums when class c holds counts[c] copies of values[c], from the
-    counts alone. A run of copies sums alike wherever it sits, so each level
-    of numpy's pairwise tree (as _pairwise_tree splits it) is summed once per
-    distinct (class, length): a leaf of m copies adds the value m//8 times in
-    each lane, joins the 8 equal lanes to exactly 8 times one, then adds m%8
-    more, and a split run adds its two halves' sums."""
-    levels, cls, size = [], np.arange(counts.size), counts
-    while cls.size:
-        split, half = _split(size)
-        runs = np.stack((np.repeat(cls[split], 2), np.stack((half, size[split] - half), 1).ravel()), 1)
-        runs, halves = np.unique(runs, axis=0, return_inverse=True)
-        levels.append((cls, np.where(split, 0, size), split, halves.reshape(-1, 2)))
-        cls, size = runs.T
-    below = np.empty(0)
-    for cls, length, split, halves in reversed(levels):  # the deepest level splits none
-        value, sums = values[cls], np.zeros(cls.size)
-        for k in range(16):
-            np.add(sums, value, out=sums, where=(length >> 3) > k)
-        sums *= 8.0
-        for k in range(7):
-            np.add(sums, value, out=sums, where=(length & 7) > k)
-        sums[split] = below[halves[:, 0]] + below[halves[:, 1]]
-        below = sums
-    return 0.0 + below
-
-
-def _tree_sums(splits: tuple, leaf: np.ndarray) -> np.ndarray:
-    """0.0 plus each class's pairwise sum, from the sums of _pairwise_tree's
-    leaves in its order, joined bottom-up."""
-    below, ends = np.empty(0), np.cumsum([np.count_nonzero(~split) for split in splits])
-    for split, part in zip(reversed(splits), reversed(np.split(leaf, ends[:-1]))):
-        below, value = np.empty(split.size), below
-        below[~split] = part
-        below[split] = value[0::2] + value[1::2]  # the deepest level splits none
-    return 0.0 + below
+def _class_means(blocks, counts: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> list[float]:
+    """Each class's exact mean, correctly rounded, in any order of blocks
+    (1-d arrays); class c holds the counts[c] values v with highs[c-1] < v
+    <= highs[c], the least lows[c]. A value is m 2^(e-53), m an integer
+    below 2^53; m's high and low 26 bits add exactly (below 2^36 values a
+    class) into int64 bins by (class, e), e between its ends', or from
+    -1073 to at least 0 (a zero's) if it holds or straddles 0."""
+    low_e, high_e = np.frexp(lows)[1].astype(np.intp), np.frexp(highs)[1].astype(np.intp)
+    signed = (lows <= 0) & (highs >= 0)
+    first = np.where(signed, -1073, np.minimum(low_e, high_e))
+    last = np.maximum(np.maximum(low_e, high_e), np.where(signed, 0, first))
+    starts, stops = _starts(last - first + 1), np.cumsum(last - first + 1)
+    origin = starts - first  # the bin of (c, e) is origin[c] + e
+    bins = np.zeros((2, int(stops[-1])), dtype=np.int64)
+    for v in filter(np.size, blocks):  # skips empty blocks; unlike a genexpr, keeps none alive
+        m, e = np.frexp(v)
+        key = origin[np.searchsorted(highs[:-1], v, side="left")] + e
+        m = (m * 2.0**53).astype(np.int64)
+        np.add.at(bins[0], key, m >> 26)
+        np.add.at(bins[1], key, m & (2**26 - 1))
+    high, low = bins.tolist()
+    means = []
+    for start, stop, e, count in zip(starts.tolist(), stops.tolist(), (first - 53).tolist(), counts.tolist()):
+        total = sum(((h << 26) + l) << k for k, (h, l) in enumerate(zip(high[start:stop], low[start:stop])))
+        means.append((total << e) / count if e >= 0 else total / (count << -e))  # int / int rounds correctly
+    return means
 
 
 def _group_pairs(tile, n: int, tol: float, relative: bool):
     """Classes of n points' pair values above the diagonal, read by tile(rows,
     cols) (_pair_tiles) on and right of it: (means, counts, tops), tops the
-    largest value of each class but the last. Each mean is np.mean over the
-    class's values in row-major order, bit for bit. A walk over the strips of
+    largest value of each class but the last. A walk over the strips of
     _tiles rows, in blocks of _row_blocks, with no sorted copy, finds the
-    classes; unless every class holds one value, whose sums follow from the
-    counts, a second walk sums them in np.mean's order. Besides a strip and
-    a block, each walk holds a few arrays of one entry per interval or class,
-    which reach several times n^2 bytes as s nears n(n-1)/2."""
+    classes; unless every class holds one value, its mean (plus 0.0, so a
+    zero class is +0.0), a second walk takes the exact means (_class_means).
+    Besides a strip and a block, each walk holds a few arrays of one entry
+    per interval or class, which reach several times n^2 bytes as s nears
+    n(n-1)/2."""
 
     def blocks():
         for rows in _tiles(n):
@@ -564,9 +452,10 @@ def _group_pairs(tile, n: int, tol: float, relative: bool):
                 ends[:] = ends[0] if ends else zeros[0], zeros[-1]
             yield v
 
-    tops, counts, values = _cut_and_merge(first_walk(), tol, relative, lambda last: ends[last])
-    sums = _class_sums(blocks(), tops, counts) if values is None else _repeat_sums(values, counts)
-    return [float(x) / c for x, c in zip(sums, counts.tolist())], counts.tolist(), _read_only(tops)
+    tops, counts, lows, highs = _cut_and_merge(first_walk(), tol, relative, lambda last: ends[last])
+    one = np.array_equal(lows, highs)  # == takes -0.0 as 0.0
+    means = (lows + 0.0).tolist() if one else _class_means(blocks(), counts, lows, highs)
+    return means, counts.tolist(), _read_only(tops)
 
 
 @dataclass(frozen=True)

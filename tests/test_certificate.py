@@ -191,8 +191,9 @@ class TestIndicatorMatrix:
 
     def test_a_held_asymmetric_m_has_its_symmetric_parts_spectrum(self):
         # A 40 x 40 M with a zero upper triangle and no source takes M's
-        # view. Its counts are those of S = (M + M^T)/2, whose rank is 10,
-        # not of its lower triangle mirrored, which eigvalsh alone would read.
+        # view. Its counts, and numeric_rank's, are those of S = (M + M^T)/2,
+        # whose rank is 10, not of its lower triangle mirrored, which
+        # eigvalsh alone would read, nor of M, whose rank is 39.
         rng = np.random.default_rng(6)
         planted = np.r_[rng.uniform(0.5, 2.0, 10) * rng.choice([-1.0, 1.0], 10), np.zeros(30)]
         symmetric = planted_matrix(rng, planted)
@@ -202,6 +203,7 @@ class TestIndicatorMatrix:
         v = verify_key_lemma(im, context)
         assert spectral_counts(v) == dense_counts(part) and v.rank == 10
         assert eigen_multiplicities(im) == eigen_multiplicities(np.array(im.matrix))
+        assert numeric_rank(im) == v.rank == 10  # not M's own 39 singular values
 
     def test_a_hand_built_matrix_is_checked_at_construction(self, johnson_10_3):
         # With no evaluate, matrix and adjacency are needed, each n x n.

@@ -12,7 +12,9 @@ tile; on several, each reader sees the same values).
 import contextlib
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -25,10 +27,9 @@ from fewdist import PointSet, construct_johnson, construct_named
 from fewdist.certificate import class_index_range, indicator_matrix, numeric_rank, verify_key_lemma
 from fewdist.errors import AmbiguousGroupingError, DuplicatePointError, PointFileError
 from fewdist.pointset import (
-    _class_sums,
+    _class_means,
     _cut_and_merge,
     _group_pairs,
-    _repeat_sums,
     distance_profile,
     inner_product_matrix,
     inner_product_profile,
@@ -74,7 +75,7 @@ def reference_group_pairs(matrix, tol, relative):
     reps, counts, adjacency = [], [], []
     for cid in range(num):
         mask = ids == cid
-        reps.append(float(np.mean(vals[mask])))
+        reps.append(exact_mean(vals[mask]))
         counts.append(int(np.count_nonzero(mask)))
         adj = np.zeros((n, n), dtype=np.int8)
         adj[iu[0][mask], iu[1][mask]] = 1
@@ -83,17 +84,24 @@ def reference_group_pairs(matrix, tol, relative):
     return reps, counts, adjacency
 
 
+def exact_mean(values):
+    """The mean of values in exact arithmetic, rounded once: Fraction's float."""
+    distinct, times = np.unique(values, return_counts=True)
+    total = sum((Fraction(v) * k for v, k in zip(distinct.tolist(), times.tolist())), Fraction(0))
+    return float(total / len(values))
+
+
+def lifted(x):
+    """The points [x, |x|^2, 1] and [-2x, 1, |x|^2], whose products are |x_i - x_j|^2."""
+    sq = np.einsum("ij,ij->i", x, x)
+    return np.column_stack((x, sq, np.ones_like(sq))), np.column_stack((-2.0 * x, np.ones_like(sq), sq))
+
+
 def reference_squared_distances(ps):
-    g = ps.points @ ps.points.T
-    sq = np.diag(g).copy()
-    d2 = sq[:, None] + sq[None, :]
-    g *= 2.0
-    d2 -= g
-    np.maximum(d2, 0.0, out=d2)
+    a, b = lifted(ps.points)
+    d2 = np.maximum(a @ b.T, 0.0)
     np.fill_diagonal(d2, 0.0)
-    np.add(d2, d2.T, out=g)
-    g /= 2.0
-    return g
+    return (d2 + d2.T) / 2.0
 
 
 def reference_duplicate_message(pts):
@@ -153,18 +161,17 @@ def outcome(fn, *args):
 def merged_ids(values, tol, relative):
     """_cut_and_merge's classes of values, fed in blocks of _row_blocks in
     the given (row-major) order, as class ids of the stably sorted values
-    and a class count. Its values are each class's one value exactly when
-    every class's least and largest values compare equal."""
+    and a class count. Its lows and highs are each class's least and
+    largest values, and its tops the highs but the last."""
     zeros = values[values == 0]
     blocks = [values[part] for part in pointset._row_blocks(len(values), 1, len(values))]
-    tops, counts, one = _cut_and_merge(blocks, tol, relative, lambda last: zeros[-1 if last else 0])
+    tops, counts, lows, highs = _cut_and_merge(blocks, tol, relative, lambda last: zeros[-1 if last else 0])
     ordered = np.sort(values)
     ids = np.searchsorted(tops, ordered, side="left")
     assert np.array_equal(np.bincount(ids, minlength=len(counts)), counts)
     ends = np.cumsum(counts)
-    lows, highs = ordered[ends - counts], ordered[ends - 1]
-    assert (one is not None) == np.array_equal(lows, highs)
-    assert one is None or np.array_equal(one, lows)
+    assert np.array_equal(lows, ordered[ends - counts]) and np.array_equal(highs, ordered[ends - 1])
+    assert np.array_equal(tops, highs[:-1])
     return ids, len(counts)
 
 
@@ -241,7 +248,7 @@ class TestClusterSortedMatchesReference:
     @given(st.integers(2, 30), st.integers(1, 4), st.integers(0, 2**32 - 1), TILE_SIDES)
     def test_group_pairs_byte_identical_on_lattice_sets(self, n, d, seed, side):
         # Small integer coordinates give few distinct squared distances,
-        # so classes hold many pairs and their means exercise summation order.
+        # so classes hold many pairs, each mean the exact one.
         rng = np.random.default_rng(seed)
         pts = np.unique(rng.integers(-3, 4, size=(n, d)), axis=0) * rng.choice([1.0, 0.1, 1e3])
         assume(len(pts) >= 2)
@@ -256,79 +263,88 @@ class TestClusterSortedMatchesReference:
                 assert_same_classes(got, want, matrix)
 
 
-def pinned_lengths():
-    """Every length up to 1,100, then 8k +- 1 and 2^k +- 1 up to about 10^6."""
-    eights = [8 * k + d for k in (200, 1_000, 12_500, 125_000) for d in (-1, 1)]
-    return [*range(1101), *eights, *(2**k + d for k in range(11, 21) for d in (-1, 0, 1))]
+# Classes of pinned edge values, in ascending order: sums that overflow a
+# float, a class that spans a power of two, one that holds both zeros and
+# straddles them with subnormals, one across the subnormal boundary.
+PINNED_CLASSES = [
+    [-1.7976931348623157e308, -1.7976931348623157e308, -1.5e308],
+    [-3.0, -2.0, -2.0, -1.5, -1.0 - 2**-52],
+    [-1e-300, -5e-324, -0.0, 0.0, 0.0, 5e-324, 1e-310],
+    [3e-310, 1e-309, 2.225073858507201e-308, 2.2250738585072014e-308],
+    [0.75, 1.0 - 2**-53, 1.0, 1.0, 1.0 + 2**-52, 1.25],
+    [1.5e308, 1.7976931348623157e308, 1.7976931348623157e308],
+]
 
 
-class TestClassSumsMatchNumpy:
-    # The class sums follow np.add.reduce's pairwise order, so a numpy whose
-    # summation order changes fails here rather than moving the goldens.
-    @pytest.mark.parametrize("tops", [np.empty(0), np.full(8, -np.inf)], ids=["comparisons", "binary_search"])
-    def test_sums_are_np_add_reduce_bit_for_bit(self, tops):
-        rng = np.random.default_rng(7)
-        counts = np.zeros(tops.size + 1, dtype=np.intp)
-        for n in pinned_lengths():
-            wide = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, size=n)
-            wide[rng.random(n) < 0.05] = rng.choice([0.0, -0.0])
-            for x in (wide, rng.normal(size=n), np.full(n, -0.0)):
-                counts[-1] = n
-                blocks = np.array_split(x, max(1, n // 5000))
-                got = _class_sums(blocks, tops, counts)[-1]
-                assert got.tobytes() == np.add.reduce(x).tobytes(), n
+def class_means(classes, blocks):
+    """_class_means of the values of blocks, grouped as in classes (each a
+    list of values, in ascending order of their ranges)."""
+    lows, highs = np.array([min(c) for c in classes]), np.array([max(c) for c in classes])
+    return _class_means(blocks, np.array([len(c) for c in classes]), lows, highs)
 
-    @pytest.mark.parametrize("shift", range(7))
-    def test_repeated_values_sum_from_their_counts(self, shift):
-        # A class of n copies of one value sums to np.add.reduce(np.full(n,
-        # v)) from (v, n) alone; the values take turns over the classes, so
-        # every (n, v) pair is summed beside classes of other values.
-        counts = np.array(pinned_lengths()[1:], dtype=np.intp)
-        values = np.resize(np.roll([0.1, 1 / 3, -0.5, 0.0, -0.0, 5e-324, 1e308], shift), counts.size)
-        with np.errstate(over="ignore"):
-            got = _repeat_sums(values, counts)
-            want = np.array([np.add.reduce(np.full(n, v)) for n, v in zip(counts.tolist(), values)])
-        assert got.tobytes() == want.tobytes()
 
-    def test_repeated_values_hold_a_few_runs_per_class(self, traced_peak):
-        # About 5 * 10^8 copies in 5 classes, far more than a leaf per 128
-        # copies could hold (about 4 * 10^6 leaves, 100 MB): the sums are
-        # taken once per distinct run length, a few per level of each tree.
-        counts = np.array([10**8 + 7, 2 * 10**8 - 1, 10**8, 7 * 10**7 + 129, 3 * 10**7 + 8], dtype=np.intp)
-        values = np.array([2.0, 4.0, 6.0, 8.0, 10.0])
-        sums = _repeat_sums(values, counts)
-        assert np.allclose(sums, values * counts, rtol=1e-9)
-        assert traced_peak(_repeat_sums, values, counts) < 64 * 1024
+def same_floats(got, want):
+    """Equal bit for bit, the sign of a zero too."""
+    return [x.hex() for x in got] == [x.hex() for x in want]
 
-    def test_blocks_count_only_the_classes_they_hold(self, monkeypatch):
+
+class TestClassMeansAreExact:
+    def test_pinned_classes_at_every_split(self):
+        # The exact mean, correctly rounded, whatever the order and however
+        # the values are cut into blocks: at every split of 64 values.
+        rng = np.random.default_rng(5)
+        classes = [rng.choice(c, size=size).tolist() for c, size in zip(PINNED_CLASSES, (10, 11, 11, 10, 11, 11))]
+        values = rng.permutation(np.concatenate(classes))
+        assert values.size == 64
+        want = [exact_mean(c) for c in classes]
+        assert want[0] < -1.5e308 and want[-1] > 1.5e308  # their sums overflow
+        for k in range(65):
+            assert same_floats(class_means(classes, [values[:k], values[k:]]), want), k
+
+    @pytest.mark.parametrize("zeros", [[-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324, -5e-324]])
+    def test_a_zero_mean_is_positive_zero(self, zeros):
+        assert same_floats(class_means([zeros], [np.array(zeros)]), [0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40), st.data())
+    def test_any_finite_values_in_any_blocks(self, values, data):
+        # One class of any finite floats, mixed signs and magnitudes, cut at drawn points.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=4)))
+        blocks = np.split(np.array(values), cuts)
+        assert same_floats(class_means([values], blocks), [exact_mean(values)])
+
+    def test_each_block_holds_only_its_own_size(self, monkeypatch):
         # Nearly every pair value of random points is its own class, so at
-        # tiles of 4 (strips of 4 rows, nearly all cut into one row a block) a
-        # block holds a few dozen of the 3,160 classes, and no block may pass
-        # np.repeat more counts than values. Each class is one pair, so the
-        # grouping sums from the counts; the first walk's blocks go to
-        # _class_sums directly, which must agree.
+        # tiles of 4 (strips of 4 rows, nearly all cut into one row a block)
+        # a block holds a few dozen of the 3,160 classes. Each class is one
+        # pair, so the grouping takes its means from the values; the first
+        # walk's blocks go to _class_means directly, which must agree. Beside
+        # the bins, made once, what a block allocates is bounded by its own
+        # size: about 5.4 kB and 8 bytes a value here, where an array of s
+        # entries would take 25 kB.
         matrix = squared_distance_matrix(PointSet(dimension=3, points=np.random.default_rng(7).random((80, 3))))
-        want = reference_group_pairs(matrix, 1e-13, True)
-        cut, held, repeat, calls = pointset._cut_and_merge, [], np.repeat, []
-
-        def counted(a, repeats, *args, **kwargs):
-            calls.append((np.size(repeats), int(np.sum(repeats))))
-            return repeat(a, repeats, *args, **kwargs)
-
-        def kept(blocks, *args):
-            held.extend(blocks)
-            return cut(held, *args)
-
+        cut, held, peaks = pointset._cut_and_merge, [], []
         monkeypatch.setattr(pointset, "_tile_side", lambda n: 4)
-        monkeypatch.setattr(pointset, "_cut_and_merge", kept)
+        monkeypatch.setattr(pointset, "_cut_and_merge", lambda blocks, *args: cut(held.extend(blocks) or held, *args))
         got = grouped(matrix, 1e-13, True)
-        monkeypatch.setattr(np, "repeat", counted)
-        sums = _class_sums(held, got[2], np.asarray(got[1]))
-        monkeypatch.undo()
-        assert len(got[1]) > 3000 and len(calls) > 70
-        assert all(size <= values for size, values in calls)
-        assert_same_classes(got, want, matrix)
-        assert [float(x) / c for x, c in zip(sums, got[1])] == got[0]
+        _, counts, lows, highs = cut(held, 1e-13, True, None)
+
+        def traced():
+            for v in held:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                yield v
+                peaks.append((v.size, tracemalloc.get_traced_memory()[1] - before))
+
+        tracemalloc.start()
+        try:
+            means = _class_means(traced(), counts, lows, highs)
+        finally:
+            tracemalloc.stop()
+        assert got[1] == [1] * 3160 and got[0] == np.sort(matrix[np.triu_indices(80, 1)]).tolist()
+        assert len(peaks) == len(held) > 70
+        assert all(peak < 8192 + 64 * size for size, peak in peaks), max(peaks, key=lambda p: p[1])
+        assert same_floats(means, got[0])
 
     @pytest.mark.parametrize("side", [256, 8])
     @pytest.mark.parametrize(
@@ -343,8 +359,8 @@ class TestClassSumsMatchNumpy:
     def test_large_classes_match_the_reference(self, build, relative, side, monkeypatch):
         # Rotated, so each class's values differ in their last bits: classes
         # of 8k to 50k pairs in johnson(14,3), e8's inner products, and the
-        # 9 classes of hypercube(9), which take the binary search. At tiles
-        # of 8 each block is one row, so leaves of the pairwise sum span blocks.
+        # 9 classes of hypercube(9). At tiles of 8 each block is one row, so
+        # each class's values come in hundreds of blocks.
         ps = build()
         q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(ps.dimension, ps.dimension)))
         rotated = PointSet(dimension=ps.dimension, points=ps.points @ q)
@@ -365,10 +381,10 @@ class TestPairMatrixMatchesReference:
         st.sampled_from([1.0, 1e-4, 1e200]),
     )
     def test_pair_matrix_bits_on_random_sets(self, n, d, seed, offset, spread):
-        # One tile (n <= T): the library's values are the full products'
-        # formula, bit for bit. A large common offset makes |x_i|^2 + |x_j|^2
-        # - 2<x_i, x_j> cancel to values that can round below 0; a spread of
-        # 1e200 overflows, and the set is refused.
+        # One tile (n <= T): the library's values are the full lifted
+        # product's, bit for bit. A large common offset makes |x_i|^2 +
+        # |x_j|^2 - 2<x_i, x_j> cancel to values that can round below 0; a
+        # spread of 1e200 overflows, and the set is refused.
         rng = np.random.default_rng(seed)
         pts = offset + spread * rng.normal(size=(n, d))
         assume(duplicate_message(pts) is None)
@@ -420,19 +436,19 @@ class TestPairMatrixMatchesReference:
     )
     def test_an_off_diagonal_tile_takes_one_product(self, n, d, seed, offset, spread):
         # Inexact points over tiles of 4: a squared-distance tile above the
-        # diagonal is max(|x_i|^2 + |x_j|^2 - 2<x_i, x_j>, 0) from x_I x_J^T
-        # alone, bit for bit, and the matrix's tile below it is its transpose.
+        # diagonal is max(a_I b_J^T, 0) from the lifted points alone, bit for
+        # bit, and the matrix's tile below it is its transpose.
         rng = np.random.default_rng(seed)
         pts = offset + spread * rng.normal(size=(n, d))
         assume(duplicate_message(pts) is None)
         ps = PointSet(dimension=d, points=pts)
+        a, b = lifted(pts)
         with mock.patch.object(pointset, "_tile_side", lambda n: 4):
             tile, matrix = pointset._pair_tiles(ps, True), squared_distance_matrix(ps)
-            x, sq = tile.args
             tiles = pointset._tiles(n)
             for rows in tiles:
                 for cols in tiles[tiles.index(rows) + 1:]:
-                    want = pointset._clipped(np.add.outer(sq[rows], sq[cols]), x[rows] @ x[cols].T)
+                    want = np.maximum(a[rows] @ b[cols].T, 0.0)
                     assert tile(rows, cols).tobytes() == want.tobytes()
                     assert np.array_equal(matrix[cols, rows], want.T)
 
@@ -708,7 +724,7 @@ def test_pair_matrix_memory_is_one_matrix_and_tiles(johnson_14_4, traced_peak):
 def test_profiles_trace_less_than_one_dense_matrix(johnson_14_4, traced_peak):
     # No n x n array: a strip of T rows (8Tn bytes, n^2 on johnson(14,4)
     # and on hypercube(10)) and a block's temporaries, 1.5n^2 (one walk) and
-    # 2.1n^2 in all. Grouping a kept pair matrix took 9.5n^2 and 10.5n^2.
+    # 1.8n^2 (two walks). Grouping a kept pair matrix took 9.5n^2 and 10.5n^2.
     for ps, profile in (
         (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
         (construct_named("hypercube", d=10), inner_product_profile),
@@ -718,9 +734,9 @@ def test_profiles_trace_less_than_one_dense_matrix(johnson_14_4, traced_peak):
 
 def test_profiles_trace_a_strip_and_one_tile_a_block(johnson_14_4, traced_peak):
     # A block holds at most T^2 entries, one tile's, so its temporaries stay
-    # near the strip's n^2 bytes here: 1.54n^2 (2.01n^2 with the second
-    # walk) and 2.12n^2 in all. Blocks of 2^16 entries at every n took
-    # 2.81n^2 and 4.33n^2.
+    # near the strip's n^2 bytes here: 1.48n^2 on johnson(14,4) (one walk)
+    # and 1.76n^2 on hypercube(10)'s inner products (two walks). Blocks of
+    # 2^16 entries at every n took 2.81n^2 and 4.33n^2.
     for ps, profile in (
         (PointSet(dimension=15, points=johnson_14_4.points), distance_profile),
         (construct_named("hypercube", d=10), inner_product_profile),
@@ -729,10 +745,10 @@ def test_profiles_trace_a_strip_and_one_tile_a_block(johnson_14_4, traced_peak):
 
 
 def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
-    # A block's temporaries, a row table and a row of 8 lanes per leaf of the
-    # pairwise sum, about 1.0n^2 bytes on the rotated set, whose classes
-    # spread over their last bits and take the second walk; the Johnson
-    # set's one-value classes skip it, 0.27n^2. A sorted copy of the values
+    # A block's temporaries and the class-mean bins, about 0.70n^2 bytes on
+    # the rotated set, whose classes spread over their last bits and take
+    # the second walk; the Johnson set's one-value classes skip it, 0.27n^2.
+    # Numpy's pairwise order, emulated with a row of 8 lanes per leaf, took 1.0n^2. A sorted copy of the values
     # (4n^2) and a bool mask per class (n^2) took 5.1n^2; the argsort order,
     # gathered copy and id arrays before them took 22.5n^2.
     n, dim = johnson_14_4.n, johnson_14_4.dimension
@@ -748,15 +764,18 @@ def test_grouping_memory_is_two_block_passes(johnson_14_4, traced_peak):
         (PointSet(dimension=3, points=np.random.default_rng(0).random((60, 3))), True, 1770, 1),
         (construct_named("hypercube", d=4), False, 4, 1),
         (construct_named("e8_roots"), False, 4, 2),
+        (PointSet(dimension=10, points=0.3 * np.eye(10)), True, 1, 1),
     ],
-    ids=["johnson_10_3", "random_60", "hypercube_4", "e8_roots"],
+    ids=["johnson_10_3", "random_60", "hypercube_4", "e8_roots", "scaled_basis_10"],
 )
 def test_grouping_walks_the_upper_tiles_once_or_twice(monkeypatch, ps, euclidean, s, walks):
     # Once to find the classes and, unless every class holds one value,
     # once to sum them, whatever s is, each tile on or above the diagonal
     # computed once a walk (T = 8 here); a pass per class took s + 1 walks.
-    # Johnson distances, hypercube(4)'s inner products and the one-pair
-    # classes of random points are single values; e8's inner products
+    # Johnson distances, hypercube(4)'s inner products, the one-pair
+    # classes of random points and the 45 copies of 0.18 in 0.3 I_10 are
+    # single values, each its class's mean (+0.0 for a zero), where numpy's
+    # pairwise sum of 0.18 gave 0.17999999999999997; e8's inner products
     # spread over their last bits. hypercube(4) has a class top at 0, whose
     # sign the first walk records on the way.
     monkeypatch.setattr(pointset, "_tile_side", lambda n: 8)
@@ -770,6 +789,8 @@ def test_grouping_walks_the_upper_tiles_once_or_twice(monkeypatch, ps, euclidean
     tiles = pointset._tiles(ps.n)
     assert len(tiles) > 1
     assert calls == [(rows, cols) for rows in tiles for cols in tiles if cols.start >= rows.start] * walks
+    matrix = squared_distance_matrix(ps) if euclidean else inner_product_matrix(ps)
+    assert walks == 2 or same_floats(means, (np.unique(matrix[np.triu_indices(ps.n, 1)]) + 0.0).tolist())
 
 
 def test_indicator_memory_is_the_basis_and_one_deviation(johnson_14_4, traced_peak):

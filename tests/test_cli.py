@@ -6,8 +6,10 @@ across runs and platforms. Exit codes: 0 success, 1 theorem check failed with
 the cardinality hypothesis met, 2 usage or input error, 3 numerical failure.
 """
 
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -15,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fewdist import cli, construct_johnson, construct_named, inverse
 from fewdist.certificate import indicator_matrix, verify_key_lemma
@@ -98,6 +102,27 @@ def golden_point_files(tmp_path_factory):
     return paths
 
 
+# Sets whose pair values are inexact, so that a mean taken in the points'
+# order would move in its last bits when the points are reordered.
+PERMUTED_SETS = {"e8_roots": lambda: construct_named("e8_roots")}
+PERMUTED_SETS.update({f"hypercube_{d}": lambda d=d: construct_named("hypercube", d=d) for d in range(5, 9)})
+
+
+@pytest.fixture(scope="module")
+def ratios_stdout(tmp_path_factory):
+    """A function giving the stdout of `ratios --all`, run in-process, on an array of points."""
+    path = tmp_path_factory.mktemp("permuted") / "points.json"
+
+    def stdout(points):
+        path.write_text(json.dumps({"dimension": points.shape[1], "points": points.tolist()}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["ratios", str(path), "--all"]) == 0
+        return out.getvalue()
+
+    return stdout
+
+
 @pytest.fixture(scope="module")
 def ambiguous_zero_class_file(tmp_path_factory):
     # An antipodal set whose inner products 0 and 6e-9 are two classes at
@@ -136,6 +161,19 @@ class TestGoldenOutput:
     def test_invert_exact_bytes(self, capsys):
         assert run(["invert", "-s", "3", "-k", "6,-8"]) == 0
         assert capsys.readouterr().out == GOLDEN_INVERT + "\n"
+
+    @pytest.mark.parametrize("name", sorted(PERMUTED_SETS))
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(seed=0)
+    def test_ratios_are_invariant_under_permutation(self, ratios_stdout, name, seed):
+        # The points reordered, and their coordinates permuted with signs:
+        # the same stdout, byte for byte. Class means taken in the points'
+        # order gave hypercube(7) other integrality deviations.
+        x = PERMUTED_SETS[name]().points
+        rng = np.random.default_rng(seed)
+        moved = (x[:, rng.permutation(x.shape[1])] * rng.choice([-1.0, 1.0], x.shape[1]))[rng.permutation(len(x))]
+        assert ratios_stdout(moved) == ratios_stdout(x)
 
     def test_run_to_run_stability(self, capsys):
         argv = ["invert", "-s", "4", "-k", "4,-6,4"]
